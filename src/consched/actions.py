@@ -10,17 +10,30 @@ free GPUs on some node are masked. Skip is never masked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import ClusterConfig, Placement
+from .errors import ConfigError
+
+# Node subsets per head that ActionSpace will index: 16 nodes give
+# 14,827, 17 nodes 26,860 and 32 nodes about 6.1e8. Each subset is one
+# output per head of the policy net.
+MAX_SUBSETS = 20_000
 
 
 class ActionSpace:
     """Index <-> (node subset) mapping shared by every candidate head."""
 
     def __init__(self, config: ClusterConfig):
+        count = sum(math.comb(config.num_nodes, 2 ** i) for i in config.node_exponents())
+        if count > MAX_SUBSETS:
+            raise ConfigError(
+                f"{config.num_nodes} nodes give {count:,} node subsets per RL head, above "
+                f"the bound of {MAX_SUBSETS:,} (16 nodes at most); the baselines run "
+                "on any cluster size")
         self.config = config
         self.subsets: list[tuple[int, tuple[int, ...]]] = []
         for i in config.node_exponents():

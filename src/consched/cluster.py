@@ -84,18 +84,22 @@ class ClusterState:
 
     Single-writer: one episode owns and mutates its ClusterState; copies
     are cheap and used by policies for what-if feasibility checks.
+    version counts the allocate and free calls, so an owner can tell
+    whether the placements changed since it last looked.
     """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.occupancy = np.full((config.num_nodes, config.gpus_per_node), EMPTY, dtype=np.int64)
         self.placements: dict[int, Placement] = {}
+        self.version = 0
 
     def copy(self) -> "ClusterState":
         dup = ClusterState.__new__(ClusterState)
         dup.config = self.config
         dup.occupancy = self.occupancy.copy()
         dup.placements = dict(self.placements)
+        dup.version = self.version
         return dup
 
     def free_gpus(self, node: int) -> int:
@@ -133,6 +137,7 @@ class ClusterState:
             free_slots = np.flatnonzero(self.occupancy[node] == EMPTY)[:j]
             self.occupancy[node, free_slots] = job_id
         self.placements[job_id] = placement
+        self.version += 1
         return self
 
     def free(self, job_id: int) -> "ClusterState":
@@ -141,6 +146,7 @@ class ClusterState:
             raise NotFoundError(f"job {job_id} is not placed")
         self.occupancy[self.occupancy == job_id] = EMPTY
         del self.placements[job_id]
+        self.version += 1
         return self
 
     def colocated_jobs(self, job_id: int) -> set[int]:
@@ -186,6 +192,17 @@ def demand_shapes(config: ClusterConfig, demand: int) -> list[tuple[int, int]]:
     return shapes
 
 
+def _capable_nodes(cluster: ClusterState, demand: int):
+    """(i, j, nodes with >= j free GPUs) per demand shape, in shape order."""
+    config = cluster.config
+    if demand <= 0 or demand > config.total_gpus:
+        raise InvalidDemandError(
+            f"demand {demand} outside [1, {config.total_gpus}]")
+    free = cluster.free_gpus_per_node()
+    for i, j in demand_shapes(config, demand):
+        yield i, j, [n for n in range(config.num_nodes) if free[n] >= j]
+
+
 def enumerate_placements(cluster: ClusterState, demand: int) -> list[Placement]:
     """Every feasible placement for the demand, in deterministic order.
 
@@ -193,20 +210,18 @@ def enumerate_placements(cluster: ClusterState, demand: int) -> list[Placement]:
     Empty list when nothing fits; InvalidDemandError when the demand could
     never fit an empty cluster.
     """
-    config = cluster.config
-    if demand <= 0 or demand > config.total_gpus:
-        raise InvalidDemandError(
-            f"demand {demand} outside [1, {config.total_gpus}]")
-    free = cluster.free_gpus_per_node()
-    out = []
-    for i, j in demand_shapes(config, demand):
-        capable = [n for n in range(config.num_nodes) if free[n] >= j]
-        for combo in itertools.combinations(capable, 2 ** i):
-            out.append(Placement(nodes=combo, gpus_per_node_used=j))
-    return out
+    return [Placement(nodes=combo, gpus_per_node_used=j)
+            for i, j, capable in _capable_nodes(cluster, demand)
+            for combo in itertools.combinations(capable, 2 ** i)]
 
 
 def first_fit(cluster: ClusterState, demand: int) -> Placement | None:
-    """First placement in enumerate_placements order, or None."""
-    placements = enumerate_placements(cluster, demand)
-    return placements[0] if placements else None
+    """First placement in enumerate_placements order, or None.
+
+    The first combination of a shape is its lowest-numbered capable
+    nodes, so no other combination is built.
+    """
+    for i, j, capable in _capable_nodes(cluster, demand):
+        if len(capable) >= 2 ** i:
+            return Placement(nodes=tuple(capable[:2 ** i]), gpus_per_node_used=j)
+    return None

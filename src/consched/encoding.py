@@ -45,21 +45,6 @@ class FeatureConfig:
 _MODEL_INDEX = {m: k for k, m in enumerate(MODEL_ORDER)}
 
 
-def select_candidates(queue: list[JobSpec], k: int) -> list[JobSpec]:
-    """Up to k jobs with pairwise distinct demands, scanning from the head."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    picked: list[JobSpec] = []
-    seen: set[int] = set()
-    for job in queue:
-        if job.gpu_demand not in seen:
-            picked.append(job)
-            seen.add(job.gpu_demand)
-            if len(picked) == k:
-                break
-    return picked
-
-
 def _fits(config: ClusterConfig, demand: int, free_per_node: np.ndarray) -> bool:
     """Whether some j * 2^i shape of the demand fits the free GPUs now."""
     return any(int(np.count_nonzero(free_per_node >= j)) >= 2 ** i

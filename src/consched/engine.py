@@ -194,6 +194,12 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     Deterministic for a fixed (policy, trace, configs, rng seed). The
     livelock guard forces a single greedy placement after livelock_rounds
     consecutive no-progress rounds with an empty cluster and waiting jobs.
+
+    A policy that declares idle_between_events is not asked to decide
+    again after an empty decision until an event: an arrival, a
+    checkpoint-ready re-queue, or an allocate or free on the cluster;
+    those rounds take the empty action. CS profiles are reused while
+    cluster.version is unchanged.
     """
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
@@ -214,12 +220,23 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     shadow_utils: list[tuple[float, float]] = []
     audit_rows: list[list[tuple]] = []
     stall_rounds = 0
+    idle_between_events = getattr(policy, "idle_between_events", False)
+    idle_at = None  # cluster.version of the last empty decision, until an event
+    cs_version, cs_cached = -1, {}
+
+    def profile_cs() -> dict[int, float]:
+        nonlocal cs_version, cs_cached
+        if cs_version != cluster.version:
+            cs_cached = _profile_cs(cluster, states, params, episode_config.contention_enabled)
+            cs_version = cluster.version
+        return cs_cached
 
     while True:
         while pending and states[pending[0]].spec.arrival_time <= t:
             jid = pending.pop(0)
             states[jid].submit_time = states[jid].spec.arrival_time
             queue.append(jid)
+            idle_at = None
         # preempted jobs re-enter at the queue head once their checkpoint
         # is written (they cannot resume from a checkpoint that does not
         # exist yet)
@@ -229,6 +246,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             queue[:0] = [jid for _, _, jid in ready]
             for _, _, jid in ready:
                 states[jid].phase = Phase.WAITING
+            idle_at = None
         if not queue and not cluster.placements and not pending and not checkpointing:
             break
         if len(rounds) >= episode_config.max_rounds:
@@ -239,9 +257,12 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if record_trajectory:
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
-            cs_pre = _profile_cs(cluster, states, params, episode_config.contention_enabled)
-            noop_reward = compute_reward(cluster, cs_pre, weights, episode_config.cs_cap)
-        action: Action = policy.decide(cluster, queue_specs, states, rng)
+            noop_reward = compute_reward(cluster, profile_cs(), weights, episode_config.cs_cap)
+        if idle_at == cluster.version:
+            action = Action()
+        else:
+            action = policy.decide(cluster, queue_specs, states, rng)
+            idle_at = cluster.version if idle_between_events and action.is_noop else None
 
         # livelock guard: empty cluster, waiting jobs, policy keeps skipping
         if not action.placements and not cluster.placements and queue:
@@ -261,12 +282,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
         if shadow_hybrid:
             shadow = hybridize(action, cluster, queue_specs)
-            added = sum(p.total_gpus for _, p in shadow.placements)
-            if shadow is action:
-                shadow_after = cluster.used_gpus() + sum(
-                    p.total_gpus for _, p in action.placements)
-            else:
-                shadow_after = cluster.used_gpus() + added
+            shadow_after = cluster.used_gpus() + sum(p.total_gpus for _, p in shadow.placements)
             shadow_utils.append((0.0, shadow_after / cluster_config.total_gpus))
 
         preempted_now: list[int] = []
@@ -294,7 +310,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if jid in queue:
                 _defer(queue, jid, states)
 
-        cs_map = _profile_cs(cluster, states, params, episode_config.contention_enabled)
+        cs_map = profile_cs()
         for jid, cs in cs_map.items():
             states[jid].last_cs = cs
         throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
@@ -329,8 +345,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         threshold = episode_config.cs_preemption_threshold
         if threshold is not None:
             while cluster.placements:
-                cs_now = _profile_cs(cluster, states, params,
-                                     episode_config.contention_enabled)
+                cs_now = profile_cs()
                 worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
                 if cs_now[worst] <= threshold:
                     break
@@ -348,7 +363,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if audit:
             audit_rows.append(row)
             cluster.audit()
-        t += T
+        t = len(rounds) * T  # a running sum of T would drift by rounding
 
     job_records = []
     for jid in sorted(states):

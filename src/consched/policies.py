@@ -4,6 +4,17 @@ Baselines (greedy, LAS, SRTF) see the full waiting queue, matching their
 classical definitions. Only the RL policies observe the K-candidate
 window and the fixed-shape state tensor; this asymmetry is deliberate
 and affects how comparisons should be read.
+
+A policy whose class sets idle_between_events = True promises that once
+decide returns the empty action it keeps returning it until an event:
+an arrival, a checkpoint-ready re-queue, or any allocate or free on the
+cluster. The engine then skips decide until the next event. The
+baselines keep that promise: when nothing fits, a greedy scan places
+nothing in any order; queued jobs keep their LAS and SRTF keys while
+they wait; and SRTF's victims (running jobs with more remaining time
+than the target) only leave the set as they progress, so if freeing all
+of them made no room, freeing fewer makes none. The RL policies do not
+set it, because training needs their RLDecision from every round.
 """
 
 from __future__ import annotations
@@ -96,6 +107,7 @@ def decide_srtf(cluster: ClusterState, queue: list[JobSpec],
 
 class GreedyPolicy:
     name = "greedy"
+    idle_between_events = True
 
     def decide(self, cluster, queue, states, rng=None) -> Action:
         return decide_fifo_greedy(cluster, queue)
@@ -103,12 +115,15 @@ class GreedyPolicy:
 
 class LASPolicy:
     name = "las"
+    idle_between_events = True
 
     def decide(self, cluster, queue, states, rng=None) -> Action:
         return decide_las(cluster, queue, states)
 
 
 class SRTFPolicy:
+    idle_between_events = True
+
     def __init__(self, preemptive: bool = True):
         self.preemptive = preemptive
         self.name = "srtf" if preemptive else "srtf-np"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +186,42 @@ def test_demand_shapes_respects_cluster():
     small = ClusterConfig(num_nodes=2, gpus_per_node=2)
     assert demand_shapes(small, 4) == [(1, 2)]
     assert demand_shapes(small, 2) == [(0, 2), (1, 1)]
+
+
+class TestFirstFit:
+    @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_first_enumerated(self, data, nodes, gpus):
+        config = ClusterConfig(num_nodes=nodes, gpus_per_node=gpus)
+        cluster = ClusterState(config)
+        for node in range(nodes):
+            used = data.draw(st.integers(0, gpus))
+            if used:
+                cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=used))
+        demand = data.draw(st.integers(1, config.total_gpus))
+        assert first_fit(cluster, demand) == (enumerate_placements(cluster, demand) or [None])[0]
+
+    def test_invalid_demand(self, cluster):
+        with pytest.raises(InvalidDemandError):
+            first_fit(cluster, 33)
+
+    def test_stops_at_first_combination(self):
+        """32 nodes with one free GPU each: only 16 nodes x 1 GPU fits demand
+        16, a shape with C(32, 16) ~ 6e8 combinations to enumerate."""
+        cluster = ClusterState(ClusterConfig(num_nodes=32, gpus_per_node=8))
+        cluster.allocate(0, Placement(nodes=tuple(range(32)), gpus_per_node_used=7))
+        start = time.perf_counter()
+        placement = first_fit(cluster, 16)
+        assert time.perf_counter() - start < 1.0
+        assert placement == Placement(nodes=tuple(range(16)), gpus_per_node_used=1)
+
+
+def test_version_counts_allocate_and_free(cluster):
+    assert cluster.version == 0
+    cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=2))
+    dup = cluster.copy()
+    cluster.free(1)
+    assert (cluster.version, dup.version) == (2, 1)
+    with pytest.raises(NotFoundError):
+        cluster.free(1)
+    assert cluster.version == 2  # a failed call changes nothing

@@ -1,16 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consched.actions import Action, ActionSpace
-from consched.cluster import ClusterConfig, ClusterState, Placement
-from consched.encoding import (FEATURE_DIM, FeatureConfig, encode_state,
-                               feature_vector, select_candidates, dump_state_csv)
+from consched.cluster import ClusterConfig, ClusterState, Placement, enumerate_placements
+from consched.encoding import (FEATURE_DIM, FeatureConfig, dump_state_csv, encode_state,
+                               feature_vector, window_candidates)
 from consched.errors import ConfigError
 from consched.workload import JobState, Phase, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
+EMPTY_FREE = np.full(CFG.num_nodes, CFG.gpus_per_node)
 
 
 def jobs_with_demands(demands):
@@ -26,33 +29,44 @@ def states_for(specs):
 
 
 class TestSelectCandidates:
+    """Candidate selection by window_candidates, the RL policies' window."""
+
     def test_distinct_demand_rule(self):
         specs = jobs_with_demands([8, 8, 4, 2, 8])
-        picked = select_candidates(specs, 3)
-        assert [c.gpu_demand for c in picked] == [8, 4, 2]
-        assert picked[0].id == specs[0].id  # the first 8, not a later one
+        picked = window_candidates(specs, 3, CFG, EMPTY_FREE)
+        assert [c.gpu_demand for c in picked] == [2, 4, 8]
+        assert picked[2].id == specs[0].id  # the first 8, not a later one
 
     def test_empty_queue(self):
-        assert select_candidates([], 3) == []
+        assert window_candidates([], 3, CFG, EMPTY_FREE) == []
 
     def test_k_one_head_only(self):
         specs = jobs_with_demands([5, 1, 2])
-        assert select_candidates(specs, 1) == [specs[0]]
+        assert window_candidates(specs, 1, CFG, EMPTY_FREE) == [specs[0]]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
-            select_candidates([], 0)
+            window_candidates([], 0, CFG, EMPTY_FREE)
 
-    @given(demands=st.lists(st.integers(1, 32), max_size=12), k=st.integers(1, 4))
+    @given(demands=st.lists(st.integers(1, 32), max_size=12), k=st.integers(1, 6),
+           used=st.lists(st.integers(0, 8), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_invariants(self, demands, k):
+    def test_invariants(self, demands, k, used):
         specs = jobs_with_demands(demands)
-        picked = select_candidates(specs, k)
+        cluster = ClusterState(CFG)
+        for node, u in enumerate(used):
+            if u:
+                cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=u))
+        picked = window_candidates(specs, k, CFG, cluster.free_gpus_per_node())
         ds = [c.gpu_demand for c in picked]
         assert len(picked) <= k
-        assert len(set(ds)) == len(ds)
-        order = [specs.index(c) for c in picked]
-        assert order == sorted(order)
+        assert ds == sorted(set(ds))
+        first_of = {}
+        for spec in specs:
+            first_of.setdefault(spec.gpu_demand, spec)
+        fitting = [d for d in first_of if enumerate_placements(cluster, d)]
+        assert all(first_of[c.gpu_demand] is c for c in picked)
+        assert ds == sorted(fitting[:k])
 
 
 class TestEncodeState:
@@ -139,6 +153,17 @@ class TestActionSpace:
         # C(4,1) + C(4,2) + C(4,4) node subsets plus skip
         assert space.size == 4 + 6 + 1 + 1
         assert space.skip_index == 11
+
+    def test_size_at_8_nodes(self):
+        # C(8,1) + C(8,2) + C(8,4) + C(8,8) node subsets plus skip
+        assert ActionSpace(ClusterConfig(num_nodes=8)).size == 107 + 1
+
+    def test_oversized_cluster_fails_before_building(self):
+        # 32 nodes would need about 6.1e8 subsets; the check is arithmetic only
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="subsets"):
+            ActionSpace(ClusterConfig(num_nodes=32))
+        assert time.perf_counter() - start < 1.0
 
     def test_placement_for_index(self):
         space = ActionSpace(CFG)

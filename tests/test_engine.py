@@ -9,8 +9,9 @@ from consched.contention import CSTable, ContentionParams, ModelClass
 from consched.engine import (ComparisonReport, EpisodeConfig, compare_policies,
                              percentile_90, run_episode)
 from consched.errors import ConfigError
-from consched.policies import GreedyPolicy, SRTFPolicy, make_policy
-from consched.workload import JobState, TraceSpec, generate_trace
+from consched.policies import (GreedyPolicy, RLBasePolicy, RLHybridPolicy, SRTFPolicy,
+                               make_policy)
+from consched.workload import MIX_PRESETS, JobState, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
 
@@ -302,3 +303,72 @@ def test_percentile_90_nearest_rank():
     values = list(map(float, range(1, 11)))
     assert percentile_90(values) == 9.0
     assert percentile_90([5.0]) == 5.0
+
+
+class DecideCounter:
+    """Delegates decide and counts the calls.
+
+    every_round=True hides the policy's idle_between_events, so the
+    engine asks it every round: the reference for the idle fast path.
+    """
+
+    def __init__(self, policy, every_round: bool):
+        self.policy = policy
+        self.name = policy.name
+        self.calls = 0
+        if not every_round:
+            self.idle_between_events = policy.idle_between_events
+
+    def decide(self, cluster, queue, states, rng=None):
+        self.calls += 1
+        return self.policy.decide(cluster, queue, states, rng)
+
+
+BASELINES = ("greedy", "las", "srtf", "srtf-np")
+NORMAL_64 = generate_trace(TraceSpec(num_jobs=64, seed=4))
+HEAVY_POISSON = generate_trace(TraceSpec(num_jobs=32, seed=4, mix=MIX_PRESETS["heavy"],
+                                         arrival="poisson", arrival_rate=0.05))
+
+
+class TestIdleBetweenEvents:
+    def run_both(self, kind, trace, episode, cluster_config=None, audit=False):
+        reports, counters = [], []
+        for every_round in (True, False):
+            counter = DecideCounter(make_policy(kind), every_round)
+            reports.append(run_episode(counter, trace, episode, cluster_config, audit=audit))
+            counters.append(counter)
+        return reports, counters
+
+    @pytest.mark.parametrize("kind", BASELINES)
+    @pytest.mark.parametrize("trace", [NORMAL_64, HEAVY_POISSON], ids=["normal64", "heavy-poisson"])
+    @pytest.mark.parametrize("threshold", [None, 2.0])
+    def test_same_episode_as_deciding_every_round(self, kind, trace, threshold):
+        (ref, fast), (ref_calls, fast_calls) = self.run_both(
+            kind, trace, EpisodeConfig(cs_preemption_threshold=threshold))
+        assert fast.jobs == ref.jobs
+        assert fast.rounds == ref.rounds
+        assert fast.aggregates == ref.aggregates
+        assert ref_calls.calls == len(ref.rounds)
+        if trace is NORMAL_64:  # a backlog: most rounds place nothing
+            assert fast_calls.calls < len(fast.rounds) / 10
+
+    @pytest.mark.parametrize("kind", BASELINES)
+    def test_same_episode_on_small_cluster_under_audit(self, kind):
+        config = ClusterConfig(num_nodes=2, gpus_per_node=4)
+        trace = generate_trace(TraceSpec(num_jobs=24, seed=2, demand_cap=8), config)
+        (ref, fast), _ = self.run_both(kind, trace, EpisodeConfig(), config, audit=True)
+        assert fast.jobs == ref.jobs
+        assert fast.rounds == ref.rounds
+        assert fast.audit_rows == ref.audit_rows
+
+    def test_rl_policies_do_not_opt_in(self):
+        assert not hasattr(RLBasePolicy, "idle_between_events")
+        assert not hasattr(RLHybridPolicy, "idle_between_events")
+
+
+def test_round_times_do_not_drift():
+    """t = round index * T: a sum of 0.1 steps would drift off k * 0.1."""
+    trace = jobs_with([4], runtimes=[100.0])
+    report = run_episode(GreedyPolicy(), trace, EpisodeConfig(round_interval=0.1))
+    assert len(report.rounds) >= 1000
+    assert [r.time for r in report.rounds] == [k * 0.1 for k in range(len(report.rounds))]
