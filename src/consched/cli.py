@@ -66,9 +66,20 @@ def _cluster_config(args, file_cfg) -> ClusterConfig:
     cli = {"nodes": args.nodes, "gpus_per_node": args.gpus_per_node,
            "inter_bw": args.inter_bw, "intra_bw": args.intra_bw}
     merged = merge_config({k: v for k, v in file_cfg.items() if k in defaults}, cli, defaults)
-    return ClusterConfig(num_nodes=merged["nodes"], gpus_per_node=merged["gpus_per_node"],
-                         inter_node_bandwidth=merged["inter_bw"],
-                         intra_node_bandwidth=merged["intra_bw"])
+    try:
+        return ClusterConfig(num_nodes=merged["nodes"], gpus_per_node=merged["gpus_per_node"],
+                             inter_node_bandwidth=merged["inter_bw"],
+                             intra_node_bandwidth=merged["intra_bw"])
+    except ConfigError as exc:
+        raise UsageError(f"bad cluster flags: {exc}") from exc
+
+
+def _action_space(cluster_config) -> ActionSpace:
+    """The RL action space; a cluster too large for it is a usage error."""
+    try:
+        return ActionSpace(cluster_config)
+    except ConfigError as exc:
+        raise UsageError(f"bad cluster flags: {exc}") from exc
 
 
 def _episode_config(args, cluster_config) -> EpisodeConfig:
@@ -134,7 +145,7 @@ def _policy_for(kind: str, args, cluster_config, episode, deterministic=True):
         if not args.checkpoint:
             raise UsageError(f"policy {kind} requires --checkpoint")
         net, _meta = load_checkpoint(args.checkpoint)
-        space = ActionSpace(cluster_config)
+        space = _action_space(cluster_config)
         expected, _ = make_net(cluster_config, TrainConfig(k=net.arch.k, hidden=tuple(net.arch.hidden)))
         ensure_compatible(net.arch, expected.arch, path=args.checkpoint)
         return make_policy(kind, net=net, action_space=space, deterministic=deterministic,
@@ -166,6 +177,7 @@ def cmd_gen_trace(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = parse_config_file(args.config) if args.config else {}
     cluster = _cluster_config(args, file_cfg)
+    _action_space(cluster)  # fail before any work on a cluster RL cannot index
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     traces = _load_traces([args.trace])

@@ -115,9 +115,6 @@ class ClusterState:
         """Ratio of used GPUs to total GPUs."""
         return self.used_gpus() / self.config.total_gpus
 
-    def is_empty(self) -> bool:
-        return not self.placements
-
     def allocate(self, job_id: int, placement: Placement) -> "ClusterState":
         """Occupy the placement's slots for job_id. State unchanged on error."""
         if job_id in self.placements:
@@ -159,11 +156,6 @@ class ClusterState:
             if other != job_id and mine.intersection(placement.nodes):
                 out.add(other)
         return out
-
-    def jobs_on_node(self, node: int) -> set[int]:
-        ids = set(int(x) for x in np.unique(self.occupancy[node]))
-        ids.discard(EMPTY)
-        return ids
 
     def audit(self) -> None:
         """Reconstruct the grid from placements and compare; raises on drift."""

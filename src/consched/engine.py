@@ -196,10 +196,16 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     consecutive no-progress rounds with an empty cluster and waiting jobs.
 
     A policy that declares idle_between_events is not asked to decide
-    again after an empty decision until an event: an arrival, a
-    checkpoint-ready re-queue, or an allocate or free on the cluster;
-    those rounds take the empty action. CS profiles are reused while
-    cluster.version is unchanged.
+    again after an idle decision until an event: an arrival, a
+    checkpoint-ready re-queue, or an allocate or free on the cluster.
+    A decision is idle when it places and preempts nothing and no RL
+    head had a choice; the rounds up to the event reuse it, so a
+    recorded trajectory still gets its skip-only row every round. The
+    values derived from the placements (the CS profile, the last_cs
+    writes, throughput, utilization, mean CS, the round and no-op
+    rewards and the CS-threshold check) are computed once per
+    cluster.version, so an idle round only advances jobs and records
+    its row.
     """
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
@@ -221,8 +227,11 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     audit_rows: list[list[tuple]] = []
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
-    idle_at = None  # cluster.version of the last empty decision, until an event
+    idle_at, idle_action = None, None  # the last idle decision and its version, until an event
     cs_version, cs_cached = -1, {}
+    reward_version, reward_cached = -1, 0.0
+    round_version = -1  # the version cs_map, throughput, ... below were derived at
+    checked_version = -1  # a version at which no job exceeds the CS threshold
 
     def profile_cs() -> dict[int, float]:
         nonlocal cs_version, cs_cached
@@ -230,6 +239,16 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             cs_cached = _profile_cs(cluster, states, params, episode_config.contention_enabled)
             cs_version = cluster.version
         return cs_cached
+
+    def round_reward() -> float:
+        nonlocal reward_version, reward_cached
+        if reward_version != cluster.version:
+            reward_cached = compute_reward(cluster, profile_cs(), weights, episode_config.cs_cap)
+            reward_version = cluster.version
+        return reward_cached
+
+    def queue_specs() -> list[JobSpec]:
+        return [states[jid].spec for jid in queue]
 
     while True:
         while pending and states[pending[0]].spec.arrival_time <= t:
@@ -252,23 +271,24 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if len(rounds) >= episode_config.max_rounds:
             raise RuntimeError(f"episode exceeded {episode_config.max_rounds} rounds")
 
-        queue_specs = [states[jid].spec for jid in queue]
         noop_reward = 0.0
         if record_trajectory:
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
-            noop_reward = compute_reward(cluster, profile_cs(), weights, episode_config.cs_cap)
+            noop_reward = round_reward()
         if idle_at == cluster.version:
-            action = Action()
+            action = idle_action
         else:
-            action = policy.decide(cluster, queue_specs, states, rng)
-            idle_at = cluster.version if idle_between_events and action.is_noop else None
+            action = policy.decide(cluster, queue_specs(), states, rng)
+            idle = action.is_noop and not (action.rl and action.rl.has_choice)
+            idle_at, idle_action = ((cluster.version, action)
+                                    if idle_between_events and idle else (None, None))
 
         # livelock guard: empty cluster, waiting jobs, policy keeps skipping
         if not action.placements and not cluster.placements and queue:
             stall_rounds += 1
             if stall_rounds >= episode_config.livelock_rounds:
-                fallback = decide_fifo_greedy(cluster, queue_specs)
+                fallback = decide_fifo_greedy(cluster, queue_specs())
                 if fallback.placements:
                     log.warning("livelock guard forcing greedy placement at t=%s", t)
                     rl = action.rl
@@ -281,7 +301,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             stall_rounds = 0
 
         if shadow_hybrid:
-            shadow = hybridize(action, cluster, queue_specs)
+            shadow = hybridize(action, cluster, queue_specs())
             shadow_after = cluster.used_gpus() + sum(p.total_gpus for _, p in shadow.placements)
             shadow_utils.append((0.0, shadow_after / cluster_config.total_gpus))
 
@@ -310,15 +330,16 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if jid in queue:
                 _defer(queue, jid, states)
 
-        cs_map = profile_cs()
-        for jid, cs in cs_map.items():
-            states[jid].last_cs = cs
-        throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
-                      for jid in cs_map}
-
-        utilization = cluster.utilization()
-        mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
-        reward = compute_reward(cluster, cs_map, weights, episode_config.cs_cap)
+        if round_version != cluster.version:
+            cs_map = profile_cs()
+            for jid, cs in cs_map.items():
+                states[jid].last_cs = cs
+            throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
+                          for jid in cs_map}
+            utilization = cluster.utilization()
+            mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
+            reward = round_reward()
+            round_version = cluster.version
         if shadow_utils:
             base_after = utilization
             shadow_utils[-1] = (base_after, shadow_utils[-1][1])
@@ -343,7 +364,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             states[jid].placement = None
 
         threshold = episode_config.cs_preemption_threshold
-        if threshold is not None:
+        if threshold is not None and checked_version != cluster.version:
             while cluster.placements:
                 cs_now = profile_cs()
                 worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
@@ -353,6 +374,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                 checkpointing.append((t + episode_config.checkpoint_grace, preempt_seq, worst))
                 preempt_seq += 1
                 preempted_now.append(worst)
+            checked_version = cluster.version
 
         rounds.append(RoundRecord(
             time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,

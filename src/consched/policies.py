@@ -5,16 +5,23 @@ classical definitions. Only the RL policies observe the K-candidate
 window and the fixed-shape state tensor; this asymmetry is deliberate
 and affects how comparisons should be read.
 
-A policy whose class sets idle_between_events = True promises that once
-decide returns the empty action it keeps returning it until an event:
-an arrival, a checkpoint-ready re-queue, or any allocate or free on the
-cluster. The engine then skips decide until the next event. The
-baselines keep that promise: when nothing fits, a greedy scan places
-nothing in any order; queued jobs keep their LAS and SRTF keys while
-they wait; and SRTF's victims (running jobs with more remaining time
-than the target) only leave the set as they progress, so if freeing all
-of them made no room, freeing fewer makes none. The RL policies do not
-set it, because training needs their RLDecision from every round.
+A policy whose class sets idle_between_events = True promises that
+after an idle decision (no placements, no preemptions, and no RL head
+that had a choice) the same decision holds until an event: an arrival,
+a checkpoint-ready re-queue, or any allocate or free on the cluster.
+The engine then reuses that decision until the next event. Every policy
+here keeps the promise:
+
+- when nothing fits, a greedy scan places nothing in any order;
+- queued jobs keep their LAS and SRTF keys while they wait;
+- SRTF's victims (running jobs with more remaining time than the
+  target) only leave the set as they progress, so if freeing all of them
+  made no room, freeing fewer makes none;
+- the RL window (window_candidates) reads only the queue and the free
+  GPUs, so an empty window stays empty until an event; a round with an
+  empty window encodes nothing, defers nothing and draws no rng; and
+  the window's fit test is first_fit's, so RL-Hybrid's greedy fallback
+  places nothing either.
 """
 
 from __future__ import annotations
@@ -152,6 +159,7 @@ class RLBasePolicy:
     """
 
     name = "rl-base"
+    idle_between_events = True
 
     def __init__(self, net: PolicyNet, action_space: ActionSpace,
                  feature_cfg: FeatureConfig | None = None,
@@ -247,6 +255,7 @@ class RLHybridPolicy:
     """Decision-level multiplexing: the trained policy, greedy on empty actions."""
 
     name = "rl-hybrid"
+    idle_between_events = True
 
     def __init__(self, net, action_space, feature_cfg=None, deterministic: bool = True,
                  episode=None):

@@ -118,8 +118,5 @@ class PolicyNet:
         logits = (h2 @ p["wh"] + p["bh"]).reshape(self.arch.k, self.arch.head_size)
         return logits + p["head_prior"][None, :]
 
-    def num_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}

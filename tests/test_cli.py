@@ -47,6 +47,11 @@ class TestGenTrace:
                     "--out", str(tmp_path / "x")]) == 2
         assert "normal" in capsys.readouterr().err
 
+    def test_zero_nodes_usage_error(self, tmp_path, capsys):
+        assert run(["gen-trace", "--jobs", "4", "--nodes", "0",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_ratio_mix(self, tmp_path):
         path = tmp_path / "t.txt"
         assert run(["gen-trace", "--mix", "1:1:1:1:4:4", "--jobs", "8",
@@ -87,6 +92,11 @@ class TestTrain:
     def test_inconsistent_w1_w2(self, trace_file, tmp_path):
         assert run(["train", "--trace", str(trace_file), "--w1", "0.4",
                     "--w2", "0.7", "--out-dir", str(tmp_path)]) == 2
+
+    def test_cluster_beyond_action_space_usage_error(self, trace_file, tmp_path, capsys):
+        assert run(["train", "--trace", str(trace_file), "--nodes", "32",
+                    "--episodes", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "node subsets" in capsys.readouterr().err
 
     def test_checkpoint_deterministic(self, trace_file, tmp_path):
         paths = []

@@ -1,6 +1,7 @@
 import logging
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from consched.actions import Action
@@ -9,8 +10,9 @@ from consched.contention import CSTable, ContentionParams, ModelClass
 from consched.engine import (ComparisonReport, EpisodeConfig, compare_policies,
                              percentile_90, run_episode)
 from consched.errors import ConfigError
-from consched.policies import (GreedyPolicy, RLBasePolicy, RLHybridPolicy, SRTFPolicy,
-                               make_policy)
+from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
+from consched.rl.reward import RewardWeights, reward_from_terms
+from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
@@ -227,11 +229,6 @@ class TestDeferral:
             assert make_policy(kind).decide(cluster, trace, states).deferred == []
 
     def test_rl_episode_conserves_jobs_under_audit(self):
-        import numpy as np
-
-        from consched.policies import RLBasePolicy
-        from consched.rl.train import TrainConfig, make_net
-
         net, space = make_net(CFG, TrainConfig(seed=0))
         trace = generate_trace(TraceSpec(num_jobs=24, seed=9))
         report = run_episode(RLBasePolicy(net, space, deterministic=False), trace,
@@ -361,9 +358,91 @@ class TestIdleBetweenEvents:
         assert fast.rounds == ref.rounds
         assert fast.audit_rows == ref.audit_rows
 
-    def test_rl_policies_do_not_opt_in(self):
-        assert not hasattr(RLBasePolicy, "idle_between_events")
-        assert not hasattr(RLHybridPolicy, "idle_between_events")
+
+def fresh_rl_policy(kind, deterministic, episode):
+    net, space = make_net(CFG, TrainConfig(seed=0))
+    return make_policy(kind, net=net, action_space=space, deterministic=deterministic,
+                       episode=episode)
+
+
+def assert_same_trajectory(fast, ref):
+    assert len(fast) == len(ref)
+    for (step, reward, noop), (ref_step, ref_reward, ref_noop) in zip(fast, ref):
+        assert (reward, noop) == (ref_reward, ref_noop)
+        if ref_step.state is None:
+            assert step.state is None
+        else:
+            np.testing.assert_array_equal(step.state, ref_step.state)
+        np.testing.assert_array_equal(step.head_actions, ref_step.head_actions)
+        np.testing.assert_array_equal(step.masks, ref_step.masks)
+        if ref_step.verdicts is None:
+            assert step.verdicts is None
+        else:
+            np.testing.assert_array_equal(step.verdicts, ref_step.verdicts)
+        assert (step.temperature, step.forced) == (ref_step.temperature, ref_step.forced)
+
+
+class TestRLIdleBetweenEvents:
+    """RL policies against a wrapper that asks them every round."""
+
+    @pytest.mark.parametrize("kind, deterministic", [("rl-base", False), ("rl-hybrid", True)],
+                             ids=["rl-base-sampling", "rl-hybrid-argmax"])
+    @pytest.mark.parametrize("trace", [NORMAL_64, HEAVY_POISSON], ids=["normal64", "heavy-poisson"])
+    @pytest.mark.parametrize("threshold", [None, 2.0])
+    def test_same_episode_as_deciding_every_round(self, kind, deterministic, trace, threshold):
+        episode = EpisodeConfig(cs_preemption_threshold=threshold)
+        reports, counters = [], []
+        for every_round in (True, False):
+            counter = DecideCounter(fresh_rl_policy(kind, deterministic, episode), every_round)
+            reports.append(run_episode(counter, trace, episode, rng=np.random.default_rng(5),
+                                       record_trajectory=True, shadow_hybrid=True))
+            counters.append(counter)
+        ref, fast = reports
+        assert fast.jobs == ref.jobs
+        assert fast.rounds == ref.rounds
+        assert fast.aggregates == ref.aggregates
+        assert fast.shadow_utils == ref.shadow_utils
+        assert len(ref.trajectory) == len(ref.rounds)
+        assert_same_trajectory(fast.trajectory, ref.trajectory)
+        assert counters[0].calls == len(ref.rounds)
+        assert counters[1].calls < len(fast.rounds) / 10
+
+    @pytest.mark.parametrize("kind", ["rl-base", "srtf"])
+    def test_round_values_match_the_round_state(self, kind):
+        """The values cached per cluster version, recomputed from each round's audit row."""
+        episode = EpisodeConfig()
+        policy = (fresh_rl_policy(kind, False, episode) if kind == "rl-base"
+                  else make_policy(kind))
+        report = run_episode(policy, HEAVY_POISSON, episode, rng=np.random.default_rng(5),
+                             record_trajectory=True, audit=True)
+        demand = {spec.id: spec.gpu_demand for spec in HEAVY_POISSON}
+        ideal = {spec.id: spec.ideal_throughput for spec in HEAVY_POISSON}
+        weights = RewardWeights()
+        assert sum(r.num_preempted for r in report.rounds) > 0
+        for rnd, row in zip(report.rounds, report.audit_rows):
+            cs = [entry[1] for entry in row]
+            util = sum(demand[entry[0]] for entry in row) / CFG.total_gpus
+            assert rnd.num_running == len(row)
+            assert rnd.utilization == pytest.approx(util, abs=1e-12)
+            assert rnd.mean_cs == pytest.approx(sum(cs) / len(cs) if cs else 0.0, abs=1e-12)
+            capped = sum(min(v, episode.cs_cap) for v in cs) / len(cs) if cs else 0.0
+            assert rnd.reward == pytest.approx(reward_from_terms(capped, util, weights), abs=1e-12)
+            for jid, job_cs, throughput, *_ in row:
+                assert throughput == pytest.approx(ideal[jid] / job_cs, rel=1e-12)
+        for rnd, (_, reward, noop) in zip(report.rounds, report.trajectory):
+            if rnd.num_placed == 0:  # nothing applied before the reward: it is the no-op's
+                assert noop == reward
+
+    def test_training_is_unchanged(self, monkeypatch, tmp_path):
+        trace = NORMAL_64[:24]
+        config = TrainConfig(episodes=2, checkpoint_path=str(tmp_path / "fast.ckpt"))
+        fast_net, fast_curves = train(trace, config)
+        monkeypatch.setattr(RLBasePolicy, "idle_between_events", False)
+        ref_net, ref_curves = train(trace, replace(config, checkpoint_path=str(tmp_path / "ref.ckpt")))
+        assert fast_curves == ref_curves
+        assert fast_net.params.keys() == ref_net.params.keys()
+        for key, value in ref_net.params.items():
+            np.testing.assert_array_equal(fast_net.params[key], value)
 
 
 def test_round_times_do_not_drift():
