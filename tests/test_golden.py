@@ -1,0 +1,185 @@
+"""Golden fixture: end-to-end episode and training output pinned to files.
+
+Every case below was run once and its output stored in
+tests/data/golden/*.json; the tests compare against those files exactly.
+Floats are stored as JSON numbers, which Python writes with repr, so they
+round-trip bit for bit. A change that moves an output on purpose
+regenerates the files with `python tests/test_golden.py --write` and
+says in CHANGES.md what moved and by how much.
+
+Each episode case stores its per-job records, its aggregates and a
+digest of its round records; RL cases record their trajectory and store
+a digest of it too. The training case stores a digest per parameter
+array and the curves of a 2-episode train().
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict, astuple
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from consched.cluster import ClusterConfig  # noqa: E402
+from consched.contention import ContentionParams  # noqa: E402
+from consched.engine import EpisodeConfig, run_episode  # noqa: E402
+from consched.policies import make_policy  # noqa: E402
+from consched.rl.train import TrainConfig, make_net, train  # noqa: E402
+from consched.workload import MIX_PRESETS, TraceSpec, generate_trace  # noqa: E402
+
+SMALL = ClusterConfig(num_nodes=2, gpus_per_node=4)
+
+# trace name -> (trace spec, cluster config, contention params)
+TRACES = {
+    "normal64": (TraceSpec(num_jobs=64, seed=11), None, None),
+    "heavy-poisson": (TraceSpec(num_jobs=32, seed=12, mix=MIX_PRESETS["heavy"],
+                                arrival="poisson", arrival_rate=0.05), None, None),
+    "synthetic": (TraceSpec(num_jobs=32, seed=13), None, ContentionParams(mode="synthetic")),
+    "small-2x4": (TraceSpec(num_jobs=24, seed=14, demand_cap=8), SMALL, None),
+}
+# policy case -> (policy kind, argmax)
+POLICIES = {
+    "greedy": ("greedy", True),
+    "las": ("las", True),
+    "srtf": ("srtf", True),
+    "srtf-np": ("srtf-np", True),
+    "rl-base-argmax": ("rl-base", True),
+    "rl-base-sample": ("rl-base", False),
+    "rl-hybrid-argmax": ("rl-hybrid", True),
+}
+THRESHOLDS = {"cs2": 2.0, "cs-off": None}
+SAMPLE_SEED = 7
+TRAIN_SPEC = TraceSpec(num_jobs=24, seed=15)
+
+
+def _floats(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _array_digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def rounds_digest(rounds) -> str:
+    return hashlib.sha256("\n".join(_floats(astuple(r)) for r in rounds).encode()).hexdigest()
+
+
+def trajectory_digest(trajectory) -> str:
+    h = hashlib.sha256()
+    for step, reward, noop in trajectory:
+        for a in (step.state, step.head_actions, step.masks, step.verdicts):
+            h.update(b"-" if a is None else _array_digest(a).encode())
+        h.update(f"{step.temperature!r},{step.forced!r},{_floats((reward, noop))};".encode())
+    return h.hexdigest()
+
+
+def _plain(value):
+    """JSON-ready copy: numpy scalars become Python ints and floats."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
+    spec, cluster_config, contention = TRACES[trace_name]
+    kind, argmax = POLICIES[policy_name]
+    config = cluster_config or ClusterConfig()
+    trace = generate_trace(spec, config)
+    episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
+                            contention=contention)
+    rl = kind.startswith("rl-")
+    if rl:
+        net, space = make_net(config, TrainConfig(seed=0))
+        policy = make_policy(kind, net=net, action_space=space, deterministic=argmax,
+                             episode=episode)
+    else:
+        policy = make_policy(kind)
+    report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),
+                         record_trajectory=rl)
+    out = {
+        "jobs": [_plain(asdict(j)) for j in report.jobs],
+        "aggregates": _plain(report.aggregates),
+        "rounds_digest": rounds_digest(report.rounds),
+    }
+    if rl:
+        out["trajectory_rows"] = len(report.trajectory)
+        out["trajectory_digest"] = trajectory_digest(report.trajectory)
+    return out
+
+
+def run_training(tmp_dir: Path) -> dict:
+    config = TrainConfig(episodes=2, checkpoint_path=str(tmp_dir / "golden.ckpt"))
+    net, curves = train(generate_trace(TRAIN_SPEC), config)
+    return {
+        "params": {key: _array_digest(value) for key, value in net.params.items()},
+        "curves": [_plain(row) for row in curves],
+    }
+
+
+def _roundtrip(data: dict) -> dict:
+    return json.loads(json.dumps(data))
+
+
+_loaded: dict[str, dict] = {}
+
+
+def golden(name: str) -> dict:
+    if name not in _loaded:
+        _loaded[name] = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    return _loaded[name]
+
+
+@pytest.mark.parametrize("threshold_name", THRESHOLDS)
+@pytest.mark.parametrize("policy_name", POLICIES)
+@pytest.mark.parametrize("trace_name", TRACES)
+def test_episode_matches_golden(trace_name, policy_name, threshold_name):
+    expected = golden(trace_name)[f"{policy_name}/{threshold_name}"]
+    actual = _roundtrip(run_case(trace_name, policy_name, threshold_name))
+    assert actual["aggregates"] == expected["aggregates"]
+    assert actual["jobs"] == expected["jobs"]
+    assert actual["rounds_digest"] == expected["rounds_digest"]
+    assert actual.get("trajectory_rows") == expected.get("trajectory_rows")
+    assert actual.get("trajectory_digest") == expected.get("trajectory_digest")
+
+
+def test_training_matches_golden(tmp_path):
+    expected = golden("train")
+    actual = _roundtrip(run_training(tmp_path))
+    assert actual["curves"] == expected["curves"]
+    assert actual["params"] == expected["params"]
+
+
+def write_all(tmp_dir: Path) -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for trace_name in TRACES:
+        cases = {f"{p}/{t}": run_case(trace_name, p, t) for p in POLICIES for t in THRESHOLDS}
+        (GOLDEN / f"{trace_name}.json").write_text(json.dumps(cases, indent=1) + "\n",
+                                                   encoding="utf-8")
+    (GOLDEN / "train.json").write_text(json.dumps(run_training(tmp_dir), indent=1) + "\n",
+                                       encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_all(Path(tmp))
+    print(f"wrote {GOLDEN}")
