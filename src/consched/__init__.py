@@ -6,6 +6,5 @@ __version__ = "0.1.0"
 
 from .cluster import ClusterConfig, ClusterState, Placement, enumerate_placements
 from .contention import (ContentionParams, CSTable, ModelClass, ModelProfile,
-                         contended_throughput, contention_sensitivity,
-                         default_cs_table, load_cs_table)
+                         contention_sensitivity, default_cs_table, load_cs_table)
 from .workload import JobSpec, JobState, Phase, TraceSpec, generate_trace

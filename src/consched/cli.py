@@ -19,7 +19,7 @@ from .actions import ActionSpace
 from .cluster import ClusterConfig
 from .config import merge_config, output_root, parse_config_file
 from .contention import ContentionParams, load_cs_table
-from .encoding import dump_state_csv, encode_state, window_candidates
+from .encoding import FEATURE_DIM, dump_state_csv
 from .engine import (EpisodeConfig, compare_policies, default_contention_params,
                      run_episode)
 from .errors import (CheckpointError, ConfigError, ConschedError, TraceParseError,
@@ -61,11 +61,16 @@ def _add_episode_flags(parser):
     parser.add_argument("--cs-table", default=None, help="path to a CS table file")
 
 
-def _cluster_config(args, file_cfg) -> ClusterConfig:
+def _cluster_config(args) -> ClusterConfig:
+    """The cluster flags over the --config file's values; it may hold no other key."""
     defaults = {"nodes": 4, "gpus_per_node": 8, "inter_bw": 1250.0, "intra_bw": 16000.0}
     cli = {"nodes": args.nodes, "gpus_per_node": args.gpus_per_node,
            "inter_bw": args.inter_bw, "intra_bw": args.intra_bw}
-    merged = merge_config({k: v for k, v in file_cfg.items() if k in defaults}, cli, defaults)
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    try:
+        merged = merge_config(file_cfg, cli, defaults)
+    except ConfigError as exc:
+        raise TraceParseError(f"config file {args.config}: {exc}") from exc
     try:
         return ClusterConfig(num_nodes=merged["nodes"], gpus_per_node=merged["gpus_per_node"],
                              inter_node_bandwidth=merged["inter_bw"],
@@ -160,8 +165,7 @@ def cmd_gen_trace(args) -> int:
         mix = parse_mix(args.mix)
     except (ConfigError, ValueError) as exc:
         raise UsageError(f"bad --mix: {exc}; presets: {', '.join(MIX_PRESETS)}") from exc
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cluster = _cluster_config(args, file_cfg)
+    cluster = _cluster_config(args)
     spec = TraceSpec(num_jobs=args.jobs, mix=mix, seed=args.seed,
                      isolated_hours=args.isolated_hours, time_scale=args.time_scale,
                      jitter=args.jitter, demand_cap=args.demand_cap,
@@ -175,8 +179,7 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cluster = _cluster_config(args, file_cfg)
+    cluster = _cluster_config(args)
     _action_space(cluster)  # fail before any work on a cluster RL cannot index
     episode = _episode_config(args, cluster)
     weights = _weights(args)
@@ -203,8 +206,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.policy not in POLICY_KINDS:
         raise UsageError(f"unknown policy {args.policy!r}; valid: {', '.join(POLICY_KINDS)}")
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cluster = _cluster_config(args, file_cfg)
+    dump_rounds = args.dump_state_rounds
+    if dump_rounds < 0:
+        raise UsageError("--dump-state-rounds must be >= 0")
+    if dump_rounds and args.policy not in ("rl-base", "rl-hybrid"):
+        raise UsageError(f"--dump-state-rounds needs an RL policy: {args.policy} "
+                         "encodes no state")
+    cluster = _cluster_config(args)
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     traces = _load_traces(args.trace)
@@ -217,10 +225,17 @@ def cmd_eval(args) -> int:
     pooled = {}
     for k, trace in enumerate(traces):
         rng = np.random.default_rng([args.seed, k])
-        report = run_episode(policy, trace, episode, cluster, weights=weights, rng=rng)
-        if args.dump_state_rounds:
-            _dump_states(policy, trace, episode, cluster, weights, out_dir, k,
-                         args.dump_state_rounds)
+        report = run_episode(policy, trace, episode, cluster, weights=weights, rng=rng,
+                             record_trajectory=dump_rounds > 0)
+        # an RL policy records a row every round, so a row's index is its
+        # round; rounds that reuse an idle decision repeat its object
+        steps = [step for step, _, _ in report.trajectory]
+        encoded = [r for r, step in enumerate(steps)
+                   if step.state is not None and (r == 0 or step is not steps[r - 1])]
+        shape = (cluster.num_nodes, 2 * cluster.gpus_per_node, FEATURE_DIM)
+        for r in encoded[:dump_rounds]:
+            dump_state_csv(steps[r].state.reshape(shape),
+                           os.path.join(out_dir, f"state_set{k:02d}_round{r}.csv"))
         write_episode_report(report, os.path.join(out_dir, f"set{k:02d}"), provenance)
         for key, value in report.aggregates.items():
             pooled.setdefault(key, []).append(value)
@@ -233,25 +248,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _dump_states(policy, trace, episode, cluster_config, weights, out_dir, set_idx, rounds):
-    """Debug: re-run the first rounds, dumping each observation tensor."""
-    from .cluster import ClusterState
-    from .workload import JobState
-
-    k = getattr(policy, "k", TrainConfig.k)
-    cluster = ClusterState(cluster_config)
-    states = {spec.id: JobState(spec=spec) for spec in trace}
-    queue = [spec for spec in trace if spec.arrival_time <= 0.0]
-    for r in range(rounds):
-        candidates = window_candidates(queue, k, cluster_config, cluster.free_gpus_per_node())
-        tensor = encode_state(cluster, candidates, states)
-        dump_state_csv(tensor, os.path.join(out_dir, f"state_set{set_idx:02d}_round{r}.csv"))
-        action = policy.decide(cluster, [s for s in queue], states, np.random.default_rng(0))
-        for jid, placement in action.placements:
-            cluster.allocate(jid, placement)
-            queue = [s for s in queue if s.id != jid]
-
-
 def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(names) < 2:
@@ -259,8 +255,7 @@ def cmd_compare(args) -> int:
     for name in names:
         if name not in POLICY_KINDS:
             raise UsageError(f"unknown policy {name!r}; valid: {', '.join(POLICY_KINDS)}")
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cluster = _cluster_config(args, file_cfg)
+    cluster = _cluster_config(args)
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     traces = _load_traces(args.trace)
@@ -335,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-state-rounds", type=int, default=0,
-                   help="dump the first N observation tensors per set as CSV grids")
+                   help="RL policies: dump the first N states the policy encoded per "
+                        "set as CSV grids, named by round")
     p.add_argument("--config", default=None)
     _add_cluster_flags(p)
     _add_episode_flags(p)

@@ -146,17 +146,6 @@ class ClusterState:
         self.version += 1
         return self
 
-    def colocated_jobs(self, job_id: int) -> set[int]:
-        """Other jobs sharing at least one node with job_id."""
-        if job_id not in self.placements:
-            raise NotFoundError(f"job {job_id} is not placed")
-        mine = set(self.placements[job_id].nodes)
-        out = set()
-        for other, placement in self.placements.items():
-            if other != job_id and mine.intersection(placement.nodes):
-                out.add(other)
-        return out
-
     def audit(self) -> None:
         """Reconstruct the grid from placements and compare; raises on drift."""
         rebuilt = np.full_like(self.occupancy, EMPTY)

@@ -33,8 +33,12 @@ def merge_config(file_values: dict[str, str], cli_values: dict, defaults: dict) 
     merged = dict(defaults)
     for key, value in file_values.items():
         if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = _coerce(value, defaults[key])
+            raise ConfigError(f"unknown config key {key!r}; the keys read are "
+                              + ", ".join(defaults))
+        try:
+            merged[key] = _coerce(value, defaults[key])
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
     for key, value in cli_values.items():
         if value is not None:
             merged[key] = value

@@ -209,15 +209,6 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
     return cs
 
 
-def contended_throughput(ideal_throughput: float,
-                         job: tuple[ModelProfile, Placement],
-                         colocated: list[tuple[ModelProfile, Placement]],
-                         params: ContentionParams,
-                         cluster_config: ClusterConfig) -> float:
-    """Ideal throughput divided by the job's contention sensitivity."""
-    return ideal_throughput / contention_sensitivity(job, colocated, params, cluster_config)
-
-
 def feasible_shapes(config: ClusterConfig) -> list[Shape]:
     """All (i, j) placement shapes that fit the cluster, sorted."""
     return [(i, j)

@@ -10,15 +10,15 @@ shape never depends on queue length or running-job count.
 
 Feature vector (FEATURE_DIM = 10), all values in [0, 1]:
   [0:6]  model-class one-hot
-  [6]    comm/comp ratio / ratio_scale, clipped at 1
-  [7]    avg bandwidth / bandwidth_scale, clipped at 1
-  [8]    last profiled CS, clipped at cs_cap, / cs_cap (0 if never profiled)
+  [6]    comm/comp ratio / RATIO_SCALE, clipped at 1
+  [7]    avg bandwidth / BANDWIDTH_SCALE, clipped at 1
+  [8]    last profiled CS, clipped at CS_CAP, / CS_CAP (0 if never profiled)
   [9]    fraction of work done
+The normalization constants are fixed, so encodings compare across
+episodes and checkpoints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,9 @@ from .errors import ConfigError
 from .workload import MODEL_ORDER, JobSpec, JobState
 
 FEATURE_DIM = 10
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Normalization constants; fixed so encodings compare across episodes."""
-
-    bandwidth_scale: float = 3000.0
-    ratio_scale: float = 15.0
-    cs_cap: float = 4.0
-
-    def __post_init__(self):
-        if min(self.bandwidth_scale, self.ratio_scale, self.cs_cap) <= 0:
-            raise ConfigError("feature normalization constants must be positive")
+BANDWIDTH_SCALE = 3000.0
+RATIO_SCALE = 15.0
+CS_CAP = 4.0
 
 
 _MODEL_INDEX = {m: k for k, m in enumerate(MODEL_ORDER)}
@@ -80,22 +70,20 @@ def window_candidates(queue: list[JobSpec], k: int, config: ClusterConfig,
     return sorted(picked, key=lambda job: job.gpu_demand)
 
 
-def feature_vector(spec: JobSpec, state: JobState, cfg: FeatureConfig) -> np.ndarray:
+def feature_vector(spec: JobSpec, state: JobState) -> np.ndarray:
     vec = np.zeros(FEATURE_DIM)
     vec[_MODEL_INDEX[spec.model_class]] = 1.0
-    vec[6] = min(spec.profile.comm_comp_ratio / cfg.ratio_scale, 1.0)
-    vec[7] = min(spec.profile.avg_bandwidth / cfg.bandwidth_scale, 1.0)
-    vec[8] = min(max(state.last_cs, 0.0), cfg.cs_cap) / cfg.cs_cap
+    vec[6] = min(spec.profile.comm_comp_ratio / RATIO_SCALE, 1.0)
+    vec[7] = min(spec.profile.avg_bandwidth / BANDWIDTH_SCALE, 1.0)
+    vec[8] = min(max(state.last_cs, 0.0), CS_CAP) / CS_CAP
     vec[9] = state.fraction_done
     return vec
 
 
 def encode_state(cluster: ClusterState,
                  candidates: list[JobSpec],
-                 job_states: dict[int, JobState],
-                 cfg: FeatureConfig | None = None) -> np.ndarray:
+                 job_states: dict[int, JobState]) -> np.ndarray:
     """Pure function (cluster, candidates, job states) -> observation tensor."""
-    cfg = cfg or FeatureConfig()
     config = cluster.config
     n, g = config.num_nodes, config.gpus_per_node
     tensor = np.zeros((n, 2 * g, FEATURE_DIM))
@@ -107,10 +95,10 @@ def encode_state(cluster: ClusterState,
                 continue
             if job_id not in cache:
                 state = job_states[job_id]
-                cache[job_id] = feature_vector(state.spec, state, cfg)
+                cache[job_id] = feature_vector(state.spec, state)
             tensor[node, slot] = cache[job_id]
     for cand in candidates:
-        vec = feature_vector(cand, job_states[cand.id], cfg)
+        vec = feature_vector(cand, job_states[cand.id])
         for i, j in demand_shapes(config, cand.gpu_demand):
             tensor[i, g + j - 1] = vec
     return tensor

@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import Action, ActionSpace, RLDecision
 from .cluster import ClusterState, first_fit
-from .encoding import FeatureConfig, encode_state, window_candidates
+from .encoding import encode_state, window_candidates
 from .errors import ConfigError
 from .rl.net import PolicyNet, masked_log_softmax
 from .rl.reward import compute_reward, reward_from_terms
@@ -162,15 +162,12 @@ class RLBasePolicy:
     idle_between_events = True
 
     def __init__(self, net: PolicyNet, action_space: ActionSpace,
-                 feature_cfg: FeatureConfig | None = None,
-                 deterministic: bool = True,
-                 episode=None):
+                 deterministic: bool = True, episode=None):
         # the engine imports this module, so its parts are imported late
         from .engine import EpisodeConfig, _profile_cs
 
         self.net = net
         self.space = action_space
-        self.feature_cfg = feature_cfg or FeatureConfig()
         self.deterministic = deterministic
         self.temperature = 1.0  # sampling only; training anneals it
         self.k = net.arch.k
@@ -210,7 +207,7 @@ class RLBasePolicy:
         if not candidates:
             # no head has a choice: nothing to encode or sample
             return Action(rl=RLDecision(state=None, head_actions=head_actions, masks=masks))
-        tensor = encode_state(cluster, candidates, states, self.feature_cfg)
+        tensor = encode_state(cluster, candidates, states)
         x = tensor.ravel()
         logits = self.net.head_logits(x)
         scale = self.net.params["contention_scale"][0]
@@ -257,9 +254,8 @@ class RLHybridPolicy:
     name = "rl-hybrid"
     idle_between_events = True
 
-    def __init__(self, net, action_space, feature_cfg=None, deterministic: bool = True,
-                 episode=None):
-        self.base = RLBasePolicy(net, action_space, feature_cfg, deterministic, episode)
+    def __init__(self, net, action_space, deterministic: bool = True, episode=None):
+        self.base = RLBasePolicy(net, action_space, deterministic, episode)
         self.k = self.base.k
 
     def decide(self, cluster, queue, states, rng=None) -> Action:
@@ -268,7 +264,6 @@ class RLHybridPolicy:
 
 def make_policy(kind: str, net: PolicyNet | None = None,
                 action_space: ActionSpace | None = None,
-                feature_cfg: FeatureConfig | None = None,
                 deterministic: bool = True,
                 episode=None):
     if kind == "greedy":
@@ -283,5 +278,5 @@ def make_policy(kind: str, net: PolicyNet | None = None,
         if net is None or action_space is None:
             raise ConfigError(f"{kind} needs a loaded policy checkpoint")
         cls = RLBasePolicy if kind == "rl-base" else RLHybridPolicy
-        return cls(net, action_space, feature_cfg, deterministic, episode)
+        return cls(net, action_space, deterministic, episode)
     raise ConfigError(f"unknown policy kind {kind!r}; valid: {', '.join(POLICY_KINDS)}")

@@ -3,6 +3,12 @@
 Small enough to run in float64 numpy. Heads emit logits over the shared
 placement-index space (one index per node subset, plus skip); masking
 zeroes infeasible indices exactly and renormalizes over the rest.
+
+The trunk-and-heads stack and the value baseline are both tanh MLPs over
+the same parameter dict, run by one forward pass (mlp_forward) and one
+backward pass (mlp_backward); callers name the layers' parameters. A
+single state x is passed 1-D and a batch 2-D, so inference and training
+keep the matrix-vector and matrix-matrix products they each use.
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reward import RewardWeights
+
+# (weight, bias) parameter names per layer, input layer first
+POLICY_LAYERS = (("w1", "b1"), ("w2", "b2"), ("wh", "bh"))
+VALUE_LAYERS = (("vw1", "vb1"), ("vw2", "vb2"), ("vw3", "vb3"))
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,35 @@ class Architecture:
         return {"input_dim": self.input_dim, "hidden": list(self.hidden),
                 "k": self.k, "head_size": self.head_size,
                 "value_hidden": list(self.value_hidden)}
+
+
+def mlp_forward(params: dict[str, np.ndarray], layers, x: np.ndarray):
+    """(output, activations) of a tanh MLP with a linear output layer.
+
+    activations[i] is the input of layer i (x first), which is what
+    mlp_backward needs.
+    """
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ params[w] + params[b]))
+    w, b = layers[-1]
+    return acts[-1] @ params[w] + params[b], acts
+
+
+def mlp_backward(params: dict[str, np.ndarray], layers, acts, dout: np.ndarray) -> dict:
+    """Parameter gradients of a batched mlp_forward, given d loss / d output.
+
+    Keys come out last layer first, weight before bias.
+    """
+    grads = {}
+    delta = dout
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
+        grads[w] = acts[i].T @ delta
+        grads[b] = delta.sum(axis=0)
+        if i:
+            delta = (delta @ params[w].T) * (1.0 - acts[i] * acts[i])
+    return grads
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray):
@@ -95,28 +134,13 @@ class PolicyNet:
             "vb3": np.zeros(1),
         }
 
-    def forward(self, x: np.ndarray):
-        """x: (B, input_dim) -> (h1, h2, logits (B,K,A), values (B,))."""
-        p = self.params
-        h1 = np.tanh(x @ p["w1"] + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        logits = (h2 @ p["wh"] + p["bh"]).reshape(x.shape[0], self.arch.k, self.arch.head_size)
-        logits = logits + p["head_prior"][None, None, :]
-        return h1, h2, logits, self.values(x)
+    def head_logits(self, x: np.ndarray) -> np.ndarray:
+        """Prior-shifted head logits: (K, A) for one state, (B, K, A) for a batch."""
+        out, _ = mlp_forward(self.params, POLICY_LAYERS, x)
+        logits = out.reshape(*x.shape[:-1], self.arch.k, self.arch.head_size)
+        return logits + self.params["head_prior"]
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        v1 = np.tanh(x @ p["vw1"] + p["vb1"])
-        v2 = np.tanh(v1 @ p["vw2"] + p["vb2"])
-        return (v2 @ p["vw3"] + p["vb3"]).ravel()
-
-    def head_logits(self, x: np.ndarray) -> np.ndarray:
-        """Single-state convenience: (K, A) logits."""
-        p = self.params
-        h1 = np.tanh(x @ p["w1"] + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        logits = (h2 @ p["wh"] + p["bh"]).reshape(self.arch.k, self.arch.head_size)
-        return logits + p["head_prior"][None, :]
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+        """Value-baseline estimates of a batch of states: (B,)."""
+        out, _ = mlp_forward(self.params, VALUE_LAYERS, x)
+        return out.ravel()

@@ -21,12 +21,13 @@ import numpy as np
 
 from ..actions import ActionSpace, RLDecision
 from ..cluster import ClusterConfig
-from ..encoding import FEATURE_DIM, FeatureConfig
+from ..encoding import FEATURE_DIM
 from ..engine import EpisodeConfig, run_episode
 from ..errors import NonFiniteLossError
 from ..policies import RLBasePolicy
 from ..workload import JobSpec, shuffle_arrival_order
-from .net import Architecture, PolicyNet, entropy_of, masked_log_softmax
+from .net import (POLICY_LAYERS, VALUE_LAYERS, Architecture, PolicyNet, entropy_of,
+                  masked_log_softmax, mlp_backward, mlp_forward)
 from .optim import Adam, clip_grad_norm
 from .reward import RewardWeights
 from .checkpoint import save_checkpoint
@@ -47,7 +48,6 @@ class TrainConfig:
     lr: float = 0.0003
     gamma: float = 0.5
     entropy_coef: float = 0.01
-    value_coef: float = 0.0  # baseline is fit in its own phase (value_epochs)
     max_grad_norm: float = 10.0
     updates_per_episode: int = 4  # gradient steps on each episode's surrogate
     value_epochs: int = 30  # value-net regression steps before advantages
@@ -69,7 +69,7 @@ class Batch:
     actions: np.ndarray  # (B, K)
     masks: np.ndarray  # (B, K, A)
     advantages: np.ndarray  # (B,)
-    returns: np.ndarray  # (B,)
+    returns: np.ndarray  # (B,) the value fit's targets; the objective does not read them
     policy_weight: np.ndarray  # (B,) 1.0 normally, 0.0 for forced rounds
     # (B, K, A) contention verdicts the behaviour policy added to its
     # logits, times contention_scale (see RLBasePolicy)
@@ -89,22 +89,14 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 def value_step(net: PolicyNet, states: np.ndarray, returns: np.ndarray,
                opt: Adam) -> float:
-    """One regression step of the value baseline toward the returns."""
-    p = net.params
-    v1 = np.tanh(states @ p["vw1"] + p["vb1"])
-    v2 = np.tanh(v1 @ p["vw2"] + p["vb2"])
-    values = (v2 @ p["vw3"] + p["vb3"]).ravel()
-    err = values - returns
+    """One regression step of the value baseline toward the returns.
+
+    Minimises 0.5 * E[(V - G)^2]; returns the loss before the step.
+    """
+    out, acts = mlp_forward(net.params, VALUE_LAYERS, states)
+    err = out.ravel() - returns
     loss = 0.5 * float((err * err).mean())
-    dv = err[:, None] / states.shape[0]
-    grads = {"vw3": v2.T @ dv, "vb3": np.array([dv.sum()])}
-    dv2 = (dv @ p["vw3"].T) * (1.0 - v2 * v2)
-    grads["vw2"] = v1.T @ dv2
-    grads["vb2"] = dv2.sum(axis=0)
-    dv1 = (dv2 @ p["vw2"].T) * (1.0 - v1 * v1)
-    grads["vw1"] = states.T @ dv1
-    grads["vb1"] = dv1.sum(axis=0)
-    opt.step(grads)
+    opt.step(mlp_backward(net.params, VALUE_LAYERS, acts, err[:, None] / states.shape[0]))
     return loss
 
 
@@ -158,32 +150,26 @@ def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]
                  verdicts=verdicts, temperature=temperature)
 
 
-def loss_and_grads(net: PolicyNet, batch: Batch,
-                   entropy_coef: float, value_coef: float):
+def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
     """Surrogate objective and its exact gradient.
 
-    loss = -E[adv * sum_k log pi_k(a_k)] + value_coef * 0.5 * E[(V - G)^2]
-           - entropy_coef * E[sum_k H(pi_k)]
-    with the first and last expectations over policy-weighted rounds,
-    and pi_k the softmax of the head's logits over the round's sampling
-    temperature. Advantages and returns are constants here, so a
-    finite-difference probe of this function checks the backward pass
-    end to end.
+    loss = -E[adv * sum_k log pi_k(a_k)] - entropy_coef * E[sum_k H(pi_k)]
+    with both expectations over policy-weighted rounds, and pi_k the
+    softmax of the head's logits over the round's sampling temperature.
+    Advantages are constants here, so a finite-difference probe of this
+    function checks the backward pass end to end. The value baseline is
+    fit on its own (value_step), so its parameters get no gradient here.
     """
     p = net.params
     x = batch.states
-    h1 = np.tanh(x @ p["w1"] + p["b1"])
-    h2 = np.tanh(h1 @ p["w2"] + p["b2"])
     bsz = x.shape[0]
     k, a = net.arch.k, net.arch.head_size
-    logits = (h2 @ p["wh"] + p["bh"]).reshape(bsz, k, a) + p["head_prior"][None, None, :]
+    out, acts = mlp_forward(p, POLICY_LAYERS, x)
+    logits = out.reshape(bsz, k, a) + p["head_prior"]
     if batch.verdicts is not None:
         logits = logits + p["contention_scale"][0] * batch.verdicts
     inv_t = (np.ones(bsz) if batch.temperature is None else 1.0 / batch.temperature)
     logits = logits * inv_t[:, None, None]
-    v1 = np.tanh(x @ p["vw1"] + p["vb1"])
-    v2 = np.tanh(v1 @ p["vw2"] + p["vb2"])
-    values = (v2 @ p["vw3"] + p["vb3"]).ravel()
 
     probs, logp = masked_log_softmax(logits, batch.masks)
     idx_b = np.arange(bsz)[:, None]
@@ -196,10 +182,7 @@ def loss_and_grads(net: PolicyNet, batch: Batch,
     ent_heads = entropy_of(probs)  # (B, K)
     entropy = float((pw * ent_heads.sum(axis=1)).sum()) / n_pg
 
-    v_err = values - batch.returns
-    value_loss = 0.5 * float((v_err * v_err).mean())
-
-    loss = pg_loss + value_coef * value_loss - entropy_coef * entropy
+    loss = pg_loss - entropy_coef * entropy
 
     # d loss / d logits
     onehot = np.zeros_like(probs)
@@ -211,37 +194,12 @@ def loss_and_grads(net: PolicyNet, batch: Batch,
     # dH/dlogit_j = -p_j (log p_j + H); loss has -entropy_coef * H
     dlogits += (entropy_coef / n_pg) * pw[:, None, None] * (
         plogp + probs * ent_heads[:, :, None])
-    dvalues = (value_coef / bsz) * v_err
     dlogits *= inv_t[:, None, None]  # back through the division by temperature
 
-    dflat = dlogits.reshape(bsz, k * a)
-    grads = {
-        "wh": h2.T @ dflat,
-        "bh": dflat.sum(axis=0),
-        "contention_scale": np.array([
-            0.0 if batch.verdicts is None else float((dlogits * batch.verdicts).sum())]),
-    }
-    dh2 = dflat @ p["wh"].T
-    dz2 = dh2 * (1.0 - h2 * h2)
-    grads["w2"] = h1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
-    dh1 = dz2 @ p["w2"].T
-    dz1 = dh1 * (1.0 - h1 * h1)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-
-    # value-baseline gradients stay inside the value MLP
-    grads["vw3"] = v2.T @ dvalues[:, None]
-    grads["vb3"] = np.array([dvalues.sum()])
-    dv2 = (dvalues[:, None] @ p["vw3"].T) * (1.0 - v2 * v2)
-    grads["vw2"] = v1.T @ dv2
-    grads["vb2"] = dv2.sum(axis=0)
-    dv1 = (dv2 @ p["vw2"].T) * (1.0 - v1 * v1)
-    grads["vw1"] = x.T @ dv1
-    grads["vb1"] = dv1.sum(axis=0)
-
-    aux = {"loss": loss, "pg_loss": pg_loss, "value_loss": value_loss,
-           "entropy": entropy}
+    grads = mlp_backward(p, POLICY_LAYERS, acts, dlogits.reshape(bsz, k * a))
+    grads["contention_scale"] = np.array([
+        0.0 if batch.verdicts is None else float((dlogits * batch.verdicts).sum())])
+    aux = {"loss": loss, "pg_loss": pg_loss, "entropy": entropy}
     return loss, grads, aux
 
 
@@ -256,7 +214,7 @@ def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
         raise NonFiniteLossError("empty trajectory", {"steps": 0})
     if batch is None:
         batch = build_batch(net, trajectory, config.gamma, config.normalize_advantages)
-    loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef, config.value_coef)
+    loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef)
     finite = np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
     if not finite:
         rewards = np.array([r for _, r, _ in trajectory])
@@ -265,8 +223,8 @@ def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
         raise NonFiniteLossError(
             "non-finite loss or gradient", {
                 "loss": float(loss) if np.isfinite(loss) else repr(loss),
-                "pg_loss": aux["pg_loss"], "value_loss": aux["value_loss"],
-                "entropy": aux["entropy"], "steps": len(trajectory),
+                "pg_loss": aux["pg_loss"], "entropy": aux["entropy"],
+                "steps": len(trajectory),
                 "first_bad_step": bad,
                 "reward_min": float(rewards.min()), "reward_max": float(rewards.max()),
             })
@@ -309,8 +267,7 @@ def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[Policy
 
 def train(trace: list[JobSpec], config: TrainConfig,
           cluster_config: ClusterConfig | None = None,
-          metadata: dict | None = None,
-          feature_cfg: FeatureConfig | None = None):
+          metadata: dict | None = None):
     """Run the training loop and save the final checkpoint.
 
     Returns (net, curves); curves has one row per episode with the mean
@@ -321,8 +278,7 @@ def train(trace: list[JobSpec], config: TrainConfig,
     opt = Adam(net.params, lr=config.lr)
     value_opt = Adam(net.params, lr=config.value_lr)
     net.reward_weights = config.weights
-    policy = RLBasePolicy(net, space, feature_cfg, deterministic=False,
-                          episode=config.episode)
+    policy = RLBasePolicy(net, space, deterministic=False, episode=config.episode)
     curves = []
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng([config.seed, episode])

@@ -165,18 +165,6 @@ def demand_weights(config: ClusterConfig, cap: int = 32,
     return demands, probs
 
 
-def demand_sampler(seed: int, config: ClusterConfig | None = None, cap: int = 32,
-                   profile: str = "small-skew"):
-    """Deterministic sampler of schedulable GPU demands."""
-    demands, probs = demand_weights(config or ClusterConfig(), cap, profile)
-    rng = np.random.default_rng(seed)
-
-    def sample() -> int:
-        return int(demands[rng.choice(len(demands), p=probs)])
-
-    return sample
-
-
 @dataclass(frozen=True)
 class TraceSpec:
     """Recipe for one generated job set."""

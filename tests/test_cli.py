@@ -1,13 +1,41 @@
+import numpy as np
 import pytest
 
+from consched.actions import ActionSpace
 from consched.cli import main
+from consched.cluster import ClusterConfig
 from consched.config import merge_config, output_root, parse_config_file
+from consched.engine import EpisodeConfig, run_episode
 from consched.errors import ConfigError
+from consched.policies import make_policy
+from consched.rl.checkpoint import load_checkpoint, save_checkpoint
+from consched.rl.train import TrainConfig, make_net
 from consched.workload import read_trace
 
 
 def run(argv):
     return main(argv)
+
+
+def fresh_checkpoint(tmp_path):
+    """An untrained seed-0 policy for the default cluster, saved to disk."""
+    net, _ = make_net(ClusterConfig(), TrainConfig(seed=0))
+    path = tmp_path / "fresh.ckpt"
+    save_checkpoint(net, path)
+    return path
+
+
+def read_state_csv(path):
+    """Inverse of dump_state_csv: the (nodes, columns, features) tensor."""
+    grids, rows = [], []
+    for line in path.read_text().splitlines():
+        if line.startswith("# feature") and rows:
+            grids.append(rows)
+            rows = []
+        elif not line.startswith("#"):
+            rows.append([float(v) for v in line.split(",")])
+    grids.append(rows)
+    return np.stack([np.array(g) for g in grids], axis=-1)
 
 
 @pytest.fixture
@@ -153,11 +181,42 @@ class TestEval:
 
     def test_state_dump(self, trace_file, tmp_path):
         out = tmp_path / "out"
-        assert run(["eval", "--policy", "greedy", "--trace", str(trace_file),
-                    "--dump-state-rounds", "2", "--name", "d",
+        ckpt = fresh_checkpoint(tmp_path)
+        assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
+                    "--trace", str(trace_file), "--dump-state-rounds", "2", "--name", "d",
                     "--out-dir", str(out)]) == 0
-        assert (out / "reports" / "d" / "state_set00_round0.csv").exists()
-        assert (out / "reports" / "d" / "state_set00_round1.csv").exists()
+        dumps = sorted((out / "reports" / "d").glob("state_set00_round*.csv"))
+        assert len(dumps) == 2
+        # the states the episode's first two state-bearing decisions encoded
+        net, _ = load_checkpoint(ckpt)
+        policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()),
+                             episode=EpisodeConfig())
+        trace, _ = read_trace(trace_file)
+        report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
+                             record_trajectory=True)
+        encoded, seen = [], set()
+        for r, (step, _, _) in enumerate(report.trajectory):
+            if step.state is not None and id(step) not in seen:
+                seen.add(id(step))
+                encoded.append((r, step.state))
+        assert [path.name for path in dumps] == sorted(
+            f"state_set00_round{r}.csv" for r, _ in encoded[:2])
+        for r, state in encoded[:2]:
+            dumped = read_state_csv(out / "reports" / "d" / f"state_set00_round{r}.csv")
+            assert np.array_equal(dumped.ravel(), state)
+        # recording the states leaves the episode as it is
+        assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
+                    "--trace", str(trace_file), "--name", "plain", "--out-dir", str(out)]) == 0
+        for name in ("per_job.csv", "per_round.csv"):
+            dumped, plain = ([line for line in (out / "reports" / exp / "set00" / name)
+                              .read_text().splitlines() if not line.startswith("#")]
+                             for exp in ("d", "plain"))
+            assert dumped == plain
+
+    def test_state_dump_needs_an_rl_policy(self, trace_file, tmp_path, capsys):
+        assert run(["eval", "--policy", "greedy", "--trace", str(trace_file),
+                    "--dump-state-rounds", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "encodes no state" in capsys.readouterr().err
 
     def test_eval_rl_roundtrip(self, trace_file, tmp_path):
         out = tmp_path / "out"
@@ -216,6 +275,24 @@ class TestConfigFile:
         cfg.write_text("warp_factor = 9\n")
         with pytest.raises(ConfigError):
             merge_config(parse_config_file(cfg), {}, {"nodes": 4})
+
+    @pytest.mark.parametrize("line", ["round_interval = 5.0", "bogus_key = 3"])
+    def test_unread_key_is_a_file_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"nodes = 2\n{line}\n")
+        assert run(["gen-trace", "--jobs", "6", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.txt")]) == 3
+        err = capsys.readouterr().err
+        assert repr(line.split()[0]) in err
+        assert "nodes, gpus_per_node, inter_bw, intra_bw" in err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_bad_value_is_a_file_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("nodes = two\n")
+        assert run(["gen-trace", "--jobs", "6", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.txt")]) == 3
+        assert "'nodes'" in capsys.readouterr().err
 
     def test_gen_trace_with_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

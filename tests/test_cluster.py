@@ -121,29 +121,6 @@ class TestAllocateFree:
         assert 2 in cluster.placements
 
 
-class TestColocation:
-    def test_disjoint_jobs(self, cluster):
-        cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=1))
-        cluster.allocate(2, Placement(nodes=(1,), gpus_per_node_used=1))
-        assert cluster.colocated_jobs(1) == set()
-
-    def test_shared_node(self, cluster):
-        cluster.allocate(1, Placement(nodes=(0, 1), gpus_per_node_used=1))
-        cluster.allocate(2, Placement(nodes=(1, 2), gpus_per_node_used=1))
-        assert cluster.colocated_jobs(1) == {2}
-        assert cluster.colocated_jobs(2) == {1}
-
-    def test_three_on_one_node(self, cluster):
-        for jid in (1, 2, 3):
-            cluster.allocate(jid, Placement(nodes=(0,), gpus_per_node_used=2))
-        assert cluster.colocated_jobs(1) == {2, 3}
-        assert cluster.colocated_jobs(2) == {1, 3}
-
-    def test_unknown_job(self, cluster):
-        with pytest.raises(NotFoundError):
-            cluster.colocated_jobs(5)
-
-
 class TestUtilization:
     def test_empty(self, cluster):
         assert cluster.utilization() == 0.0

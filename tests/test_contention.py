@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from consched.cluster import ClusterConfig, Placement
 from consched.contention import (CSTable, ContentionParams, DEFAULT_PROFILES,
                                  ModelClass, ModelProfile, CommPattern,
-                                 contended_throughput, contention_sensitivity,
+                                 contention_sensitivity,
                                  default_cs_table, load_cs_table, write_cs_table,
                                  feasible_shapes)
 from consched.errors import ConfigError, StateError, TraceParseError
@@ -114,12 +114,14 @@ class TestSyntheticMode:
         assert contention_sensitivity(target, others + [extra], SYNTH, CFG) >= cs - 1e-12
 
 
-class TestContendedThroughput:
-    def test_equal_when_isolated(self):
-        job = (profile(500, 2), Placement(nodes=(0,), gpus_per_node_used=4))
-        assert contended_throughput(100.0, job, [], SYNTH, CFG) == 100.0
+class TestSensitivityValues:
+    """CS, which divides a job's ideal throughput each round."""
 
-    def test_halved_at_cs_two(self):
+    def test_one_when_isolated(self):
+        job = (profile(500, 2), Placement(nodes=(0,), gpus_per_node_used=4))
+        assert contention_sensitivity(job, [], SYNTH, CFG) == 1.0
+
+    def test_two_in_engineered_table(self):
         bw = 3 * CFG.inter_node_bandwidth
         # engineered so CS is exactly 2: f = 1? impossible; use table
         table = CSTable()
@@ -127,15 +129,15 @@ class TestContendedThroughput:
         params = ContentionParams(mode="table", table=table)
         job = (profile(bw, 2), Placement(nodes=(0,), gpus_per_node_used=4))
         other = (profile(bw, 2), Placement(nodes=(0,), gpus_per_node_used=2))
-        assert contended_throughput(100.0, job, [other], params, CFG) == pytest.approx(50.0)
+        assert contention_sensitivity(job, [other], params, CFG) == 2.0
 
     @given(bw=st.floats(10, 5000), ratio=st.floats(0.1, 15))
     @settings(max_examples=50, deadline=None)
-    def test_positive_and_bounded_by_ideal(self, bw, ratio):
+    def test_finite_and_at_least_one(self, bw, ratio):
         job = (profile(bw, ratio), Placement(nodes=(0, 1), gpus_per_node_used=2))
         other = (profile(bw, ratio), Placement(nodes=(0, 1), gpus_per_node_used=2))
-        thr = contended_throughput(100.0, job, [other], SYNTH, CFG)
-        assert 0 < thr <= 100.0
+        cs = contention_sensitivity(job, [other], SYNTH, CFG)
+        assert 1.0 <= cs < float("inf")
 
 
 class TestDefaultTable:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from consched.actions import Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, enumerate_placements
-from consched.encoding import (FEATURE_DIM, FeatureConfig, dump_state_csv, encode_state,
-                               feature_vector, window_candidates)
+from consched.encoding import (FEATURE_DIM, dump_state_csv, encode_state, feature_vector,
+                               window_candidates)
 from consched.errors import ConfigError
 from consched.workload import JobState, Phase, TraceSpec, generate_trace
 
@@ -128,14 +128,10 @@ class TestEncodeState:
         specs = jobs_with_demands([4])
         state = JobState(spec=specs[0])
         state.last_cs = 2.0
-        vec = feature_vector(specs[0], state, FeatureConfig())
+        vec = feature_vector(specs[0], state)
         assert vec.shape == (FEATURE_DIM,)
         assert vec[:6].sum() == 1.0  # one-hot
         assert vec[8] == pytest.approx(0.5)  # CS 2.0 / cap 4.0
-
-    def test_bad_normalization_constants(self):
-        with pytest.raises(ConfigError):
-            FeatureConfig(bandwidth_scale=0.0)
 
     def test_dump_csv(self, tmp_path):
         specs = jobs_with_demands([4])

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
@@ -443,6 +445,59 @@ class TestRLIdleBetweenEvents:
         assert fast_net.params.keys() == ref_net.params.keys()
         for key, value in ref_net.params.items():
             np.testing.assert_array_equal(fast_net.params[key], value)
+
+
+# jct may undercut isolated_runtime by float rounding of the finish crossing
+JCT_RTOL = 1e-9
+
+
+@st.composite
+def random_episodes(draw):
+    """(policy kind, trace, episode config, cluster config) over random shapes."""
+    config = ClusterConfig(num_nodes=draw(st.integers(1, 4)),
+                           gpus_per_node=draw(st.integers(2, 8)))
+    arrival = draw(st.sampled_from(["all-at-zero", "poisson"]))
+    spec = TraceSpec(num_jobs=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**16)),
+                     demand_cap=config.total_gpus, arrival=arrival,
+                     arrival_rate=draw(st.floats(0.02, 1.0)))
+    episode = EpisodeConfig(round_interval=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0])),
+                            cs_preemption_threshold=draw(st.sampled_from([None, 1.3, 2.0])))
+    kind = draw(st.sampled_from(BASELINES + ("rl-base",)))
+    return kind, generate_trace(spec, config), episode, config
+
+
+class TestEpisodeProperties:
+    @given(setup=random_episodes())
+    @settings(max_examples=60, deadline=None)
+    def test_jobs_finish_once_no_faster_than_isolated_and_match_every_round(self, setup):
+        kind, trace, episode, config = setup
+        reports = []
+        for every_round in (True, False):
+            if kind == "rl-base":  # a fresh net, sampling
+                net, space = make_net(config, TrainConfig(seed=0))
+                policy = make_policy(kind, net=net, action_space=space, deterministic=False,
+                                     episode=episode)
+            else:
+                policy = make_policy(kind)
+            # audit checks the occupancy grid against the placements every round
+            reports.append(run_episode(DecideCounter(policy, every_round), trace, episode,
+                                       config, rng=np.random.default_rng(3), audit=True))
+        ref, report = reports
+        assert report.jobs == ref.jobs
+        assert report.rounds == ref.rounds
+        assert sorted(job.id for job in report.jobs) == sorted(spec.id for spec in trace)
+        last = {}  # job id -> (round, samples done after it) of the job's last running round
+        for k, row in enumerate(report.audit_rows):
+            for jid, _cs, _thr, _before, after, *_ in row:
+                last[jid] = (k, after)
+        total = {spec.id: spec.total_samples for spec in trace}
+        for job in report.jobs:
+            # the job's finish falls in its last running round, which completes its work
+            k, done = last[job.id]
+            start = report.rounds[k].time
+            assert start <= job.finish <= start + episode.round_interval * (1 + JCT_RTOL)
+            assert done == total[job.id]
+            assert job.jct >= job.isolated_runtime * (1.0 - JCT_RTOL)
 
 
 def test_round_times_do_not_drift():

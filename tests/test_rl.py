@@ -40,7 +40,8 @@ def random_batch(net, rng, steps=8, forced_none=True):
                  policy_weight=np.ones(steps))
 
 
-def numeric_gradients(net, batch, entropy_coef, value_coef, h=1e-6):
+def numeric_gradients(net, batch, entropy_coef, h=1e-6):
+    """Central differences of the loss for every parameter but head_prior."""
     grads = {}
     for name, tensor in net.params.items():
         if name == "head_prior":
@@ -50,13 +51,35 @@ def numeric_gradients(net, batch, entropy_coef, value_coef, h=1e-6):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            up, _, _ = loss_and_grads(net, batch, entropy_coef, value_coef)
+            up, _, _ = loss_and_grads(net, batch, entropy_coef)
             flat[idx] = orig - h
-            down, _, _ = loss_and_grads(net, batch, entropy_coef, value_coef)
+            down, _, _ = loss_and_grads(net, batch, entropy_coef)
             flat[idx] = orig
             grad.ravel()[idx] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+def assert_matches_numeric(analytic, numeric, tol=1e-4):
+    """Each analytic gradient within tol relative of the numeric one.
+
+    A parameter with no analytic gradient (the value baseline's, which
+    the policy loss does not read) must have a numeric gradient of 0.
+    """
+    for name, num in numeric.items():
+        grad = analytic.get(name, np.zeros_like(num))
+        rel = np.abs(grad - num) / np.maximum(1.0, np.maximum(np.abs(grad), np.abs(num)))
+        assert rel.max() < tol, f"{name}: {rel.max()}"
+
+
+class CapturingOptimizer:
+    """Stands in for Adam: keeps the gradients it is given, moves nothing."""
+
+    def __init__(self):
+        self.grads = None
+
+    def step(self, grads, lrs=None):
+        self.grads = grads
 
 
 class TestMaskedSoftmax:
@@ -126,12 +149,8 @@ class TestGradients:
         rng = np.random.default_rng(7)
         net = tiny_net(seed=1, prior=rng.standard_normal(TINY.head_size))
         batch = random_batch(net, rng)
-        _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02, value_coef=0.5)
-        numeric = numeric_gradients(net, batch, 0.02, 0.5)
-        for name in analytic:
-            denom = np.maximum(1.0, np.maximum(np.abs(analytic[name]), np.abs(numeric[name])))
-            rel = np.abs(analytic[name] - numeric[name]) / denom
-            assert rel.max() < 1e-4, f"{name}: {rel.max()}"
+        _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
+        assert_matches_numeric(analytic, numeric_gradients(net, batch, 0.02))
 
     def test_gradcheck_with_contention_verdicts(self):
         """Verdicts and per-round sampling temperatures, as training records them."""
@@ -145,13 +164,9 @@ class TestGradients:
                       advantages=batch.advantages, returns=batch.returns,
                       policy_weight=batch.policy_weight, verdicts=verdicts,
                       temperature=rng.uniform(0.1, 1.0, len(batch.advantages)))
-        _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02, value_coef=0.5)
+        _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         assert analytic["contention_scale"][0] != 0.0
-        numeric = numeric_gradients(net, batch, 0.02, 0.5)
-        for name in analytic:
-            denom = np.maximum(1.0, np.maximum(np.abs(analytic[name]), np.abs(numeric[name])))
-            rel = np.abs(analytic[name] - numeric[name]) / denom
-            assert rel.max() < 1e-4, f"{name}: {rel.max()}"
+        assert_matches_numeric(analytic, numeric_gradients(net, batch, 0.02))
 
     def test_loss_uses_the_sampling_policy(self):
         """The log-probability in the loss is that of the tempered softmax that sampled."""
@@ -162,10 +177,10 @@ class TestGradients:
         tempered = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
                          advantages=np.ones(1), returns=batch.returns,
                          policy_weight=np.ones(1), temperature=np.array([temperature]))
-        _, _, logits, _ = net.forward(batch.states)
+        logits = net.head_logits(batch.states)
         _, logp = masked_log_softmax(logits / temperature, batch.masks)
         chosen = logp[0, np.arange(TINY.k), batch.actions[0]].sum()
-        _, _, aux = loss_and_grads(net, tempered, entropy_coef=0.0, value_coef=0.0)
+        _, _, aux = loss_and_grads(net, tempered, entropy_coef=0.0)
         assert aux["pg_loss"] == pytest.approx(-chosen, abs=1e-12)
 
     def test_ascent_direction_single_step(self):
@@ -180,12 +195,11 @@ class TestGradients:
                       policy_weight=np.ones(1))
 
         def chosen_logp():
-            _, _, logits, _ = net.forward(state[None, :])
-            _, logp = masked_log_softmax(logits, mask)
+            _, logp = masked_log_softmax(net.head_logits(state[None, :]), mask)
             return logp[0, 0, 0] + logp[0, 1, 1]
 
         before = chosen_logp()
-        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0, value_coef=0.0)
+        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             net.params[name] -= 0.01 * grad
         assert chosen_logp() > before
@@ -196,9 +210,8 @@ class TestGradients:
         batch = random_batch(net, rng)
         batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
                       advantages=np.zeros(len(batch.advantages)),
-                      returns=net.values(batch.states),  # baseline exact
-                      policy_weight=batch.policy_weight)
-        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0, value_coef=0.5)
+                      returns=batch.returns, policy_weight=batch.policy_weight)
+        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             assert np.abs(grad).max() < 1e-12, name
 
@@ -206,11 +219,10 @@ class TestGradients:
         rng = np.random.default_rng(6)
         net = tiny_net(seed=6)
         batch = random_batch(net, rng, steps=4)
-        _, grads_a, _ = loss_and_grads(net, batch, 0.01, 0.5)
+        _, grads_a, _ = loss_and_grads(net, batch, 0.01)
         # wiggling a masked head-logit bias must not change the loss:
         # verified structurally by probs being exactly 0 there
-        _, _, logits, _ = net.forward(batch.states)
-        probs, _ = masked_log_softmax(logits, batch.masks)
+        probs, _ = masked_log_softmax(net.head_logits(batch.states), batch.masks)
         assert (probs[~batch.masks] == 0).all()
 
     def test_unbiased_on_two_action_bandit(self):
@@ -223,15 +235,14 @@ class TestGradients:
         state = rng.standard_normal(3)
         mask = np.ones((1, 1, 2), dtype=bool)
         adv = {0: 0.7, 1: -0.4}
-        _, _, logits, _ = net.forward(state[None, :])
-        probs, _ = masked_log_softmax(logits, mask)
+        probs, _ = masked_log_softmax(net.head_logits(state[None, :]), mask)
         pi = probs[0, 0]
 
         def grad_for(action):
             batch = Batch(states=state[None, :], actions=np.array([[action]]),
                           masks=mask, advantages=np.array([adv[action]]),
                           returns=np.zeros(1), policy_weight=np.ones(1))
-            _, grads, _ = loss_and_grads(net, batch, 0.0, 0.0)
+            _, grads, _ = loss_and_grads(net, batch, 0.0)
             return grads["bh"]
 
         exact = pi[0] * grad_for(0) + pi[1] * grad_for(1)
@@ -242,6 +253,34 @@ class TestGradients:
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n)
         assert (np.abs(mean - exact) <= 3 * se + 1e-12).all()
+
+
+class TestValueStep:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(23)
+        net = tiny_net(seed=23)
+        states = rng.standard_normal((7, TINY.input_dim))
+        returns = rng.standard_normal(7)
+        opt = CapturingOptimizer()
+        loss = value_step(net, states, returns, opt)
+        assert set(opt.grads) == {"vw1", "vb1", "vw2", "vb2", "vw3", "vb3"}
+        err = net.values(states) - returns
+        assert loss == pytest.approx(0.5 * (err * err).mean(), abs=1e-15)
+        h = 1e-6
+        numeric = {}
+        for name in opt.grads:
+            flat = net.params[name].ravel()
+            grad = np.zeros(flat.size)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = value_step(net, states, returns, CapturingOptimizer())
+                flat[idx] = orig - h
+                down = value_step(net, states, returns, CapturingOptimizer())
+                flat[idx] = orig
+                grad[idx] = (up - down) / (2 * h)
+            numeric[name] = grad.reshape(net.params[name].shape)
+        assert_matches_numeric(opt.grads, numeric)
 
 
 class TestUpdate:
@@ -275,7 +314,7 @@ class TestUpdate:
             step.verdicts = np.where(step.masks, rng.choice([-1.0, 1.0], step.masks.shape), 0.0)
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
-        before = net.copy_params()
+        before = {key: value.copy() for key, value in net.params.items()}
         update(net, traj, cfg, opt)
         assert opt.t == 1
         # Adam's first step moves each parameter by its lr times the sign of its gradient
@@ -304,7 +343,7 @@ class TestUpdate:
         for step, _, _ in traj:
             step.forced = True
         batch = build_batch(net, traj, gamma=0.9, normalize=False)
-        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.05, value_coef=0.0)
+        _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.05)
         for name in ("w1", "w2", "wh", "bh"):
             assert np.abs(grads[name]).max() == 0.0
 

@@ -7,7 +7,7 @@ from consched.cluster import ClusterConfig, demand_shapes
 from consched.contention import ModelClass
 from consched.errors import ConfigError, StateError, TraceParseError
 from consched.workload import (JobState, MIX_PRESETS, Phase, TraceSpec,
-                               advance, demand_sampler, demand_weights,
+                               advance, demand_weights,
                                feasible_demands, generate_trace, parse_mix,
                                read_trace, shuffle_arrival_order, write_trace)
 
@@ -74,9 +74,8 @@ class TestGenerateTrace:
 
 
 class TestDemandDistribution:
-    def test_sampler_in_range(self):
-        sample = demand_sampler(seed=1)
-        values = [sample() for _ in range(300)]
+    def test_sampled_demands_in_range(self):
+        values = [job.gpu_demand for job in generate_trace(TraceSpec(num_jobs=300, seed=1))]
         assert all(1 <= v <= 32 for v in values)
         feasible = set(feasible_demands(CFG))
         assert set(values) <= feasible
@@ -84,8 +83,10 @@ class TestDemandDistribution:
     def test_24_is_expressible_and_sampled_under_uniform(self):
         # 24 = 6 * 2^2: six GPUs on each of four nodes
         assert (2, 6) in demand_shapes(CFG, 24)
-        sample = demand_sampler(seed=2, profile="uniform")
-        assert 24 in {sample() for _ in range(2000)}
+        demands, probs = demand_weights(CFG, profile="uniform")
+        assert probs[demands.index(24)] > 0
+        trace = generate_trace(TraceSpec(num_jobs=2000, seed=2, demand_profile="uniform"))
+        assert 24 in {job.gpu_demand for job in trace}
 
     def test_18_not_feasible(self):
         # 18 = 9 * 2: nine GPUs per node exceeds the 8-GPU nodes
