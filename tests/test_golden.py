@@ -10,7 +10,9 @@ says in CHANGES.md what moved and by how much.
 Each episode case stores its per-job records, its aggregates and a
 digest of its round records; RL cases record their trajectory and store
 a digest of it too. The training case stores a digest per parameter
-array and the curves of a 2-episode train().
+array and the curves of a 2-episode train(). Two comparison cases store a
+sha256 of every file write_comparison writes, so the report bytes
+(per_round.csv included) are pinned as well.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ if __name__ == "__main__":  # run as a script from a checkout
 
 from consched.cluster import ClusterConfig  # noqa: E402
 from consched.contention import ContentionParams  # noqa: E402
-from consched.engine import EpisodeConfig, run_episode  # noqa: E402
+from consched.engine import EpisodeConfig, compare_policies, run_episode  # noqa: E402
 from consched.policies import make_policy  # noqa: E402
+from consched.reports import write_comparison  # noqa: E402
 from consched.rl.train import TrainConfig, make_net, train  # noqa: E402
 from consched.workload import MIX_PRESETS, TraceSpec, generate_trace  # noqa: E402
 
@@ -59,6 +62,11 @@ POLICIES = {
 THRESHOLDS = {"cs2": 2.0, "cs-off": None}
 SAMPLE_SEED = 7
 TRAIN_SPEC = TraceSpec(num_jobs=24, seed=15)
+# comparison case -> (trace name, policy cases, threshold name)
+COMPARISONS = {
+    "baselines-normal64": ("normal64", ("las", "srtf"), "cs-off"),
+    "rl-heavy-poisson": ("heavy-poisson", ("rl-base-sample", "rl-hybrid-argmax"), "cs2"),
+}
 
 
 def _floats(values) -> str:
@@ -96,20 +104,23 @@ def _plain(value):
     return value
 
 
+def _make_policy(policy_name: str, config: ClusterConfig, episode: EpisodeConfig):
+    kind, argmax = POLICIES[policy_name]
+    if kind.startswith("rl-"):
+        net, space = make_net(config, TrainConfig(seed=0))
+        return make_policy(kind, net=net, action_space=space, deterministic=argmax,
+                           episode=episode)
+    return make_policy(kind)
+
+
 def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
     spec, cluster_config, contention = TRACES[trace_name]
-    kind, argmax = POLICIES[policy_name]
     config = cluster_config or ClusterConfig()
     trace = generate_trace(spec, config)
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
                             contention=contention)
-    rl = kind.startswith("rl-")
-    if rl:
-        net, space = make_net(config, TrainConfig(seed=0))
-        policy = make_policy(kind, net=net, action_space=space, deterministic=argmax,
-                             episode=episode)
-    else:
-        policy = make_policy(kind)
+    rl = POLICIES[policy_name][0].startswith("rl-")
+    policy = _make_policy(policy_name, config, episode)
     report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),
                          record_trajectory=rl)
     out = {
@@ -121,6 +132,20 @@ def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
         out["trajectory_rows"] = len(report.trajectory)
         out["trajectory_digest"] = trajectory_digest(report.trajectory)
     return out
+
+
+def run_comparison(case: str, out_dir: Path) -> dict:
+    """sha256 of every file write_comparison writes, by path under out_dir."""
+    trace_name, policy_names, threshold_name = COMPARISONS[case]
+    spec, cluster_config, contention = TRACES[trace_name]
+    config = cluster_config or ClusterConfig()
+    episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
+                            contention=contention)
+    policies = [(name, _make_policy(name, config, episode)) for name in policy_names]
+    cmp = compare_policies(policies, [generate_trace(spec, config)], episode, config)
+    write_comparison(cmp, out_dir, {"case": case})
+    return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
 
 
 def run_training(tmp_dir: Path) -> dict:
@@ -165,6 +190,11 @@ def test_training_matches_golden(tmp_path):
     assert actual["params"] == expected["params"]
 
 
+@pytest.mark.parametrize("case", COMPARISONS)
+def test_report_files_match_golden(case, tmp_path):
+    assert run_comparison(case, tmp_path / case) == golden("reports")[case]
+
+
 def write_all(tmp_dir: Path) -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for trace_name in TRACES:
@@ -173,6 +203,8 @@ def write_all(tmp_dir: Path) -> None:
                                                    encoding="utf-8")
     (GOLDEN / "train.json").write_text(json.dumps(run_training(tmp_dir), indent=1) + "\n",
                                        encoding="utf-8")
+    reports = {case: run_comparison(case, tmp_dir / case) for case in COMPARISONS}
+    (GOLDEN / "reports.json").write_text(json.dumps(reports, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
