@@ -6,6 +6,10 @@ every running job by the round interval (finishing jobs at their exact
 crossing times), then preempt CS-threshold offenders one at a time with
 re-evaluation. Throughput is piecewise-constant per round: a finishing
 neighbor only changes co-residents' CS at the next round boundary.
+
+Between events the rounds repeat one idle decision, and the engine
+applies such a stretch of rounds in one step (advance_stretch); the
+result is bit-identical to stepping them one at a time.
 """
 
 from __future__ import annotations
@@ -160,6 +164,62 @@ def _profile_cs(cluster: ClusterState, states: dict[int, JobState],
     return out
 
 
+def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
+                    dt: float, limit: int) -> int:
+    """Advance running jobs through the rounds before the first finish; returns their count.
+
+    Applies at most limit rounds of length dt, each at the job's fixed
+    throughput and CS, and stops before the first round in which some job
+    would finish: round k finishes a job when throughput * dt >= total -
+    s_k, s_k being its samples done before round k. A job still burning a
+    restore penalty makes no stretch (returns 0). np.add.accumulate adds in
+    sequence, so samples_done, attained_service, cs_integral and
+    placed_time end bit-identical to as many advance calls with the
+    engine's CS bookkeeping; a closed form such as s + g * n would not be.
+    """
+    if not jobs:
+        return limit
+    if any(job.restore_remaining > 0 for job in jobs):
+        return 0
+    thr = np.array(throughputs)
+    gained = thr * dt
+    total = np.array([job.spec.total_samples for job in jobs])
+    start = np.array([[job.samples_done for job in jobs],
+                      [job.attained_service for job in jobs],
+                      [job.cs_integral for job in jobs],
+                      [job.placed_time for job in jobs]])
+    # every job runs about (total - s) / gained rounds before it finishes;
+    # +2 covers the rounding of the sum, and a short guess only ends the stretch early
+    with np.errstate(divide="ignore"):
+        guess = np.min((total - start[0]) / gained)
+    n = min(limit, int(guess) + 2) if np.isfinite(guess) else limit
+    steps = np.empty((n + 1, 4, len(jobs)))
+    steps[0] = start
+    steps[1:] = [gained, np.array([job.spec.gpu_demand for job in jobs]) * dt,
+                 np.array(cs) * dt, np.full(len(jobs), dt)]
+    np.add.accumulate(steps, axis=0, out=steps)
+    finishing = (gained >= total - steps[:n, 0]) & (thr > 0)
+    hit = np.flatnonzero(finishing.any(axis=1))
+    if hit.size:
+        n = int(hit[0])
+    for job, (samples, service, cs_sum, placed) in zip(jobs, steps[n].T.tolist()):
+        job.samples_done = samples
+        job.attained_service = service
+        job.cs_integral = cs_sum
+        job.placed_time = placed
+    return n
+
+
+def _round_at(time: float, T: float) -> int:
+    """Index of the first round whose start k * T is at or after time."""
+    k = max(0, math.ceil(time / T))
+    while k > 0 and (k - 1) * T >= time:
+        k -= 1
+    while k * T < time:
+        k += 1
+    return k
+
+
 def _preempt(cluster: ClusterState, state: JobState, cfg: EpisodeConfig) -> None:
     cluster.free(state.spec.id)
     state.placement = None
@@ -204,8 +264,17 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     values derived from the placements (the CS profile, the last_cs
     writes, throughput, utilization, mean CS, the round and no-op
     rewards and the CS-threshold check) are computed once per
-    cluster.version, so an idle round only advances jobs and records
-    its row.
+    cluster.version.
+
+    So the rounds from a reused idle decision to the next event repeat
+    one round: the same records but the time, and the same per-job
+    additions. Unless audit or shadow_hybrid is on, they go in one step
+    (advance_stretch) that ends before the earliest of the round that
+    admits the next arrival, the round that admits the next
+    checkpoint-ready re-queue, the first round in which a job finishes,
+    and max_rounds. A job still burning a restore penalty, and an empty
+    cluster with jobs queued (the livelock guard counts those rounds),
+    make no stretch. The event round itself goes through advance.
     """
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
@@ -276,6 +345,27 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
             noop_reward = round_reward()
+        if (idle_at == cluster.version and not (audit or shadow_hybrid)
+                and (cluster.placements or not queue)):
+            start = len(rounds)
+            limit = episode_config.max_rounds - start
+            if pending:
+                limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
+            if checkpointing:
+                limit = min(limit, _round_at(min(e[0] for e in checkpointing), T) - start)
+            running = sorted(cs_map)
+            n = advance_stretch([states[jid] for jid in running],
+                                [throughput[jid] for jid in running],
+                                [cs_map[jid] for jid in running], T, limit)
+            if n:
+                rounds.extend([RoundRecord(k * T, utilization, mean_cs, reward, len(cs_map),
+                                           len(queue), 0, 0)
+                               for k in range(start, start + n)])
+                if record_trajectory and idle_action.rl is not None:
+                    trajectory.extend([(idle_action.rl, reward, noop_reward)] * n)
+                stall_rounds = 0
+                t = len(rounds) * T
+                continue
         if idle_at == cluster.version:
             action = idle_action
         else:

@@ -39,21 +39,33 @@ from .workload import JobSpec, JobState
 POLICY_KINDS = ("greedy", "las", "srtf", "srtf-np", "rl-base", "rl-hybrid")
 
 
-def _greedy_scan(cluster: ClusterState, ordered: list[JobSpec]) -> list[tuple[int, "Placement"]]:
-    """Place each job at its first feasible placement, in the given order."""
+def _greedy_scan(cluster: ClusterState, ordered: list[JobSpec]):
+    """Place each job at its first feasible placement, in the given order.
+
+    Returns the scanned copy of the cluster, the placements and the first
+    job that did not fit (None when all did). A demand that found no fit
+    is not tried again in the same scan: the scan's allocations only
+    shrink the free GPUs, so it would fail again.
+    """
     sim = cluster.copy()
     placements = []
+    unfit: set[int] = set()
+    first_unplaced = None
     for spec in ordered:
-        placement = first_fit(sim, spec.gpu_demand)
+        placement = None if spec.gpu_demand in unfit else first_fit(sim, spec.gpu_demand)
         if placement is not None:
             sim.allocate(spec.id, placement)
             placements.append((spec.id, placement))
-    return placements
+        else:
+            unfit.add(spec.gpu_demand)
+            if first_unplaced is None:
+                first_unplaced = spec
+    return sim, placements, first_unplaced
 
 
 def decide_fifo_greedy(cluster: ClusterState, queue: list[JobSpec]) -> Action:
     """Head-first greedy packing; also the RL-Hybrid safety rule."""
-    return Action(placements=_greedy_scan(cluster, queue))
+    return Action(placements=_greedy_scan(cluster, queue)[1])
 
 
 def las_order(queue: list[JobSpec], states: dict[int, JobState]) -> list[JobSpec]:
@@ -68,7 +80,7 @@ def srtf_order(queue: list[JobSpec], states: dict[int, JobState]) -> list[JobSpe
 
 def decide_las(cluster: ClusterState, queue: list[JobSpec],
                states: dict[int, JobState]) -> Action:
-    return Action(placements=_greedy_scan(cluster, las_order(queue, states)))
+    return Action(placements=_greedy_scan(cluster, las_order(queue, states))[1])
 
 
 def decide_srtf(cluster: ClusterState, queue: list[JobSpec],
@@ -79,20 +91,9 @@ def decide_srtf(cluster: ClusterState, queue: list[JobSpec],
     strictly larger remaining time are preempted (largest first) until it
     fits; if even freeing all of them would not help, nothing is preempted.
     """
-    ordered = srtf_order(queue, states)
-    sim = cluster.copy()
-    placements = []
-    unplaced = []
-    for spec in ordered:
-        placement = first_fit(sim, spec.gpu_demand)
-        if placement is not None:
-            sim.allocate(spec.id, placement)
-            placements.append((spec.id, placement))
-        else:
-            unplaced.append(spec)
-    if not preemptive or not unplaced:
+    sim, placements, target = _greedy_scan(cluster, srtf_order(queue, states))
+    if not preemptive or target is None:
         return Action(placements=placements)
-    target = unplaced[0]
     victims = [jid for jid in cluster.placements
                if states[jid].remaining_time_ideal > states[target.id].remaining_time_ideal]
     # free the longest-remaining victims first; youngest breaks ties

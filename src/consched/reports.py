@@ -36,23 +36,24 @@ def provenance_lines(config_fields: dict) -> list[str]:
     return [f"# {key} = {_fmt(value)}" for key, value in sorted(config_fields.items())]
 
 
-def write_csv(path, columns, rows, provenance: dict | None = None) -> None:
+def _write_lines(path, header: str, lines, provenance: dict | None) -> None:
+    """Provenance lines, the header line, then lines (each ending in a newline)."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in provenance_lines(provenance or {}):
             fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
+def write_csv(path, columns, rows, provenance: dict | None = None) -> None:
+    _write_lines(path, ",".join(columns),
+                 (",".join(_fmt(v) for v in row) + "\n" for row in rows), provenance)
 
 
 def write_points(path, points, header: str, provenance: dict | None = None) -> None:
     """Two-column (x, y) point file, directly plottable."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in provenance_lines(provenance or {}):
-            fh.write(line + "\n")
-        fh.write(f"# {header}\n")
-        for x, y in points:
-            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+    _write_lines(path, f"# {header}", (f"{_fmt(x)},{_fmt(y)}\n" for x, y in points),
+                 provenance)
 
 
 def write_episode_report(report: EpisodeReport, out_dir, provenance: dict | None = None) -> None:
@@ -60,9 +61,12 @@ def write_episode_report(report: EpisodeReport, out_dir, provenance: dict | None
     write_csv(os.path.join(out_dir, "per_job.csv"), JOB_COLUMNS,
               [tuple(getattr(j, c) for c in JOB_COLUMNS) for j in report.jobs],
               provenance)
-    write_csv(os.path.join(out_dir, "per_round.csv"), ROUND_COLUMNS,
-              [tuple(getattr(r, c) for c in ROUND_COLUMNS) for r in report.rounds],
-              provenance)
+    # one f-string per row: the rows are most of a report's bytes, and !r
+    # and str write the same text as _fmt for these float and int fields
+    _write_lines(os.path.join(out_dir, "per_round.csv"), ",".join(ROUND_COLUMNS),
+                 (f"{r.time!r},{r.utilization!r},{r.mean_cs!r},{r.reward!r},"
+                  f"{r.num_running},{r.num_waiting},{r.num_placed},{r.num_preempted}\n"
+                  for r in report.rounds), provenance)
     write_points(os.path.join(out_dir, "jct_cdf.csv"), report.jct_cdf(),
                  "jct,cumulative_fraction", provenance)
     write_points(os.path.join(out_dir, "util_hist.csv"), report.util_histogram(),

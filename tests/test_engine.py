@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CSTable, ContentionParams, ModelClass
-from consched.engine import (ComparisonReport, EpisodeConfig, compare_policies,
-                             percentile_90, run_episode)
+from consched.engine import (ComparisonReport, EpisodeConfig, advance_stretch,
+                             compare_policies, percentile_90, run_episode)
 from consched.errors import ConfigError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
-from consched.workload import MIX_PRESETS, JobState, TraceSpec, generate_trace
+from consched.workload import MIX_PRESETS, JobState, Phase, TraceSpec, advance, generate_trace
 
 CFG = ClusterConfig()
 
@@ -479,15 +479,17 @@ class TestEpisodeProperties:
                                      episode=episode)
             else:
                 policy = make_policy(kind)
-            # audit checks the occupancy grid against the placements every round
+            # the reference decides every round under audit, which checks the
+            # occupancy grid every round; the other side takes idle stretches
             reports.append(run_episode(DecideCounter(policy, every_round), trace, episode,
-                                       config, rng=np.random.default_rng(3), audit=True))
+                                       config, rng=np.random.default_rng(3), audit=every_round))
         ref, report = reports
         assert report.jobs == ref.jobs
         assert report.rounds == ref.rounds
+        assert report.aggregates == ref.aggregates
         assert sorted(job.id for job in report.jobs) == sorted(spec.id for spec in trace)
         last = {}  # job id -> (round, samples done after it) of the job's last running round
-        for k, row in enumerate(report.audit_rows):
+        for k, row in enumerate(ref.audit_rows):
             for jid, _cs, _thr, _before, after, *_ in row:
                 last[jid] = (k, after)
         total = {spec.id: spec.total_samples for spec in trace}
@@ -506,3 +508,73 @@ def test_round_times_do_not_drift():
     report = run_episode(GreedyPolicy(), trace, EpisodeConfig(round_interval=0.1))
     assert len(report.rounds) >= 1000
     assert [r.time for r in report.rounds] == [k * 0.1 for k in range(len(report.rounds))]
+
+
+def running_job(total, done, restore=0.0):
+    spec = replace(NORMAL_64[0], total_samples=total)
+    return JobState(spec=spec, phase=Phase.RUNNING, samples_done=done, attained_service=done / 3,
+                    cs_integral=done / 7, placed_time=done / 11, restore_remaining=restore)
+
+
+def job_fields(job):
+    return (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
+            job.restore_remaining, job.phase, job.finish_time)
+
+
+class TestAdvanceStretch:
+    """advance_stretch against one advance call per round, bit for bit."""
+
+    @given(total=st.floats(1.0, 1e6), start=st.floats(0.0, 0.999),
+           rounds=st.lists(st.floats(0.3, 400.0), min_size=1, max_size=3),
+           cs=st.floats(1.0, 4.0), dt=st.floats(0.01, 2.0), limit=st.integers(1, 500))
+    @settings(max_examples=300, deadline=None)
+    def test_sums_and_finish_round_match_advance(self, total, start, rounds, cs, dt, limit):
+        # job k finishes after about rounds[k] rounds of dt
+        jobs, ref = ([running_job(total, total * start) for _ in rounds] for _ in range(2))
+        throughputs = [(total - total * start) / (r * dt) for r in rounds]
+        n = advance_stretch(jobs, throughputs, [cs] * len(rounds), dt, limit)
+        done = 0
+        while done < limit:
+            after = [replace(job) for job in ref]
+            for copy, throughput in zip(after, throughputs):
+                active = advance(copy, dt, throughput, now=0.0)
+                copy.cs_integral += cs * active
+                copy.placed_time += active
+            if any(copy.phase is Phase.FINISHED for copy in after):
+                break
+            ref = after
+            done += 1
+        assert n == done
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+
+    def test_restore_penalty_makes_no_stretch(self):
+        jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.0)]
+        before = [job_fields(job) for job in jobs]
+        assert advance_stretch(jobs, [1.0, 1.0], [1.0, 1.0], 0.25, 100) == 0
+        assert [job_fields(job) for job in jobs] == before
+
+    def test_no_running_jobs_take_the_whole_limit(self):
+        assert advance_stretch([], [], [], 0.25, 17) == 17
+
+
+class StateCapture(DecideCounter):
+    """DecideCounter that keeps the engine's job states for inspection."""
+
+    def decide(self, cluster, queue, states, rng=None):
+        self.states = states
+        return super().decide(cluster, queue, states, rng)
+
+
+@pytest.mark.parametrize("max_rounds", [3, 50, 399])
+def test_max_rounds_raises_at_the_same_round(max_rounds):
+    """A stretch stops at max_rounds: the jobs have advanced exactly as far as round by round."""
+    trace = jobs_with([4, 8], runtimes=[100.0, 100.0])
+    progress = []
+    for every_round in (True, False):
+        policy = StateCapture(GreedyPolicy(), every_round)
+        with pytest.raises(RuntimeError, match=f"exceeded {max_rounds} rounds"):
+            run_episode(policy, trace, EpisodeConfig(max_rounds=max_rounds))
+        progress.append([job_fields(policy.states[spec.id]) for spec in trace])
+    ref, fast = progress
+    assert fast == ref
+    assert ref[0][0] == pytest.approx(trace[0].ideal_throughput * max_rounds * 0.25)

@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.actions import ActionSpace
-from consched.cluster import ClusterConfig, ClusterState, Placement
+from consched import policies
+from consched.actions import Action, ActionSpace
+from consched.cluster import ClusterConfig, ClusterState, Placement, first_fit
 from consched.encoding import window_candidates
 from consched.engine import EpisodeConfig, run_episode
 from consched.errors import ConfigError
 from consched.policies import (GreedyPolicy, LASPolicy, RLBasePolicy,
                                RLHybridPolicy, SRTFPolicy, decide_fifo_greedy,
-                               decide_srtf, hybridize, las_order, make_policy,
-                               srtf_order)
+                               decide_las, decide_srtf, hybridize, las_order,
+                               make_policy, srtf_order)
 from consched.rl.reward import RewardWeights
 from consched.rl.train import TrainConfig, make_net
-from consched.workload import JobState, Phase, TraceSpec, generate_trace
+from consched.workload import JobState, Phase, TraceSpec, feasible_demands, generate_trace
 
 CFG = ClusterConfig()
 
@@ -151,6 +152,106 @@ class TestSRTFPreemption:
         states[specs[0].id].phase = Phase.RUNNING
         action = decide_srtf(cluster, [specs[1]], states, preemptive=False)
         assert action.preemptions == [] and action.placements == []
+
+
+def reference_scan(cluster, ordered):
+    """The greedy scan without the unfit-demand memo: first_fit for every job."""
+    sim = cluster.copy()
+    placements, unplaced = [], []
+    for spec in ordered:
+        placement = first_fit(sim, spec.gpu_demand)
+        if placement is None:
+            unplaced.append(spec)
+        else:
+            sim.allocate(spec.id, placement)
+            placements.append((spec.id, placement))
+    return sim, placements, unplaced
+
+
+def reference_srtf(cluster, queue, states, preemptive):
+    sim, placements, unplaced = reference_scan(cluster, srtf_order(queue, states))
+    if not preemptive or not unplaced:
+        return Action(placements=placements)
+    target = unplaced[0]
+    victims = [jid for jid in cluster.placements
+               if states[jid].remaining_time_ideal > states[target.id].remaining_time_ideal]
+    victims.sort(key=lambda jid: (-states[jid].remaining_time_ideal,
+                                  -states[jid].spec.arrival_time, -jid))
+    chosen, placement = [], None
+    for jid in victims:
+        sim.free(jid)
+        chosen.append(jid)
+        placement = first_fit(sim, target.gpu_demand)
+        if placement is not None:
+            break
+    if placement is None:
+        return Action(placements=placements)
+    return Action(placements=placements + [(target.id, placement)], preemptions=chosen)
+
+
+@st.composite
+def occupied_clusters(draw):
+    """(cluster, queue, states): a random occupancy and a random queue."""
+    config = ClusterConfig(num_nodes=draw(st.integers(1, 4)),
+                           gpus_per_node=draw(st.integers(2, 8)))
+    feasible = feasible_demands(config)
+    running = draw(st.lists(st.sampled_from(feasible), max_size=6))
+    queued = draw(st.lists(st.sampled_from(feasible), min_size=1, max_size=12))
+    demands = running + queued
+    specs = jobs_with(demands, arrivals=[float(k % 3) for k in range(len(demands))])
+    states = states_for(specs)
+    for spec in specs:  # few distinct values, so the orders see ties
+        done = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+        states[spec.id].samples_done = spec.total_samples * done
+        states[spec.id].attained_service = draw(st.sampled_from([0.0, 10.0, 20.0]))
+    cluster = ClusterState(config)
+    for spec in specs[:len(running)]:
+        placement = first_fit(cluster, spec.gpu_demand)
+        if placement is not None:
+            cluster.allocate(spec.id, placement)
+            states[spec.id].phase = Phase.RUNNING
+    return cluster, specs[len(running):], states
+
+
+class TestScanMemo:
+    """A demand that found no fit is not tried again within one scan."""
+
+    DECIDERS = {
+        "greedy": (lambda c, q, s: decide_fifo_greedy(c, q),
+                   lambda c, q, s: Action(placements=reference_scan(c, q)[1])),
+        "las": (decide_las,
+                lambda c, q, s: Action(placements=reference_scan(c, las_order(q, s))[1])),
+        "srtf": (lambda c, q, s: decide_srtf(c, q, s, preemptive=True),
+                 lambda c, q, s: reference_srtf(c, q, s, preemptive=True)),
+        "srtf-np": (lambda c, q, s: decide_srtf(c, q, s, preemptive=False),
+                    lambda c, q, s: reference_srtf(c, q, s, preemptive=False)),
+    }
+
+    @given(setup=occupied_clusters())
+    @settings(max_examples=150, deadline=None)
+    def test_same_action_as_reference_and_bounded_first_fit(self, setup):
+        cluster, queue, states = setup
+        calls = []
+
+        def counting_first_fit(sim, demand):
+            calls.append(demand)
+            return first_fit(sim, demand)
+
+        original = policies.first_fit
+        policies.first_fit = counting_first_fit
+        try:
+            # the occupied cluster, then an empty one: a memo must not outlive its scan
+            for occupied in (cluster, ClusterState(cluster.config)):
+                for name, (decide, reference) in self.DECIDERS.items():
+                    calls.clear()
+                    action = decide(occupied, queue, states)
+                    assert action == reference(occupied, queue, states), name
+                    bound = len({spec.gpu_demand for spec in queue}) + len(action.placements)
+                    if name == "srtf":  # plus one try per freed victim
+                        bound += len(occupied.placements)
+                    assert len(calls) <= bound, name
+        finally:
+            policies.first_fit = original
 
 
 def brute_force_best_order_avg_jct(demands, runtimes, config):
