@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Snapshot the benchmark into BENCH_<pr>.json at the repository root.
 
-    python3 scripts/bench_snapshot.py --pr 7
-    python3 scripts/bench_snapshot.py --pr 7 --seeds 9001 9002 9003 --seconds 10
+    python3 scripts/bench_snapshot.py --pr N
+    python3 scripts/bench_snapshot.py --pr N --seeds 9001 9002 9003 --seconds 10
 
 Runs bench/run.py once per workload and seed with --trace 0, each in its
 own process, then once per workload with --trace 1 at the first seed. The
