@@ -2,10 +2,11 @@
 """Snapshot the benchmark into BENCH_<pr>.json at the repository root.
 
     python3 scripts/bench_snapshot.py --pr N
-    python3 scripts/bench_snapshot.py --pr N --seeds 9001 9002 9003 --seconds 10
 
-Runs bench/run.py once per workload and seed with --trace 0, each in its
-own process, then once per workload with --trace 1 at the first seed. The
+Runs bench/run.py once per workload and seed (SEEDS, SECONDS timed
+seconds) with --trace 0, each in its own process, then once per workload
+with --trace 1 at the first seed. Seeds and run length are fixed so that
+every snapshot can be compared with the others. The
 file holds the machine (nproc, Python and numpy versions), the git
 revision, the settings, and per workload the median of each end-to-end
 metric over the seeds, the failed and attempted job counts, and the
@@ -26,7 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "run.py"
-DEFAULT_SEEDS = (9001, 9002, 9003)
+SEEDS = (9001, 9002, 9003)
+SECONDS = 10.0
 MACHINE_KEYS = ("nproc", "python", "numpy", "git_revision")
 
 
@@ -45,18 +47,18 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dic
     return machine, json.loads(lines[-1])
 
 
-def snapshot(pr: int, seeds: list[int], seconds: float) -> dict:
+def snapshot(pr: int) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {}
     machine = None
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for seed in seeds:
-            machine, result = run_bench(workload, seed, seconds, trace=0)
+        for seed in SEEDS:
+            machine, result = run_bench(workload, seed, SECONDS, trace=0)
             runs.append(result)
             print(f"{workload} seed {seed}: wall_s "
                   f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-        _, traced = run_bench(workload, seeds[0], seconds, trace=1)
+        _, traced = run_bench(workload, SEEDS[0], SECONDS, trace=1)
         workloads[workload] = {
             "median": {m["name"]: statistics.median(r["metrics"][m["name"]]["value"]
                                                     for r in runs)
@@ -69,7 +71,7 @@ def snapshot(pr: int, seeds: list[int], seconds: float) -> dict:
     return {
         "pr": pr,
         "machine": {key: machine[key] for key in MACHINE_KEYS},
-        "settings": {"seeds": seeds, "seconds": seconds, "traced_seed": seeds[0]},
+        "settings": {"seeds": list(SEEDS), "seconds": SECONDS, "traced_seed": SEEDS[0]},
         "workloads": workloads,
     }
 
@@ -77,13 +79,10 @@ def snapshot(pr: int, seeds: list[int], seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="timed seconds per untraced run")
     args = parser.parse_args(argv)
-    if args.pr < 0 or any(seed < 0 for seed in args.seeds) or args.seconds < 0:
-        parser.error("--pr, --seeds and --seconds must be >= 0")
-    data = snapshot(args.pr, args.seeds, args.seconds)
+    if args.pr < 0:
+        parser.error("--pr must be >= 0")
+    data = snapshot(args.pr)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(path)

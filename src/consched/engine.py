@@ -164,13 +164,16 @@ def _profile_cs(cluster: ClusterState, states: dict[int, JobState],
     return out
 
 
+STRETCH_CHUNK = 4096  # most rounds one advance_stretch call applies
+
+
 def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
                     dt: float, limit: int) -> int:
     """Advance running jobs through the rounds before the first finish; returns their count.
 
-    Applies at most limit rounds of length dt, each at the job's fixed
-    throughput and CS, and stops before the first round in which some job
-    would finish: round k finishes a job when throughput * dt >= total -
+    Applies at most limit rounds of length dt (STRETCH_CHUNK if fewer,
+    unless no job runs), each at the job's fixed throughput and CS, and
+    stops before the first round in which some job would finish: round k finishes a job when throughput * dt >= total -
     s_k, s_k being its samples done before round k. A job still burning a
     restore penalty makes no stretch (returns 0). np.add.accumulate adds in
     sequence, so samples_done, attained_service, cs_integral and
@@ -189,10 +192,14 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
                       [job.cs_integral for job in jobs],
                       [job.placed_time for job in jobs]])
     # every job runs about (total - s) / gained rounds before it finishes;
-    # +2 covers the rounding of the sum, and a short guess only ends the stretch early
+    # +2 covers the rounding of the sum, and a short guess or the chunk cap
+    # (which bounds the array at 32 * STRETCH_CHUNK bytes per job) only ends
+    # the stretch early: the caller takes the next stretch
     with np.errstate(divide="ignore"):
         guess = np.min((total - start[0]) / gained)
-    n = min(limit, int(guess) + 2) if np.isfinite(guess) else limit
+    n = min(limit, STRETCH_CHUNK)
+    if np.isfinite(guess):
+        n = min(n, int(guess) + 2)
     steps = np.empty((n + 1, 4, len(jobs)))
     steps[0] = start
     steps[1:] = [gained, np.array([job.spec.gpu_demand for job in jobs]) * dt,

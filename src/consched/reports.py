@@ -8,13 +8,13 @@ with repr (shortest round-trip form) and no timestamps appear anywhere.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
-from .engine import ComparisonReport, EpisodeReport
+from .engine import ComparisonReport, EpisodeReport, RoundRecord
 
 JOB_COLUMNS = ("id", "model", "demand", "arrival", "start", "finish", "jct",
                "preemptions", "mean_cs", "isolated_runtime")
-ROUND_COLUMNS = ("time", "utilization", "mean_cs", "reward", "num_running",
-                 "num_waiting", "num_placed", "num_preempted")
+ROUND_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 # Reference deltas from the full-scale study this simulator is calibrated
 # against; emitted as context lines in comparison summaries, never asserted.
@@ -45,6 +45,19 @@ def _write_lines(path, header: str, lines, provenance: dict | None) -> None:
         fh.writelines(lines)
 
 
+def _round_row(r: RoundRecord) -> str:
+    # one f-string per row: the rows are most of a report's bytes, and !r
+    # and str write the same text as _fmt for these float and int fields
+    return (f"{r.time!r},{r.utilization!r},{r.mean_cs!r},{r.reward!r},"
+            f"{r.num_running},{r.num_waiting},{r.num_placed},{r.num_preempted}\n")
+
+
+# the row must write every field in header order, as write_csv would
+_PROBE = RoundRecord(*(k + 0.5 if f.type == "float" else k
+                       for k, f in enumerate(fields(RoundRecord))))
+assert _round_row(_PROBE) == ",".join(_fmt(getattr(_PROBE, c)) for c in ROUND_COLUMNS) + "\n"
+
+
 def write_csv(path, columns, rows, provenance: dict | None = None) -> None:
     _write_lines(path, ",".join(columns),
                  (",".join(_fmt(v) for v in row) + "\n" for row in rows), provenance)
@@ -61,12 +74,8 @@ def write_episode_report(report: EpisodeReport, out_dir, provenance: dict | None
     write_csv(os.path.join(out_dir, "per_job.csv"), JOB_COLUMNS,
               [tuple(getattr(j, c) for c in JOB_COLUMNS) for j in report.jobs],
               provenance)
-    # one f-string per row: the rows are most of a report's bytes, and !r
-    # and str write the same text as _fmt for these float and int fields
     _write_lines(os.path.join(out_dir, "per_round.csv"), ",".join(ROUND_COLUMNS),
-                 (f"{r.time!r},{r.utilization!r},{r.mean_cs!r},{r.reward!r},"
-                  f"{r.num_running},{r.num_waiting},{r.num_placed},{r.num_preempted}\n"
-                  for r in report.rounds), provenance)
+                 map(_round_row, report.rounds), provenance)
     write_points(os.path.join(out_dir, "jct_cdf.csv"), report.jct_cdf(),
                  "jct,cumulative_fraction", provenance)
     write_points(os.path.join(out_dir, "util_hist.csv"), report.util_histogram(),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CSTable, ContentionParams, ModelClass
-from consched.engine import (ComparisonReport, EpisodeConfig, advance_stretch,
-                             compare_policies, percentile_90, run_episode)
+from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig,
+                             advance_stretch, compare_policies, percentile_90, run_episode)
 from consched.errors import ConfigError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
 from consched.rl.reward import RewardWeights, reward_from_terms
@@ -556,6 +556,23 @@ class TestAdvanceStretch:
     def test_no_running_jobs_take_the_whole_limit(self):
         assert advance_stretch([], [], [], 0.25, 17) == 17
 
+    def test_long_stretch_goes_in_chunks(self):
+        # the job finishes in round 10,000; the limit would allow all of them
+        total, dt, throughput, cs = 1e6, 0.1, 1000.0, 1.5
+        job, ref = running_job(total, 0.0), running_job(total, 0.0)
+        steps = []
+        while n := advance_stretch([job], [throughput], [cs], dt, 20_000 - sum(steps)):
+            steps.append(n)
+        assert steps[0] == STRETCH_CHUNK and len(steps) >= 10_000 // STRETCH_CHUNK
+        for _ in range(sum(steps)):
+            active = advance(ref, dt, throughput, now=0.0)
+            ref.cs_integral += cs * active
+            ref.placed_time += active
+        assert ref.phase is Phase.RUNNING
+        assert job_fields(job) == job_fields(ref)
+        advance(ref, dt, throughput, now=0.0)
+        assert ref.phase is Phase.FINISHED
+
 
 class StateCapture(DecideCounter):
     """DecideCounter that keeps the engine's job states for inspection."""
@@ -563,6 +580,18 @@ class StateCapture(DecideCounter):
     def decide(self, cluster, queue, states, rng=None):
         self.states = states
         return super().decide(cluster, queue, states, rng)
+
+
+def test_stretches_longer_than_a_chunk_match_every_round():
+    """An idle stretch of 10,000 rounds takes several advance_stretch calls, bit-identically."""
+    trace = jobs_with([4], runtimes=[1000.0])
+    config = EpisodeConfig(round_interval=0.1)
+    ref, fast = (run_episode(DecideCounter(GreedyPolicy(), every_round), trace, config)
+                 for every_round in (True, False))
+    assert len(ref.rounds) > 2 * STRETCH_CHUNK
+    assert fast.jobs == ref.jobs
+    assert fast.rounds == ref.rounds
+    assert fast.aggregates == ref.aggregates
 
 
 @pytest.mark.parametrize("max_rounds", [3, 50, 399])
