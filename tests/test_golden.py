@@ -60,6 +60,12 @@ POLICIES = {
     "rl-hybrid-argmax": ("rl-hybrid", True),
 }
 THRESHOLDS = {"cs2": 2.0, "cs-off": None}
+# A fresh net has contention_scale 0, so the cases above pin the verdicts
+# only through the trajectory digest. These argmax cases fix the scale at
+# 2, where the contention verdicts decide every head with a choice.
+VERDICT_SCALE = 2.0
+VERDICT_CASES = [("heavy-poisson", "cs2"), ("synthetic", "cs2")]
+VERDICT_POLICY = "rl-base-argmax-scale2"
 SAMPLE_SEED = 7
 TRAIN_SPEC = TraceSpec(num_jobs=24, seed=15)
 # comparison case -> (trace name, policy cases, threshold name)
@@ -105,6 +111,10 @@ def _plain(value):
 
 
 def _make_policy(policy_name: str, config: ClusterConfig, episode: EpisodeConfig):
+    if policy_name == VERDICT_POLICY:
+        net, space = make_net(config, TrainConfig(seed=0))
+        net.params["contention_scale"][0] = VERDICT_SCALE
+        return make_policy("rl-base", net=net, action_space=space, episode=episode)
     kind, argmax = POLICIES[policy_name]
     if kind.startswith("rl-"):
         net, space = make_net(config, TrainConfig(seed=0))
@@ -119,7 +129,7 @@ def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
     trace = generate_trace(spec, config)
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
                             contention=contention)
-    rl = POLICIES[policy_name][0].startswith("rl-")
+    rl = policy_name == VERDICT_POLICY or POLICIES[policy_name][0].startswith("rl-")
     policy = _make_policy(policy_name, config, episode)
     report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),
                          record_trajectory=rl)
@@ -183,6 +193,13 @@ def test_episode_matches_golden(trace_name, policy_name, threshold_name):
     assert actual.get("trajectory_digest") == expected.get("trajectory_digest")
 
 
+@pytest.mark.parametrize("trace_name,threshold_name", VERDICT_CASES)
+def test_verdict_case_matches_golden(trace_name, threshold_name):
+    expected = golden(trace_name)[f"{VERDICT_POLICY}/{threshold_name}"]
+    actual = _roundtrip(run_case(trace_name, VERDICT_POLICY, threshold_name))
+    assert actual == expected
+
+
 def test_training_matches_golden(tmp_path):
     expected = golden("train")
     actual = _roundtrip(run_training(tmp_path))
@@ -199,6 +216,8 @@ def write_all(tmp_dir: Path) -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for trace_name in TRACES:
         cases = {f"{p}/{t}": run_case(trace_name, p, t) for p in POLICIES for t in THRESHOLDS}
+        cases.update({f"{VERDICT_POLICY}/{t}": run_case(trace_name, VERDICT_POLICY, t)
+                      for name, t in VERDICT_CASES if name == trace_name})
         (GOLDEN / f"{trace_name}.json").write_text(json.dumps(cases, indent=1) + "\n",
                                                    encoding="utf-8")
     (GOLDEN / "train.json").write_text(json.dumps(run_training(tmp_dir), indent=1) + "\n",
