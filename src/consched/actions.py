@@ -36,9 +36,14 @@ class ActionSpace:
                 "on any cluster size")
         self.config = config
         self.subsets: list[tuple[int, tuple[int, ...]]] = []
+        # per width: (width, first index, end index, (subsets, width) node ids)
+        self._blocks: list[tuple[int, int, int, np.ndarray]] = []
         for i in config.node_exponents():
-            for combo in itertools.combinations(range(config.num_nodes), 2 ** i):
-                self.subsets.append((i, combo))
+            combos = list(itertools.combinations(range(config.num_nodes), 2 ** i))
+            start = len(self.subsets)
+            self.subsets.extend((i, combo) for combo in combos)
+            self._blocks.append((2 ** i, start, len(self.subsets),
+                                 np.array(combos, dtype=np.intp)))
         self.skip_index = len(self.subsets)
         self.size = len(self.subsets) + 1
 
@@ -47,20 +52,21 @@ class ActionSpace:
         return Placement(nodes=combo, gpus_per_node_used=demand // (2 ** i))
 
     def mask_for(self, demand: int | None, free_per_node: np.ndarray) -> np.ndarray:
-        """Feasibility mask over indices; only skip is unmasked for demand None."""
+        """Feasibility mask over indices; only skip is unmasked for demand None.
+
+        A subset of width w is feasible when w divides the demand and each
+        of its nodes has demand / w free GPUs, which is tested for all
+        subsets of a width at once.
+        """
         mask = np.zeros(self.size, dtype=bool)
         mask[self.skip_index] = True
         if demand is None:
             return mask
-        for idx, (i, combo) in enumerate(self.subsets):
-            width = 2 ** i
-            if demand % width != 0:
-                continue
+        free = np.asarray(free_per_node)
+        for width, start, end, nodes in self._blocks:
             j = demand // width
-            if j < 1 or j > self.config.gpus_per_node:
-                continue
-            if all(free_per_node[n] >= j for n in combo):
-                mask[idx] = True
+            if demand % width == 0 and 1 <= j <= self.config.gpus_per_node:
+                mask[start:end] = free[nodes].min(axis=1) >= j
         return mask
 
 

@@ -82,16 +82,24 @@ class Placement:
 class ClusterState:
     """Occupancy grid plus the placements map, kept mutually consistent.
 
-    Single-writer: one episode owns and mutates its ClusterState; copies
-    are cheap and used by policies for what-if feasibility checks.
-    version counts the allocate and free calls, so an owner can tell
-    whether the placements changed since it last looked.
+    Single-writer: one episode owns and mutates its ClusterState. Next to
+    the grid it keeps the free GPUs per node (free_per_node), the used
+    GPU count (used) and the jobs resident on each node (residents), all
+    updated by allocate and free, so the accessors below and the
+    contention model's neighbour lookups need no scan of the grid.
+    Copies serve the baselines' what-if scans; the RL verdicts price
+    trial placements without one. version counts the allocate and free
+    calls, so an owner can tell whether the placements changed since it
+    last looked.
     """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.occupancy = np.full((config.num_nodes, config.gpus_per_node), EMPTY, dtype=np.int64)
         self.placements: dict[int, Placement] = {}
+        self.free_per_node = np.full(config.num_nodes, config.gpus_per_node, dtype=np.int64)
+        self.used = 0
+        self.residents: list[set[int]] = [set() for _ in range(config.num_nodes)]
         self.version = 0
 
     def copy(self) -> "ClusterState":
@@ -99,21 +107,25 @@ class ClusterState:
         dup.config = self.config
         dup.occupancy = self.occupancy.copy()
         dup.placements = dict(self.placements)
+        dup.free_per_node = self.free_per_node.copy()
+        dup.used = self.used
+        dup.residents = [set(jobs) for jobs in self.residents]
         dup.version = self.version
         return dup
 
     def free_gpus(self, node: int) -> int:
-        return int(np.count_nonzero(self.occupancy[node] == EMPTY))
+        return int(self.free_per_node[node])
 
     def free_gpus_per_node(self) -> np.ndarray:
-        return np.count_nonzero(self.occupancy == EMPTY, axis=1)
+        """A copy of free_per_node, which the caller may change."""
+        return self.free_per_node.copy()
 
     def used_gpus(self) -> int:
-        return int(np.count_nonzero(self.occupancy != EMPTY))
+        return self.used
 
     def utilization(self) -> float:
         """Ratio of used GPUs to total GPUs."""
-        return self.used_gpus() / self.config.total_gpus
+        return self.used / self.config.total_gpus
 
     def allocate(self, job_id: int, placement: Placement) -> "ClusterState":
         """Occupy the placement's slots for job_id. State unchanged on error."""
@@ -127,27 +139,35 @@ class ClusterState:
             if node < 0 or node >= self.config.num_nodes:
                 raise InvalidPlacementError(f"unknown node {node}")
         for node in placement.nodes:
-            if self.free_gpus(node) < j:
+            if self.free_per_node[node] < j:
                 raise AllocationConflictError(
                     f"node {node} has {self.free_gpus(node)} free GPUs, needs {j}")
         for node in placement.nodes:
-            free_slots = np.flatnonzero(self.occupancy[node] == EMPTY)[:j]
-            self.occupancy[node, free_slots] = job_id
+            row = self.occupancy[node]
+            row[np.flatnonzero(row == EMPTY)[:j]] = job_id
+            self.free_per_node[node] -= j
+            self.residents[node].add(job_id)
+        self.used += placement.total_gpus
         self.placements[job_id] = placement
         self.version += 1
         return self
 
     def free(self, job_id: int) -> "ClusterState":
         """Vacate all slots of a placed job."""
-        if job_id not in self.placements:
+        placement = self.placements.pop(job_id, None)
+        if placement is None:
             raise NotFoundError(f"job {job_id} is not placed")
-        self.occupancy[self.occupancy == job_id] = EMPTY
-        del self.placements[job_id]
+        for node in placement.nodes:
+            row = self.occupancy[node]
+            row[row == job_id] = EMPTY
+            self.free_per_node[node] += placement.gpus_per_node_used
+            self.residents[node].discard(job_id)
+        self.used -= placement.total_gpus
         self.version += 1
         return self
 
     def audit(self) -> None:
-        """Reconstruct the grid from placements and compare; raises on drift."""
+        """Rebuild the grid and the counts from placements and compare; raises on drift."""
         rebuilt = np.full_like(self.occupancy, EMPTY)
         for job_id, placement in self.placements.items():
             for node in placement.nodes:
@@ -159,6 +179,13 @@ class ClusterState:
                 rebuilt[node, slots] = job_id
         if not np.array_equal(rebuilt, self.occupancy):
             raise AllocationConflictError("occupancy grid disagrees with placements map")
+        empty = self.occupancy == EMPTY
+        if not np.array_equal(self.free_per_node, np.count_nonzero(empty, axis=1)):
+            raise AllocationConflictError("free-GPU vector disagrees with the grid")
+        if self.used != np.count_nonzero(~empty):
+            raise AllocationConflictError("used-GPU count disagrees with the grid")
+        if self.residents != [set(row[row != EMPTY].tolist()) for row in self.occupancy]:
+            raise AllocationConflictError("resident sets disagree with the grid")
 
 
 def demand_shapes(config: ClusterConfig, demand: int) -> list[tuple[int, int]]:

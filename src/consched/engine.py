@@ -147,21 +147,75 @@ def _aggregate(jobs: list[JobRecord], rounds: list[RoundRecord]) -> dict:
     }
 
 
+def _job_cs(jid: int, placements, residents, states: dict[int, JobState],
+            params: ContentionParams, config: ClusterConfig) -> float:
+    """CS of placed job jid against the jobs that share a node with it.
+
+    placements and residents describe a cluster as ClusterState keeps
+    them. The neighbours go in job-id order, the order in which a full
+    profile passes every other job, so the result is the same.
+    """
+    placement = placements[jid]
+    neighbours = set().union(*(residents[node] for node in placement.nodes))
+    neighbours.discard(jid)
+    return contention_sensitivity(
+        (states[jid].spec.profile, placement),
+        [(states[o].spec.profile, placements[o]) for o in sorted(neighbours)],
+        params, config)
+
+
 def _profile_cs(cluster: ClusterState, states: dict[int, JobState],
-                params: ContentionParams, enabled: bool) -> dict[int, float]:
-    """CS of every placed job under the current co-location."""
-    placed = sorted(cluster.placements)
+                params: ContentionParams, enabled: bool,
+                since: tuple[dict, dict[int, float]] | None = None) -> dict[int, float]:
+    """CS of every placed job under the current co-location, in job-id order.
+
+    since is an earlier (placements, CS map) pair of the same cluster (by
+    default the empty cluster's). Only the jobs on nodes that a job
+    placed, moved or freed since then touches are recomputed, so the map
+    equals a full profile.
+    """
+    placements = cluster.placements
     if not enabled:
-        return {jid: 1.0 for jid in placed}
-    out = {}
-    for jid in placed:
-        spec = states[jid].spec
-        placement = cluster.placements[jid]
-        others = [(states[o].spec.profile, cluster.placements[o])
-                  for o in placed if o != jid]
-        out[jid] = contention_sensitivity((spec.profile, placement), others,
-                                          params, cluster.config)
-    return out
+        return dict.fromkeys(sorted(placements), 1.0)
+    old, profile = since or ({}, {})
+    touched = {node for jid, p in old.items() if placements.get(jid) is not p
+               for node in p.nodes}
+    touched.update(node for jid, p in placements.items() if old.get(jid) is not p
+                   for node in p.nodes)
+    dirty = set().union(*(cluster.residents[node] for node in touched))
+    return {jid: _job_cs(jid, placements, cluster.residents, states, params, cluster.config)
+            if jid in dirty else profile[jid] for jid in sorted(placements)}
+
+
+def _trial_cs(jid: int, placement, placements, residents, profile: dict[int, float],
+              states: dict[int, JobState], params: ContentionParams, enabled: bool,
+              config: ClusterConfig) -> dict[int, float]:
+    """The CS map, in job-id order, after placing jid at placement.
+
+    profile is the CS map of the cluster that placements and residents
+    describe (without jid). Only jid and the jobs sharing its nodes
+    change. In table mode a neighbour's CS is a max over pairwise
+    lookups, so it becomes max(old, its CS against jid alone). Synthetic
+    mode sums per-node demand in order, so there a neighbour is
+    recomputed against its neighbours and jid in job-id order.
+    """
+    changed = {jid: 1.0}
+    if enabled:
+        trial = (states[jid].spec.profile, placement)
+        placed = {**placements, jid: placement}
+        neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
+        changed[jid] = contention_sensitivity(
+            trial, [(states[o].spec.profile, placed[o]) for o in neighbours], params, config)
+        if params.mode == "table":
+            for nb in neighbours:
+                changed[nb] = max(profile[nb], contention_sensitivity(
+                    (states[nb].spec.profile, placed[nb]), [trial], params, config))
+        else:
+            residents = [jobs | {jid} if node in placement.nodes else jobs
+                         for node, jobs in enumerate(residents)]
+            for nb in neighbours:
+                changed[nb] = _job_cs(nb, placed, residents, states, params, config)
+    return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
 
 
 STRETCH_CHUNK = 4096  # most rounds one advance_stretch call applies
@@ -173,12 +227,13 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
 
     Applies at most limit rounds of length dt (STRETCH_CHUNK if fewer,
     unless no job runs), each at the job's fixed throughput and CS, and
-    stops before the first round in which some job would finish: round k finishes a job when throughput * dt >= total -
-    s_k, s_k being its samples done before round k. A job still burning a
-    restore penalty makes no stretch (returns 0). np.add.accumulate adds in
-    sequence, so samples_done, attained_service, cs_integral and
-    placed_time end bit-identical to as many advance calls with the
-    engine's CS bookkeeping; a closed form such as s + g * n would not be.
+    stops before the first round in which some job would finish: round k
+    finishes a job when throughput * dt >= total - s_k, s_k being its
+    samples done before round k. A job still burning a restore penalty
+    makes no stretch (returns 0). np.add.accumulate adds in sequence, so
+    samples_done, attained_service, cs_integral and placed_time end
+    bit-identical to as many advance calls with the engine's CS
+    bookkeeping; a closed form such as s + g * n would not be.
     """
     if not jobs:
         return limit
@@ -271,7 +326,9 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     values derived from the placements (the CS profile, the last_cs
     writes, throughput, utilization, mean CS, the round and no-op
     rewards and the CS-threshold check) are computed once per
-    cluster.version.
+    cluster.version, and each new CS profile, the CS-threshold loop's
+    included, recomputes only the jobs on nodes that a placement,
+    preemption or finish touched (_profile_cs).
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
@@ -304,22 +361,26 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
-    cs_version, cs_cached = -1, {}
+    cs_version, cs_cached, cs_placed = -1, {}, {}
     reward_version, reward_cached = -1, 0.0
     round_version = -1  # the version cs_map, throughput, ... below were derived at
     checked_version = -1  # a version at which no job exceeds the CS threshold
 
     def profile_cs() -> dict[int, float]:
-        nonlocal cs_version, cs_cached
+        # re-profiles only the jobs on nodes that changed since the last profile
+        nonlocal cs_version, cs_cached, cs_placed
         if cs_version != cluster.version:
-            cs_cached = _profile_cs(cluster, states, params, episode_config.contention_enabled)
+            cs_cached = _profile_cs(cluster, states, params, episode_config.contention_enabled,
+                                    (cs_placed, cs_cached))
+            cs_placed = dict(cluster.placements)
             cs_version = cluster.version
         return cs_cached
 
     def round_reward() -> float:
         nonlocal reward_version, reward_cached
         if reward_version != cluster.version:
-            reward_cached = compute_reward(cluster, profile_cs(), weights, episode_config.cs_cap)
+            reward_cached = compute_reward(cluster.utilization(), profile_cs(), weights,
+                                           episode_config.cs_cap)
             reward_version = cluster.version
         return reward_cached
 

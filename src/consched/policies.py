@@ -33,7 +33,7 @@ from .cluster import ClusterState, first_fit
 from .encoding import encode_state, window_candidates
 from .errors import ConfigError
 from .rl.net import PolicyNet, masked_log_softmax
-from .rl.reward import compute_reward, reward_from_terms
+from .rl.reward import reward_from_terms
 from .workload import JobSpec, JobState
 
 POLICY_KINDS = ("greedy", "las", "srtf", "srtf-np", "rl-base", "rl-hybrid")
@@ -153,10 +153,13 @@ class RLBasePolicy:
     placement: +1 when the profiled contention model predicts that adding
     it, after the earlier heads' choices, raises the round reward under
     the net's reward_weights (the weights it was trained for), -1 when it
-    lowers the reward. Training learns contention_scale, starting from 0,
-    from the realised returns. The verdicts use the contention model, the
-    contention switch and the CS cap of episode (an EpisodeConfig; the
-    default one when None). Sampled logits are divided by temperature.
+    lowers the reward. Each trial placement is priced from the candidate
+    and the jobs sharing its nodes, on the cluster as the earlier heads
+    left it, with no cluster copy (see _verdicts). Training learns
+    contention_scale, starting from 0, from the realised returns. The
+    verdicts use the contention model, the contention switch and the CS
+    cap of episode (an EpisodeConfig; the default one when None). Sampled
+    logits are divided by temperature.
     """
 
     name = "rl-base"
@@ -164,43 +167,55 @@ class RLBasePolicy:
 
     def __init__(self, net: PolicyNet, action_space: ActionSpace,
                  deterministic: bool = True, episode=None):
-        # the engine imports this module, so its parts are imported late
-        from .engine import EpisodeConfig, _profile_cs
+        # the engine imports this module, so it is imported late; its CS and
+        # reward functions are looked up on it at each call
+        from . import engine
 
         self.net = net
         self.space = action_space
         self.deterministic = deterministic
         self.temperature = 1.0  # sampling only; training anneals it
         self.k = net.arch.k
-        self.episode = episode or EpisodeConfig()
+        self.episode = episode or engine.EpisodeConfig()
         self.contention = self.episode.contention_params()
-        self._profile_cs = _profile_cs
+        self._engine = engine
         if net.arch.head_size != action_space.size:
             raise ConfigError(
                 f"policy head size {net.arch.head_size} != action space {action_space.size}")
 
-    def _reward(self, cluster, states) -> float:
-        """Predicted round reward; an empty cluster counts as uncontended (CS 1)."""
+    def _reward(self, profile: dict[int, float], utilization: float) -> float:
+        """Predicted round reward of a CS map; an empty cluster counts as uncontended (CS 1)."""
         weights = self.net.reward_weights
-        if not cluster.placements:
+        if not profile:
             return reward_from_terms(1.0, 0.0, weights)
-        cs = self._profile_cs(cluster, states, self.contention,
-                              self.episode.contention_enabled)
-        return compute_reward(cluster, cs, weights, self.episode.cs_cap)
+        return self._engine.compute_reward(utilization, profile, weights, self.episode.cs_cap)
 
-    def _verdicts(self, cluster, states, cand, mask) -> np.ndarray:
-        """Sign of the predicted reward change of each feasible placement."""
+    def _verdicts(self, cand, mask, base, placements, residents, used, states, config):
+        """Sign of the predicted reward change of each feasible placement.
+
+        The cluster the head sees is placements and residents (as
+        ClusterState keeps them) with used of config's GPUs busy, and
+        base is its (CS map, reward). Each trial placement re-profiles
+        only the candidate and the jobs sharing its nodes
+        (engine._trial_cs), with no cluster copy. Returns the signs and
+        each trial's (CS map, reward).
+        """
         out = np.zeros(self.space.size)
-        base = self._reward(cluster, states)
-        for idx in np.flatnonzero(mask[:self.space.skip_index]):
-            trial = cluster.copy()
-            trial.allocate(cand.id, self.space.placement_for(int(idx), cand.gpu_demand))
-            out[idx] = np.sign(self._reward(trial, states) - base)
-        return out
+        trials = {}
+        profile, reward = base
+        utilization = (used + cand.gpu_demand) / config.total_gpus
+        for idx in np.flatnonzero(mask[:self.space.skip_index]).tolist():
+            placement = self.space.placement_for(idx, cand.gpu_demand)
+            cs = self._engine._trial_cs(cand.id, placement, placements, residents, profile,
+                                        states, self.contention,
+                                        self.episode.contention_enabled, config)
+            trials[idx] = (cs, self._reward(cs, utilization))
+            out[idx] = np.sign(trials[idx][1] - reward)
+        return out, trials
 
     def decide(self, cluster, queue, states, rng=None) -> Action:
-        candidates = window_candidates(queue, self.k, cluster.config,
-                                       cluster.free_gpus_per_node())
+        free = cluster.free_gpus_per_node()
+        candidates = window_candidates(queue, self.k, cluster.config, free)
         skip = self.space.skip_index
         head_actions = np.full(self.k, skip, dtype=np.int64)
         masks = np.zeros((self.k, self.space.size), dtype=bool)
@@ -213,13 +228,18 @@ class RLBasePolicy:
         logits = self.net.head_logits(x)
         scale = self.net.params["contention_scale"][0]
         verdicts = np.zeros(masks.shape)
-        sim = cluster.copy()
-        placements = []
+        # each head sees the cluster plus the earlier heads' placements
+        placements, residents, used = cluster.placements, cluster.residents, cluster.used
+        profile = self._engine._profile_cs(cluster, states, self.contention,
+                                           self.episode.contention_enabled)
+        base = (profile, self._reward(profile, cluster.utilization()))
+        placed = []
         deferred = []
         for head, cand in enumerate(candidates):
-            mask = self.space.mask_for(cand.gpu_demand, sim.free_gpus_per_node())
+            mask = self.space.mask_for(cand.gpu_demand, free)
             masks[head] = mask
-            verdicts[head] = self._verdicts(sim, states, cand, mask)
+            verdicts[head], trials = self._verdicts(cand, mask, base, placements, residents,
+                                                    used, states, cluster.config)
             probs, _ = masked_log_softmax(
                 (logits[head] + scale * verdicts[head]) / self.temperature, mask)
             if self.deterministic:
@@ -229,11 +249,16 @@ class RLBasePolicy:
             head_actions[head] = idx
             if idx != skip:
                 placement = self.space.placement_for(idx, cand.gpu_demand)
-                placements.append((cand.id, placement))
-                sim.allocate(cand.id, placement)
+                placed.append((cand.id, placement))
+                placements = {**placements, cand.id: placement}
+                residents = [jobs | {cand.id} if node in placement.nodes else jobs
+                             for node, jobs in enumerate(residents)]
+                free[list(placement.nodes)] -= placement.gpus_per_node_used
+                used += cand.gpu_demand
+                base = trials[idx]
             elif mask.sum() > 1:
                 deferred.append(cand.id)
-        return Action(placements=placements, deferred=deferred,
+        return Action(placements=placed, deferred=deferred,
                       rl=RLDecision(state=x, head_actions=head_actions, masks=masks,
                                     verdicts=verdicts, temperature=self.temperature))
 

@@ -39,16 +39,18 @@ def reward_from_terms(cs_term: float, util_term: float, weights: RewardWeights) 
     return -weights.w1 * cs_term + weights.w2 * util_term
 
 
-def compute_reward(cluster, cs_by_job: dict[int, float], weights: RewardWeights,
+def compute_reward(utilization: float, cs_by_job: dict[int, float], weights: RewardWeights,
                    cs_cap: float = DEFAULT_CS_CAP) -> float:
     """Reward for the current round.
 
+    utilization is the cluster's used GPUs over its total GPUs.
     cs_by_job maps running job ids to their profiled CS this round; the
     CS term is their mean with each value clipped at cs_cap (keeps the
-    reward within [-w1 * cs_cap, w2]), or 0 with nothing running.
+    reward within [-w1 * cs_cap, w2]), summed in the map's order, or 0
+    with nothing running.
     """
     if cs_by_job:
         cs_term = sum(min(v, cs_cap) for v in cs_by_job.values()) / len(cs_by_job)
     else:
         cs_term = 0.0
-    return reward_from_terms(cs_term, cluster.utilization(), weights)
+    return reward_from_terms(cs_term, utilization, weights)

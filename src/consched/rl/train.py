@@ -69,7 +69,6 @@ class Batch:
     actions: np.ndarray  # (B, K)
     masks: np.ndarray  # (B, K, A)
     advantages: np.ndarray  # (B,)
-    returns: np.ndarray  # (B,) the value fit's targets; the objective does not read them
     policy_weight: np.ndarray  # (B,) 1.0 normally, 0.0 for forced rounds
     # (B, K, A) contention verdicts the behaviour policy added to its
     # logits, times contention_scale (see RLBasePolicy)
@@ -146,7 +145,7 @@ def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]
             std = used.std()
             advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
     return Batch(states=states, actions=actions, masks=masks,
-                 advantages=advantages, returns=returns, policy_weight=weight,
+                 advantages=advantages, policy_weight=weight,
                  verdicts=verdicts, temperature=temperature)
 
 

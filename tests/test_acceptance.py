@@ -151,7 +151,6 @@ def test_criterion_4_gradient_correctness():
                              for k in range(arch.k)] for t in range(steps)])
         batch = Batch(states=states, actions=actions, masks=masks,
                       advantages=rng.standard_normal(steps),
-                      returns=rng.standard_normal(steps),
                       policy_weight=np.ones(steps))
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         h = 1e-6

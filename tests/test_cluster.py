@@ -159,6 +159,35 @@ def test_random_alloc_free_sequences_stay_consistent(ops):
         assert cluster.used_gpus() == sum(p.total_gpus for p in cluster.placements.values())
 
 
+@given(ops=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 16)), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_copy_keeps_counts_apart(ops):
+    """A copy's free vector, used count and resident sets are its own."""
+    cluster = ClusterState(ClusterConfig())
+    for jid, demand in ops:
+        dup = cluster.copy()
+        if jid in cluster.placements:
+            cluster.free(jid)
+        elif (placement := first_fit(cluster, demand)) is not None:
+            cluster.allocate(jid, placement)
+        dup.audit()
+        cluster.audit()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda c: c.free_per_node.__setitem__(1, 7),
+    lambda c: setattr(c, "used", 3),
+    lambda c: c.residents[0].add(9),
+    lambda c: c.residents[0].discard(1),
+])
+def test_audit_checks_counts_against_grid(cluster, corrupt):
+    cluster.allocate(1, Placement(nodes=(0, 1), gpus_per_node_used=2))
+    cluster.audit()
+    corrupt(cluster)
+    with pytest.raises(AllocationConflictError):
+        cluster.audit()
+
+
 def test_demand_shapes_respects_cluster():
     small = ClusterConfig(num_nodes=2, gpus_per_node=2)
     assert demand_shapes(small, 4) == [(1, 2)]

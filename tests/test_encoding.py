@@ -184,6 +184,22 @@ class TestActionSpace:
         mask = space.mask_for(None, np.array([8, 8, 8, 8]))
         assert mask[space.skip_index] and mask.sum() == 1
 
+    @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_mask_equals_per_subset_check(self, data, nodes, gpus):
+        """The vectorised mask against a test of each subset on its own."""
+        config = ClusterConfig(num_nodes=nodes, gpus_per_node=gpus)
+        space = ActionSpace(config)
+        free = np.array(data.draw(st.lists(st.integers(0, gpus), min_size=nodes,
+                                           max_size=nodes)))
+        demand = data.draw(st.integers(1, config.total_gpus))
+        expected = np.zeros(space.size, dtype=bool)
+        expected[space.skip_index] = True
+        for idx, (i, combo) in enumerate(space.subsets):
+            j, rem = divmod(demand, 2 ** i)
+            expected[idx] = rem == 0 and 1 <= j <= gpus and all(free[n] >= j for n in combo)
+        np.testing.assert_array_equal(space.mask_for(demand, free), expected)
+
     @given(demand=st.integers(1, 32), free=st.lists(st.integers(0, 8), min_size=4, max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_unmasked_indices_always_allocatable(self, demand, free):

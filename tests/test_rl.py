@@ -14,8 +14,8 @@ from consched.rl.optim import Adam, clip_grad_norm
 from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
                                 reward_from_terms)
 from consched.rl.train import (CONTENTION_LR, Batch, TrainConfig, build_batch,
-                               discounted_returns, loss_and_grads, make_net,
-                               pack_first_prior, update, value_step)
+                               discounted_returns, excess_returns, loss_and_grads,
+                               make_net, pack_first_prior, update, value_step)
 
 TINY = Architecture(input_dim=6, hidden=(4, 4), k=2, head_size=4, value_hidden=(3, 3))
 
@@ -36,7 +36,6 @@ def random_batch(net, rng, steps=8, forced_none=True):
             actions[t, k] = rng.choice(np.flatnonzero(masks[t, k]))
     return Batch(states=states, actions=actions, masks=masks,
                  advantages=rng.standard_normal(steps),
-                 returns=rng.standard_normal(steps),
                  policy_weight=np.ones(steps))
 
 
@@ -107,7 +106,8 @@ class TestReward:
 
     def test_empty_cluster_zero(self):
         from consched.cluster import ClusterState
-        assert compute_reward(ClusterState(ClusterConfig()), {}, RewardWeights(0.4)) == 0.0
+        empty = ClusterState(ClusterConfig())
+        assert compute_reward(empty.utilization(), {}, RewardWeights(0.4)) == 0.0
 
     def test_full_cluster_cs_one(self):
         from consched.cluster import ClusterState, Placement
@@ -115,7 +115,7 @@ class TestReward:
         for node in range(4):
             cluster.allocate(node, Placement(nodes=(node,), gpus_per_node_used=8))
         w = RewardWeights(0.4)
-        reward = compute_reward(cluster, {n: 1.0 for n in range(4)}, w)
+        reward = compute_reward(cluster.utilization(), {n: 1.0 for n in range(4)}, w)
         assert reward == pytest.approx(-w.w1 + w.w2)
 
     def test_bounded_by_cap(self):
@@ -123,7 +123,7 @@ class TestReward:
         cluster = ClusterState(ClusterConfig())
         cluster.allocate(0, Placement(nodes=(0,), gpus_per_node_used=8))
         w = RewardWeights(0.7)
-        reward = compute_reward(cluster, {0: 1000.0}, w, cs_cap=4.0)
+        reward = compute_reward(cluster.utilization(), {0: 1000.0}, w, cs_cap=4.0)
         assert reward >= -w.w1 * 4.0
 
     def test_weights_validation(self):
@@ -161,7 +161,7 @@ class TestGradients:
         verdicts = rng.choice([-1.0, 0.0, 1.0], size=batch.masks.shape) * batch.masks
         verdicts[..., -1] = 0.0
         batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
-                      advantages=batch.advantages, returns=batch.returns,
+                      advantages=batch.advantages,
                       policy_weight=batch.policy_weight, verdicts=verdicts,
                       temperature=rng.uniform(0.1, 1.0, len(batch.advantages)))
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
@@ -175,8 +175,8 @@ class TestGradients:
         batch = random_batch(net, rng, steps=1)
         temperature = 0.25
         tempered = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
-                         advantages=np.ones(1), returns=batch.returns,
-                         policy_weight=np.ones(1), temperature=np.array([temperature]))
+                         advantages=np.ones(1), policy_weight=np.ones(1),
+                         temperature=np.array([temperature]))
         logits = net.head_logits(batch.states)
         _, logp = masked_log_softmax(logits / temperature, batch.masks)
         chosen = logp[0, np.arange(TINY.k), batch.actions[0]].sum()
@@ -191,8 +191,7 @@ class TestGradients:
         mask = np.ones((1, a.k, a.head_size), dtype=bool)
         actions = np.array([[0, 1]])
         batch = Batch(states=state[None, :], actions=actions, masks=mask,
-                      advantages=np.array([1.0]), returns=np.array([0.0]),
-                      policy_weight=np.ones(1))
+                      advantages=np.array([1.0]), policy_weight=np.ones(1))
 
         def chosen_logp():
             _, logp = masked_log_softmax(net.head_logits(state[None, :]), mask)
@@ -210,7 +209,7 @@ class TestGradients:
         batch = random_batch(net, rng)
         batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
                       advantages=np.zeros(len(batch.advantages)),
-                      returns=batch.returns, policy_weight=batch.policy_weight)
+                      policy_weight=batch.policy_weight)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             assert np.abs(grad).max() < 1e-12, name
@@ -241,7 +240,7 @@ class TestGradients:
         def grad_for(action):
             batch = Batch(states=state[None, :], actions=np.array([[action]]),
                           masks=mask, advantages=np.array([adv[action]]),
-                          returns=np.zeros(1), policy_weight=np.ones(1))
+                          policy_weight=np.ones(1))
             _, grads, _ = loss_and_grads(net, batch, 0.0)
             return grads["bh"]
 
@@ -368,11 +367,12 @@ class TestBuildBatch:
         decisions = [self._round(net, rng, choice=True) for _ in range(6)]
         skips = [self._round(net, rng, choice=False) for _ in range(40)]
         plain = build_batch(net, decisions, gamma=0.5, normalize=True)
-        padded = build_batch(net, skips[:20] + decisions + skips[20:], gamma=0.5,
-                             normalize=True)
+        trajectory = skips[:20] + decisions + skips[20:]
+        padded = build_batch(net, trajectory, gamma=0.5, normalize=True)
         assert len(padded.advantages) == len(decisions)
         assert np.allclose(padded.advantages, plain.advantages, rtol=0, atol=1e-12)
-        assert np.allclose(padded.returns, plain.returns, rtol=0, atol=1e-12)
+        assert np.allclose(excess_returns(trajectory, 0.5)[20:20 + len(decisions)],
+                           excess_returns(decisions, 0.5), rtol=0, atol=1e-12)
 
     def test_value_fit_before_advantages(self):
         """With value_opt, the baseline is fit to the decision rounds before advantages."""
@@ -381,11 +381,13 @@ class TestBuildBatch:
         fitted, manual = tiny_net(seed=16), tiny_net(seed=16)
         batch = build_batch(fitted, traj, gamma=0.5, normalize=False,
                             value_opt=Adam(fitted.params, lr=0.01), value_epochs=5)
+        returns = excess_returns(traj, 0.5)[[k for k, (step, *_) in enumerate(traj)
+                                             if step.has_choice]]
         opt = Adam(manual.params, lr=0.01)
         for _ in range(5):
-            value_step(manual, batch.states, batch.returns, opt)
+            value_step(manual, batch.states, returns, opt)
         assert np.array_equal(fitted.params["vw1"], manual.params["vw1"])
-        assert np.allclose(batch.advantages, batch.returns - manual.values(batch.states),
+        assert np.allclose(batch.advantages, returns - manual.values(batch.states),
                            rtol=0, atol=1e-12)
 
     def test_normalized_over_decision_rounds(self):
