@@ -46,10 +46,16 @@ class ActionSpace:
                                  np.array(combos, dtype=np.intp)))
         self.skip_index = len(self.subsets)
         self.size = len(self.subsets) + 1
+        self._placements: dict[tuple[int, int], Placement] = {}
 
     def placement_for(self, index: int, demand: int) -> Placement:
-        i, combo = self.subsets[index]
-        return Placement(nodes=combo, gpus_per_node_used=demand // (2 ** i))
+        """The index's placement for the demand, built once (a Placement is immutable)."""
+        placement = self._placements.get((index, demand))
+        if placement is None:
+            i, combo = self.subsets[index]
+            placement = Placement(nodes=combo, gpus_per_node_used=demand // (2 ** i))
+            self._placements[index, demand] = placement
+        return placement
 
     def mask_for(self, demand: int | None, free_per_node: np.ndarray) -> np.ndarray:
         """Feasibility mask over indices; only skip is unmasked for demand None.

@@ -179,6 +179,8 @@ class RLBasePolicy:
         self.episode = episode or engine.EpisodeConfig()
         self.contention = self.episode.contention_params()
         self._engine = engine
+        # (cluster, states, placements, CS map) as the last decision left them
+        self._last = None
         if net.arch.head_size != action_space.size:
             raise ConfigError(
                 f"policy head size {net.arch.head_size} != action space {action_space.size}")
@@ -197,20 +199,30 @@ class RLBasePolicy:
         ClusterState keeps them) with used of config's GPUs busy, and
         base is its (CS map, reward). Each trial placement re-profiles
         only the candidate and the jobs sharing its nodes
-        (engine._trial_cs), with no cluster copy. Returns the signs and
-        each trial's (CS map, reward).
+        (engine._trial_cs), with no cluster copy. A placement on nodes no
+        job holds gets CS 1 and changes no other job's CS, so all such
+        placements share one trial. Returns the signs and each trial's
+        (CS map, reward).
         """
         out = np.zeros(self.space.size)
         trials = {}
+        alone = None
         profile, reward = base
         utilization = (used + cand.gpu_demand) / config.total_gpus
-        for idx in np.flatnonzero(mask[:self.space.skip_index]).tolist():
+        feasible = np.flatnonzero(mask[:self.space.skip_index]).tolist()
+        for idx in feasible:
             placement = self.space.placement_for(idx, cand.gpu_demand)
-            cs = self._engine._trial_cs(cand.id, placement, placements, residents, profile,
-                                        states, self.contention,
-                                        self.episode.contention_enabled, config)
-            trials[idx] = (cs, self._reward(cs, utilization))
-            out[idx] = np.sign(trials[idx][1] - reward)
+            shares = any(residents[node] for node in placement.nodes)
+            if shares or alone is None:
+                cs = self._engine._trial_cs(cand.id, placement, placements, residents, profile,
+                                            states, self.contention,
+                                            self.episode.contention_enabled, config)
+                trials[idx] = (cs, self._reward(cs, utilization))
+                if not shares:
+                    alone = trials[idx]
+            else:
+                trials[idx] = alone
+        out[feasible] = np.sign(np.array([trials[idx][1] for idx in feasible]) - reward)
         return out, trials
 
     def decide(self, cluster, queue, states, rng=None) -> Action:
@@ -228,10 +240,14 @@ class RLBasePolicy:
         logits = self.net.head_logits(x)
         scale = self.net.params["contention_scale"][0]
         verdicts = np.zeros(masks.shape)
-        # each head sees the cluster plus the earlier heads' placements
+        # each head sees the cluster plus the earlier heads' placements; within
+        # an episode (same cluster and states) the CS map is updated from the
+        # one the last decision left
         placements, residents, used = cluster.placements, cluster.residents, cluster.used
+        last = self._last
+        since = last[2:] if last and last[0] is cluster and last[1] is states else None
         profile = self._engine._profile_cs(cluster, states, self.contention,
-                                           self.episode.contention_enabled)
+                                           self.episode.contention_enabled, since)
         base = (profile, self._reward(profile, cluster.utilization()))
         placed = []
         deferred = []
@@ -258,6 +274,7 @@ class RLBasePolicy:
                 base = trials[idx]
             elif mask.sum() > 1:
                 deferred.append(cand.id)
+        self._last = (cluster, states, dict(placements), base[0])
         return Action(placements=placed, deferred=deferred,
                       rl=RLDecision(state=x, head_actions=head_actions, masks=masks,
                                     verdicts=verdicts, temperature=self.temperature))

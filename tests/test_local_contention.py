@@ -214,23 +214,33 @@ class TestVerdicts:
            scale=st.sampled_from([0.0, 2.0]))
     @settings(max_examples=80, deadline=None)
     def test_decide_equals_copy_and_full_profile_oracle(self, scenario, data, w1, scale):
+        """Two decisions on one cluster, so the second starts from the map the
+        first left; in between, the first's placements may or may not be
+        applied, and a job may be freed."""
         config, params, enabled, cluster, states, _ = scenario
-        queue = queue_for(data.draw, config, states)
         net, space = net_for(config.num_nodes, config.gpus_per_node)
         net.reward_weights = RewardWeights(w1)
         net.params["contention_scale"][0] = scale
         policy = RLBasePolicy(net, space, episode=EpisodeConfig(contention=params,
                                                                  contention_enabled=enabled))
-        version = cluster.version
-        action = policy.decide(cluster, queue, states)
-        placements, deferred, head_actions, masks, verdicts = oracle_decide(
-            policy, cluster, queue, states)
-        assert cluster.version == version  # trial placements leave the cluster alone
-        assert action.placements == placements
-        assert action.deferred == deferred
-        np.testing.assert_array_equal(action.rl.head_actions, head_actions)
-        np.testing.assert_array_equal(action.rl.masks, masks)
-        if action.rl.verdicts is not None:
-            np.testing.assert_array_equal(action.rl.verdicts, verdicts)
-        else:
-            assert not verdicts.any()
+        for _ in range(2):
+            queue = queue_for(data.draw, config, states)
+            version = cluster.version
+            action = policy.decide(cluster, queue, states)
+            placements, deferred, head_actions, masks, verdicts = oracle_decide(
+                policy, cluster, queue, states)
+            assert cluster.version == version  # trial placements leave the cluster alone
+            assert action.placements == placements
+            assert action.deferred == deferred
+            np.testing.assert_array_equal(action.rl.head_actions, head_actions)
+            np.testing.assert_array_equal(action.rl.masks, masks)
+            if action.rl.verdicts is not None:
+                np.testing.assert_array_equal(action.rl.verdicts, verdicts)
+            else:
+                assert not verdicts.any()
+            if data.draw(st.booleans()):
+                for jid, placement in action.placements:
+                    cluster.allocate(jid, placement)
+            placed = sorted(cluster.placements)
+            if placed and data.draw(st.booleans()):
+                cluster.free(data.draw(st.sampled_from(placed)))
