@@ -87,8 +87,8 @@ class ClusterState:
     GPU count (used) and the jobs resident on each node (residents), all
     updated by allocate and free, so the accessors below and the
     contention model's neighbour lookups need no scan of the grid.
-    Copies serve the baselines' what-if scans; the RL verdicts price
-    trial placements without one. version counts the allocate and free
+    Copies serve the greedy scans' what-if placements; the RL verdicts
+    price trial placements without one. version counts the allocate and free
     calls, so an owner can tell whether the placements changed since it
     last looked.
     """
@@ -112,9 +112,6 @@ class ClusterState:
         dup.residents = [set(jobs) for jobs in self.residents]
         dup.version = self.version
         return dup
-
-    def free_gpus(self, node: int) -> int:
-        return int(self.free_per_node[node])
 
     def free_gpus_per_node(self) -> np.ndarray:
         """A copy of free_per_node, which the caller may change."""
@@ -141,7 +138,7 @@ class ClusterState:
         for node in placement.nodes:
             if self.free_per_node[node] < j:
                 raise AllocationConflictError(
-                    f"node {node} has {self.free_gpus(node)} free GPUs, needs {j}")
+                    f"node {node} has {self.free_per_node[node]} free GPUs, needs {j}")
         for node in placement.nodes:
             row = self.occupancy[node]
             row[np.flatnonzero(row == EMPTY)[:j]] = job_id

@@ -202,19 +202,19 @@ def _trial_cs(jid: int, placement, placements, residents, profile: dict[int, flo
     changed = {jid: 1.0}
     if enabled:
         trial = (states[jid].spec.profile, placement)
-        placed = {**placements, jid: placement}
         neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
         changed[jid] = contention_sensitivity(
-            trial, [(states[o].spec.profile, placed[o]) for o in neighbours], params, config)
+            trial, [(states[o].spec.profile, placements[o]) for o in neighbours], params, config)
         if params.mode == "table":
             for nb in neighbours:
                 changed[nb] = max(profile[nb], contention_sensitivity(
-                    (states[nb].spec.profile, placed[nb]), [trial], params, config))
+                    (states[nb].spec.profile, placements[nb]), [trial], params, config))
         else:
+            placements = {**placements, jid: placement}
             residents = [jobs | {jid} if node in placement.nodes else jobs
                          for node, jobs in enumerate(residents)]
             for nb in neighbours:
-                changed[nb] = _job_cs(nb, placed, residents, states, params, config)
+                changed[nb] = _job_cs(nb, placements, residents, states, params, config)
     return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
 
 

@@ -281,8 +281,12 @@ class RLBasePolicy:
 
 
 def hybridize(base_action: Action, cluster, queue) -> Action:
-    """Apply the greedy safety rule when the policy scheduled nothing."""
-    if base_action.placements:
+    """Apply the greedy safety rule when the policy scheduled nothing.
+
+    An RL decision that encoded no state had an empty window: no queued
+    job fits (the window's fit test is first_fit's), so there is no scan.
+    """
+    if base_action.placements or (base_action.rl and base_action.rl.state is None):
         return base_action
     greedy = decide_fifo_greedy(cluster, queue)
     if not greedy.placements:
