@@ -145,7 +145,7 @@ def _experiment_id(kind: str, names: str, trace_paths, seed) -> str:
     return f"{kind}_{names}_{stems}_s{seed}"
 
 
-def _policy_for(kind: str, args, cluster_config, episode, deterministic=True):
+def _policy_for(kind: str, args, cluster_config, deterministic=True):
     if kind in ("rl-base", "rl-hybrid"):
         if not args.checkpoint:
             raise UsageError(f"policy {kind} requires --checkpoint")
@@ -153,8 +153,7 @@ def _policy_for(kind: str, args, cluster_config, episode, deterministic=True):
         space = _action_space(cluster_config)
         expected, _ = make_net(cluster_config, TrainConfig(k=net.arch.k, hidden=tuple(net.arch.hidden)))
         ensure_compatible(net.arch, expected.arch, path=args.checkpoint)
-        return make_policy(kind, net=net, action_space=space, deterministic=deterministic,
-                           episode=episode)
+        return make_policy(kind, net=net, action_space=space, deterministic=deterministic)
     return make_policy(kind)
 
 
@@ -216,7 +215,7 @@ def cmd_eval(args) -> int:
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     traces = _load_traces(args.trace)
-    policy = _policy_for(args.policy, args, cluster, episode)
+    policy = _policy_for(args.policy, args, cluster)
     root = output_root(args.out_dir)
     exp_id = args.name or _experiment_id("eval", args.policy, args.trace, args.seed)
     out_dir = os.path.join(root, "reports", exp_id)
@@ -259,7 +258,7 @@ def cmd_compare(args) -> int:
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     traces = _load_traces(args.trace)
-    policies = [(name, _policy_for(name, args, cluster, episode)) for name in names]
+    policies = [(name, _policy_for(name, args, cluster)) for name in names]
     cmp = compare_policies(policies, traces, episode, cluster, weights)
     root = output_root(args.out_dir)
     exp_id = args.name or _experiment_id("compare", "+".join(names), args.trace, args.seed)

@@ -87,16 +87,11 @@ def encode_state(cluster: ClusterState,
     config = cluster.config
     n, g = config.num_nodes, config.gpus_per_node
     tensor = np.zeros((n, 2 * g, FEATURE_DIM))
-    cache: dict[int, np.ndarray] = {}
-    for node in range(n):
-        for slot in range(g):
-            job_id = int(cluster.occupancy[node, slot])
-            if job_id < 0:
-                continue
-            if job_id not in cache:
-                state = job_states[job_id]
-                cache[job_id] = feature_vector(state.spec, state)
-            tensor[node, slot] = cache[job_id]
+    ids = sorted(cluster.placements)  # the job ids in the occupancy grid
+    if ids:
+        occupied = cluster.occupancy >= 0
+        rows = np.array([feature_vector(job_states[jid].spec, job_states[jid]) for jid in ids])
+        tensor[:, :g][occupied] = rows[np.searchsorted(ids, cluster.occupancy[occupied])]
     for cand in candidates:
         vec = feature_vector(cand, job_states[cand.id])
         for i, j in demand_shapes(config, cand.gpu_demand):

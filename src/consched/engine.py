@@ -164,58 +164,89 @@ def _job_cs(jid: int, placements, residents, states: dict[int, JobState],
         params, config)
 
 
-def _profile_cs(cluster: ClusterState, states: dict[int, JobState],
-                params: ContentionParams, enabled: bool,
-                since: tuple[dict, dict[int, float]] | None = None) -> dict[int, float]:
-    """CS of every placed job under the current co-location, in job-id order.
+class EpisodeCS:
+    """One episode's contention model and its CS map, one per cluster.version.
 
-    since is an earlier (placements, CS map) pair of the same cluster (by
-    default the empty cluster's). Only the jobs on nodes that a job
-    placed, moved or freed since then touches are recomputed, so the map
-    equals a full profile.
+    The model, its switch and the CS cap come from the episode config;
+    run_episode builds one EpisodeCS and hands it to every decide. A new
+    map recomputes only the jobs on nodes that a job placed, moved or
+    freed since the last map touches, so it equals a full profile.
     """
-    placements = cluster.placements
-    if not enabled:
-        return dict.fromkeys(sorted(placements), 1.0)
-    old, profile = since or ({}, {})
-    touched = {node for jid, p in old.items() if placements.get(jid) is not p
-               for node in p.nodes}
-    touched.update(node for jid, p in placements.items() if old.get(jid) is not p
-                   for node in p.nodes)
-    dirty = set().union(*(cluster.residents[node] for node in touched))
-    return {jid: _job_cs(jid, placements, cluster.residents, states, params, cluster.config)
-            if jid in dirty else profile[jid] for jid in sorted(placements)}
 
+    def __init__(self, cluster: ClusterState, states: dict[int, JobState],
+                 episode_config: EpisodeConfig):
+        self.cluster = cluster
+        self.states = states
+        self.params = episode_config.contention_params()
+        self.enabled = episode_config.contention_enabled
+        self.cs_cap = episode_config.cs_cap
+        # the map and the version and placements it was computed for
+        self._map, self._version, self._placed = {}, -1, {}
 
-def _trial_cs(jid: int, placement, placements, residents, profile: dict[int, float],
-              states: dict[int, JobState], params: ContentionParams, enabled: bool,
-              config: ClusterConfig) -> dict[int, float]:
-    """The CS map, in job-id order, after placing jid at placement.
-
-    profile is the CS map of the cluster that placements and residents
-    describe (without jid). Only jid and the jobs sharing its nodes
-    change. In table mode a neighbour's CS is a max over pairwise
-    lookups, so it becomes max(old, its CS against jid alone). Synthetic
-    mode sums per-node demand in order, so there a neighbour is
-    recomputed against its neighbours and jid in job-id order.
-    """
-    changed = {jid: 1.0}
-    if enabled:
-        trial = (states[jid].spec.profile, placement)
-        neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
-        changed[jid] = contention_sensitivity(
-            trial, [(states[o].spec.profile, placements[o]) for o in neighbours], params, config)
-        if params.mode == "table":
-            for nb in neighbours:
-                changed[nb] = max(profile[nb], contention_sensitivity(
-                    (states[nb].spec.profile, placements[nb]), [trial], params, config))
+    def profile(self) -> dict[int, float]:
+        """CS of every placed job under the current co-location, in job-id order."""
+        cluster = self.cluster
+        if self._version == cluster.version:
+            return self._map
+        placements = cluster.placements
+        if not self.enabled:
+            self._map = dict.fromkeys(sorted(placements), 1.0)
         else:
-            placements = {**placements, jid: placement}
-            residents = [jobs | {jid} if node in placement.nodes else jobs
-                         for node, jobs in enumerate(residents)]
-            for nb in neighbours:
-                changed[nb] = _job_cs(nb, placements, residents, states, params, config)
-    return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
+            old, profile = self._placed, self._map
+            touched = {node for jid, p in old.items() if placements.get(jid) is not p
+                       for node in p.nodes}
+            touched.update(node for jid, p in placements.items() if old.get(jid) is not p
+                           for node in p.nodes)
+            dirty = set().union(*(cluster.residents[node] for node in touched))
+            self._map = {jid: _job_cs(jid, placements, cluster.residents, self.states,
+                                      self.params, cluster.config)
+                         if jid in dirty else profile[jid] for jid in sorted(placements)}
+        self._placed, self._version = dict(placements), cluster.version
+        return self._map
+
+    def trial(self, jid: int, placement, placements, residents,
+              profile: dict[int, float]) -> dict[int, float]:
+        """The CS map, in job-id order, after placing jid at placement.
+
+        profile is the CS map of the cluster that placements and residents
+        describe (without jid). Only jid and the jobs sharing its nodes
+        change. In table mode a neighbour's CS is a max over pairwise
+        lookups, so it becomes max(old, its CS against jid alone). Synthetic
+        mode sums per-node demand in order, so there a neighbour is
+        recomputed against its neighbours and jid in job-id order.
+        """
+        states, params, config = self.states, self.params, self.cluster.config
+        changed = {jid: 1.0}
+        if self.enabled:
+            trial = (states[jid].spec.profile, placement)
+            neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
+            changed[jid] = contention_sensitivity(
+                trial, [(states[o].spec.profile, placements[o]) for o in neighbours],
+                params, config)
+            if params.mode == "table":
+                for nb in neighbours:
+                    changed[nb] = max(profile[nb], contention_sensitivity(
+                        (states[nb].spec.profile, placements[nb]), [trial], params, config))
+            else:
+                placements = {**placements, jid: placement}
+                residents = [jobs | {jid} if node in placement.nodes else jobs
+                             for node, jobs in enumerate(residents)]
+                for nb in neighbours:
+                    changed[nb] = _job_cs(nb, placements, residents, states, params, config)
+        return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
+
+    def reward(self, utilization: float, profile: dict[int, float],
+               weights: RewardWeights) -> float:
+        return compute_reward(utilization, profile, weights, self.cs_cap)
+
+    def adopt(self, placements: dict, profile: dict[int, float]) -> None:
+        """Take profile as the CS map of the cluster that placements describe.
+
+        The RL policy hands over its last trial map, so the next profile()
+        diffs from the cluster its placements make: nothing is recomputed
+        when the engine applies them unchanged.
+        """
+        self._map, self._version, self._placed = profile, -1, dict(placements)
 
 
 STRETCH_CHUNK = 4096  # most rounds one advance_stretch call applies
@@ -316,6 +347,8 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     Deterministic for a fixed (policy, trace, configs, rng seed). The
     livelock guard forces a single greedy placement after livelock_rounds
     consecutive no-progress rounds with an empty cluster and waiting jobs.
+    Every decide gets the episode's EpisodeCS as its fifth argument; the
+    RL policy prices its verdicts with it, and baselines ignore it.
 
     A policy that declares idle_between_events is not asked to decide
     again after an idle decision until an event: an arrival, a
@@ -328,7 +361,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     rewards and the CS-threshold check) are computed once per
     cluster.version, and each new CS profile, the CS-threshold loop's
     included, recomputes only the jobs on nodes that a placement,
-    preemption or finish touched (_profile_cs).
+    preemption or finish touched (EpisodeCS.profile).
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
@@ -344,9 +377,9 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     weights = weights or RewardWeights()
     if rng is None:
         rng = np.random.default_rng(episode_config.seed)
-    params = episode_config.contention_params()
     cluster = ClusterState(cluster_config)
     states = {spec.id: JobState(spec=spec) for spec in trace}
+    cs = EpisodeCS(cluster, states, episode_config)
     pending = sorted(range(len(trace)), key=lambda k: (trace[k].arrival_time, k))
     pending = [trace[k].id for k in pending]
     queue: list[int] = []
@@ -361,26 +394,14 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
-    cs_version, cs_cached, cs_placed = -1, {}, {}
     reward_version, reward_cached = -1, 0.0
     round_version = -1  # the version cs_map, throughput, ... below were derived at
     checked_version = -1  # a version at which no job exceeds the CS threshold
 
-    def profile_cs() -> dict[int, float]:
-        # re-profiles only the jobs on nodes that changed since the last profile
-        nonlocal cs_version, cs_cached, cs_placed
-        if cs_version != cluster.version:
-            cs_cached = _profile_cs(cluster, states, params, episode_config.contention_enabled,
-                                    (cs_placed, cs_cached))
-            cs_placed = dict(cluster.placements)
-            cs_version = cluster.version
-        return cs_cached
-
     def round_reward() -> float:
         nonlocal reward_version, reward_cached
         if reward_version != cluster.version:
-            reward_cached = compute_reward(cluster.utilization(), profile_cs(), weights,
-                                           episode_config.cs_cap)
+            reward_cached = cs.reward(cluster.utilization(), cs.profile(), weights)
             reward_version = cluster.version
         return reward_cached
 
@@ -437,7 +458,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if idle_at == cluster.version:
             action = idle_action
         else:
-            action = policy.decide(cluster, queue_specs(), states, rng)
+            action = policy.decide(cluster, queue_specs(), states, rng, cs)
             idle = action.is_noop and not (action.rl and action.rl.has_choice)
             idle_at, idle_action = ((cluster.version, action)
                                     if idle_between_events and idle else (None, None))
@@ -489,9 +510,9 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                 _defer(queue, jid, states)
 
         if round_version != cluster.version:
-            cs_map = profile_cs()
-            for jid, cs in cs_map.items():
-                states[jid].last_cs = cs
+            cs_map = cs.profile()
+            for jid, value in cs_map.items():
+                states[jid].last_cs = value
             throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
                           for jid in cs_map}
             utilization = cluster.utilization()
@@ -524,7 +545,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         threshold = episode_config.cs_preemption_threshold
         if threshold is not None and checked_version != cluster.version:
             while cluster.placements:
-                cs_now = profile_cs()
+                cs_now = cs.profile()
                 worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
                 if cs_now[worst] <= threshold:
                     break

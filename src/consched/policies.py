@@ -117,7 +117,7 @@ class GreedyPolicy:
     name = "greedy"
     idle_between_events = True
 
-    def decide(self, cluster, queue, states, rng=None) -> Action:
+    def decide(self, cluster, queue, states, rng=None, cs=None) -> Action:
         return decide_fifo_greedy(cluster, queue)
 
 
@@ -125,7 +125,7 @@ class LASPolicy:
     name = "las"
     idle_between_events = True
 
-    def decide(self, cluster, queue, states, rng=None) -> Action:
+    def decide(self, cluster, queue, states, rng=None, cs=None) -> Action:
         return decide_las(cluster, queue, states)
 
 
@@ -136,7 +136,7 @@ class SRTFPolicy:
         self.preemptive = preemptive
         self.name = "srtf" if preemptive else "srtf-np"
 
-    def decide(self, cluster, queue, states, rng=None) -> Action:
+    def decide(self, cluster, queue, states, rng=None, cs=None) -> Action:
         return decide_srtf(cluster, queue, states, preemptive=self.preemptive)
 
 
@@ -155,69 +155,58 @@ class RLBasePolicy:
     the net's reward_weights (the weights it was trained for), -1 when it
     lowers the reward. Each trial placement is priced from the candidate
     and the jobs sharing its nodes, on the cluster as the earlier heads
-    left it, with no cluster copy (see _verdicts). Training learns
-    contention_scale, starting from 0, from the realised returns. The
-    verdicts use the contention model, the contention switch and the CS
-    cap of episode (an EpisodeConfig; the default one when None). Sampled
-    logits are divided by temperature.
+    left it, with no cluster copy (see _verdicts). The contention model,
+    its switch and the CS cap are the episode's: decide starts from the
+    CS map of the engine's EpisodeCS (cs), prices with it and hands it
+    the last trial map. Training learns contention_scale, starting from
+    0, from the realised returns. Sampled logits are divided by
+    temperature.
     """
 
     name = "rl-base"
     idle_between_events = True
 
     def __init__(self, net: PolicyNet, action_space: ActionSpace,
-                 deterministic: bool = True, episode=None):
-        # the engine imports this module, so it is imported late; its CS and
-        # reward functions are looked up on it at each call
-        from . import engine
-
+                 deterministic: bool = True):
         self.net = net
         self.space = action_space
         self.deterministic = deterministic
         self.temperature = 1.0  # sampling only; training anneals it
         self.k = net.arch.k
-        self.episode = episode or engine.EpisodeConfig()
-        self.contention = self.episode.contention_params()
-        self._engine = engine
-        # (cluster, states, placements, CS map) as the last decision left them
-        self._last = None
         if net.arch.head_size != action_space.size:
             raise ConfigError(
                 f"policy head size {net.arch.head_size} != action space {action_space.size}")
 
-    def _reward(self, profile: dict[int, float], utilization: float) -> float:
+    def _reward(self, cs, profile: dict[int, float], utilization: float) -> float:
         """Predicted round reward of a CS map; an empty cluster counts as uncontended (CS 1)."""
         weights = self.net.reward_weights
         if not profile:
             return reward_from_terms(1.0, 0.0, weights)
-        return self._engine.compute_reward(utilization, profile, weights, self.episode.cs_cap)
+        return cs.reward(utilization, profile, weights)
 
-    def _verdicts(self, cand, mask, base, placements, residents, used, states, config):
+    def _verdicts(self, cs, cand, mask, base, placements, residents, used):
         """Sign of the predicted reward change of each feasible placement.
 
         The cluster the head sees is placements and residents (as
-        ClusterState keeps them) with used of config's GPUs busy, and
+        ClusterState keeps them) with used of the cluster's GPUs busy, and
         base is its (CS map, reward). Each trial placement re-profiles
-        only the candidate and the jobs sharing its nodes
-        (engine._trial_cs), with no cluster copy. A placement on nodes no
-        job holds gets CS 1 and changes no other job's CS, so all such
-        placements share one trial. Returns the signs and each trial's
-        (CS map, reward).
+        only the candidate and the jobs sharing its nodes (cs.trial),
+        with no cluster copy. A placement on nodes no job holds gets CS 1
+        and changes no other job's CS, so all such placements share one
+        trial. Returns the signs and each trial's (CS map, reward).
         """
         out = np.zeros(self.space.size)
         trials = {}
         alone = None
         profile, reward = base
-        utilization = (used + cand.gpu_demand) / config.total_gpus
+        utilization = (used + cand.gpu_demand) / cs.cluster.config.total_gpus
         feasible = np.flatnonzero(mask[:self.space.skip_index]).tolist()
         for idx in feasible:
             placement = self.space.placement_for(idx, cand.gpu_demand)
             shares = any(residents[node] for node in placement.nodes)
             if shares or alone is None:
-                cs = self._engine._trial_cs(cand.id, placement, placements, residents, profile,
-                                            states, self.contention,
-                                            self.episode.contention_enabled, config)
-                trials[idx] = (cs, self._reward(cs, utilization))
+                trial = cs.trial(cand.id, placement, placements, residents, profile)
+                trials[idx] = (trial, self._reward(cs, trial, utilization))
                 if not shares:
                     alone = trials[idx]
             else:
@@ -225,7 +214,7 @@ class RLBasePolicy:
         out[feasible] = np.sign(np.array([trials[idx][1] for idx in feasible]) - reward)
         return out, trials
 
-    def decide(self, cluster, queue, states, rng=None) -> Action:
+    def decide(self, cluster, queue, states, rng, cs) -> Action:
         free = cluster.free_gpus_per_node()
         candidates = window_candidates(queue, self.k, cluster.config, free)
         skip = self.space.skip_index
@@ -235,27 +224,20 @@ class RLBasePolicy:
         if not candidates:
             # no head has a choice: nothing to encode or sample
             return Action(rl=RLDecision(state=None, head_actions=head_actions, masks=masks))
-        tensor = encode_state(cluster, candidates, states)
-        x = tensor.ravel()
+        x = encode_state(cluster, candidates, states).ravel()
         logits = self.net.head_logits(x)
         scale = self.net.params["contention_scale"][0]
         verdicts = np.zeros(masks.shape)
-        # each head sees the cluster plus the earlier heads' placements; within
-        # an episode (same cluster and states) the CS map is updated from the
-        # one the last decision left
+        # each head sees the cluster plus the earlier heads' placements
         placements, residents, used = cluster.placements, cluster.residents, cluster.used
-        last = self._last
-        since = last[2:] if last and last[0] is cluster and last[1] is states else None
-        profile = self._engine._profile_cs(cluster, states, self.contention,
-                                           self.episode.contention_enabled, since)
-        base = (profile, self._reward(profile, cluster.utilization()))
-        placed = []
-        deferred = []
+        profile = cs.profile()
+        base = (profile, self._reward(cs, profile, cluster.utilization()))
+        placed, deferred = [], []
         for head, cand in enumerate(candidates):
             mask = self.space.mask_for(cand.gpu_demand, free)
             masks[head] = mask
-            verdicts[head], trials = self._verdicts(cand, mask, base, placements, residents,
-                                                    used, states, cluster.config)
+            verdicts[head], trials = self._verdicts(cs, cand, mask, base, placements,
+                                                    residents, used)
             probs, _ = masked_log_softmax(
                 (logits[head] + scale * verdicts[head]) / self.temperature, mask)
             if self.deterministic:
@@ -274,7 +256,8 @@ class RLBasePolicy:
                 base = trials[idx]
             elif mask.sum() > 1:
                 deferred.append(cand.id)
-        self._last = (cluster, states, dict(placements), base[0])
+        if placed:
+            cs.adopt(placements, base[0])
         return Action(placements=placed, deferred=deferred,
                       rl=RLDecision(state=x, head_actions=head_actions, masks=masks,
                                     verdicts=verdicts, temperature=self.temperature))
@@ -301,18 +284,17 @@ class RLHybridPolicy:
     name = "rl-hybrid"
     idle_between_events = True
 
-    def __init__(self, net, action_space, deterministic: bool = True, episode=None):
-        self.base = RLBasePolicy(net, action_space, deterministic, episode)
+    def __init__(self, net, action_space, deterministic: bool = True):
+        self.base = RLBasePolicy(net, action_space, deterministic)
         self.k = self.base.k
 
-    def decide(self, cluster, queue, states, rng=None) -> Action:
-        return hybridize(self.base.decide(cluster, queue, states, rng), cluster, queue)
+    def decide(self, cluster, queue, states, rng, cs) -> Action:
+        return hybridize(self.base.decide(cluster, queue, states, rng, cs), cluster, queue)
 
 
 def make_policy(kind: str, net: PolicyNet | None = None,
                 action_space: ActionSpace | None = None,
-                deterministic: bool = True,
-                episode=None):
+                deterministic: bool = True):
     if kind == "greedy":
         return GreedyPolicy()
     if kind == "las":
@@ -325,5 +307,5 @@ def make_policy(kind: str, net: PolicyNet | None = None,
         if net is None or action_space is None:
             raise ConfigError(f"{kind} needs a loaded policy checkpoint")
         cls = RLBasePolicy if kind == "rl-base" else RLHybridPolicy
-        return cls(net, action_space, deterministic, episode)
+        return cls(net, action_space, deterministic)
     raise ConfigError(f"unknown policy kind {kind!r}; valid: {', '.join(POLICY_KINDS)}")

@@ -277,7 +277,7 @@ def train(trace: list[JobSpec], config: TrainConfig,
     opt = Adam(net.params, lr=config.lr)
     value_opt = Adam(net.params, lr=config.value_lr)
     net.reward_weights = config.weights
-    policy = RLBasePolicy(net, space, deterministic=False, episode=config.episode)
+    policy = RLBasePolicy(net, space, deterministic=False)
     curves = []
     for episode in range(config.episodes):
         ep_rng = np.random.default_rng([config.seed, episode])

@@ -189,8 +189,7 @@ class TestEval:
         assert len(dumps) == 2
         # the states the episode's first two state-bearing decisions encoded
         net, _ = load_checkpoint(ckpt)
-        policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()),
-                             episode=EpisodeConfig())
+        policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()))
         trace, _ = read_trace(trace_file)
         report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
                              record_trajectory=True)

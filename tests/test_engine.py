@@ -53,10 +53,10 @@ class ScriptedPolicy:
         self.script = list(script)
         self.greedy = GreedyPolicy()
 
-    def decide(self, cluster, queue, states, rng=None):
+    def decide(self, cluster, queue, states, rng=None, cs=None):
         if self.script:
             return self.script.pop(0)
-        return self.greedy.decide(cluster, queue, states, rng)
+        return self.greedy.decide(cluster, queue, states, rng, cs)
 
 
 class TestSingleJob:
@@ -190,11 +190,11 @@ class QueueRecorder:
         self.greedy = GreedyPolicy()
         self.queues = []
 
-    def decide(self, cluster, queue, states, rng=None):
+    def decide(self, cluster, queue, states, rng=None, cs=None):
         self.queues.append([s.id for s in queue])
         if self.script:
             return self.script.pop(0)
-        return self.greedy.decide(cluster, queue, states, rng)
+        return self.greedy.decide(cluster, queue, states, rng, cs)
 
 
 class TestDeferral:
@@ -246,7 +246,7 @@ class TestLivelockGuard:
     class AllSkip:
         name = "all-skip"
 
-        def decide(self, cluster, queue, states, rng=None):
+        def decide(self, cluster, queue, states, rng=None, cs=None):
             return Action()
 
     def test_forced_greedy_after_stall(self, caplog):
@@ -318,9 +318,9 @@ class DecideCounter:
         if not every_round:
             self.idle_between_events = policy.idle_between_events
 
-    def decide(self, cluster, queue, states, rng=None):
+    def decide(self, cluster, queue, states, rng=None, cs=None):
         self.calls += 1
-        return self.policy.decide(cluster, queue, states, rng)
+        return self.policy.decide(cluster, queue, states, rng, cs)
 
 
 BASELINES = ("greedy", "las", "srtf", "srtf-np")
@@ -361,10 +361,9 @@ class TestIdleBetweenEvents:
         assert fast.audit_rows == ref.audit_rows
 
 
-def fresh_rl_policy(kind, deterministic, episode):
+def fresh_rl_policy(kind, deterministic):
     net, space = make_net(CFG, TrainConfig(seed=0))
-    return make_policy(kind, net=net, action_space=space, deterministic=deterministic,
-                       episode=episode)
+    return make_policy(kind, net=net, action_space=space, deterministic=deterministic)
 
 
 def assert_same_trajectory(fast, ref):
@@ -395,7 +394,7 @@ class TestRLIdleBetweenEvents:
         episode = EpisodeConfig(cs_preemption_threshold=threshold)
         reports, counters = [], []
         for every_round in (True, False):
-            counter = DecideCounter(fresh_rl_policy(kind, deterministic, episode), every_round)
+            counter = DecideCounter(fresh_rl_policy(kind, deterministic), every_round)
             reports.append(run_episode(counter, trace, episode, rng=np.random.default_rng(5),
                                        record_trajectory=True, shadow_hybrid=True))
             counters.append(counter)
@@ -413,7 +412,7 @@ class TestRLIdleBetweenEvents:
     def test_round_values_match_the_round_state(self, kind):
         """The values cached per cluster version, recomputed from each round's audit row."""
         episode = EpisodeConfig()
-        policy = (fresh_rl_policy(kind, False, episode) if kind == "rl-base"
+        policy = (fresh_rl_policy(kind, False) if kind == "rl-base"
                   else make_policy(kind))
         report = run_episode(policy, HEAVY_POISSON, episode, rng=np.random.default_rng(5),
                              record_trajectory=True, audit=True)
@@ -475,8 +474,7 @@ class TestEpisodeProperties:
         for every_round in (True, False):
             if kind == "rl-base":  # a fresh net, sampling
                 net, space = make_net(config, TrainConfig(seed=0))
-                policy = make_policy(kind, net=net, action_space=space, deterministic=False,
-                                     episode=episode)
+                policy = make_policy(kind, net=net, action_space=space, deterministic=False)
             else:
                 policy = make_policy(kind)
             # the reference decides every round under audit, which checks the
@@ -577,9 +575,9 @@ class TestAdvanceStretch:
 class StateCapture(DecideCounter):
     """DecideCounter that keeps the engine's job states for inspection."""
 
-    def decide(self, cluster, queue, states, rng=None):
+    def decide(self, cluster, queue, states, rng=None, cs=None):
         self.states = states
-        return super().decide(cluster, queue, states, rng)
+        return super().decide(cluster, queue, states, rng, cs)
 
 
 def test_stretches_longer_than_a_chunk_match_every_round():

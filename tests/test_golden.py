@@ -110,16 +110,15 @@ def _plain(value):
     return value
 
 
-def _make_policy(policy_name: str, config: ClusterConfig, episode: EpisodeConfig):
+def _make_policy(policy_name: str, config: ClusterConfig):
     if policy_name == VERDICT_POLICY:
         net, space = make_net(config, TrainConfig(seed=0))
         net.params["contention_scale"][0] = VERDICT_SCALE
-        return make_policy("rl-base", net=net, action_space=space, episode=episode)
+        return make_policy("rl-base", net=net, action_space=space)
     kind, argmax = POLICIES[policy_name]
     if kind.startswith("rl-"):
         net, space = make_net(config, TrainConfig(seed=0))
-        return make_policy(kind, net=net, action_space=space, deterministic=argmax,
-                           episode=episode)
+        return make_policy(kind, net=net, action_space=space, deterministic=argmax)
     return make_policy(kind)
 
 
@@ -130,7 +129,7 @@ def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
                             contention=contention)
     rl = policy_name == VERDICT_POLICY or POLICIES[policy_name][0].startswith("rl-")
-    policy = _make_policy(policy_name, config, episode)
+    policy = _make_policy(policy_name, config)
     report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),
                          record_trajectory=rl)
     out = {
@@ -151,7 +150,7 @@ def run_comparison(case: str, out_dir: Path) -> dict:
     config = cluster_config or ClusterConfig()
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
                             contention=contention)
-    policies = [(name, _make_policy(name, config, episode)) for name in policy_names]
+    policies = [(name, _make_policy(name, config)) for name in policy_names]
     cmp = compare_policies(policies, [generate_trace(spec, config)], episode, config)
     write_comparison(cmp, out_dir, {"case": case})
     return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

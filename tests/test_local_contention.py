@@ -23,12 +23,12 @@ from consched.cluster import ClusterConfig, ClusterState, enumerate_placements
 from consched.contention import (DEFAULT_PROFILES, ContentionParams, ModelClass,
                                  contention_sensitivity)
 from consched.encoding import encode_state, window_candidates
-from consched.engine import EpisodeConfig, _profile_cs, _trial_cs, default_contention_params
+from consched.engine import EpisodeConfig, EpisodeCS, default_contention_params, run_episode
 from consched.policies import RLBasePolicy
 from consched.rl.net import masked_log_softmax
 from consched.rl.reward import RewardWeights, compute_reward, reward_from_terms
 from consched.rl.train import TrainConfig, make_net
-from consched.workload import JobSpec, JobState
+from consched.workload import MIX_PRESETS, JobSpec, JobState, TraceSpec, generate_trace
 
 MODES = {"table": default_contention_params, "synthetic": lambda: ContentionParams("synthetic")}
 
@@ -45,26 +45,31 @@ def full_profile(cluster, states, params, enabled):
             for jid in placed}
 
 
-def oracle_reward(policy, cluster, states):
+def episode_cs(cluster, states, params, enabled):
+    return EpisodeCS(cluster, states, EpisodeConfig(contention=params,
+                                                    contention_enabled=enabled))
+
+
+def oracle_reward(policy, episode, cluster, states):
     weights = policy.net.reward_weights
     if not cluster.placements:
         return reward_from_terms(1.0, 0.0, weights)
-    cs = full_profile(cluster, states, policy.contention, policy.episode.contention_enabled)
-    return compute_reward(cluster.utilization(), cs, weights, policy.episode.cs_cap)
+    cs = full_profile(cluster, states, episode.contention, episode.contention_enabled)
+    return compute_reward(cluster.utilization(), cs, weights, episode.cs_cap)
 
 
-def oracle_verdicts(policy, cluster, states, cand, mask):
+def oracle_verdicts(policy, episode, cluster, states, cand, mask):
     """Each trial placement priced on a copy of the cluster with a full profile."""
     out = np.zeros(policy.space.size)
-    base = oracle_reward(policy, cluster, states)
+    base = oracle_reward(policy, episode, cluster, states)
     for idx in np.flatnonzero(mask[:policy.space.skip_index]):
         trial = cluster.copy()
         trial.allocate(cand.id, policy.space.placement_for(int(idx), cand.gpu_demand))
-        out[idx] = np.sign(oracle_reward(policy, trial, states) - base)
+        out[idx] = np.sign(oracle_reward(policy, episode, trial, states) - base)
     return out
 
 
-def oracle_decide(policy, cluster, queue, states):
+def oracle_decide(policy, episode, cluster, queue, states):
     """Argmax RL-base decide on a copy of the cluster, with oracle verdicts."""
     candidates = window_candidates(queue, policy.k, cluster.config,
                                    cluster.free_gpus_per_node())
@@ -82,7 +87,7 @@ def oracle_decide(policy, cluster, queue, states):
     for head, cand in enumerate(candidates):
         mask = policy.space.mask_for(cand.gpu_demand, sim.free_gpus_per_node())
         masks[head] = mask
-        verdicts[head] = oracle_verdicts(policy, sim, states, cand, mask)
+        verdicts[head] = oracle_verdicts(policy, episode, sim, states, cand, mask)
         probs, _ = masked_log_softmax(logits[head] + scale * verdicts[head], mask)
         idx = int(np.argmax(probs))
         head_actions[head] = idx
@@ -109,7 +114,7 @@ def spec(jid: int, model: ModelClass, demand: int) -> JobSpec:
 def scenarios(draw):
     """A cluster after a random allocate/free sequence, and the states of its jobs.
 
-    Also returns the CS map after each step as the engine keeps it
+    Also returns the CS map after each step as EpisodeCS keeps it
     (incremental) and as the oracle computes it.
     """
     config = ClusterConfig(num_nodes=draw(st.integers(1, 8)),
@@ -119,7 +124,7 @@ def scenarios(draw):
     enabled = draw(st.booleans())
     cluster = ClusterState(config)
     states: dict[int, JobState] = {}
-    since = ({}, {})
+    cs = episode_cs(cluster, states, params, enabled)
     steps = []
     # ids in random order, so that a new job's id falls among the placed ones
     ids = draw(st.permutations(range(40)))
@@ -135,9 +140,7 @@ def scenarios(draw):
             states[jid] = JobState(spec=spec(jid, draw(st.sampled_from(list(ModelClass))),
                                              demand))
             cluster.allocate(jid, draw(st.sampled_from(options)))
-        profile = _profile_cs(cluster, states, params, enabled, since)
-        since = (dict(cluster.placements), profile)
-        steps.append((profile, full_profile(cluster, states, params, enabled)))
+        steps.append((cs.profile(), full_profile(cluster, states, params, enabled)))
     return config, params, enabled, cluster, states, steps
 
 
@@ -169,8 +172,8 @@ class TestIncrementalProfile:
             states[jid] = JobState(spec=spec(jid, model, 4))
             cluster.allocate(jid, enumerate_placements(cluster, 4)[0])
         params = default_contention_params()
-        assert _profile_cs(cluster, states, params, True)[1] > 1.0
-        assert _profile_cs(cluster, states, params, False) == {0: 1.0, 1: 1.0}
+        assert episode_cs(cluster, states, params, True).profile()[1] > 1.0
+        assert episode_cs(cluster, states, params, False).profile() == {0: 1.0, 1: 1.0}
 
 
 class TestTrialProfile:
@@ -180,10 +183,10 @@ class TestTrialProfile:
         config, params, enabled, cluster, states, _ = scenario
         job = queue_for(data.draw, config, states)[0]
         profile = full_profile(cluster, states, params, enabled)
+        cs = episode_cs(cluster, states, params, enabled)
         for placement in enumerate_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
-            got = _trial_cs(job.id, placement, cluster.placements, cluster.residents,
-                            profile, states, params, enabled, config)
+            got = cs.trial(job.id, placement, cluster.placements, cluster.residents, profile)
             assert list(got.items()) == list(full_profile(trial, states, params,
                                                           enabled).items())
 
@@ -201,12 +204,12 @@ class TestTrialProfile:
         assert pair.nodes == (0, 1)
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
-        profile = _profile_cs(cluster, states, params, True)
-        got = _trial_cs(2, pair, cluster.placements, cluster.residents, profile, states,
-                        params, True, config)
+        cs = episode_cs(cluster, states, params, True)
+        got = cs.trial(2, pair, cluster.placements, cluster.residents, cs.profile())
+        cs.adopt({**cluster.placements, 2: pair}, got)
         cluster.allocate(2, pair)
         assert list(got.items()) == list(full_profile(cluster, states, params, True).items())
-        assert _profile_cs(cluster, states, params, True, (dict(cluster.placements), got)) == got
+        assert cs.profile() == got
 
 
 class TestVerdicts:
@@ -214,21 +217,22 @@ class TestVerdicts:
            scale=st.sampled_from([0.0, 2.0]))
     @settings(max_examples=80, deadline=None)
     def test_decide_equals_copy_and_full_profile_oracle(self, scenario, data, w1, scale):
-        """Two decisions on one cluster, so the second starts from the map the
-        first left; in between, the first's placements may or may not be
-        applied, and a job may be freed."""
+        """Two decisions on one cluster and one EpisodeCS, so the second
+        starts from the map the first adopted; in between, the first's
+        placements may or may not be applied, and a job may be freed."""
         config, params, enabled, cluster, states, _ = scenario
         net, space = net_for(config.num_nodes, config.gpus_per_node)
         net.reward_weights = RewardWeights(w1)
         net.params["contention_scale"][0] = scale
-        policy = RLBasePolicy(net, space, episode=EpisodeConfig(contention=params,
-                                                                 contention_enabled=enabled))
+        policy = RLBasePolicy(net, space)
+        episode = EpisodeConfig(contention=params, contention_enabled=enabled)
+        cs = EpisodeCS(cluster, states, episode)
         for _ in range(2):
             queue = queue_for(data.draw, config, states)
             version = cluster.version
-            action = policy.decide(cluster, queue, states)
+            action = policy.decide(cluster, queue, states, None, cs)
             placements, deferred, head_actions, masks, verdicts = oracle_decide(
-                policy, cluster, queue, states)
+                policy, episode, cluster, queue, states)
             assert cluster.version == version  # trial placements leave the cluster alone
             assert action.placements == placements
             assert action.deferred == deferred
@@ -244,3 +248,45 @@ class TestVerdicts:
             placed = sorted(cluster.placements)
             if placed and data.draw(st.booleans()):
                 cluster.free(data.draw(st.sampled_from(placed)))
+            # the map after adopt, whichever path was taken
+            assert list(cs.profile().items()) == list(full_profile(cluster, states, params,
+                                                                   enabled).items())
+
+    def test_adopted_map_gives_way_to_the_cluster(self):
+        """A decision's last trial map, adopted, yields the cluster's own map
+        at the next profile, whether its placement is applied or not."""
+        config = ClusterConfig(num_nodes=1, gpus_per_node=8)
+        net, space = net_for(1, 8)
+        net.reward_weights = RewardWeights(0.0)  # every placement raises the reward
+        net.params["contention_scale"][0] = 2.0
+        params = default_contention_params()
+        for apply in (False, True):
+            cluster = ClusterState(config)
+            states = {0: JobState(spec=spec(0, ModelClass.FSDP, 4))}
+            cluster.allocate(0, enumerate_placements(cluster, 4)[0])
+            cs = episode_cs(cluster, states, params, True)
+            alone = cs.profile()
+            queue = [spec(1, ModelClass.MoE, 4)]
+            states[1] = JobState(spec=queue[0])
+            action = RLBasePolicy(net, space).decide(cluster, queue, states, None, cs)
+            assert [jid for jid, _ in action.placements] == [1]
+            if apply:
+                cluster.allocate(*action.placements[0])
+                assert cs.profile()[0] > alone[0]  # the neighbour's CS rose
+            assert cs.profile() == full_profile(cluster, states, params, True)
+
+
+def test_verdicts_use_the_episode_contention_switch():
+    """With contention off every CS is 1, so at w1 < 1 each placement raises
+    the reward: the verdicts must come from the episode's model, not from
+    a default one the policy was built with."""
+    net, space = make_net(ClusterConfig(), TrainConfig(seed=0))
+    net.params["contention_scale"][0] = 2.0
+    trace = generate_trace(TraceSpec(num_jobs=32, seed=3, mix=MIX_PRESETS["heavy"]))
+    report = run_episode(RLBasePolicy(net, space), trace, EpisodeConfig(contention_enabled=False),
+                         record_trajectory=True)
+    skip = space.skip_index
+    feasible = np.concatenate([step.verdicts[:, :skip][step.masks[:, :skip]]
+                               for step, _, _ in report.trajectory if step.verdicts is not None])
+    assert net.reward_weights.w1 < 1 and feasible.size
+    assert (feasible == 1).all(), f"{(feasible != 1).sum()} of {feasible.size} verdicts not +1"

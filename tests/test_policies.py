@@ -10,7 +10,7 @@ from consched import policies
 from consched.actions import Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, first_fit
 from consched.encoding import window_candidates
-from consched.engine import EpisodeConfig, run_episode
+from consched.engine import EpisodeConfig, EpisodeCS, run_episode
 from consched.errors import ConfigError
 from consched.policies import (GreedyPolicy, LASPolicy, RLBasePolicy,
                                RLHybridPolicy, SRTFPolicy, decide_fifo_greedy,
@@ -35,6 +35,10 @@ def jobs_with(demands, runtimes=None, arrivals=None):
             fields["arrival_time"] = arrivals[k]
         out.append(replace(job, **fields))
     return out
+
+
+def episode_cs(cluster, states):
+    return EpisodeCS(cluster, states, EpisodeConfig())
 
 
 def states_for(specs):
@@ -333,7 +337,7 @@ class TestRLPolicies:
         for jid in range(100, 104):
             states[jid] = JobState(spec=replace(specs[0], id=jid))
         policy = RLBasePolicy(net, space, deterministic=True)
-        action = policy.decide(cluster, specs, states)
+        action = policy.decide(cluster, specs, states, None, episode_cs(cluster, states))
         assert action.placements == []
         assert (action.rl.head_actions == space.skip_index).all()
 
@@ -342,8 +346,8 @@ class TestRLPolicies:
         specs = jobs_with([4, 2])
         states = states_for(specs)
         policy = RLBasePolicy(net, space, deterministic=True)
-        a = policy.decide(ClusterState(CFG), specs, states)
-        b = policy.decide(ClusterState(CFG), specs, states)
+        a, b = (policy.decide(cluster, specs, states, None, episode_cs(cluster, states))
+                for cluster in (ClusterState(CFG), ClusterState(CFG)))
         assert a.placements == b.placements
 
     def test_emitted_placements_never_conflict(self, net_space):
@@ -356,7 +360,7 @@ class TestRLPolicies:
             cluster = ClusterState(CFG)
             cluster.allocate(900, Placement(nodes=(0,), gpus_per_node_used=5))
             states[900] = JobState(spec=replace(specs[0], id=900))
-            action = policy.decide(cluster, specs, states, rng)
+            action = policy.decide(cluster, specs, states, rng, episode_cs(cluster, states))
             for jid, placement in action.placements:
                 cluster.allocate(jid, placement)  # must not raise
             cluster.audit()
@@ -367,8 +371,9 @@ class TestRLPolicies:
         states = states_for(specs)
         base = RLBasePolicy(net, space, deterministic=True)
         hybrid = RLHybridPolicy(net, space, deterministic=True)
-        a = base.decide(ClusterState(CFG), specs, states)
-        h = hybrid.decide(ClusterState(CFG), specs, states)
+        cluster = ClusterState(CFG)
+        a = base.decide(cluster, specs, states, None, episode_cs(cluster, states))
+        h = hybrid.decide(cluster, specs, states, None, episode_cs(cluster, states))
         if a.placements:
             assert h.placements == a.placements
 
@@ -401,7 +406,7 @@ class TestRLPolicies:
             cluster.allocate(900, Placement(nodes=(0,), gpus_per_node_used=used))
             states[900] = JobState(spec=replace(specs[0], id=900))
         base = RLBasePolicy(net, space, deterministic=True)
-        action = base.decide(cluster, specs, states)
+        action = base.decide(cluster, specs, states, None, episode_cs(cluster, states))
         shadow = hybridize(action, cluster, specs)
         base_util = cluster.used_gpus() + sum(p.total_gpus for _, p in action.placements)
         hybrid_util = cluster.used_gpus() + sum(p.total_gpus for _, p in shadow.placements)
@@ -421,7 +426,8 @@ class TestRLPolicies:
         window = window_candidates(specs, net.arch.k, CFG, free)
         # 8 and 4 cannot fit; the first 2 and the 1 take heads, smallest demand first
         assert [c.id for c in window] == [specs[4].id, specs[2].id]
-        action = RLBasePolicy(net, space, deterministic=True).decide(cluster, specs, states)
+        action = RLBasePolicy(net, space, deterministic=True).decide(
+            cluster, specs, states, None, episode_cs(cluster, states))
         assert action.rl.masks[:2, :space.skip_index].any(axis=1).all()
         assert not action.rl.masks[2:, :space.skip_index].any()
         assert {jid for jid, _ in action.placements} <= {specs[4].id, specs[2].id}
@@ -431,8 +437,9 @@ class TestRLPolicies:
         net.params["head_prior"][space.skip_index] = 100.0  # always decline
         specs = jobs_with([4, 2, 4])
         states = states_for(specs)
+        cluster = ClusterState(CFG)
         action = RLBasePolicy(net, space, deterministic=True).decide(
-            ClusterState(CFG), specs, states)
+            cluster, specs, states, None, episode_cs(cluster, states))
         assert action.placements == []
         assert sorted(action.deferred) == [specs[0].id, specs[1].id]
 
@@ -441,7 +448,8 @@ class TestRLPolicies:
         cluster = ClusterState(CFG)
         for node in range(4):
             cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=8))
-        action = RLBasePolicy(net, space).decide(cluster, jobs_with([4]), {})
+        action = RLBasePolicy(net, space).decide(cluster, jobs_with([4]), {}, None,
+                                                 episode_cs(cluster, {}))
         assert action.rl.state is None and not action.rl.has_choice
 
     def test_verdicts_follow_net_reward_weights(self, net_space):
@@ -450,11 +458,12 @@ class TestRLPolicies:
         states = states_for(specs)
         policy = RLBasePolicy(net, space)
         net.reward_weights = RewardWeights(0.0)  # utilization only: every placement raises it
-        rl = policy.decide(ClusterState(CFG), specs, states).rl
+        cluster = ClusterState(CFG)
+        rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
         feasible = rl.masks[0, :space.skip_index]
         assert feasible.any() and (rl.verdicts[0, :space.skip_index][feasible] == 1).all()
         net.reward_weights = RewardWeights(1.0)  # CS only: a lone job keeps CS 1
-        rl = policy.decide(ClusterState(CFG), specs, states).rl
+        rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
         assert (rl.verdicts[0] == 0).all()
 
     def test_decision_records_sampling_temperature(self, net_space):
@@ -462,8 +471,9 @@ class TestRLPolicies:
         specs = jobs_with([4, 2])
         policy = RLBasePolicy(net, space, deterministic=False)
         policy.temperature = 0.3
-        action = policy.decide(ClusterState(CFG), specs, states_for(specs),
-                               np.random.default_rng(0))
+        cluster, states = ClusterState(CFG), states_for(specs)
+        action = policy.decide(cluster, specs, states, np.random.default_rng(0),
+                               episode_cs(cluster, states))
         assert action.rl.temperature == 0.3
 
     def test_mismatched_head_size_rejected(self):

@@ -474,12 +474,14 @@ class TestPrior:
         from consched.cluster import ClusterState, first_fit
         space = ActionSpace(ClusterConfig())
         net, _ = make_net(ClusterConfig(), TrainConfig(seed=0))
+        from consched.engine import EpisodeConfig, EpisodeCS
         from consched.policies import RLBasePolicy
         from consched.workload import JobState, TraceSpec, generate_trace
         specs = generate_trace(TraceSpec(num_jobs=1, seed=0))
         states = {specs[0].id: JobState(spec=specs[0])}
         cluster = ClusterState(ClusterConfig())
-        action = RLBasePolicy(net, space, deterministic=True).decide(cluster, specs, states)
+        action = RLBasePolicy(net, space, deterministic=True).decide(
+            cluster, specs, states, None, EpisodeCS(cluster, states, EpisodeConfig()))
         assert action.placements
         assert action.placements[0][1] == first_fit(cluster, specs[0].gpu_demand)
 

@@ -1,0 +1,46 @@
+"""The scripts under scripts/ still run against this checkout.
+
+run_branch_sweep.py builds RLBasePolicy and RLHybridPolicy directly, so a
+constructor change breaks it without failing any other test.
+"""
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from consched.contention import default_cs_table, load_cs_table
+from consched.rl.reward import BRANCHES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def data_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+def test_branch_sweep(tmp_path):
+    run_script("run_branch_sweep.py", "--jobs", 8, "--episodes", 1, "--eval-seeds", 1,
+               "--out", tmp_path)
+    header, *rows = data_rows(tmp_path / "sweep.csv")
+    assert header == ["policy", "avg_jct", "p90_jct", "mean_util", "mean_cs"]
+    assert [row[0] for row in rows] == ["las", "srtf", "greedy", *(
+        f"{kind}-{branch}" for branch in BRANCHES for kind in ("rl-base", "rl-hybrid"))]
+    # one (avg_jct, mean_util) point per sweep row
+    assert data_rows(tmp_path / "jct_util_scatter.csv") == [[row[1], row[3]] for row in rows]
+    for branch in BRANCHES:
+        assert (tmp_path / f"branch_{branch}.ckpt").is_file()
+        assert len(data_rows(tmp_path / f"branch_{branch}_curves.csv")) == 2  # header, 1 episode
+
+
+def test_dump_default_cs_table(tmp_path):
+    out = tmp_path / "cs_table.csv"
+    run_script("dump_default_cs_table.py", "--out", out)
+    assert load_cs_table(out).entries == default_cs_table().entries
