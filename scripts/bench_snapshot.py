@@ -4,13 +4,15 @@
     python3 scripts/bench_snapshot.py --pr N
 
 Runs bench/run.py once per workload and seed (SEEDS, SECONDS timed
-seconds) with --trace 0, each in its own process, then once per workload
-with --trace 1 at the first seed. Seeds and run length are fixed so that
-every snapshot can be compared with the others. The
+seconds) with --trace 0, each in its own process, then TRACED_RUNS times
+per workload with --trace 1 at the first seed. Seeds and run length are
+fixed so that every snapshot can be compared with the others. The
 file holds the machine (nproc, Python and numpy versions), the git
 revision, the settings, and per workload the median of each end-to-end
 metric over the seeds, the failed and attempted job counts, and the
-per-layer metrics of the traced run. Run it on a committed tree: the
+median of each per-layer metric over the traced runs: the counts are
+the same in every run, while the seconds move by up to half between
+back-to-back runs. Run it on a committed tree: the
 revision recorded is HEAD's. Together the files form the project's
 performance history; compare two of them only when their machine
 entries match.
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "run.py"
 SEEDS = (9001, 9002, 9003)
 SECONDS = 10.0
+TRACED_RUNS = 3
 MACHINE_KEYS = ("nproc", "python", "numpy", "git_revision")
 
 
@@ -58,7 +61,8 @@ def snapshot(pr: int) -> dict:
             runs.append(result)
             print(f"{workload} seed {seed}: wall_s "
                   f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
-        _, traced = run_bench(workload, SEEDS[0], SECONDS, trace=1)
+        traced = [run_bench(workload, SEEDS[0], SECONDS, trace=1)[1]
+                  for _ in range(TRACED_RUNS)]
         workloads[workload] = {
             "median": {m["name"]: statistics.median(r["metrics"][m["name"]]["value"]
                                                     for r in runs)
@@ -66,12 +70,14 @@ def snapshot(pr: int) -> dict:
             "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
             "failed": sum(r["failed"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
-            "per_layer": {key: value["value"] for key, value in traced["metrics"].items()},
+            "per_layer": {key: statistics.median(r["metrics"][key]["value"] for r in traced)
+                          for key in traced[0]["metrics"]},
         }
     return {
         "pr": pr,
         "machine": {key: machine[key] for key in MACHINE_KEYS},
-        "settings": {"seeds": list(SEEDS), "seconds": SECONDS, "traced_seed": SEEDS[0]},
+        "settings": {"seeds": list(SEEDS), "seconds": SECONDS, "traced_seed": SEEDS[0],
+                     "traced_runs": TRACED_RUNS},
         "workloads": workloads,
     }
 

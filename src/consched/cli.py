@@ -88,6 +88,9 @@ def _action_space(cluster_config) -> ActionSpace:
 
 
 def _episode_config(args, cluster_config) -> EpisodeConfig:
+    if args.cs_table and args.contention_mode == "synthetic":
+        raise UsageError("--cs-table gives table-mode values; it cannot go with "
+                         "--contention-mode synthetic")
     threshold = 2.0 if args.cs_threshold is None else args.cs_threshold
     if threshold <= 1.0:
         threshold = None
@@ -107,6 +110,9 @@ def _episode_config(args, cluster_config) -> EpisodeConfig:
 
 def _weights(args) -> RewardWeights:
     if args.branch is not None:
+        if args.w1 is not None or args.w2 is not None:
+            raise UsageError("--branch sets the reward weights: "
+                             "give --branch or --w1/--w2, not both")
         branch = args.branch.upper()
         if branch not in BRANCHES:
             raise UsageError(f"unknown branch {args.branch!r}; valid: A B C D E")
@@ -117,6 +123,8 @@ def _weights(args) -> RewardWeights:
         if args.w2 is not None and abs(args.w1 + args.w2 - 1.0) > 1e-12:
             raise UsageError(f"w1 + w2 must equal 1, got {args.w1} + {args.w2}")
         return RewardWeights(args.w1)
+    if args.w2 is not None:
+        raise UsageError("--w2 needs --w1 (w2 = 1 - w1)")
     return RewardWeights()
 
 
@@ -126,6 +134,11 @@ def _provenance(args, extra: dict | None = None) -> dict:
     fields["version"] = __version__
     fields.update(extra or {})
     return fields
+
+
+def _write_manifest(out_dir, provenance: dict) -> None:
+    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(provenance, sort_keys=True, indent=1, default=str) + "\n")
 
 
 def _load_traces(paths) -> list:
@@ -145,7 +158,7 @@ def _experiment_id(kind: str, names: str, trace_paths, seed) -> str:
     return f"{kind}_{names}_{stems}_s{seed}"
 
 
-def _policy_for(kind: str, args, cluster_config, deterministic=True):
+def _policy_for(kind: str, args, cluster_config):
     if kind in ("rl-base", "rl-hybrid"):
         if not args.checkpoint:
             raise UsageError(f"policy {kind} requires --checkpoint")
@@ -153,7 +166,7 @@ def _policy_for(kind: str, args, cluster_config, deterministic=True):
         space = _action_space(cluster_config)
         expected, _ = make_net(cluster_config, TrainConfig(k=net.arch.k, hidden=tuple(net.arch.hidden)))
         ensure_compatible(net.arch, expected.arch, path=args.checkpoint)
-        return make_policy(kind, net=net, action_space=space, deterministic=deterministic)
+        return make_policy(kind, net=net, action_space=space)
     return make_policy(kind)
 
 
@@ -241,8 +254,7 @@ def cmd_eval(args) -> int:
     summary = {f"mean_{k}": sum(v) / len(v) for k, v in pooled.items()}
     summary["num_sets"] = len(traces)
     write_summary(os.path.join(out_dir, "summary.txt"), summary, provenance)
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(provenance, sort_keys=True, indent=1, default=str) + "\n")
+    _write_manifest(out_dir, provenance)
     print(f"wrote reports under {out_dir}")
     return 0
 
@@ -265,8 +277,7 @@ def cmd_compare(args) -> int:
     out_dir = os.path.join(root, "reports", exp_id)
     provenance = _provenance(args, {"experiment": exp_id})
     write_comparison(cmp, out_dir, provenance)
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(provenance, sort_keys=True, indent=1, default=str) + "\n")
+    _write_manifest(out_dir, provenance)
     for (a, b), deltas in sorted(cmp.deltas.items()):
         print(f"{a} vs {b}: " + " ".join(f"{m} {d:+.1f}%" for m, d in deltas.items()))
     print(f"wrote comparison under {out_dir}")

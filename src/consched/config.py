@@ -46,17 +46,8 @@ def merge_config(file_values: dict[str, str], cli_values: dict, defaults: dict) 
 
 
 def _coerce(text: str, like):
-    if isinstance(like, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
-    return text
+    """text as the type of like: every key read is an int or a float."""
+    return int(text) if isinstance(like, int) else float(text)
 
 
 def output_root(cli_value: str | None) -> str:

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 from .cluster import ClusterConfig, Placement
 from .errors import ConfigError, StateError, TraceParseError
 
+# a CS above this counts as CS_CAP in the round reward, the state
+# encoding and the per-job CS histogram
+CS_CAP = 4.0
+
 
 class ModelClass(enum.Enum):
     GNN = "GNN"

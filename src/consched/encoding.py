@@ -23,13 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cluster import ClusterConfig, ClusterState, demand_shapes
+from .contention import CS_CAP
 from .errors import ConfigError
 from .workload import MODEL_ORDER, JobSpec, JobState
 
 FEATURE_DIM = 10
 BANDWIDTH_SCALE = 3000.0
 RATIO_SCALE = 15.0
-CS_CAP = 4.0
 
 
 _MODEL_INDEX = {m: k for k, m in enumerate(MODEL_ORDER)}

@@ -22,10 +22,10 @@ import numpy as np
 
 from .actions import Action, RLDecision
 from .cluster import ClusterConfig, ClusterState
-from .contention import ContentionParams, contention_sensitivity, default_cs_table
+from .contention import CS_CAP, ContentionParams, contention_sensitivity, default_cs_table
 from .errors import ConfigError, InvalidPlacementError
-from .policies import decide_fifo_greedy, hybridize
-from .rl.reward import DEFAULT_CS_CAP, RewardWeights, compute_reward
+from .policies import decide_fifo_greedy
+from .rl.reward import RewardWeights, compute_reward
 from .workload import JobSpec, JobState, Phase, advance
 
 log = logging.getLogger(__name__)
@@ -49,10 +49,8 @@ class EpisodeConfig:
     checkpoint_grace: float = 5.0  # preempted job re-queues once its checkpoint is written
     contention: ContentionParams | None = None  # None -> calibrated table mode
     contention_enabled: bool = True
-    cs_cap: float = DEFAULT_CS_CAP
     livelock_rounds: int = 10
     max_rounds: int = 2_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.round_interval <= 0:
@@ -97,7 +95,6 @@ class EpisodeReport:
     aggregates: dict
     # (decision, reward, counterfactual no-op reward) per recorded round
     trajectory: list[tuple[RLDecision, float, float]] = field(default_factory=list)
-    shadow_utils: list[tuple[float, float]] = field(default_factory=list)
     audit_rows: list[list[tuple]] = field(default_factory=list)
 
     def jct_values(self) -> list[float]:
@@ -108,19 +105,19 @@ class EpisodeReport:
         n = len(jcts)
         return [(v, (k + 1) / n) for k, v in enumerate(jcts)]
 
-    def util_histogram(self, bins: int = 20) -> list[tuple[float, float]]:
-        """(bin left edge, fraction of rounds) over [0, 1]."""
+    def util_histogram(self) -> list[tuple[float, float]]:
+        """(bin left edge, fraction of rounds) over [0, 1] in 20 bins."""
         utils = [r.utilization for r in self.rounds]
-        counts, edges = np.histogram(utils, bins=bins, range=(0.0, 1.0))
+        counts, edges = np.histogram(utils, bins=20, range=(0.0, 1.0))
         total = max(1, len(utils))
-        return [(float(edges[k]), counts[k] / total) for k in range(bins)]
+        return [(float(edges[k]), counts[k] / total) for k in range(20)]
 
-    def cs_job_histogram(self, bins: int = 15, cap: float = 4.0) -> list[tuple[float, float]]:
-        """(bin left edge, fraction of jobs) over per-job mean experienced CS."""
-        values = [min(j.mean_cs, cap) for j in self.jobs]
-        counts, edges = np.histogram(values, bins=bins, range=(1.0, cap))
+    def cs_job_histogram(self) -> list[tuple[float, float]]:
+        """(bin left edge, fraction of jobs) over per-job mean experienced CS in 15 bins."""
+        values = [min(j.mean_cs, CS_CAP) for j in self.jobs]
+        counts, edges = np.histogram(values, bins=15, range=(1.0, CS_CAP))
         total = max(1, len(values))
-        return [(float(edges[k]), counts[k] / total) for k in range(bins)]
+        return [(float(edges[k]), counts[k] / total) for k in range(15)]
 
 
 def percentile_90(values: list[float]) -> float:
@@ -167,7 +164,7 @@ def _job_cs(jid: int, placements, residents, states: dict[int, JobState],
 class EpisodeCS:
     """One episode's contention model and its CS map, one per cluster.version.
 
-    The model, its switch and the CS cap come from the episode config;
+    The model and its switch come from the episode config;
     run_episode builds one EpisodeCS and hands it to every decide. A new
     map recomputes only the jobs on nodes that a job placed, moved or
     freed since the last map touches, so it equals a full profile.
@@ -179,7 +176,6 @@ class EpisodeCS:
         self.states = states
         self.params = episode_config.contention_params()
         self.enabled = episode_config.contention_enabled
-        self.cs_cap = episode_config.cs_cap
         # the map and the version and placements it was computed for
         self._map, self._version, self._placed = {}, -1, {}
 
@@ -237,7 +233,7 @@ class EpisodeCS:
 
     def reward(self, utilization: float, profile: dict[int, float],
                weights: RewardWeights) -> float:
-        return compute_reward(utilization, profile, weights, self.cs_cap)
+        return compute_reward(utilization, profile, weights)
 
     def adopt(self, placements: dict, profile: dict[int, float]) -> None:
         """Take profile as the CS map of the cluster that placements describe.
@@ -340,13 +336,13 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                 weights: RewardWeights | None = None,
                 rng: np.random.Generator | None = None,
                 record_trajectory: bool = False,
-                shadow_hybrid: bool = False,
                 audit: bool = False) -> EpisodeReport:
     """Drive one episode to completion and collect metrics.
 
-    Deterministic for a fixed (policy, trace, configs, rng seed). The
-    livelock guard forces a single greedy placement after livelock_rounds
-    consecutive no-progress rounds with an empty cluster and waiting jobs.
+    Deterministic for a fixed (policy, trace, configs, rng seed); rng
+    None means default_rng(0). The livelock guard forces a single greedy
+    placement after livelock_rounds consecutive no-progress rounds with
+    an empty cluster and waiting jobs.
     Every decide gets the episode's EpisodeCS as its fifth argument; the
     RL policy prices its verdicts with it, and baselines ignore it.
 
@@ -365,7 +361,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
-    additions. Unless audit or shadow_hybrid is on, they go in one step
+    additions. Unless audit is on, they go in one step
     (advance_stretch) that ends before the earliest of the round that
     admits the next arrival, the round that admits the next
     checkpoint-ready re-queue, the first round in which a job finishes,
@@ -376,7 +372,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
     if rng is None:
-        rng = np.random.default_rng(episode_config.seed)
+        rng = np.random.default_rng(0)
     cluster = ClusterState(cluster_config)
     states = {spec.id: JobState(spec=spec) for spec in trace}
     cs = EpisodeCS(cluster, states, episode_config)
@@ -389,7 +385,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     T = episode_config.round_interval
     rounds: list[RoundRecord] = []
     trajectory: list[tuple[RLDecision, float]] = []
-    shadow_utils: list[tuple[float, float]] = []
     audit_rows: list[list[tuple]] = []
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
@@ -434,8 +429,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
             noop_reward = round_reward()
-        if (idle_at == cluster.version and not (audit or shadow_hybrid)
-                and (cluster.placements or not queue)):
+        if idle_at == cluster.version and not audit and (cluster.placements or not queue):
             start = len(rounds)
             limit = episode_config.max_rounds - start
             if pending:
@@ -479,11 +473,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         else:
             stall_rounds = 0
 
-        if shadow_hybrid:
-            shadow = hybridize(action, cluster, queue_specs())
-            shadow_after = cluster.used_gpus() + sum(p.total_gpus for _, p in shadow.placements)
-            shadow_utils.append((0.0, shadow_after / cluster_config.total_gpus))
-
         preempted_now: list[int] = []
         for jid in action.preemptions:
             if states[jid].phase is not Phase.RUNNING:
@@ -519,9 +508,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
             reward = round_reward()
             round_version = cluster.version
-        if shadow_utils:
-            base_after = utilization
-            shadow_utils[-1] = (base_after, shadow_utils[-1][1])
 
         row = []
         finished: list[int] = []
@@ -576,8 +562,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             isolated_runtime=s.spec.isolated_runtime))
     return EpisodeReport(jobs=job_records, rounds=rounds,
                          aggregates=_aggregate(job_records, rounds),
-                         trajectory=trajectory, shadow_utils=shadow_utils,
-                         audit_rows=audit_rows)
+                         trajectory=trajectory, audit_rows=audit_rows)
 
 
 METRICS = ("avg_jct", "p90_jct", "mean_util", "mean_cs")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .engine import ComparisonReport, EpisodeReport, RoundRecord
+from .engine import METRICS, ComparisonReport, EpisodeReport, RoundRecord
 
 JOB_COLUMNS = ("id", "model", "demand", "arrival", "start", "finish", "jct",
                "preemptions", "mean_cs", "isolated_runtime")
@@ -103,15 +103,14 @@ def write_training_curves(path, curves: list[dict], provenance: dict | None = No
 def write_comparison(cmp: ComparisonReport, out_dir, provenance: dict | None = None) -> None:
     """Comparison tables, pairwise deltas, and the JCT/utilization scatter."""
     os.makedirs(out_dir, exist_ok=True)
-    metrics = ("avg_jct", "p90_jct", "mean_util", "mean_cs")
-    rows = [(name, *[cmp.per_policy[name][m] for m in metrics],
+    rows = [(name, *[cmp.per_policy[name][m] for m in METRICS],
              cmp.per_policy[name]["total_preemptions"]) for name in cmp.policies]
     write_csv(os.path.join(out_dir, "comparison.csv"),
-              ("policy", *metrics, "total_preemptions"), rows, provenance)
-    delta_rows = [(a, b, *[cmp.deltas[(a, b)][m] for m in metrics])
+              ("policy", *METRICS, "total_preemptions"), rows, provenance)
+    delta_rows = [(a, b, *[cmp.deltas[(a, b)][m] for m in METRICS])
                   for (a, b) in sorted(cmp.deltas)]
     write_csv(os.path.join(out_dir, "deltas_pct.csv"),
-              ("policy", "baseline", *[m + "_delta_pct" for m in metrics]),
+              ("policy", "baseline", *[m + "_delta_pct" for m in METRICS]),
               delta_rows, provenance)
     write_points(os.path.join(out_dir, "jct_util_scatter.csv"),
                  [(cmp.per_policy[n]["avg_jct"], cmp.per_policy[n]["mean_util"])
@@ -123,7 +122,7 @@ def write_comparison(cmp: ComparisonReport, out_dir, provenance: dict | None = N
             fh.write(line + "\n")
         for name in cmp.policies:
             agg = cmp.per_policy[name]
-            fh.write(f"{name}: " + " ".join(f"{m}={_fmt(agg[m])}" for m in metrics) + "\n")
+            fh.write(f"{name}: " + " ".join(f"{m}={_fmt(agg[m])}" for m in METRICS) + "\n")
         fh.write("# reference deltas from the full-scale study (context, not assertions):\n")
         for line in FULL_SCALE_REFERENCE:
             fh.write(f"#   {line}\n")

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..contention import CS_CAP
 from ..errors import ConfigError
-
-DEFAULT_CS_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -39,18 +38,18 @@ def reward_from_terms(cs_term: float, util_term: float, weights: RewardWeights) 
     return -weights.w1 * cs_term + weights.w2 * util_term
 
 
-def compute_reward(utilization: float, cs_by_job: dict[int, float], weights: RewardWeights,
-                   cs_cap: float = DEFAULT_CS_CAP) -> float:
+def compute_reward(utilization: float, cs_by_job: dict[int, float],
+                   weights: RewardWeights) -> float:
     """Reward for the current round.
 
     utilization is the cluster's used GPUs over its total GPUs.
     cs_by_job maps running job ids to their profiled CS this round; the
-    CS term is their mean with each value clipped at cs_cap (keeps the
-    reward within [-w1 * cs_cap, w2]), summed in the map's order, or 0
+    CS term is their mean with each value clipped at CS_CAP (keeps the
+    reward within [-w1 * CS_CAP, w2]), summed in the map's order, or 0
     with nothing running.
     """
     if cs_by_job:
-        cs_term = sum(min(v, cs_cap) for v in cs_by_job.values()) / len(cs_by_job)
+        cs_term = sum(min(v, CS_CAP) for v in cs_by_job.values()) / len(cs_by_job)
     else:
         cs_term = 0.0
     return reward_from_terms(cs_term, utilization, weights)

@@ -1,16 +1,17 @@
 """Policy-gradient training over simulated episodes.
 
-One update per episode: discounted per-round returns, a learned value
-baseline, entropy regularization, advantage normalization, Adam with
-global-norm clipping. Only rounds where some head had a choice enter the
-batch, the value fit and the normalization; rounds that offer only skip
-still carry their rewards into the returns. Rounds where the livelock
-guard overrode the policy contribute rewards to the returns but no
-policy-gradient or entropy terms (the applied action was not the
-policy's sample). The sampling temperature is annealed over the
-episodes, and the gradient is taken for the tempered policy that
-sampled. The policy's contention_scale (how far it follows the
-contention model's verdicts) is learned with its own step size.
+One batch per episode: discounted per-round returns, a learned value
+baseline, entropy regularization, advantage normalization, and
+UPDATES_PER_EPISODE Adam steps with global-norm clipping. Only rounds
+where some head had a choice enter the batch, the value fit and the
+normalization; rounds that offer only skip still carry their rewards
+into the returns. Rounds where the livelock guard overrode the policy
+contribute rewards to the returns but no policy-gradient or entropy
+terms (the applied action was not the policy's sample). The sampling
+temperature is annealed over the episodes, and the gradient is taken
+for the tempered policy that sampled. The policy's contention_scale
+(how far it follows the contention model's verdicts) is learned with
+its own step size.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .checkpoint import save_checkpoint
 CONTENTION_LR = 0.05
 # sampling temperature, annealed linearly from the first to the last episode
 TEMPERATURE = (1.0, 0.1)
+MAX_GRAD_NORM = 10.0  # the trunk's global gradient norm is clipped to this
+UPDATES_PER_EPISODE = 4  # gradient steps on each episode's surrogate
+VALUE_EPOCHS = 30  # value-net regression steps before the advantages
+VALUE_LR = 0.01
 
 
 @dataclass
@@ -48,11 +53,6 @@ class TrainConfig:
     lr: float = 0.0003
     gamma: float = 0.5
     entropy_coef: float = 0.01
-    max_grad_norm: float = 10.0
-    updates_per_episode: int = 4  # gradient steps on each episode's surrogate
-    value_epochs: int = 30  # value-net regression steps before advantages
-    value_lr: float = 0.01
-    normalize_advantages: bool = True
     shuffle_per_episode: bool = True
     seed: int = 0
     k: int = 6  # one head per demand of the default demand histogram
@@ -113,16 +113,18 @@ def excess_returns(trajectory, gamma: float) -> np.ndarray:
 
 
 def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
-                gamma: float, normalize: bool, value_opt: Adam | None = None,
-                value_epochs: int = 0) -> Batch:
+                gamma: float, value_opt: Adam) -> Batch:
     """The rounds where some head had a choice, with their advantages.
 
     Returns run over every round, but rounds that offer only skip carry
     no policy gradient, so they enter neither the batch, the value fit
-    nor the advantage normalization. With value_opt, the value baseline
-    first takes value_epochs regression steps toward these rounds'
-    returns.
+    nor the advantage normalization. The value baseline first takes
+    VALUE_EPOCHS regression steps (value_opt) toward these rounds'
+    returns; the advantages are then normalized over the rounds that
+    carry a policy gradient.
     """
+    if not trajectory:
+        raise NonFiniteLossError("empty trajectory", {"steps": 0})
     returns = excess_returns(trajectory, gamma)
     rows = [k for k, (step, *_) in enumerate(trajectory) if step.has_choice]
     steps = [trajectory[k][0] for k in rows]
@@ -132,18 +134,16 @@ def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]
     masks = np.stack([step.masks for step in steps])
     weight = np.array([0.0 if step.forced else 1.0 for step in steps])
     temperature = np.array([step.temperature for step in steps])
-    for _ in range(value_epochs if value_opt is not None else 0):
+    for _ in range(VALUE_EPOCHS):
         value_step(net, states, returns, value_opt)
-    values = net.values(states)
-    advantages = returns - values
+    advantages = returns - net.values(states)
     verdicts = None
     if all(step.verdicts is not None for step in steps):
         verdicts = np.stack([step.verdicts for step in steps])
-    if normalize:
-        used = advantages[weight > 0]
-        if used.size > 1:
-            std = used.std()
-            advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
+    used = advantages[weight > 0]
+    if used.size > 1:
+        std = used.std()
+        advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
     return Batch(states=states, actions=actions, masks=masks,
                  advantages=advantages, policy_weight=weight,
                  verdicts=verdicts, temperature=temperature)
@@ -203,16 +203,12 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
 
 
 def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
-           config: TrainConfig, opt: Adam, batch: Batch | None = None) -> dict:
-    """One gradient step from one episode's trajectory.
+           config: TrainConfig, opt: Adam, batch: Batch) -> dict:
+    """One gradient step on the batch built from one episode's trajectory.
 
     contention_scale steps at CONTENTION_LR and is left out of the
     trunk's norm clipping.
     """
-    if not trajectory:
-        raise NonFiniteLossError("empty trajectory", {"steps": 0})
-    if batch is None:
-        batch = build_batch(net, trajectory, config.gamma, config.normalize_advantages)
     loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef)
     finite = np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
     if not finite:
@@ -228,19 +224,19 @@ def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
                 "reward_min": float(rewards.min()), "reward_max": float(rewards.max()),
             })
     scale_grad = grads.pop("contention_scale")
-    aux["grad_norm"] = clip_grad_norm(grads, config.max_grad_norm)
+    aux["grad_norm"] = clip_grad_norm(grads, MAX_GRAD_NORM)
     grads["contention_scale"] = scale_grad
     opt.step(grads, lrs={"contention_scale": CONTENTION_LR})
     return aux
 
 
-def pack_first_prior(space: ActionSpace, width_penalty: float = 0.5,
-                     rank_penalty: float = 0.02, skip_logit: float = -1.0) -> np.ndarray:
+def pack_first_prior(space: ActionSpace) -> np.ndarray:
     """Initial head biases replicating greedy first-fit preferences.
 
-    Fewer nodes beats more nodes, lexicographically earlier subsets beat
-    later ones, and skip sits below every placement, so an untrained
-    argmax places like the greedy baseline while sampling still explores.
+    Fewer nodes beats more nodes (0.5 per doubling of the width),
+    lexicographically earlier subsets beat later ones (0.02 per rank),
+    and skip (-1) sits below every placement, so an untrained argmax
+    places like the greedy baseline while sampling still explores.
     """
     prior = np.zeros(space.size)
     rank = 0
@@ -248,9 +244,9 @@ def pack_first_prior(space: ActionSpace, width_penalty: float = 0.5,
     for idx, (i, _) in enumerate(space.subsets):
         if i != last_width:
             rank, last_width = 0, i
-        prior[idx] = -width_penalty * i - rank_penalty * rank
+        prior[idx] = -0.5 * i - 0.02 * rank
         rank += 1
-    prior[space.skip_index] = skip_logit
+    prior[space.skip_index] = -1.0
     return prior
 
 
@@ -275,7 +271,7 @@ def train(trace: list[JobSpec], config: TrainConfig,
     cluster_config = cluster_config or ClusterConfig()
     net, space = make_net(cluster_config, config)
     opt = Adam(net.params, lr=config.lr)
-    value_opt = Adam(net.params, lr=config.value_lr)
+    value_opt = Adam(net.params, lr=VALUE_LR)
     net.reward_weights = config.weights
     policy = RLBasePolicy(net, space, deterministic=False)
     curves = []
@@ -289,10 +285,9 @@ def train(trace: list[JobSpec], config: TrainConfig,
         report = run_episode(policy, ep_trace, config.episode, cluster_config,
                              weights=config.weights, rng=ep_rng,
                              record_trajectory=True)
-        batch = build_batch(net, report.trajectory, config.gamma,
-                            config.normalize_advantages, value_opt, config.value_epochs)
-        for _ in range(max(1, config.updates_per_episode)):
-            aux = update(net, report.trajectory, config, opt, batch=batch)
+        batch = build_batch(net, report.trajectory, config.gamma, value_opt)
+        for _ in range(UPDATES_PER_EPISODE):
+            aux = update(net, report.trajectory, config, opt, batch)
         curves.append({
             "episode": episode,
             "mean_reward": report.aggregates["mean_reward"],

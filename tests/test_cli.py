@@ -5,6 +5,7 @@ from consched.actions import ActionSpace
 from consched.cli import main
 from consched.cluster import ClusterConfig
 from consched.config import merge_config, output_root, parse_config_file
+from consched.contention import default_cs_table, write_cs_table
 from consched.engine import EpisodeConfig, run_episode
 from consched.errors import ConfigError
 from consched.policies import make_policy
@@ -121,6 +122,23 @@ class TestTrain:
         assert run(["train", "--trace", str(trace_file), "--w1", "0.4",
                     "--w2", "0.7", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", [["train"], ["eval", "--policy", "las"],
+                                         ["compare", "--policies", "las,srtf"]],
+                             ids=["train", "eval", "compare"])
+    def test_w2_without_w1_is_a_usage_error(self, trace_file, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command + ["--trace", str(trace_file), "--w2", "0.3",
+                              "--out-dir", str(out)]) == 2
+        assert "--w2 needs --w1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_branch_with_w1_is_a_usage_error(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--trace", str(trace_file), "--branch", "E", "--w1", "0.3",
+                    "--out-dir", str(out)]) == 2
+        assert "--branch or --w1/--w2, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cluster_beyond_action_space_usage_error(self, trace_file, tmp_path, capsys):
         assert run(["train", "--trace", str(trace_file), "--nodes", "32",
                     "--episodes", "1", "--out-dir", str(tmp_path)]) == 2
@@ -174,6 +192,16 @@ class TestEval:
                     "--no-contention", "--name", "nc", "--out-dir", str(out)]) == 0
         summary = (out / "reports" / "nc" / "summary.txt").read_text()
         assert "mean_mean_cs = 1.0" in summary
+
+    def test_cs_table_with_synthetic_mode_is_a_usage_error(self, trace_file, tmp_path, capsys):
+        table = tmp_path / "cs_table.csv"
+        write_cs_table(default_cs_table(), table)
+        out = tmp_path / "out"
+        assert run(["eval", "--policy", "las", "--trace", str(trace_file),
+                    "--cs-table", str(table), "--contention-mode", "synthetic",
+                    "--out-dir", str(out)]) == 2
+        assert "--contention-mode synthetic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_policy(self, trace_file, tmp_path):
         assert run(["eval", "--policy", "edf", "--trace", str(trace_file),

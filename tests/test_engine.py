@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
-from consched.contention import CSTable, ContentionParams, ModelClass
+from consched.contention import CS_CAP, CSTable, ContentionParams, ModelClass
 from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig,
                              advance_stretch, compare_policies, percentile_90, run_episode)
 from consched.errors import ConfigError
@@ -396,13 +396,12 @@ class TestRLIdleBetweenEvents:
         for every_round in (True, False):
             counter = DecideCounter(fresh_rl_policy(kind, deterministic), every_round)
             reports.append(run_episode(counter, trace, episode, rng=np.random.default_rng(5),
-                                       record_trajectory=True, shadow_hybrid=True))
+                                       record_trajectory=True))
             counters.append(counter)
         ref, fast = reports
         assert fast.jobs == ref.jobs
         assert fast.rounds == ref.rounds
         assert fast.aggregates == ref.aggregates
-        assert fast.shadow_utils == ref.shadow_utils
         assert len(ref.trajectory) == len(ref.rounds)
         assert_same_trajectory(fast.trajectory, ref.trajectory)
         assert counters[0].calls == len(ref.rounds)
@@ -426,7 +425,7 @@ class TestRLIdleBetweenEvents:
             assert rnd.num_running == len(row)
             assert rnd.utilization == pytest.approx(util, abs=1e-12)
             assert rnd.mean_cs == pytest.approx(sum(cs) / len(cs) if cs else 0.0, abs=1e-12)
-            capped = sum(min(v, episode.cs_cap) for v in cs) / len(cs) if cs else 0.0
+            capped = sum(min(v, CS_CAP) for v in cs) / len(cs) if cs else 0.0
             assert rnd.reward == pytest.approx(reward_from_terms(capped, util, weights), abs=1e-12)
             for jid, job_cs, throughput, *_ in row:
                 assert throughput == pytest.approx(ideal[jid] / job_cs, rel=1e-12)

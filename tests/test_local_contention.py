@@ -55,7 +55,7 @@ def oracle_reward(policy, episode, cluster, states):
     if not cluster.placements:
         return reward_from_terms(1.0, 0.0, weights)
     cs = full_profile(cluster, states, episode.contention, episode.contention_enabled)
-    return compute_reward(cluster.utilization(), cs, weights, episode.cs_cap)
+    return compute_reward(cluster.utilization(), cs, weights)
 
 
 def oracle_verdicts(policy, episode, cluster, states, cand, mask):

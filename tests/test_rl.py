@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from consched.actions import RLDecision
 from consched.cluster import ClusterConfig
+from consched.contention import CS_CAP
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
 from consched.rl.checkpoint import (ensure_compatible, load_checkpoint,
                                     save_checkpoint)
@@ -13,15 +14,21 @@ from consched.rl.net import (Architecture, PolicyNet, entropy_of,
 from consched.rl.optim import Adam, clip_grad_norm
 from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
                                 reward_from_terms)
-from consched.rl.train import (CONTENTION_LR, Batch, TrainConfig, build_batch,
-                               discounted_returns, excess_returns, loss_and_grads,
-                               make_net, pack_first_prior, update, value_step)
+from consched.rl.train import (CONTENTION_LR, VALUE_EPOCHS, VALUE_LR, Batch, TrainConfig,
+                               build_batch, discounted_returns, excess_returns,
+                               loss_and_grads, make_net, pack_first_prior, update,
+                               value_step)
 
 TINY = Architecture(input_dim=6, hidden=(4, 4), k=2, head_size=4, value_hidden=(3, 3))
 
 
 def tiny_net(seed=0, prior=None):
     return PolicyNet(TINY, np.random.default_rng(seed), head_prior=prior)
+
+
+def fitted_batch(net, trajectory, gamma=0.5):
+    """build_batch with a fresh value optimizer, as train() builds one per run."""
+    return build_batch(net, trajectory, gamma, Adam(net.params, lr=VALUE_LR))
 
 
 def random_batch(net, rng, steps=8, forced_none=True):
@@ -123,8 +130,8 @@ class TestReward:
         cluster = ClusterState(ClusterConfig())
         cluster.allocate(0, Placement(nodes=(0,), gpus_per_node_used=8))
         w = RewardWeights(0.7)
-        reward = compute_reward(cluster.utilization(), {0: 1000.0}, w, cs_cap=4.0)
-        assert reward >= -w.w1 * 4.0
+        reward = compute_reward(cluster.utilization(), {0: 1000.0}, w)
+        assert reward >= -w.w1 * CS_CAP
 
     def test_weights_validation(self):
         with pytest.raises(ConfigError):
@@ -301,7 +308,8 @@ class TestUpdate:
         net = tiny_net(seed=9)
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
-        aux = update(net, self._trajectory(net, rng), cfg, opt)
+        traj = self._trajectory(net, rng)
+        aux = update(net, traj, cfg, opt, fitted_batch(net, traj, cfg.gamma))
         assert np.isfinite(aux["loss"])
 
     def test_one_adam_step_with_contention_lr(self):
@@ -313,8 +321,9 @@ class TestUpdate:
             step.verdicts = np.where(step.masks, rng.choice([-1.0, 1.0], step.masks.shape), 0.0)
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
+        batch = fitted_batch(net, traj, cfg.gamma)
         before = {key: value.copy() for key, value in net.params.items()}
-        update(net, traj, cfg, opt)
+        update(net, traj, cfg, opt, batch)
         assert opt.t == 1
         # Adam's first step moves each parameter by its lr times the sign of its gradient
         moved = abs(net.params["contention_scale"][0] - before["contention_scale"][0])
@@ -324,15 +333,16 @@ class TestUpdate:
     def test_empty_trajectory_rejected(self):
         net = tiny_net()
         with pytest.raises(NonFiniteLossError):
-            update(net, [], TrainConfig(), Adam(net.params))
+            fitted_batch(net, [], TrainConfig().gamma)
 
     def test_non_finite_raises_with_diagnostics(self):
         rng = np.random.default_rng(10)
         net = tiny_net(seed=10)
         net.params["wh"][:] = np.nan
         cfg = TrainConfig()
+        traj = self._trajectory(net, rng)
         with pytest.raises(NonFiniteLossError) as err:
-            update(net, self._trajectory(net, rng), cfg, Adam(net.params))
+            update(net, traj, cfg, Adam(net.params), fitted_batch(net, traj, cfg.gamma))
         assert "steps" in err.value.diagnostics
 
     def test_forced_steps_excluded_from_policy_terms(self):
@@ -341,7 +351,7 @@ class TestUpdate:
         traj = self._trajectory(net, rng, steps=5)
         for step, _, _ in traj:
             step.forced = True
-        batch = build_batch(net, traj, gamma=0.9, normalize=False)
+        batch = fitted_batch(net, traj, gamma=0.9)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.05)
         for name in ("w1", "w2", "wh", "bh"):
             assert np.abs(grads[name]).max() == 0.0
@@ -366,35 +376,35 @@ class TestBuildBatch:
         net = tiny_net(seed=14)
         decisions = [self._round(net, rng, choice=True) for _ in range(6)]
         skips = [self._round(net, rng, choice=False) for _ in range(40)]
-        plain = build_batch(net, decisions, gamma=0.5, normalize=True)
+        plain = fitted_batch(tiny_net(seed=14), decisions)
         trajectory = skips[:20] + decisions + skips[20:]
-        padded = build_batch(net, trajectory, gamma=0.5, normalize=True)
+        padded = fitted_batch(tiny_net(seed=14), trajectory)
         assert len(padded.advantages) == len(decisions)
         assert np.allclose(padded.advantages, plain.advantages, rtol=0, atol=1e-12)
         assert np.allclose(excess_returns(trajectory, 0.5)[20:20 + len(decisions)],
                            excess_returns(decisions, 0.5), rtol=0, atol=1e-12)
 
     def test_value_fit_before_advantages(self):
-        """With value_opt, the baseline is fit to the decision rounds before advantages."""
+        """The baseline is fit to the decision rounds before advantages, then normalized."""
         rng = np.random.default_rng(16)
         traj = [self._round(tiny_net(), rng, choice=k % 3 == 0) for k in range(30)]
         fitted, manual = tiny_net(seed=16), tiny_net(seed=16)
-        batch = build_batch(fitted, traj, gamma=0.5, normalize=False,
-                            value_opt=Adam(fitted.params, lr=0.01), value_epochs=5)
+        batch = fitted_batch(fitted, traj)
         returns = excess_returns(traj, 0.5)[[k for k, (step, *_) in enumerate(traj)
                                              if step.has_choice]]
-        opt = Adam(manual.params, lr=0.01)
-        for _ in range(5):
+        opt = Adam(manual.params, lr=VALUE_LR)
+        for _ in range(VALUE_EPOCHS):
             value_step(manual, batch.states, returns, opt)
         assert np.array_equal(fitted.params["vw1"], manual.params["vw1"])
-        assert np.allclose(batch.advantages, returns - manual.values(batch.states),
-                           rtol=0, atol=1e-12)
+        advantages = returns - manual.values(batch.states)
+        advantages = (advantages - advantages.mean()) / advantages.std()
+        assert np.allclose(batch.advantages, advantages, rtol=0, atol=1e-12)
 
     def test_normalized_over_decision_rounds(self):
         rng = np.random.default_rng(15)
         net = tiny_net(seed=15)
         traj = [self._round(net, rng, choice=k % 5 == 0) for k in range(30)]
-        batch = build_batch(net, traj, gamma=0.5, normalize=True)
+        batch = fitted_batch(net, traj)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-12)
         assert batch.advantages.std() == pytest.approx(1.0, abs=1e-12)
 
