@@ -110,14 +110,14 @@ class EpisodeReport:
         utils = [r.utilization for r in self.rounds]
         counts, edges = np.histogram(utils, bins=20, range=(0.0, 1.0))
         total = max(1, len(utils))
-        return [(float(edges[k]), counts[k] / total) for k in range(20)]
+        return [(float(edge), count / total) for edge, count in zip(edges, counts)]
 
     def cs_job_histogram(self) -> list[tuple[float, float]]:
         """(bin left edge, fraction of jobs) over per-job mean experienced CS in 15 bins."""
         values = [min(j.mean_cs, CS_CAP) for j in self.jobs]
         counts, edges = np.histogram(values, bins=15, range=(1.0, CS_CAP))
         total = max(1, len(values))
-        return [(float(edges[k]), counts[k] / total) for k in range(15)]
+        return [(float(edge), count / total) for edge, count in zip(edges, counts)]
 
 
 def percentile_90(values: list[float]) -> float:
