@@ -9,10 +9,13 @@ per workload with --trace 1 at the first seed. Seeds and run length are
 fixed so that every snapshot can be compared with the others. The
 file holds the machine (nproc, Python and numpy versions), the git
 revision, the settings, and per workload the median of each end-to-end
-metric over the seeds, the failed and attempted job counts, and the
-median of each per-layer metric over the traced runs: the counts are
-the same in every run, while the seconds move by up to half between
-back-to-back runs. Run it on a committed tree: the
+metric over the seeds, the median over the seeds of setup_s's import
+phase (median_imports_s, read from each run's bench/out/result-*.json:
+re-importing consched from source is a large and noisy share of
+setup_s), the failed and attempted job counts, and the median of each
+per-layer metric over the traced runs: the counts are the same in every
+run, while the seconds move by up to half between back-to-back runs.
+Run it on a committed tree: the
 revision recorded is HEAD's. Together the files form the project's
 performance history; compare two of them only when their machine
 entries match.
@@ -29,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "run.py"
+RESULTS = ROOT / "bench" / "out"  # where bench/run.py writes each run's full result
 SEEDS = (9001, 9002, 9003)
 SECONDS = 10.0
 TRACED_RUNS = 3
@@ -50,6 +54,12 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dic
     return machine, json.loads(lines[-1])
 
 
+def median_imports(paths) -> float:
+    """Median of setup_phases_s["imports"] over bench/run.py result files."""
+    return statistics.median(json.loads(Path(path).read_text())["info"]["setup_phases_s"]
+                             ["imports"] for path in paths)
+
+
 def snapshot(pr: int) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {}
@@ -68,6 +78,8 @@ def snapshot(pr: int) -> dict:
                                                     for r in runs)
                        for m in spec["end_to_end"]},
             "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+            "median_imports_s": median_imports(
+                RESULTS / f"result-{workload}-seed{seed}-trace0.json" for seed in SEEDS),
             "failed": sum(r["failed"] for r in runs),
             "attempted": sum(r["attempted"] for r in runs),
             "per_layer": {key: statistics.median(r["metrics"][key]["value"] for r in traced)

@@ -91,6 +91,9 @@ def _episode_config(args, cluster_config) -> EpisodeConfig:
     if args.cs_table and args.contention_mode == "synthetic":
         raise UsageError("--cs-table gives table-mode values; it cannot go with "
                          "--contention-mode synthetic")
+    if args.no_contention and (args.cs_table or args.contention_mode):
+        flag = "--cs-table" if args.cs_table else "--contention-mode"
+        raise UsageError(f"--no-contention sets every CS to 1; it cannot go with {flag}")
     threshold = 2.0 if args.cs_threshold is None else args.cs_threshold
     if threshold <= 1.0:
         threshold = None
@@ -240,13 +243,15 @@ def cmd_eval(args) -> int:
         report = run_episode(policy, trace, episode, cluster, weights=weights, rng=rng,
                              record_trajectory=dump_rounds > 0)
         # an RL policy records a row every round, so a row's index is its
-        # round; rounds that reuse an idle decision repeat its object
-        steps = [step for step, _, _ in report.trajectory]
-        encoded = [r for r, step in enumerate(steps)
-                   if step.state is not None and (r == 0 or step is not steps[r - 1])]
+        # round; each run is one decision, from the round that made it
+        encoded, first = [], 0
+        for step, _, _, n in report.trajectory.runs:
+            if step.state is not None:
+                encoded.append((first, step.state))
+            first += n
         shape = (cluster.num_nodes, 2 * cluster.gpus_per_node, FEATURE_DIM)
-        for r in encoded[:dump_rounds]:
-            dump_state_csv(steps[r].state.reshape(shape),
+        for r, state in encoded[:dump_rounds]:
+            dump_state_csv(state.reshape(shape),
                            os.path.join(out_dir, f"state_set{k:02d}_round{r}.csv"))
         write_episode_report(report, os.path.join(out_dir, f"set{k:02d}"), provenance)
         for key, value in report.aggregates.items():

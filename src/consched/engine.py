@@ -9,7 +9,9 @@ neighbor only changes co-residents' CS at the next round boundary.
 
 Between events the rounds repeat one idle decision, and the engine
 applies such a stretch of rounds in one step (advance_stretch); the
-result is bit-identical to stepping them one at a time.
+result is bit-identical to stepping them one at a time. The rounds are
+kept as runs, one per stretch or event round (RoundLog), and the RL
+trajectory as one run per decision (Trajectory).
 """
 
 from __future__ import annotations
@@ -88,13 +90,92 @@ class JobRecord:
     isolated_runtime: float
 
 
+class _Runs:
+    """A read-only sequence kept as runs: tuples whose last entry is a count.
+
+    _row gives the row at an offset into a run. len costs O(1) and never
+    expands the runs; iteration, indexing and == expand them lazily.
+    """
+
+    def __init__(self):
+        self.runs: list[tuple] = []
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for run in self.runs:
+            for offset in range(run[-1]):
+                yield self._row(run, offset)
+
+    def __getitem__(self, index: int):
+        k = index + self._len if index < 0 else index
+        if not 0 <= k < self._len:
+            raise IndexError("run log index out of range")
+        for run in self.runs:
+            if k < run[-1]:
+                return self._row(run, k)
+            k -= run[-1]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Runs, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class RoundLog(_Runs):
+    """An episode's rounds as runs (record, first round, count).
+
+    Round k starts at k * interval, so a run keeps only its first record:
+    its other rounds are that record with time k * interval.
+    """
+
+    def __init__(self, interval: float):
+        super().__init__()
+        self.interval = interval
+
+    def append(self, record: RoundRecord, count: int = 1) -> None:
+        self.runs.append((record, self._len, count))
+        self._len += count
+
+    def _row(self, run, offset: int) -> RoundRecord:
+        r, first, _ = run
+        return RoundRecord((first + offset) * self.interval, r.utilization, r.mean_cs,
+                           r.reward, r.num_running, r.num_waiting, r.num_placed,
+                           r.num_preempted) if offset else r
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of every round, in round order."""
+        return np.repeat([getattr(r, name) for r, _, _ in self.runs],
+                         [n for _, _, n in self.runs])
+
+
+class Trajectory(_Runs):
+    """Recorded RL rounds as runs (decision, reward, no-op reward, count).
+
+    Rounds that reuse one decision object share one run: a decision with
+    no choice repeats until the next event, with one reward and no-op
+    reward throughout.
+    """
+
+    def append(self, decision: RLDecision, reward: float, noop_reward: float,
+               count: int = 1) -> None:
+        self._len += count
+        if self.runs and self.runs[-1][0] is decision:
+            count += self.runs.pop()[-1]
+        self.runs.append((decision, reward, noop_reward, count))
+
+    def _row(self, run, offset: int) -> tuple[RLDecision, float, float]:
+        return run[:3]
+
+
 @dataclass
 class EpisodeReport:
     jobs: list[JobRecord]
-    rounds: list[RoundRecord]
+    rounds: RoundLog
     aggregates: dict
-    # (decision, reward, counterfactual no-op reward) per recorded round
-    trajectory: list[tuple[RLDecision, float, float]] = field(default_factory=list)
+    trajectory: Trajectory = field(default_factory=Trajectory)
     audit_rows: list[list[tuple]] = field(default_factory=list)
 
     def jct_values(self) -> list[float]:
@@ -107,9 +188,9 @@ class EpisodeReport:
 
     def util_histogram(self) -> list[tuple[float, float]]:
         """(bin left edge, fraction of rounds) over [0, 1] in 20 bins."""
-        utils = [r.utilization for r in self.rounds]
-        counts, edges = np.histogram(utils, bins=20, range=(0.0, 1.0))
-        total = max(1, len(utils))
+        counts, edges = np.histogram(self.rounds.column("utilization"), bins=20,
+                                     range=(0.0, 1.0))
+        total = max(1, len(self.rounds))
         return [(float(edge), count / total) for edge, count in zip(edges, counts)]
 
     def cs_job_histogram(self) -> list[tuple[float, float]]:
@@ -127,17 +208,26 @@ def percentile_90(values: list[float]) -> float:
     return ordered[max(0, idx)]
 
 
-def _aggregate(jobs: list[JobRecord], rounds: list[RoundRecord]) -> dict:
+def _mean(col: np.ndarray) -> float:
+    """Mean of col added one value after another; 0.0 when empty.
+
+    np.sum adds pairwise (and sum() compensates from Python 3.12 on),
+    which would move the last bits of the per-round sums.
+    """
+    return float(np.add.accumulate(col)[-1]) / col.size if col.size else 0.0
+
+
+def _aggregate(jobs: list[JobRecord], rounds: RoundLog) -> dict:
     jcts = [j.jct for j in jobs]
-    running_rounds = [r.mean_cs for r in rounds if r.num_running > 0]
+    running = rounds.column("num_running") > 0
     return {
         "num_jobs": len(jobs),
         "num_rounds": len(rounds),
         "avg_jct": sum(jcts) / len(jcts) if jcts else 0.0,
         "p90_jct": percentile_90(jcts) if jcts else 0.0,
-        "mean_util": sum(r.utilization for r in rounds) / len(rounds) if rounds else 0.0,
-        "mean_cs": sum(running_rounds) / len(running_rounds) if running_rounds else 0.0,
-        "mean_reward": sum(r.reward for r in rounds) / len(rounds) if rounds else 0.0,
+        "mean_util": _mean(rounds.column("utilization")),
+        "mean_cs": _mean(rounds.column("mean_cs")[running]),
+        "mean_reward": _mean(rounds.column("reward")),
         "total_preemptions": sum(j.preemptions for j in jobs),
         "avg_queueing": sum(j.start - j.arrival for j in jobs) / len(jobs) if jobs else 0.0,
         "makespan": max((j.finish for j in jobs), default=0.0),
@@ -367,7 +457,10 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     checkpoint-ready re-queue, the first round in which a job finishes,
     and max_rounds. A job still burning a restore penalty, and an empty
     cluster with jobs queued (the livelock guard counts those rounds),
-    make no stretch. The event round itself goes through advance.
+    make no stretch. The event round itself goes through advance. The
+    report keeps a stretch as one run of rounds (RoundLog) and adds its
+    rounds to its decision's trajectory run (Trajectory); an event round
+    is a run of one round.
     """
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
@@ -383,8 +476,8 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     preempt_seq = 0
     t = 0.0
     T = episode_config.round_interval
-    rounds: list[RoundRecord] = []
-    trajectory: list[tuple[RLDecision, float]] = []
+    rounds = RoundLog(T)
+    trajectory = Trajectory()
     audit_rows: list[list[tuple]] = []
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
@@ -441,11 +534,10 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                                 [throughput[jid] for jid in running],
                                 [cs_map[jid] for jid in running], T, limit)
             if n:
-                rounds.extend([RoundRecord(k * T, utilization, mean_cs, reward, len(cs_map),
-                                           len(queue), 0, 0)
-                               for k in range(start, start + n)])
+                rounds.append(RoundRecord(start * T, utilization, mean_cs, reward, len(cs_map),
+                                          len(queue), 0, 0), n)
                 if record_trajectory and idle_action.rl is not None:
-                    trajectory.extend([(idle_action.rl, reward, noop_reward)] * n)
+                    trajectory.append(idle_action.rl, reward, noop_reward, n)
                 stall_rounds = 0
                 t = len(rounds) * T
                 continue
@@ -546,7 +638,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             num_running=len(cs_map), num_waiting=len(queue),
             num_placed=len(action.placements), num_preempted=len(preempted_now)))
         if record_trajectory and action.rl is not None:
-            trajectory.append((action.rl, reward, noop_reward))
+            trajectory.append(action.rl, reward, noop_reward)
         if audit:
             audit_rows.append(row)
             cluster.audit()
@@ -572,7 +664,6 @@ METRICS = ("avg_jct", "p90_jct", "mean_util", "mean_cs")
 class ComparisonReport:
     policies: list[str]
     per_policy: dict[str, dict]  # policy -> mean aggregates over traces
-    per_trace: dict[str, list[dict]]  # policy -> per-trace aggregates
     deltas: dict[tuple[str, str], dict[str, float]]
     reports: dict[str, list[EpisodeReport]]
 
@@ -586,21 +677,14 @@ def compare_policies(policies, traces: list[list[JobSpec]],
     policies: list of (name, policy object). Traces are shared across
     policies so deltas compare like for like.
     """
-    per_trace: dict[str, list[dict]] = {}
     reports: dict[str, list[EpisodeReport]] = {}
+    per_policy = {}
     names = []
     for name, policy in policies:
         names.append(name)
-        rows, reps = [], []
-        for trace in traces:
-            rep = run_episode(policy, trace, episode_config, cluster_config, weights)
-            rows.append(rep.aggregates)
-            reps.append(rep)
-        per_trace[name] = rows
-        reports[name] = reps
-    per_policy = {}
-    for name in names:
-        rows = per_trace[name]
+        reports[name] = [run_episode(policy, trace, episode_config, cluster_config, weights)
+                         for trace in traces]
+        rows = [rep.aggregates for rep in reports[name]]
         per_policy[name] = {m: sum(r[m] for r in rows) / len(rows) for m in METRICS}
         per_policy[name]["total_preemptions"] = sum(r["total_preemptions"] for r in rows)
     deltas = {}
@@ -612,5 +696,5 @@ def compare_policies(policies, traces: list[list[JobSpec]],
                 m: 100.0 * (per_policy[a][m] - per_policy[b][m]) / per_policy[b][m]
                 if per_policy[b][m] != 0 else 0.0
                 for m in METRICS}
-    return ComparisonReport(policies=names, per_policy=per_policy,
-                            per_trace=per_trace, deltas=deltas, reports=reports)
+    return ComparisonReport(policies=names, per_policy=per_policy, deltas=deltas,
+                            reports=reports)

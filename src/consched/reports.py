@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .engine import METRICS, ComparisonReport, EpisodeReport, RoundRecord
+from .engine import METRICS, ComparisonReport, EpisodeReport, RoundLog, RoundRecord
 
 JOB_COLUMNS = ("id", "model", "demand", "arrival", "start", "finish", "jct",
                "preemptions", "mean_cs", "isolated_runtime")
@@ -45,17 +45,26 @@ def _write_lines(path, header: str, lines, provenance: dict | None) -> None:
         fh.writelines(lines)
 
 
-def _round_row(r: RoundRecord) -> str:
-    # one f-string per row: the rows are most of a report's bytes, and !r
-    # and str write the same text as _fmt for these float and int fields
-    return (f"{r.time!r},{r.utilization!r},{r.mean_cs!r},{r.reward!r},"
+def _round_suffix(r: RoundRecord) -> str:
+    """A round's row after its time: the same for every round of a run."""
+    # !r and str write the same text as _fmt for these float and int fields
+    return (f",{r.utilization!r},{r.mean_cs!r},{r.reward!r},"
             f"{r.num_running},{r.num_waiting},{r.num_placed},{r.num_preempted}\n")
 
 
 # the row must write every field in header order, as write_csv would
 _PROBE = RoundRecord(*(k + 0.5 if f.type == "float" else k
                        for k, f in enumerate(fields(RoundRecord))))
-assert _round_row(_PROBE) == ",".join(_fmt(getattr(_PROBE, c)) for c in ROUND_COLUMNS) + "\n"
+assert (f"{_PROBE.time!r}{_round_suffix(_PROBE)}"
+        == ",".join(_fmt(getattr(_PROBE, c)) for c in ROUND_COLUMNS) + "\n")
+
+
+def _round_lines(rounds: RoundLog):
+    """per_round.csv's rows, one string per run: the suffix is formatted once."""
+    interval = rounds.interval
+    for record, first, n in rounds.runs:
+        suffix = _round_suffix(record)
+        yield "".join([f"{k * interval!r}{suffix}" for k in range(first, first + n)])
 
 
 def write_csv(path, columns, rows, provenance: dict | None = None) -> None:
@@ -75,7 +84,7 @@ def write_episode_report(report: EpisodeReport, out_dir, provenance: dict | None
               [tuple(getattr(j, c) for c in JOB_COLUMNS) for j in report.jobs],
               provenance)
     _write_lines(os.path.join(out_dir, "per_round.csv"), ",".join(ROUND_COLUMNS),
-                 map(_round_row, report.rounds), provenance)
+                 _round_lines(report.rounds), provenance)
     write_points(os.path.join(out_dir, "jct_cdf.csv"), report.jct_cdf(),
                  "jct,cumulative_fraction", provenance)
     write_points(os.path.join(out_dir, "util_hist.csv"), report.util_histogram(),

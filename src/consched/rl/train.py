@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..actions import ActionSpace, RLDecision
+from ..actions import ActionSpace
 from ..cluster import ClusterConfig
 from ..encoding import FEATURE_DIM
-from ..engine import EpisodeConfig, run_episode
+from ..engine import EpisodeConfig, Trajectory, run_episode
 from ..errors import NonFiniteLossError
 from ..policies import RLBasePolicy
 from ..workload import JobSpec, shuffle_arrival_order
@@ -42,6 +42,9 @@ MAX_GRAD_NORM = 10.0  # the trunk's global gradient norm is clipped to this
 UPDATES_PER_EPISODE = 4  # gradient steps on each episode's surrogate
 VALUE_EPOCHS = 30  # value-net regression steps before the advantages
 VALUE_LR = 0.01
+# the parameters each optimizer steps; head_prior takes no gradient
+POLICY_KEYS = (*(key for layer in POLICY_LAYERS for key in layer), "contention_scale")
+VALUE_KEYS = tuple(key for layer in VALUE_LAYERS for key in layer)
 
 
 @dataclass
@@ -99,21 +102,23 @@ def value_step(net: PolicyNet, states: np.ndarray, returns: np.ndarray,
     return loss
 
 
-def excess_returns(trajectory, gamma: float) -> np.ndarray:
-    """Discounted returns of the excess-over-noop reward stream.
+def excess_returns(trajectory: Trajectory, gamma: float) -> np.ndarray:
+    """Discounted per-round returns of the excess-over-noop reward stream.
 
     Subtracting the counterfactual no-op reward (a state-only quantity
     the engine computes exactly) cancels the standing reward level set
     by earlier placements, leaving credit that tracks the actions'
     marginal effects. Being action-independent, it keeps the gradient
-    estimator unbiased, like any baseline.
+    estimator unbiased, like any baseline. The runs are expanded to one
+    reward per round before the sequential discount.
     """
-    excess = np.array([r - noop for _, r, noop in trajectory])
+    runs = trajectory.runs
+    excess = np.repeat([r - noop for _, r, noop, _ in runs], [n for *_, n in runs])
     return discounted_returns(excess, gamma)
 
 
-def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
-                gamma: float, value_opt: Adam) -> Batch:
+def build_batch(net: PolicyNet, trajectory: Trajectory, gamma: float,
+                value_opt: Adam) -> Batch:
     """The rounds where some head had a choice, with their advantages.
 
     Returns run over every round, but rounds that offer only skip carry
@@ -126,8 +131,12 @@ def build_batch(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]
     if not trajectory:
         raise NonFiniteLossError("empty trajectory", {"steps": 0})
     returns = excess_returns(trajectory, gamma)
-    rows = [k for k, (step, *_) in enumerate(trajectory) if step.has_choice]
-    steps = [trajectory[k][0] for k in rows]
+    rows, steps, first = [], [], 0
+    for step, _, _, n in trajectory.runs:
+        if step.has_choice:
+            rows.extend(range(first, first + n))
+            steps.extend([step] * n)
+        first += n
     returns = returns[rows]
     states = np.stack([step.state for step in steps])
     actions = np.stack([step.head_actions for step in steps])
@@ -202,8 +211,8 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
     return loss, grads, aux
 
 
-def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
-           config: TrainConfig, opt: Adam, batch: Batch) -> dict:
+def update(net: PolicyNet, trajectory: Trajectory, config: TrainConfig, opt: Adam,
+           batch: Batch) -> dict:
     """One gradient step on the batch built from one episode's trajectory.
 
     contention_scale steps at CONTENTION_LR and is left out of the
@@ -212,7 +221,7 @@ def update(net: PolicyNet, trajectory: list[tuple[RLDecision, float, float]],
     loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef)
     finite = np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
     if not finite:
-        rewards = np.array([r for _, r, _ in trajectory])
+        rewards = np.array([r for _, r, _, _ in trajectory.runs])
         bad = int(np.argmax(~np.isfinite(batch.advantages))) if not np.isfinite(
             batch.advantages).all() else -1
         raise NonFiniteLossError(
@@ -260,6 +269,16 @@ def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[Policy
     return net, space
 
 
+def optimizers(net: PolicyNet, lr: float) -> tuple[Adam, Adam]:
+    """The policy's Adam over POLICY_KEYS and the value baseline's over VALUE_KEYS.
+
+    Each holds moments for its own keys only; the arrays are those of
+    net.params, so their in-place steps reach the net.
+    """
+    return (Adam({key: net.params[key] for key in POLICY_KEYS}, lr=lr),
+            Adam({key: net.params[key] for key in VALUE_KEYS}, lr=VALUE_LR))
+
+
 def train(trace: list[JobSpec], config: TrainConfig,
           cluster_config: ClusterConfig | None = None,
           metadata: dict | None = None):
@@ -270,8 +289,7 @@ def train(trace: list[JobSpec], config: TrainConfig,
     """
     cluster_config = cluster_config or ClusterConfig()
     net, space = make_net(cluster_config, config)
-    opt = Adam(net.params, lr=config.lr)
-    value_opt = Adam(net.params, lr=VALUE_LR)
+    opt, value_opt = optimizers(net, config.lr)
     net.reward_weights = config.weights
     policy = RLBasePolicy(net, space, deterministic=False)
     curves = []

@@ -203,6 +203,19 @@ class TestEval:
         assert "--contention-mode synthetic" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--cs-table", "--contention-mode"])
+    def test_no_contention_with_a_contention_flag_is_a_usage_error(self, flag, trace_file,
+                                                                   tmp_path, capsys):
+        table = tmp_path / "cs_table.csv"
+        write_cs_table(default_cs_table(), table)
+        value = str(table) if flag == "--cs-table" else "table"
+        out = tmp_path / "out"
+        assert run(["eval", "--policy", "las", "--trace", str(trace_file), "--no-contention",
+                    flag, value, "--out-dir", str(out)]) == 2
+        assert f"--no-contention sets every CS to 1; it cannot go with {flag}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_policy(self, trace_file, tmp_path):
         assert run(["eval", "--policy", "edf", "--trace", str(trace_file),
                     "--out-dir", str(tmp_path)]) == 2

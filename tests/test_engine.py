@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CS_CAP, CSTable, ContentionParams, ModelClass
-from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig,
-                             advance_stretch, compare_policies, percentile_90, run_episode)
+from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, RoundLog,
+                             RoundRecord, advance_stretch, compare_policies, percentile_90,
+                             run_episode)
 from consched.errors import ConfigError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
+from consched.reports import ROUND_COLUMNS, _fmt, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, Phase, TraceSpec, advance, generate_trace
@@ -497,6 +499,91 @@ class TestEpisodeProperties:
             assert start <= job.finish <= start + episode.round_interval * (1 + JCT_RTOL)
             assert done == total[job.id]
             assert job.jct >= job.isolated_runtime * (1.0 - JCT_RTOL)
+
+
+def per_round_aggregates(rounds) -> dict:
+    """The round aggregates summed one round at a time, the reference for the runs."""
+    rounds = list(rounds)
+    running = [r.mean_cs for r in rounds if r.num_running > 0]
+    return {
+        "num_rounds": len(rounds),
+        "mean_util": sum(r.utilization for r in rounds) / len(rounds) if rounds else 0.0,
+        "mean_cs": sum(running) / len(running) if running else 0.0,
+        "mean_reward": sum(r.reward for r in rounds) / len(rounds) if rounds else 0.0,
+    }
+
+
+class TestRunLog:
+    """The rounds and the trajectory kept as runs, against the per-round reference."""
+
+    @given(setup=random_episodes(), rl=st.sampled_from([None, "rl-base", "rl-hybrid"]))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_expand_to_the_per_round_reference(self, setup, rl):
+        kind, trace, episode, config = setup
+        kind = rl or kind
+        reports = []
+        for every_round in (True, False):
+            if kind.startswith("rl-"):
+                net, space = make_net(config, TrainConfig(seed=0))
+                policy = make_policy(kind, net=net, action_space=space,
+                                     deterministic=kind == "rl-hybrid")
+            else:
+                policy = make_policy(kind)
+            reports.append(run_episode(DecideCounter(policy, every_round), trace, episode,
+                                       config, rng=np.random.default_rng(3), audit=every_round,
+                                       record_trajectory=kind.startswith("rl-")))
+        ref, report = reports
+        # the reference decides and records every round: one run per round
+        assert len(ref.rounds.runs) == len(ref.rounds)
+        assert len(ref.trajectory.runs) == len(ref.trajectory)
+        expanded = list(report.rounds)
+        assert len(expanded) == len(report.rounds) == len(ref.rounds)
+        assert expanded == list(ref.rounds)
+        assert report.rounds == ref.rounds
+        assert [report.rounds[k] for k in range(-len(expanded), len(expanded))] == 2 * expanded
+        assert [r.time for r in expanded] == [k * episode.round_interval
+                                               for k in range(len(expanded))]
+        for record, first, n in report.rounds.runs:
+            assert expanded[first:first + n] == [replace(record, time=k * episode.round_interval)
+                                                 for k in range(first, first + n)]
+        assert report.aggregates == ref.aggregates
+        assert {key: report.aggregates[key] for key in per_round_aggregates(expanded)} == (
+            per_round_aggregates(expanded))
+        utils = [r.utilization for r in expanded]
+        counts, edges = np.histogram(utils, bins=20, range=(0.0, 1.0))
+        assert report.util_histogram() == [(float(edge), count / max(1, len(utils)))
+                                           for edge, count in zip(edges, counts)]
+        if kind.startswith("rl-"):
+            assert len(report.trajectory) == len(ref.trajectory) == len(expanded)
+            assert_same_trajectory(report.trajectory, ref.trajectory)
+            # one run per decision: consecutive runs hold different decisions
+            runs = report.trajectory.runs
+            assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+        else:
+            assert len(report.trajectory) == 0
+
+    def test_per_round_csv_is_written_run_by_run(self, tmp_path):
+        report = run_episode(GreedyPolicy(), NORMAL_64, EpisodeConfig())
+        assert len(report.rounds.runs) < len(report.rounds) / 5
+        write_episode_report(report, tmp_path)
+        lines = (tmp_path / "per_round.csv").read_text().splitlines()
+        assert lines[0] == ",".join(ROUND_COLUMNS)
+        assert lines[1:] == [",".join(_fmt(getattr(r, c)) for c in ROUND_COLUMNS)
+                             for r in report.rounds]
+
+    def test_indexing(self):
+        log = RoundLog(0.5)
+        log.append(RoundRecord(0.0, 0.25, 1.5, 0.1, 1, 2, 1, 0))
+        log.append(RoundRecord(0.5, 0.5, 1.0, 0.2, 2, 0, 0, 0), 3)
+        assert len(log) == 4 and len(log.runs) == 2
+        assert [r.time for r in log] == [0.0, 0.5, 1.0, 1.5]
+        assert log[2] == RoundRecord(1.0, 0.5, 1.0, 0.2, 2, 0, 0, 0)
+        assert log[-1].time == 1.5 and log[-4].time == 0.0
+        assert log.column("num_running").tolist() == [1, 2, 2, 2]
+        for k in (4, -5):
+            with pytest.raises(IndexError):
+                log[k]
+        assert log != list(log)[:3] and log == list(log)
 
 
 def test_round_times_do_not_drift():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from consched.actions import RLDecision
 from consched.cluster import ClusterConfig
 from consched.contention import CS_CAP
+from consched.engine import Trajectory
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
 from consched.rl.checkpoint import (ensure_compatible, load_checkpoint,
                                     save_checkpoint)
@@ -14,10 +17,10 @@ from consched.rl.net import (Architecture, PolicyNet, entropy_of,
 from consched.rl.optim import Adam, clip_grad_norm
 from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
                                 reward_from_terms)
-from consched.rl.train import (CONTENTION_LR, VALUE_EPOCHS, VALUE_LR, Batch, TrainConfig,
-                               build_batch, discounted_returns, excess_returns,
-                               loss_and_grads, make_net, pack_first_prior, update,
-                               value_step)
+from consched.rl.train import (CONTENTION_LR, POLICY_KEYS, VALUE_EPOCHS, VALUE_KEYS, VALUE_LR,
+                               Batch, TrainConfig, build_batch, discounted_returns,
+                               excess_returns, loss_and_grads, make_net, optimizers,
+                               pack_first_prior, update, value_step)
 
 TINY = Architecture(input_dim=6, hidden=(4, 4), k=2, head_size=4, value_hidden=(3, 3))
 
@@ -26,9 +29,21 @@ def tiny_net(seed=0, prior=None):
     return PolicyNet(TINY, np.random.default_rng(seed), head_prior=prior)
 
 
+def as_trajectory(rows, counts=None):
+    """A Trajectory of the (decision, reward, no-op reward) rows, one run each.
+
+    counts[i] repeats row i over that many rounds, as the engine records
+    a decision reused through a stretch.
+    """
+    traj = Trajectory()
+    for row, n in zip(rows, counts or [1] * len(rows)):
+        traj.append(*row, n)
+    return traj
+
+
 def fitted_batch(net, trajectory, gamma=0.5):
     """build_batch with a fresh value optimizer, as train() builds one per run."""
-    return build_batch(net, trajectory, gamma, Adam(net.params, lr=VALUE_LR))
+    return build_batch(net, trajectory, gamma, optimizers(net, 0.0)[1])
 
 
 def random_batch(net, rng, steps=8, forced_none=True):
@@ -301,7 +316,7 @@ class TestUpdate:
             traj.append((RLDecision(state=rng.standard_normal(a.input_dim),
                                     head_actions=actions, masks=masks),
                          float(rng.normal()), 0.0))
-        return traj
+        return as_trajectory(traj)
 
     def test_update_runs_and_returns_metrics(self):
         rng = np.random.default_rng(8)
@@ -333,7 +348,7 @@ class TestUpdate:
     def test_empty_trajectory_rejected(self):
         net = tiny_net()
         with pytest.raises(NonFiniteLossError):
-            fitted_batch(net, [], TrainConfig().gamma)
+            fitted_batch(net, Trajectory(), TrainConfig().gamma)
 
     def test_non_finite_raises_with_diagnostics(self):
         rng = np.random.default_rng(10)
@@ -376,18 +391,36 @@ class TestBuildBatch:
         net = tiny_net(seed=14)
         decisions = [self._round(net, rng, choice=True) for _ in range(6)]
         skips = [self._round(net, rng, choice=False) for _ in range(40)]
-        plain = fitted_batch(tiny_net(seed=14), decisions)
-        trajectory = skips[:20] + decisions + skips[20:]
+        plain = fitted_batch(tiny_net(seed=14), as_trajectory(decisions))
+        trajectory = as_trajectory(skips[:20] + decisions + skips[20:])
         padded = fitted_batch(tiny_net(seed=14), trajectory)
         assert len(padded.advantages) == len(decisions)
         assert np.allclose(padded.advantages, plain.advantages, rtol=0, atol=1e-12)
         assert np.allclose(excess_returns(trajectory, 0.5)[20:20 + len(decisions)],
-                           excess_returns(decisions, 0.5), rtol=0, atol=1e-12)
+                           excess_returns(as_trajectory(decisions), 0.5), rtol=0, atol=1e-12)
+
+    def test_runs_give_the_batch_of_their_rounds(self):
+        """A row repeated over n rounds counts as n one-round runs, bit for bit."""
+        rng = np.random.default_rng(17)
+        rows = [self._round(tiny_net(), rng, choice=k % 4 == 0) for k in range(12)]
+        counts = [1 + (7 * k) % 5 for k in range(12)]
+        runs = as_trajectory(rows, counts)
+        # a copy of the decision per round, so that the rows stay one run each
+        expanded = as_trajectory([(replace(step), reward, noop)
+                                  for (step, reward, noop), n in zip(rows, counts)
+                                  for _ in range(n)])
+        assert len(runs.runs) == 12 and len(expanded.runs) == sum(counts)
+        assert len(runs) == len(expanded) == sum(counts)
+        assert np.array_equal(excess_returns(runs, 0.5), excess_returns(expanded, 0.5))
+        a, b = fitted_batch(tiny_net(seed=17), runs), fitted_batch(tiny_net(seed=17), expanded)
+        for name in ("states", "actions", "masks", "advantages", "policy_weight"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_value_fit_before_advantages(self):
         """The baseline is fit to the decision rounds before advantages, then normalized."""
         rng = np.random.default_rng(16)
-        traj = [self._round(tiny_net(), rng, choice=k % 3 == 0) for k in range(30)]
+        traj = as_trajectory([self._round(tiny_net(), rng, choice=k % 3 == 0)
+                              for k in range(30)])
         fitted, manual = tiny_net(seed=16), tiny_net(seed=16)
         batch = fitted_batch(fitted, traj)
         returns = excess_returns(traj, 0.5)[[k for k, (step, *_) in enumerate(traj)
@@ -403,7 +436,7 @@ class TestBuildBatch:
     def test_normalized_over_decision_rounds(self):
         rng = np.random.default_rng(15)
         net = tiny_net(seed=15)
-        traj = [self._round(net, rng, choice=k % 5 == 0) for k in range(30)]
+        traj = as_trajectory([self._round(net, rng, choice=k % 5 == 0) for k in range(30)])
         batch = fitted_batch(net, traj)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-12)
         assert batch.advantages.std() == pytest.approx(1.0, abs=1e-12)
@@ -531,3 +564,35 @@ class TestTrainLoop:
             train(trace, TrainConfig(episodes=2, seed=9, checkpoint_path=str(path)))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestOptimizers:
+    def test_each_optimizer_holds_only_its_own_keys(self):
+        net, _ = make_net(ClusterConfig(), TrainConfig(seed=0))
+        opt, value_opt = optimizers(net, 1e-3)
+        assert set(opt.m) == set(opt.v) == set(POLICY_KEYS)
+        assert set(value_opt.m) == set(value_opt.v) == set(VALUE_KEYS)
+        assert not set(POLICY_KEYS) & set(VALUE_KEYS)
+        assert set(POLICY_KEYS) | set(VALUE_KEYS) == set(net.params) - {"head_prior"}
+        # the optimizers step net.params' own arrays
+        for key in POLICY_KEYS:
+            assert opt.params[key] is net.params[key]
+        for key in VALUE_KEYS:
+            assert value_opt.params[key] is net.params[key]
+
+    def test_train_uses_them(self, monkeypatch, tmp_path):
+        from consched.rl import train as train_module
+        from consched.workload import TraceSpec, generate_trace
+
+        made = []
+
+        def recording(net, lr):
+            made.append(optimizers(net, lr))
+            return made[-1]
+
+        monkeypatch.setattr(train_module, "optimizers", recording)
+        net, _ = train_module.train(generate_trace(TraceSpec(num_jobs=4, seed=2)),
+                                    TrainConfig(episodes=1, checkpoint_path=str(tmp_path / "p")))
+        (opt, value_opt), = made
+        assert opt.t == 4 and value_opt.t == VALUE_EPOCHS
+        assert set(opt.m) == set(POLICY_KEYS) and set(value_opt.m) == set(VALUE_KEYS)

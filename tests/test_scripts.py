@@ -2,9 +2,13 @@
 
 run_branch_sweep.py builds RLBasePolicy and RLHybridPolicy directly, so a
 constructor change breaks it without failing any other test.
+bench_snapshot.py's reading of bench/run.py's result files is checked on
+fabricated files: the script itself runs the whole benchmark.
 """
 
 import csv
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +48,19 @@ def test_dump_default_cs_table(tmp_path):
     out = tmp_path / "cs_table.csv"
     run_script("dump_default_cs_table.py", "--out", out)
     assert load_cs_table(out).entries == default_cs_table().entries
+
+
+def test_bench_snapshot_reads_the_import_phase(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_snapshot",
+                                                  ROOT / "scripts" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    paths = []
+    for seed, imports in ((1, 0.07), (2, 0.031), (3, 0.05)):
+        path = tmp_path / f"result-w-seed{seed}-trace0.json"
+        path.write_text(json.dumps({"metrics": {"setup_s": {"value": 0.2, "unit": "s"}},
+                                    "info": {"setup_phases_s": {"imports": imports,
+                                                                "table": 0.01}}}))
+        paths.append(path)
+    assert module.median_imports(paths) == 0.05
+    assert module.median_imports(paths[1:2]) == 0.031
