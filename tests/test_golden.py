@@ -8,7 +8,8 @@ regenerates the files with `python tests/test_golden.py --write` and
 says in CHANGES.md what moved and by how much.
 
 Each episode case stores its per-job records, its aggregates and a
-digest of its round records; RL cases record their trajectory and store
+digest of its round records; the contention-off cases run with every
+CS at 1; RL cases record their trajectory and store
 a digest of it too. The training case stores a digest per parameter
 array and the curves of a 2-episode train(). Two comparison cases store a
 sha256 of every file write_comparison writes, so the report bytes
@@ -68,6 +69,12 @@ VERDICT_CASES = [("heavy-poisson", "cs2"), ("synthetic", "cs2")]
 VERDICT_POLICY = "rl-base-argmax-scale2"
 SAMPLE_SEED = 7
 TRAIN_SPEC = TraceSpec(num_jobs=24, seed=15)
+# contention-off cases: (trace name, policy case, threshold name); every CS is 1
+OFF_CASES = [("normal64", "greedy", "cs2"), ("normal64", "srtf", "cs2"),
+             ("normal64", "rl-base-argmax", "cs2"), ("normal64", "rl-base-sample", "cs2"),
+             ("normal64", "rl-hybrid-argmax", "cs2"), ("heavy-poisson", "las", "cs2"),
+             ("heavy-poisson", "rl-base-sample", "cs2"), ("heavy-poisson", VERDICT_POLICY, "cs2"),
+             ("small-2x4", "srtf-np", "cs-off")]
 # comparison case -> (trace name, policy cases, threshold name)
 COMPARISONS = {
     "baselines-normal64": ("normal64", ("las", "srtf"), "cs-off"),
@@ -122,12 +129,13 @@ def _make_policy(policy_name: str, config: ClusterConfig):
     return make_policy(kind)
 
 
-def run_case(trace_name: str, policy_name: str, threshold_name: str) -> dict:
+def run_case(trace_name: str, policy_name: str, threshold_name: str,
+             contention_off: bool = False) -> dict:
     spec, cluster_config, contention = TRACES[trace_name]
     config = cluster_config or ClusterConfig()
     trace = generate_trace(spec, config)
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
-                            contention=contention)
+                            contention=contention, contention_enabled=not contention_off)
     rl = policy_name == VERDICT_POLICY or POLICIES[policy_name][0].startswith("rl-")
     policy = _make_policy(policy_name, config)
     report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),
@@ -199,6 +207,13 @@ def test_verdict_case_matches_golden(trace_name, threshold_name):
     assert actual == expected
 
 
+@pytest.mark.parametrize("trace_name,policy_name,threshold_name", OFF_CASES)
+def test_contention_off_case_matches_golden(trace_name, policy_name, threshold_name):
+    expected = golden("contention-off")[f"{trace_name}/{policy_name}/{threshold_name}"]
+    actual = _roundtrip(run_case(trace_name, policy_name, threshold_name, contention_off=True))
+    assert actual == expected
+
+
 def test_training_matches_golden(tmp_path):
     expected = golden("train")
     actual = _roundtrip(run_training(tmp_path))
@@ -219,6 +234,9 @@ def write_all(tmp_dir: Path) -> None:
                       for name, t in VERDICT_CASES if name == trace_name})
         (GOLDEN / f"{trace_name}.json").write_text(json.dumps(cases, indent=1) + "\n",
                                                    encoding="utf-8")
+    off = {"/".join(case): run_case(*case, contention_off=True) for case in OFF_CASES}
+    (GOLDEN / "contention-off.json").write_text(json.dumps(off, indent=1) + "\n",
+                                               encoding="utf-8")
     (GOLDEN / "train.json").write_text(json.dumps(run_training(tmp_dir), indent=1) + "\n",
                                        encoding="utf-8")
     reports = {case: run_comparison(case, tmp_dir / case) for case in COMPARISONS}
