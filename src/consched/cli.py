@@ -27,7 +27,7 @@ from .errors import (CheckpointError, ConfigError, ConschedError, TraceParseErro
 from .policies import POLICY_KINDS, make_policy
 from .rl.checkpoint import ensure_compatible, load_checkpoint
 from .rl.reward import BRANCHES, RewardWeights
-from .rl.train import TrainConfig, make_net, train
+from .rl.train import TrainConfig, architecture, train
 from .reports import (write_comparison, write_episode_report, write_summary,
                       write_training_curves)
 from .workload import (MIX_PRESETS, TraceSpec, generate_trace, parse_mix,
@@ -38,24 +38,32 @@ EXIT_FILE = 3
 EXIT_RUNTIME = 4
 
 
+# cluster flag (config-file key) -> ClusterConfig field
+CLUSTER_FLAGS = {"nodes": "num_nodes", "gpus_per_node": "gpus_per_node",
+                 "inter_bw": "inter_node_bandwidth", "intra_bw": "intra_node_bandwidth"}
+
+
 def _add_cluster_flags(parser):
-    parser.add_argument("--nodes", type=int, default=None, help="cluster nodes (default 4)")
-    parser.add_argument("--gpus-per-node", type=int, default=None, help="GPUs per node (default 8)")
-    parser.add_argument("--inter-bw", type=float, default=None,
-                        help="inter-node bandwidth MB/s (default 1250)")
-    parser.add_argument("--intra-bw", type=float, default=None,
-                        help="intra-node bus bandwidth MB/s (default 16000)")
+    c = ClusterConfig
+    parser.add_argument("--nodes", type=int, help=f"cluster nodes (default {c.num_nodes})")
+    parser.add_argument("--gpus-per-node", type=int,
+                        help=f"GPUs per node (default {c.gpus_per_node})")
+    parser.add_argument("--inter-bw", type=float,
+                        help=f"inter-node bandwidth MB/s (default {c.inter_node_bandwidth})")
+    parser.add_argument("--intra-bw", type=float,
+                        help=f"intra-node bus bandwidth MB/s (default {c.intra_node_bandwidth})")
 
 
 def _add_episode_flags(parser):
-    parser.add_argument("--round-interval", type=float, default=None,
-                        help="scheduling round length in sim-seconds (default 0.25)")
-    parser.add_argument("--cs-threshold", type=float, default=None,
-                        help="CS preemption threshold (default 2.0); <=1 disables")
-    parser.add_argument("--restore-penalty", type=float, default=None,
-                        help="restore penalty after preemption, sim-seconds (default 5)")
+    e = EpisodeConfig
+    parser.add_argument("--round-interval", type=float, help="scheduling round length in "
+                        f"sim-seconds (default {e.round_interval})")
+    parser.add_argument("--cs-threshold", type=float, help="CS preemption threshold "
+                        f"(default {e.cs_preemption_threshold}); <=1 disables")
+    parser.add_argument("--restore-penalty", type=float, help="restore penalty after "
+                        f"preemption, sim-seconds (default {e.restore_penalty})")
     parser.add_argument("--no-contention", action="store_true",
-                        help="force CS = 1 everywhere")
+                        help="contention mode off: CS = 1 everywhere")
     parser.add_argument("--contention-mode", choices=("table", "synthetic"), default=None,
                         help="CS mode (default: calibrated table)")
     parser.add_argument("--cs-table", default=None, help="path to a CS table file")
@@ -63,18 +71,15 @@ def _add_episode_flags(parser):
 
 def _cluster_config(args) -> ClusterConfig:
     """The cluster flags over the --config file's values; it may hold no other key."""
-    defaults = {"nodes": 4, "gpus_per_node": 8, "inter_bw": 1250.0, "intra_bw": 16000.0}
-    cli = {"nodes": args.nodes, "gpus_per_node": args.gpus_per_node,
-           "inter_bw": args.inter_bw, "intra_bw": args.intra_bw}
+    defaults = {key: getattr(ClusterConfig, name) for key, name in CLUSTER_FLAGS.items()}
+    cli = {key: getattr(args, key) for key in CLUSTER_FLAGS}
     file_cfg = parse_config_file(args.config) if args.config else {}
     try:
         merged = merge_config(file_cfg, cli, defaults)
     except ConfigError as exc:
         raise TraceParseError(f"config file {args.config}: {exc}") from exc
     try:
-        return ClusterConfig(num_nodes=merged["nodes"], gpus_per_node=merged["gpus_per_node"],
-                             inter_node_bandwidth=merged["inter_bw"],
-                             intra_node_bandwidth=merged["intra_bw"])
+        return ClusterConfig(**{name: merged[key] for key, name in CLUSTER_FLAGS.items()})
     except ConfigError as exc:
         raise UsageError(f"bad cluster flags: {exc}") from exc
 
@@ -94,21 +99,23 @@ def _episode_config(args, cluster_config) -> EpisodeConfig:
     if args.no_contention and (args.cs_table or args.contention_mode):
         flag = "--cs-table" if args.cs_table else "--contention-mode"
         raise UsageError(f"--no-contention sets every CS to 1; it cannot go with {flag}")
-    threshold = 2.0 if args.cs_threshold is None else args.cs_threshold
-    if threshold <= 1.0:
-        threshold = None
-    if args.cs_table:
-        contention = ContentionParams(mode="table", table=load_cs_table(args.cs_table))
+    given = {"round_interval": args.round_interval, "restore_penalty": args.restore_penalty,
+             "cs_preemption_threshold": args.cs_threshold}
+    fields = {key: value for key, value in given.items() if value is not None}
+    if args.cs_threshold is not None and args.cs_threshold <= 1.0:
+        fields["cs_preemption_threshold"] = None
+    if args.no_contention:
+        fields["contention"] = ContentionParams(mode="off")
+    elif args.cs_table:
+        fields["contention"] = ContentionParams(mode="table", table=load_cs_table(args.cs_table))
     elif args.contention_mode == "synthetic":
-        contention = ContentionParams(mode="synthetic")
+        fields["contention"] = ContentionParams(mode="synthetic")
     else:
-        contention = default_contention_params()
-    return EpisodeConfig(
-        round_interval=0.25 if args.round_interval is None else args.round_interval,
-        cs_preemption_threshold=threshold,
-        restore_penalty=5.0 if args.restore_penalty is None else args.restore_penalty,
-        contention=contention,
-        contention_enabled=not args.no_contention)
+        fields["contention"] = default_contention_params()
+    try:
+        return EpisodeConfig(**fields)
+    except ConfigError as exc:
+        raise UsageError(f"bad episode flags: {exc}") from exc
 
 
 def _weights(args) -> RewardWeights:
@@ -167,25 +174,26 @@ def _policy_for(kind: str, args, cluster_config):
             raise UsageError(f"policy {kind} requires --checkpoint")
         net, _meta = load_checkpoint(args.checkpoint)
         space = _action_space(cluster_config)
-        expected, _ = make_net(cluster_config, TrainConfig(k=net.arch.k, hidden=tuple(net.arch.hidden)))
-        ensure_compatible(net.arch, expected.arch, path=args.checkpoint)
+        expected = architecture(cluster_config, space, net.arch.k, net.arch.hidden)
+        ensure_compatible(net.arch, expected, path=args.checkpoint)
         return make_policy(kind, net=net, action_space=space)
     return make_policy(kind)
 
 
 def cmd_gen_trace(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     try:
         mix = parse_mix(args.mix)
     except (ConfigError, ValueError) as exc:
         raise UsageError(f"bad --mix: {exc}; presets: {', '.join(MIX_PRESETS)}") from exc
     cluster = _cluster_config(args)
-    spec = TraceSpec(num_jobs=args.jobs, mix=mix, seed=args.seed,
-                     isolated_hours=args.isolated_hours, time_scale=args.time_scale,
-                     jitter=args.jitter, demand_cap=args.demand_cap,
-                     demand_profile=args.demand_profile,
-                     arrival=args.arrival, arrival_rate=args.arrival_rate)
+    try:
+        spec = TraceSpec(num_jobs=args.jobs, mix=mix, seed=args.seed,
+                         isolated_hours=args.isolated_hours, time_scale=args.time_scale,
+                         jitter=args.jitter, demand_cap=args.demand_cap,
+                         demand_profile=args.demand_profile,
+                         arrival=args.arrival, arrival_rate=args.arrival_rate)
+    except ConfigError as exc:
+        raise UsageError(f"bad trace flags: {exc}") from exc
     jobs = generate_trace(spec, cluster)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_trace(jobs, spec, args.out)
@@ -198,17 +206,19 @@ def cmd_train(args) -> int:
     _action_space(cluster)  # fail before any work on a cluster RL cannot index
     episode = _episode_config(args, cluster)
     weights = _weights(args)
-    traces = _load_traces([args.trace])
-    root = output_root(args.out_dir)
-    ckpt_dir = os.path.join(root, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
+    ckpt_dir = os.path.join(output_root(args.out_dir), "checkpoints")
     name = args.name or f"policy_w1-{weights.w1!r}_s{args.seed}"
     ckpt_path = os.path.join(ckpt_dir, name + ".ckpt")
-    config = TrainConfig(
-        episodes=args.episodes, checkpoint_path=ckpt_path, lr=args.lr,
-        gamma=args.gamma, entropy_coef=args.entropy_coef, seed=args.seed,
-        k=args.k, weights=weights, episode=episode,
-        shuffle_per_episode=not args.no_shuffle)
+    try:
+        config = TrainConfig(
+            episodes=args.episodes, checkpoint_path=ckpt_path, lr=args.lr,
+            gamma=args.gamma, entropy_coef=args.entropy_coef, seed=args.seed,
+            k=args.k, weights=weights, episode=episode,
+            shuffle_per_episode=not args.no_shuffle)
+    except ConfigError as exc:
+        raise UsageError(f"bad training flags: {exc}") from exc
+    traces = _load_traces([args.trace])
+    os.makedirs(ckpt_dir, exist_ok=True)
     trace_id = os.path.basename(args.trace)
     net, curves = train(traces[0], config, cluster, metadata={"trace": trace_id})
     curves_path = os.path.join(ckpt_dir, name + "_curves.csv")

@@ -16,6 +16,7 @@ co-location, so CS >= 1 and CS == 1 means no degradation. Two modes:
   synthetic model evaluated for that single pair.
 
 In both modes a job with no node-sharing neighbor has CS exactly 1.0.
+A third mode, off, gives every job CS 1.0.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ class CSTable:
 class ContentionParams:
     """Which CS mode to use; table mode requires a table."""
 
-    mode: str = "synthetic"  # "synthetic" | "table"
+    mode: str = "synthetic"  # "synthetic" | "table" | "off" (every CS is 1)
     table: CSTable | None = None
 
     def __post_init__(self):
-        if self.mode not in ("synthetic", "table"):
+        if self.mode not in ("synthetic", "table", "off"):
             raise ConfigError(f"unknown contention mode {self.mode!r}")
         if self.mode == "table" and self.table is None:
             raise ConfigError("table mode requires a CS table")
@@ -191,11 +192,14 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
     """CS of the target job given the jobs it shares nodes with.
 
     Returns exactly 1.0 when no co-located job shares a node with the
-    target. colocated must not contain the target itself.
+    target, or when contention is off. colocated must not contain the
+    target itself.
     """
     profile, placement = job
     if placement is None:
         raise StateError("contention_sensitivity requires a placed job")
+    if params.mode == "off":
+        return 1.0
     mine = set(placement.nodes)
     sharing = [(p, pl) for (p, pl) in colocated if mine.intersection(pl.nodes)]
     if not sharing:

@@ -43,22 +43,25 @@ def default_contention_params() -> ContentionParams:
     return ContentionParams(mode="table", table=_DEFAULT_TABLE)
 
 
+CHECKPOINT_GRACE = 5.0  # sim-seconds; a preempted job re-queues once its checkpoint is written
+LIVELOCK_ROUNDS = 10  # no-progress rounds before the livelock guard forces a placement
+MAX_ROUNDS = 2_000_000  # an episode that runs longer raises
+
+
 @dataclass
 class EpisodeConfig:
     round_interval: float = 0.25
     cs_preemption_threshold: float | None = 2.0  # None turns preemption off
     restore_penalty: float = 5.0
-    checkpoint_grace: float = 5.0  # preempted job re-queues once its checkpoint is written
     contention: ContentionParams | None = None  # None -> calibrated table mode
-    contention_enabled: bool = True
-    livelock_rounds: int = 10
-    max_rounds: int = 2_000_000
 
     def __post_init__(self):
         if self.round_interval <= 0:
             raise ConfigError("round_interval must be positive")
         if self.cs_preemption_threshold is not None and self.cs_preemption_threshold <= 1:
             raise ConfigError("cs_preemption_threshold must exceed 1")
+        if self.restore_penalty < 0:
+            raise ConfigError("restore_penalty must be >= 0")
 
     def contention_params(self) -> ContentionParams:
         return self.contention if self.contention is not None else default_contention_params()
@@ -176,7 +179,6 @@ class EpisodeReport:
     rounds: RoundLog
     aggregates: dict
     trajectory: Trajectory = field(default_factory=Trajectory)
-    audit_rows: list[list[tuple]] = field(default_factory=list)
 
     def jct_values(self) -> list[float]:
         return [j.jct for j in self.jobs]
@@ -254,10 +256,10 @@ def _job_cs(jid: int, placements, residents, states: dict[int, JobState],
 class EpisodeCS:
     """One episode's contention model and its CS map, one per cluster.version.
 
-    The model and its switch come from the episode config;
-    run_episode builds one EpisodeCS and hands it to every decide. A new
-    map recomputes only the jobs on nodes that a job placed, moved or
-    freed since the last map touches, so it equals a full profile.
+    The model comes from the episode config; run_episode builds one
+    EpisodeCS and hands it to every decide. A new map recomputes only
+    the jobs on nodes that a job placed, moved or freed since the last
+    map touches, so it equals a full profile.
     """
 
     def __init__(self, cluster: ClusterState, states: dict[int, JobState],
@@ -265,7 +267,6 @@ class EpisodeCS:
         self.cluster = cluster
         self.states = states
         self.params = episode_config.contention_params()
-        self.enabled = episode_config.contention_enabled
         # the map and the version and placements it was computed for
         self._map, self._version, self._placed = {}, -1, {}
 
@@ -274,19 +275,15 @@ class EpisodeCS:
         cluster = self.cluster
         if self._version == cluster.version:
             return self._map
-        placements = cluster.placements
-        if not self.enabled:
-            self._map = dict.fromkeys(sorted(placements), 1.0)
-        else:
-            old, profile = self._placed, self._map
-            touched = {node for jid, p in old.items() if placements.get(jid) is not p
-                       for node in p.nodes}
-            touched.update(node for jid, p in placements.items() if old.get(jid) is not p
-                           for node in p.nodes)
-            dirty = set().union(*(cluster.residents[node] for node in touched))
-            self._map = {jid: _job_cs(jid, placements, cluster.residents, self.states,
-                                      self.params, cluster.config)
-                         if jid in dirty else profile[jid] for jid in sorted(placements)}
+        placements, old, profile = cluster.placements, self._placed, self._map
+        touched = {node for jid, p in old.items() if placements.get(jid) is not p
+                   for node in p.nodes}
+        touched.update(node for jid, p in placements.items() if old.get(jid) is not p
+                       for node in p.nodes)
+        dirty = set().union(*(cluster.residents[node] for node in touched))
+        self._map = {jid: _job_cs(jid, placements, cluster.residents, self.states,
+                                  self.params, cluster.config)
+                     if jid in dirty else profile[jid] for jid in sorted(placements)}
         self._placed, self._version = dict(placements), cluster.version
         return self._map
 
@@ -297,28 +294,27 @@ class EpisodeCS:
         profile is the CS map of the cluster that placements and residents
         describe (without jid). Only jid and the jobs sharing its nodes
         change. In table mode a neighbour's CS is a max over pairwise
-        lookups, so it becomes max(old, its CS against jid alone). Synthetic
-        mode sums per-node demand in order, so there a neighbour is
-        recomputed against its neighbours and jid in job-id order.
+        lookups, so it becomes max(old, its CS against jid alone); with
+        contention off every CS is 1, so the same holds. Synthetic mode sums
+        per-node demand in order, so there a neighbour is recomputed against
+        its neighbours and jid in job-id order.
         """
         states, params, config = self.states, self.params, self.cluster.config
-        changed = {jid: 1.0}
-        if self.enabled:
-            trial = (states[jid].spec.profile, placement)
-            neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
-            changed[jid] = contention_sensitivity(
-                trial, [(states[o].spec.profile, placements[o]) for o in neighbours],
-                params, config)
-            if params.mode == "table":
-                for nb in neighbours:
-                    changed[nb] = max(profile[nb], contention_sensitivity(
-                        (states[nb].spec.profile, placements[nb]), [trial], params, config))
-            else:
-                placements = {**placements, jid: placement}
-                residents = [jobs | {jid} if node in placement.nodes else jobs
-                             for node, jobs in enumerate(residents)]
-                for nb in neighbours:
-                    changed[nb] = _job_cs(nb, placements, residents, states, params, config)
+        trial = (states[jid].spec.profile, placement)
+        neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
+        changed = {jid: contention_sensitivity(
+            trial, [(states[o].spec.profile, placements[o]) for o in neighbours],
+            params, config)}
+        if params.mode == "synthetic":
+            placements = {**placements, jid: placement}
+            residents = [jobs | {jid} if node in placement.nodes else jobs
+                         for node, jobs in enumerate(residents)]
+            for nb in neighbours:
+                changed[nb] = _job_cs(nb, placements, residents, states, params, config)
+        else:
+            for nb in neighbours:
+                changed[nb] = max(profile[nb], contention_sensitivity(
+                    (states[nb].spec.profile, placements[nb]), [trial], params, config))
         return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
 
     def reward(self, utilization: float, profile: dict[int, float],
@@ -425,13 +421,12 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                 cluster_config: ClusterConfig | None = None,
                 weights: RewardWeights | None = None,
                 rng: np.random.Generator | None = None,
-                record_trajectory: bool = False,
-                audit: bool = False) -> EpisodeReport:
+                record_trajectory: bool = False) -> EpisodeReport:
     """Drive one episode to completion and collect metrics.
 
     Deterministic for a fixed (policy, trace, configs, rng seed); rng
     None means default_rng(0). The livelock guard forces a single greedy
-    placement after livelock_rounds consecutive no-progress rounds with
+    placement after LIVELOCK_ROUNDS consecutive no-progress rounds with
     an empty cluster and waiting jobs.
     Every decide gets the episode's EpisodeCS as its fifth argument; the
     RL policy prices its verdicts with it, and baselines ignore it.
@@ -451,13 +446,12 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
-    additions. Unless audit is on, they go in one step
-    (advance_stretch) that ends before the earliest of the round that
-    admits the next arrival, the round that admits the next
-    checkpoint-ready re-queue, the first round in which a job finishes,
-    and max_rounds. A job still burning a restore penalty, and an empty
-    cluster with jobs queued (the livelock guard counts those rounds),
-    make no stretch. The event round itself goes through advance. The
+    additions. They go in one step (advance_stretch) that ends before
+    the earliest of the round that admits the next arrival, the round
+    that admits the next checkpoint-ready re-queue, the first round in
+    which a job finishes, and MAX_ROUNDS. A job still burning a restore
+    penalty, and an empty cluster with jobs queued (the livelock guard
+    counts those rounds), make no stretch. The event round itself goes through advance. The
     report keeps a stretch as one run of rounds (RoundLog) and adds its
     rounds to its decision's trajectory run (Trajectory); an event round
     is a run of one round.
@@ -478,7 +472,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     T = episode_config.round_interval
     rounds = RoundLog(T)
     trajectory = Trajectory()
-    audit_rows: list[list[tuple]] = []
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
@@ -514,17 +507,17 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             idle_at = None
         if not queue and not cluster.placements and not pending and not checkpointing:
             break
-        if len(rounds) >= episode_config.max_rounds:
-            raise RuntimeError(f"episode exceeded {episode_config.max_rounds} rounds")
+        if len(rounds) >= MAX_ROUNDS:
+            raise RuntimeError(f"episode exceeded {MAX_ROUNDS} rounds")
 
         noop_reward = 0.0
         if record_trajectory:
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
             noop_reward = round_reward()
-        if idle_at == cluster.version and not audit and (cluster.placements or not queue):
+        if idle_at == cluster.version and (cluster.placements or not queue):
             start = len(rounds)
-            limit = episode_config.max_rounds - start
+            limit = MAX_ROUNDS - start
             if pending:
                 limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
             if checkpointing:
@@ -552,7 +545,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         # livelock guard: empty cluster, waiting jobs, policy keeps skipping
         if not action.placements and not cluster.placements and queue:
             stall_rounds += 1
-            if stall_rounds >= episode_config.livelock_rounds:
+            if stall_rounds >= LIVELOCK_ROUNDS:
                 fallback = decide_fifo_greedy(cluster, queue_specs())
                 if fallback.placements:
                     log.warning("livelock guard forcing greedy placement at t=%s", t)
@@ -570,7 +563,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if states[jid].phase is not Phase.RUNNING:
                 raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
             _preempt(cluster, states[jid], episode_config)
-            checkpointing.append((t + episode_config.checkpoint_grace, preempt_seq, jid))
+            checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, jid))
             preempt_seq += 1
             preempted_now.append(jid)
 
@@ -601,21 +594,14 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             reward = round_reward()
             round_version = cluster.version
 
-        row = []
         finished: list[int] = []
         for jid in sorted(cluster.placements):
             state = states[jid]
-            before = state.samples_done
-            restore_before = state.restore_remaining
             active = advance(state, T, throughput[jid], now=t)
             state.cs_integral += cs_map[jid] * active
             state.placed_time += active
             if state.phase is Phase.FINISHED:
                 finished.append(jid)
-            if audit:
-                burned = restore_before - state.restore_remaining
-                row.append((jid, cs_map[jid], throughput[jid], before,
-                            state.samples_done, active, burned))
         for jid in finished:
             cluster.free(jid)
             states[jid].placement = None
@@ -628,7 +614,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                 if cs_now[worst] <= threshold:
                     break
                 _preempt(cluster, states[worst], episode_config)
-                checkpointing.append((t + episode_config.checkpoint_grace, preempt_seq, worst))
+                checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, worst))
                 preempt_seq += 1
                 preempted_now.append(worst)
             checked_version = cluster.version
@@ -639,9 +625,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             num_placed=len(action.placements), num_preempted=len(preempted_now)))
         if record_trajectory and action.rl is not None:
             trajectory.append(action.rl, reward, noop_reward)
-        if audit:
-            audit_rows.append(row)
-            cluster.audit()
         t = len(rounds) * T  # a running sum of T would drift by rounding
 
     job_records = []
@@ -654,7 +637,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             isolated_runtime=s.spec.isolated_runtime))
     return EpisodeReport(jobs=job_records, rounds=rounds,
                          aggregates=_aggregate(job_records, rounds),
-                         trajectory=trajectory, audit_rows=audit_rows)
+                         trajectory=trajectory)
 
 
 METRICS = ("avg_jct", "p90_jct", "mean_util", "mean_cs")

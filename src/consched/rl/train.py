@@ -24,7 +24,7 @@ from ..actions import ActionSpace
 from ..cluster import ClusterConfig
 from ..encoding import FEATURE_DIM
 from ..engine import EpisodeConfig, Trajectory, run_episode
-from ..errors import NonFiniteLossError
+from ..errors import ConfigError, NonFiniteLossError
 from ..policies import RLBasePolicy
 from ..workload import JobSpec, shuffle_arrival_order
 from .net import (POLICY_LAYERS, VALUE_LAYERS, Architecture, PolicyNet, entropy_of,
@@ -62,6 +62,18 @@ class TrainConfig:
     hidden: tuple[int, int] = (256, 256)
     weights: RewardWeights = field(default_factory=RewardWeights)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
+
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ConfigError("episodes must be >= 1")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
+        if not 0 <= self.gamma <= 1:
+            raise ConfigError("gamma must be in [0, 1]")
+        if self.entropy_coef < 0:
+            raise ConfigError("entropy_coef must be >= 0")
 
 
 @dataclass
@@ -259,13 +271,17 @@ def pack_first_prior(space: ActionSpace) -> np.ndarray:
     return prior
 
 
+def architecture(cluster_config: ClusterConfig, space: ActionSpace, k: int,
+                 hidden) -> Architecture:
+    """The net shape for a cluster: its state grid in, one head of space.size per k."""
+    input_dim = cluster_config.num_nodes * 2 * cluster_config.gpus_per_node * FEATURE_DIM
+    return Architecture(input_dim=input_dim, hidden=tuple(hidden), k=k, head_size=space.size)
+
+
 def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[PolicyNet, ActionSpace]:
     space = ActionSpace(cluster_config)
-    input_dim = cluster_config.num_nodes * 2 * cluster_config.gpus_per_node * FEATURE_DIM
-    arch = Architecture(input_dim=input_dim, hidden=tuple(config.hidden),
-                        k=config.k, head_size=space.size)
-    net = PolicyNet(arch, np.random.default_rng(config.seed),
-                    head_prior=pack_first_prior(space))
+    net = PolicyNet(architecture(cluster_config, space, config.k, config.hidden),
+                    np.random.default_rng(config.seed), head_prior=pack_first_prior(space))
     return net, space
 
 

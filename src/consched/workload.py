@@ -4,7 +4,7 @@ A trace is a list of JobSpec. Communication mixes follow the four named
 ratios over GNN:IMG:DLRM:LM:FSDP:MoE. Per-job configuration variety is
 abstracted as +-20% multiplicative jitter on avg_bandwidth and
 comm_comp_ratio. Every job's isolated runtime is total_samples /
-ideal_throughput; the default of 60 sim-seconds is one "hour" at the
+IDEAL_THROUGHPUT; the default of 60 sim-seconds is one "hour" at the
 default 1/60 time scale.
 """
 
@@ -28,6 +28,8 @@ MIX_PRESETS = {
 
 MODEL_ORDER = [ModelClass.GNN, ModelClass.IMG, ModelClass.DLRM,
                ModelClass.LM, ModelClass.FSDP, ModelClass.MoE]
+
+IDEAL_THROUGHPUT = 10.0  # samples/s of every generated job, uncontended
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,6 @@ class TraceSpec:
     seed: int = 0
     isolated_hours: float = 1.0
     time_scale: float = 1.0 / 60.0
-    ideal_throughput: float = 10.0
     jitter: float = 0.2
     demand_cap: int = 32
     demand_profile: str = "small-skew"  # or "uniform"
@@ -188,8 +189,14 @@ class TraceSpec:
             raise ConfigError("mix needs 6 positive ratios")
         if self.arrival not in ("all-at-zero", "poisson"):
             raise ConfigError(f"unknown arrival process {self.arrival!r}")
-        if self.isolated_hours <= 0 or self.time_scale <= 0 or self.ideal_throughput <= 0:
-            raise ConfigError("isolated_hours, time_scale, ideal_throughput must be positive")
+        if self.isolated_hours <= 0 or self.time_scale <= 0:
+            raise ConfigError("isolated_hours and time_scale must be positive")
+        if self.arrival_rate <= 0:
+            raise ConfigError("arrival_rate must be positive")
+        if not 0 <= self.jitter < 1:
+            raise ConfigError("jitter must be in [0, 1)")
+        if self.demand_cap < 1:
+            raise ConfigError("demand_cap must be >= 1")
 
     @property
     def isolated_runtime(self) -> float:
@@ -226,7 +233,7 @@ def generate_trace(spec: TraceSpec, cluster_config: ClusterConfig | None = None)
             id=k,
             model_class=model,
             gpu_demand=demand,
-            total_samples=spec.ideal_throughput * spec.isolated_runtime,
+            total_samples=IDEAL_THROUGHPUT * spec.isolated_runtime,
             arrival_time=float(arrivals[k]),
             profile=profile,
             isolated_runtime=spec.isolated_runtime,
@@ -252,7 +259,7 @@ def write_trace(jobs: list[JobSpec], spec: TraceSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# trace num_jobs={spec.num_jobs} mix={_mix_str(spec.mix)} "
                  f"seed={spec.seed} isolated_hours={spec.isolated_hours!r} "
-                 f"time_scale={spec.time_scale!r} ideal_throughput={spec.ideal_throughput!r} "
+                 f"time_scale={spec.time_scale!r} ideal_throughput={IDEAL_THROUGHPUT!r} "
                  f"jitter={spec.jitter!r} demand_cap={spec.demand_cap} "
                  f"demand_profile={spec.demand_profile} "
                  f"arrival={spec.arrival} arrival_rate={spec.arrival_rate!r}\n")

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from consched import engine
 from consched.cluster import ClusterConfig, ClusterState, Placement, first_fit
 from consched.contention import (ContentionParams, DEFAULT_PROFILES, ModelClass,
                                  ModelProfile, CommPattern, contention_sensitivity,
@@ -203,7 +204,7 @@ def brute_force_best_order(demands, runtimes, config):
     return best
 
 
-def test_criterion_5_baseline_oracles():
+def test_criterion_5_baseline_oracles(monkeypatch):
     """Equal-demand instances on a 2x2 cluster: SRTF average JCT never
     exceeds the best brute-force non-preemptive ordering (the dominance
     theorem's domain; heterogeneous demands admit counterexamples, see
@@ -211,9 +212,9 @@ def test_criterion_5_baseline_oracles():
     sort oracles. Runtime < 1 min."""
     start = time.time()
     config = ClusterConfig(num_nodes=2, gpus_per_node=2)
-    ep = EpisodeConfig(round_interval=0.25, contention_enabled=False,
-                       cs_preemption_threshold=None, restore_penalty=0.0,
-                       checkpoint_grace=0.0)
+    monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 0.0)
+    ep = EpisodeConfig(round_interval=0.25, contention=ContentionParams(mode="off"),
+                       cs_preemption_threshold=None, restore_penalty=0.0)
     base = generate_trace(TraceSpec(num_jobs=4, seed=0))
     instances = 0
     for demand in (1, 2, 4):

@@ -47,6 +47,39 @@ def trace_file(tmp_path):
     return path
 
 
+# inputs that cannot work; each is a usage error (exit 2) before any output
+BAD_INPUTS = {
+    "arrival-rate-0": ["gen-trace", "--arrival", "poisson", "--arrival-rate", "0"],
+    "arrival-rate-negative": ["gen-trace", "--arrival", "poisson", "--arrival-rate", "-1"],
+    "demand-cap-0": ["gen-trace", "--demand-cap", "0"],
+    "jitter-1.5": ["gen-trace", "--jitter", "1.5"],
+    "time-scale-0": ["gen-trace", "--time-scale", "0"],
+    "negative-restore-penalty": ["eval", "--policy", "srtf", "--restore-penalty", "-30",
+                                 "--cs-threshold", "1.2"],
+    "episodes-0": ["train", "--episodes", "0"],
+    "k-0": ["train", "--k", "0"],
+    "negative-lr": ["train", "--lr", "-1"],
+    "negative-gamma": ["train", "--gamma", "-3"],
+    "negative-entropy-coef": ["train", "--entropy-coef", "-0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_is_a_one_line_usage_error(argv, trace_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] == "gen-trace":
+        argv = [*argv, "--jobs", "8", "--seed", "1", "--out", str(out / "trace.txt")]
+    else:
+        argv = [argv[0], "--trace", str(trace_file), *argv[1:], "--out-dir", str(out)]
+    capsys.readouterr()  # drop the trace_file fixture's output
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 class TestGenTrace:
     def test_writes_jobs(self, trace_file):
         jobs, header = read_trace(trace_file)

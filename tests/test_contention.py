@@ -209,6 +209,18 @@ class TestTableMode:
             ContentionParams(mode="table", table=None)
 
 
+class TestOffMode:
+    def test_every_cs_is_one(self):
+        fsdp, moe = DEFAULT_PROFILES[ModelClass.FSDP], DEFAULT_PROFILES[ModelClass.MoE]
+        shared = Placement(nodes=(0,), gpus_per_node_used=4)
+        assert contention_sensitivity((fsdp, shared), [(moe, shared)],
+                                      ContentionParams(mode="off"), CFG) == 1.0
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown contention mode"):
+            ContentionParams(mode="none")
+
+
 class TestTableIO:
     def test_roundtrip(self, tmp_path):
         table = default_cs_table()

@@ -1,4 +1,5 @@
 import logging
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consched import engine, workload
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CS_CAP, CSTable, ContentionParams, ModelClass
@@ -20,6 +22,49 @@ from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, Phase, TraceSpec, advance, generate_trace
 
 CFG = ClusterConfig()
+OFF = ContentionParams(mode="off")
+
+
+class AuditedCluster(ClusterState):
+    """A ClusterState that checks its grid and counts after every allocate and free."""
+
+    def allocate(self, job_id, placement):
+        super().allocate(job_id, placement)
+        self.audit()
+        return self
+
+    def free(self, job_id):
+        super().free(job_id)
+        self.audit()
+        return self
+
+
+@contextmanager
+def audited():
+    """Audit the run_episode call inside: rounds one at a time, per-round rows.
+
+    advance_stretch makes no stretch, so every round is stepped on its
+    own; the episode's cluster audits itself after every allocate and
+    free. Yields a list that holds, for round k, one row per job the
+    round advanced: (job, last_cs, throughput, samples before, samples
+    after, active time, restore time burned).
+    """
+    rows = []
+
+    def advance(state, dt, throughput, now):
+        k = round(now / dt)  # now is k * dt
+        rows.extend([] for _ in range(k + 1 - len(rows)))
+        before, restore = state.samples_done, state.restore_remaining
+        active = workload.advance(state, dt, throughput, now=now)
+        rows[k].append((state.spec.id, state.last_cs, throughput, before, state.samples_done,
+                        active, restore - state.restore_remaining))
+        return active
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "advance_stretch", lambda *args: 0)
+        patch.setattr(engine, "advance", advance)
+        patch.setattr(engine, "ClusterState", AuditedCluster)
+        yield rows
 
 
 def jobs_with(demands, runtimes=None, models=None):
@@ -105,7 +150,8 @@ class TestTwoJobTimelineOracle:
 
 
 class TestPreemptSemantics:
-    def test_progress_retained_and_penalty_delays_exactly(self):
+    def test_progress_retained_and_penalty_delays_exactly(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 0.0)
         trace = jobs_with([2], runtimes=[60.0])
         config = ClusterConfig(num_nodes=1, gpus_per_node=2)
         place = Action(placements=[(trace[0].id, Placement(nodes=(0,), gpus_per_node_used=2))])
@@ -113,7 +159,7 @@ class TestPreemptSemantics:
         def run(penalty):
             script = [place, Action(preemptions=[trace[0].id])]
             ep = EpisodeConfig(round_interval=1.0, restore_penalty=penalty,
-                               checkpoint_grace=0.0, cs_preemption_threshold=None)
+                               cs_preemption_threshold=None)
             return run_episode(ScriptedPolicy(script), trace, ep, config)
 
         with_penalty = run(5.0)
@@ -122,14 +168,15 @@ class TestPreemptSemantics:
         delta = with_penalty.jobs[0].jct - without.jobs[0].jct
         assert delta == pytest.approx(5.0)
 
-    def test_preempted_job_first_in_queue_next_round(self):
+    def test_preempted_job_first_in_queue_next_round(self, monkeypatch):
         # two jobs contending; the preempted one must come back as the
         # head-of-queue candidate once its checkpoint grace expires
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 0.0)
         trace = jobs_with([2, 2, 1], runtimes=[60.0, 60.0, 60.0],
                           models=[ModelClass.LM, ModelClass.LM, ModelClass.GNN])
         config = ClusterConfig(num_nodes=1, gpus_per_node=8)
         ep = EpisodeConfig(round_interval=1.0, cs_preemption_threshold=1.5,
-                           checkpoint_grace=0.0, contention=pair_table(2.0, 2.0))
+                           contention=pair_table(2.0, 2.0))
         report = run_episode(GreedyPolicy(), trace, ep, config)
         assert all(j.finish is not None for j in report.jobs)
 
@@ -137,19 +184,21 @@ class TestPreemptSemantics:
 class TestInvariants:
     def test_job_conservation_and_audits(self):
         trace = generate_trace(TraceSpec(num_jobs=24, seed=3))
-        report = run_episode(make_policy("las"), trace, EpisodeConfig(), audit=True)
+        with audited() as rows:
+            report = run_episode(make_policy("las"), trace, EpisodeConfig())
+        assert len(rows) == len(report.rounds)
         assert len(report.jobs) == 24
         assert all(j.finish is not None and j.jct >= j.isolated_runtime - 1e-9
                    for j in report.jobs)
         # work conservation: per-round sample deltas equal throughput times
         # the active time net of restore-penalty burn
-        for row in report.audit_rows:
+        for row in rows:
             for (_, _, thr, before, after, active, burned) in row:
                 assert after - before == pytest.approx(thr * (active - burned), abs=1e-9)
 
     def test_contention_off_jct_is_queueing_plus_isolated(self):
         trace = generate_trace(TraceSpec(num_jobs=16, seed=5))
-        ep = EpisodeConfig(contention_enabled=False)
+        ep = EpisodeConfig(contention=OFF)
         report = run_episode(GreedyPolicy(), trace, ep)
         for job in report.jobs:
             queueing = job.start - job.arrival
@@ -235,9 +284,10 @@ class TestDeferral:
     def test_rl_episode_conserves_jobs_under_audit(self):
         net, space = make_net(CFG, TrainConfig(seed=0))
         trace = generate_trace(TraceSpec(num_jobs=24, seed=9))
-        report = run_episode(RLBasePolicy(net, space, deterministic=False), trace,
-                             EpisodeConfig(), rng=np.random.default_rng(1),
-                             audit=True, record_trajectory=True)
+        with audited():
+            report = run_episode(RLBasePolicy(net, space, deterministic=False), trace,
+                                 EpisodeConfig(), rng=np.random.default_rng(1),
+                                 record_trajectory=True)
         assert sorted(j.id for j in report.jobs) == sorted(s.id for s in trace)
         assert all(j.finish is not None and j.jct >= j.isolated_runtime - 1e-9
                    for j in report.jobs)
@@ -251,11 +301,11 @@ class TestLivelockGuard:
         def decide(self, cluster, queue, states, rng=None, cs=None):
             return Action()
 
-    def test_forced_greedy_after_stall(self, caplog):
+    def test_forced_greedy_after_stall(self, caplog, monkeypatch):
         trace = jobs_with([4], runtimes=[30.0])
-        ep = EpisodeConfig(livelock_rounds=5)
+        monkeypatch.setattr(engine, "LIVELOCK_ROUNDS", 5)
         with caplog.at_level(logging.WARNING, logger="consched.engine"):
-            report = run_episode(self.AllSkip(), trace, ep)
+            report = run_episode(self.AllSkip(), trace, EpisodeConfig())
         assert report.jobs[0].finish is not None
         assert any("livelock" in rec.message for rec in caplog.records)
 
@@ -268,6 +318,12 @@ class TestConfigValidation:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             EpisodeConfig(cs_preemption_threshold=1.0)
+
+    def test_negative_restore_penalty(self):
+        """A negative penalty would advance a restoring job past its round."""
+        with pytest.raises(ConfigError, match="restore_penalty"):
+            EpisodeConfig(restore_penalty=-30.0)
+        assert EpisodeConfig(restore_penalty=0.0).restore_penalty == 0.0
 
 
 class TestComparePolicies:
@@ -286,8 +342,7 @@ class TestComparePolicies:
         on = run_episode(GreedyPolicy(), trace,
                          EpisodeConfig(cs_preemption_threshold=None))
         off = run_episode(GreedyPolicy(), trace,
-                          EpisodeConfig(cs_preemption_threshold=None,
-                                        contention_enabled=False))
+                          EpisodeConfig(cs_preemption_threshold=None, contention=OFF))
         assert off.aggregates["avg_jct"] <= on.aggregates["avg_jct"] + 1e-9
 
     def test_report_structure(self):
@@ -332,11 +387,11 @@ HEAVY_POISSON = generate_trace(TraceSpec(num_jobs=32, seed=4, mix=MIX_PRESETS["h
 
 
 class TestIdleBetweenEvents:
-    def run_both(self, kind, trace, episode, cluster_config=None, audit=False):
+    def run_both(self, kind, trace, episode):
         reports, counters = [], []
         for every_round in (True, False):
             counter = DecideCounter(make_policy(kind), every_round)
-            reports.append(run_episode(counter, trace, episode, cluster_config, audit=audit))
+            reports.append(run_episode(counter, trace, episode))
             counters.append(counter)
         return reports, counters
 
@@ -357,10 +412,17 @@ class TestIdleBetweenEvents:
     def test_same_episode_on_small_cluster_under_audit(self, kind):
         config = ClusterConfig(num_nodes=2, gpus_per_node=4)
         trace = generate_trace(TraceSpec(num_jobs=24, seed=2, demand_cap=8), config)
-        (ref, fast), _ = self.run_both(kind, trace, EpisodeConfig(), config, audit=True)
+        reports, rows = [], []
+        for every_round in (True, False):
+            with audited() as audit_rows:
+                reports.append(run_episode(DecideCounter(make_policy(kind), every_round), trace,
+                                           EpisodeConfig(), config))
+            rows.append(audit_rows)
+        (ref, fast), (ref_rows, fast_rows) = reports, rows
         assert fast.jobs == ref.jobs
         assert fast.rounds == ref.rounds
-        assert fast.audit_rows == ref.audit_rows
+        assert len(ref_rows) == len(ref.rounds)
+        assert fast_rows == ref_rows
 
 
 def fresh_rl_policy(kind, deterministic):
@@ -415,13 +477,15 @@ class TestRLIdleBetweenEvents:
         episode = EpisodeConfig()
         policy = (fresh_rl_policy(kind, False) if kind == "rl-base"
                   else make_policy(kind))
-        report = run_episode(policy, HEAVY_POISSON, episode, rng=np.random.default_rng(5),
-                             record_trajectory=True, audit=True)
+        with audited() as rows:
+            report = run_episode(policy, HEAVY_POISSON, episode, rng=np.random.default_rng(5),
+                                 record_trajectory=True)
         demand = {spec.id: spec.gpu_demand for spec in HEAVY_POISSON}
         ideal = {spec.id: spec.ideal_throughput for spec in HEAVY_POISSON}
         weights = RewardWeights()
         assert sum(r.num_preempted for r in report.rounds) > 0
-        for rnd, row in zip(report.rounds, report.audit_rows):
+        assert len(rows) == len(report.rounds)
+        for rnd, row in zip(report.rounds, rows):
             cs = [entry[1] for entry in row]
             util = sum(demand[entry[0]] for entry in row) / CFG.total_gpus
             assert rnd.num_running == len(row)
@@ -471,24 +535,28 @@ class TestEpisodeProperties:
     @settings(max_examples=60, deadline=None)
     def test_jobs_finish_once_no_faster_than_isolated_and_match_every_round(self, setup):
         kind, trace, episode, config = setup
-        reports = []
-        for every_round in (True, False):
+
+        def run(every_round):
             if kind == "rl-base":  # a fresh net, sampling
                 net, space = make_net(config, TrainConfig(seed=0))
                 policy = make_policy(kind, net=net, action_space=space, deterministic=False)
             else:
                 policy = make_policy(kind)
-            # the reference decides every round under audit, which checks the
-            # occupancy grid every round; the other side takes idle stretches
-            reports.append(run_episode(DecideCounter(policy, every_round), trace, episode,
-                                       config, rng=np.random.default_rng(3), audit=every_round))
-        ref, report = reports
+            return run_episode(DecideCounter(policy, every_round), trace, episode,
+                               config, rng=np.random.default_rng(3))
+
+        # the reference decides every round under audit, which checks the
+        # occupancy grid after every change; the other side takes idle stretches
+        with audited() as rows:
+            ref = run(every_round=True)
+        report = run(every_round=False)
         assert report.jobs == ref.jobs
         assert report.rounds == ref.rounds
         assert report.aggregates == ref.aggregates
         assert sorted(job.id for job in report.jobs) == sorted(spec.id for spec in trace)
         last = {}  # job id -> (round, samples done after it) of the job's last running round
-        for k, row in enumerate(ref.audit_rows):
+        assert len(rows) == len(ref.rounds)
+        for k, row in enumerate(rows):
             for jid, _cs, _thr, _before, after, *_ in row:
                 last[jid] = (k, after)
         total = {spec.id: spec.total_samples for spec in trace}
@@ -521,18 +589,21 @@ class TestRunLog:
     def test_runs_expand_to_the_per_round_reference(self, setup, rl):
         kind, trace, episode, config = setup
         kind = rl or kind
-        reports = []
-        for every_round in (True, False):
+
+        def run(every_round):
             if kind.startswith("rl-"):
                 net, space = make_net(config, TrainConfig(seed=0))
                 policy = make_policy(kind, net=net, action_space=space,
                                      deterministic=kind == "rl-hybrid")
             else:
                 policy = make_policy(kind)
-            reports.append(run_episode(DecideCounter(policy, every_round), trace, episode,
-                                       config, rng=np.random.default_rng(3), audit=every_round,
-                                       record_trajectory=kind.startswith("rl-")))
-        ref, report = reports
+            return run_episode(DecideCounter(policy, every_round), trace, episode, config,
+                               rng=np.random.default_rng(3),
+                               record_trajectory=kind.startswith("rl-"))
+
+        with audited():
+            ref = run(every_round=True)
+        report = run(every_round=False)
         # the reference decides and records every round: one run per round
         assert len(ref.rounds.runs) == len(ref.rounds)
         assert len(ref.trajectory.runs) == len(ref.trajectory)
@@ -679,14 +750,15 @@ def test_stretches_longer_than_a_chunk_match_every_round():
 
 
 @pytest.mark.parametrize("max_rounds", [3, 50, 399])
-def test_max_rounds_raises_at_the_same_round(max_rounds):
-    """A stretch stops at max_rounds: the jobs have advanced exactly as far as round by round."""
+def test_max_rounds_raises_at_the_same_round(max_rounds, monkeypatch):
+    """A stretch stops at MAX_ROUNDS: the jobs have advanced exactly as far as round by round."""
+    monkeypatch.setattr(engine, "MAX_ROUNDS", max_rounds)
     trace = jobs_with([4, 8], runtimes=[100.0, 100.0])
     progress = []
     for every_round in (True, False):
         policy = StateCapture(GreedyPolicy(), every_round)
         with pytest.raises(RuntimeError, match=f"exceeded {max_rounds} rounds"):
-            run_episode(policy, trace, EpisodeConfig(max_rounds=max_rounds))
+            run_episode(policy, trace, EpisodeConfig())
         progress.append([job_fields(policy.states[spec.id]) for spec in trace])
     ref, fast = progress
     assert fast == ref

@@ -135,7 +135,8 @@ def run_case(trace_name: str, policy_name: str, threshold_name: str,
     config = cluster_config or ClusterConfig()
     trace = generate_trace(spec, config)
     episode = EpisodeConfig(cs_preemption_threshold=THRESHOLDS[threshold_name],
-                            contention=contention, contention_enabled=not contention_off)
+                            contention=ContentionParams(mode="off") if contention_off
+                            else contention)
     rl = policy_name == VERDICT_POLICY or POLICIES[policy_name][0].startswith("rl-")
     policy = _make_policy(policy_name, config)
     report = run_episode(policy, trace, episode, config, rng=np.random.default_rng(SAMPLE_SEED),

@@ -7,7 +7,7 @@ neighbours. The oracles below are the full computations those shortcuts
 replace: every placed job profiled against every other, and each trial
 placement priced on a copy of the cluster with the job allocated. The
 tests draw clusters of 1-8 nodes, random allocate and free sequences,
-both contention modes and the contention switch, and compare with ==,
+the table and synthetic modes and contention off, and compare with ==,
 dict order included.
 """
 
@@ -30,13 +30,15 @@ from consched.rl.reward import RewardWeights, compute_reward, reward_from_terms
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import MIX_PRESETS, JobSpec, JobState, TraceSpec, generate_trace
 
-MODES = {"table": default_contention_params, "synthetic": lambda: ContentionParams("synthetic")}
+OFF = ContentionParams("off")
+MODES = {"table": default_contention_params, "synthetic": lambda: ContentionParams("synthetic"),
+         "off": lambda: OFF}
 
 
-def full_profile(cluster, states, params, enabled):
+def full_profile(cluster, states, params):
     """Every placed job against every other placed job, in job-id order."""
     placed = sorted(cluster.placements)
-    if not enabled:
+    if params.mode == "off":
         return {jid: 1.0 for jid in placed}
     return {jid: contention_sensitivity(
                 (states[jid].spec.profile, cluster.placements[jid]),
@@ -45,16 +47,15 @@ def full_profile(cluster, states, params, enabled):
             for jid in placed}
 
 
-def episode_cs(cluster, states, params, enabled):
-    return EpisodeCS(cluster, states, EpisodeConfig(contention=params,
-                                                    contention_enabled=enabled))
+def episode_cs(cluster, states, params):
+    return EpisodeCS(cluster, states, EpisodeConfig(contention=params))
 
 
 def oracle_reward(policy, episode, cluster, states):
     weights = policy.net.reward_weights
     if not cluster.placements:
         return reward_from_terms(1.0, 0.0, weights)
-    cs = full_profile(cluster, states, episode.contention, episode.contention_enabled)
+    cs = full_profile(cluster, states, episode.contention)
     return compute_reward(cluster.utilization(), cs, weights)
 
 
@@ -121,10 +122,9 @@ def scenarios(draw):
                            gpus_per_node=draw(st.sampled_from([1, 2, 4, 8])))
     mode = draw(st.sampled_from(sorted(MODES)))
     params = MODES[mode]()
-    enabled = draw(st.booleans())
     cluster = ClusterState(config)
     states: dict[int, JobState] = {}
-    cs = episode_cs(cluster, states, params, enabled)
+    cs = episode_cs(cluster, states, params)
     steps = []
     # ids in random order, so that a new job's id falls among the placed ones
     ids = draw(st.permutations(range(40)))
@@ -140,8 +140,8 @@ def scenarios(draw):
             states[jid] = JobState(spec=spec(jid, draw(st.sampled_from(list(ModelClass))),
                                              demand))
             cluster.allocate(jid, draw(st.sampled_from(options)))
-        steps.append((cs.profile(), full_profile(cluster, states, params, enabled)))
-    return config, params, enabled, cluster, states, steps
+        steps.append((cs.profile(), full_profile(cluster, states, params)))
+    return config, params, cluster, states, steps
 
 
 def queue_for(draw, config, states):
@@ -172,23 +172,22 @@ class TestIncrementalProfile:
             states[jid] = JobState(spec=spec(jid, model, 4))
             cluster.allocate(jid, enumerate_placements(cluster, 4)[0])
         params = default_contention_params()
-        assert episode_cs(cluster, states, params, True).profile()[1] > 1.0
-        assert episode_cs(cluster, states, params, False).profile() == {0: 1.0, 1: 1.0}
+        assert episode_cs(cluster, states, params).profile()[1] > 1.0
+        assert episode_cs(cluster, states, OFF).profile() == {0: 1.0, 1: 1.0}
 
 
 class TestTrialProfile:
     @given(scenario=scenarios(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_equals_profile_of_allocated_copy(self, scenario, data):
-        config, params, enabled, cluster, states, _ = scenario
+        config, params, cluster, states, _ = scenario
         job = queue_for(data.draw, config, states)[0]
-        profile = full_profile(cluster, states, params, enabled)
-        cs = episode_cs(cluster, states, params, enabled)
+        profile = full_profile(cluster, states, params)
+        cs = episode_cs(cluster, states, params)
         for placement in enumerate_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
             got = cs.trial(job.id, placement, cluster.placements, cluster.residents, profile)
-            assert list(got.items()) == list(full_profile(trial, states, params,
-                                                          enabled).items())
+            assert list(got.items()) == list(full_profile(trial, states, params).items())
 
 
     def test_synthetic_neighbours_in_job_id_order(self):
@@ -204,11 +203,11 @@ class TestTrialProfile:
         assert pair.nodes == (0, 1)
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
-        cs = episode_cs(cluster, states, params, True)
+        cs = episode_cs(cluster, states, params)
         got = cs.trial(2, pair, cluster.placements, cluster.residents, cs.profile())
         cs.adopt({**cluster.placements, 2: pair}, got)
         cluster.allocate(2, pair)
-        assert list(got.items()) == list(full_profile(cluster, states, params, True).items())
+        assert list(got.items()) == list(full_profile(cluster, states, params).items())
         assert cs.profile() == got
 
 
@@ -220,12 +219,12 @@ class TestVerdicts:
         """Two decisions on one cluster and one EpisodeCS, so the second
         starts from the map the first adopted; in between, the first's
         placements may or may not be applied, and a job may be freed."""
-        config, params, enabled, cluster, states, _ = scenario
+        config, params, cluster, states, _ = scenario
         net, space = net_for(config.num_nodes, config.gpus_per_node)
         net.reward_weights = RewardWeights(w1)
         net.params["contention_scale"][0] = scale
         policy = RLBasePolicy(net, space)
-        episode = EpisodeConfig(contention=params, contention_enabled=enabled)
+        episode = EpisodeConfig(contention=params)
         cs = EpisodeCS(cluster, states, episode)
         for _ in range(2):
             queue = queue_for(data.draw, config, states)
@@ -249,8 +248,8 @@ class TestVerdicts:
             if placed and data.draw(st.booleans()):
                 cluster.free(data.draw(st.sampled_from(placed)))
             # the map after adopt, whichever path was taken
-            assert list(cs.profile().items()) == list(full_profile(cluster, states, params,
-                                                                   enabled).items())
+            assert list(cs.profile().items()) == list(full_profile(cluster, states,
+                                                                   params).items())
 
     def test_adopted_map_gives_way_to_the_cluster(self):
         """A decision's last trial map, adopted, yields the cluster's own map
@@ -264,7 +263,7 @@ class TestVerdicts:
             cluster = ClusterState(config)
             states = {0: JobState(spec=spec(0, ModelClass.FSDP, 4))}
             cluster.allocate(0, enumerate_placements(cluster, 4)[0])
-            cs = episode_cs(cluster, states, params, True)
+            cs = episode_cs(cluster, states, params)
             alone = cs.profile()
             queue = [spec(1, ModelClass.MoE, 4)]
             states[1] = JobState(spec=queue[0])
@@ -273,7 +272,7 @@ class TestVerdicts:
             if apply:
                 cluster.allocate(*action.placements[0])
                 assert cs.profile()[0] > alone[0]  # the neighbour's CS rose
-            assert cs.profile() == full_profile(cluster, states, params, True)
+            assert cs.profile() == full_profile(cluster, states, params)
 
 
 def test_verdicts_use_the_episode_contention_switch():
@@ -283,7 +282,7 @@ def test_verdicts_use_the_episode_contention_switch():
     net, space = make_net(ClusterConfig(), TrainConfig(seed=0))
     net.params["contention_scale"][0] = 2.0
     trace = generate_trace(TraceSpec(num_jobs=32, seed=3, mix=MIX_PRESETS["heavy"]))
-    report = run_episode(RLBasePolicy(net, space), trace, EpisodeConfig(contention_enabled=False),
+    report = run_episode(RLBasePolicy(net, space), trace, EpisodeConfig(contention=OFF),
                          record_trajectory=True)
     skip = space.skip_index
     feasible = np.concatenate([step.verdicts[:, :skip][step.masks[:, :skip]]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched import policies
+from consched import engine, policies
 from consched.actions import Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, first_fit
+from consched.contention import ContentionParams
 from consched.encoding import window_candidates
 from consched.engine import EpisodeConfig, EpisodeCS, run_episode
 from consched.errors import ConfigError
@@ -292,20 +293,20 @@ class TestSRTFvsBruteForce:
         ((2, 2, 2, 2), (10.0, 100.0, 40.0, 70.0)),
         ((1, 1, 1, 1), (25.0, 5.0, 45.0, 15.0)),
     ])
-    def test_equal_demand_instances(self, demands, runtimes):
+    def test_equal_demand_instances(self, demands, runtimes, monkeypatch):
         """On equal-demand instances the cluster reduces to identical
         machines, where shortest-first list scheduling is optimal for
         average completion time, so SRTF must tie or beat every order."""
         config = ClusterConfig(num_nodes=2, gpus_per_node=2)
         specs = jobs_with(list(demands), runtimes=list(runtimes))
-        ep = EpisodeConfig(round_interval=0.25, contention_enabled=False,
-                           cs_preemption_threshold=None, restore_penalty=0.0,
-                           checkpoint_grace=0.0)
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 0.0)
+        ep = EpisodeConfig(round_interval=0.25, contention=ContentionParams(mode="off"),
+                           cs_preemption_threshold=None, restore_penalty=0.0)
         report = run_episode(SRTFPolicy(preemptive=True), specs, ep, config)
         oracle = brute_force_best_order_avg_jct(demands, runtimes, config)
         assert report.aggregates["avg_jct"] <= oracle + 1e-6
 
-    def test_mixed_demand_counterexample_documented(self):
+    def test_mixed_demand_counterexample_documented(self, monkeypatch):
         """With heterogeneous GPU demands SRTF is NOT dominant: running
         the shortest job first can monopolize the cluster and defeat a
         packing-friendlier order. This pins the known counterexample so
@@ -313,9 +314,9 @@ class TestSRTFvsBruteForce:
         config = ClusterConfig(num_nodes=2, gpus_per_node=2)
         demands, runtimes = (4, 1, 2, 1), (30.0, 60.0, 45.0, 75.0)
         specs = jobs_with(list(demands), runtimes=list(runtimes))
-        ep = EpisodeConfig(round_interval=0.25, contention_enabled=False,
-                           cs_preemption_threshold=None, restore_penalty=0.0,
-                           checkpoint_grace=0.0)
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 0.0)
+        ep = EpisodeConfig(round_interval=0.25, contention=ContentionParams(mode="off"),
+                           cs_preemption_threshold=None, restore_penalty=0.0)
         report = run_episode(SRTFPolicy(preemptive=True), specs, ep, config)
         oracle = brute_force_best_order_avg_jct(demands, runtimes, config)
         assert report.aggregates["avg_jct"] == pytest.approx(75.0)

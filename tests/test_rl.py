@@ -18,7 +18,7 @@ from consched.rl.optim import Adam, clip_grad_norm
 from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
                                 reward_from_terms)
 from consched.rl.train import (CONTENTION_LR, POLICY_KEYS, VALUE_EPOCHS, VALUE_KEYS, VALUE_LR,
-                               Batch, TrainConfig, build_batch, discounted_returns,
+                               Batch, TrainConfig, architecture, build_batch, discounted_returns,
                                excess_returns, loss_and_grads, make_net, optimizers,
                                pack_first_prior, update, value_step)
 
@@ -493,6 +493,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    def test_expected_architecture_is_the_nets(self):
+        config = ClusterConfig(num_nodes=2, gpus_per_node=4)
+        net, space = make_net(config, TrainConfig(k=3, hidden=(32, 16)))
+        assert architecture(config, space, 3, [32, 16]) == net.arch
+
     def test_architecture_mismatch_named(self, tmp_path):
         net_k3, _ = make_net(ClusterConfig(), TrainConfig(k=3))
         net_k4, _ = make_net(ClusterConfig(), TrainConfig(k=4))
@@ -564,6 +569,19 @@ class TestTrainLoop:
             train(trace, TrainConfig(episodes=2, seed=9, checkpoint_path=str(path)))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("episodes", 0), ("k", 0), ("lr", 0.0), ("lr", -1.0), ("gamma", -3.0), ("gamma", 1.5),
+        ("entropy_coef", -0.1)])
+    def test_settings_that_cannot_train_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_bounds_accepted(self):
+        TrainConfig(episodes=1, k=1, gamma=0.0, entropy_coef=0.0)
+        TrainConfig(gamma=1.0)
 
 
 class TestOptimizers:

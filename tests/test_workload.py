@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from consched.cluster import ClusterConfig, demand_shapes
 from consched.contention import ModelClass
 from consched.errors import ConfigError, StateError, TraceParseError
-from consched.workload import (JobState, MIX_PRESETS, Phase, TraceSpec,
+from consched.workload import (IDEAL_THROUGHPUT, JobState, MIX_PRESETS, Phase, TraceSpec,
                                advance, demand_weights,
                                feasible_demands, generate_trace, parse_mix,
                                read_trace, shuffle_arrival_order, write_trace)
@@ -71,6 +71,13 @@ class TestGenerateTrace:
             TraceSpec(num_jobs=1, mix=(1, 1, 1))
         with pytest.raises(ConfigError):
             TraceSpec(num_jobs=1, arrival="burst")
+
+    @pytest.mark.parametrize("field,value", [
+        ("arrival_rate", 0.0), ("arrival_rate", -1.0), ("jitter", -0.1), ("jitter", 1.0),
+        ("jitter", 1.5), ("demand_cap", 0), ("time_scale", 0.0), ("isolated_hours", -1.0)])
+    def test_specs_that_cannot_generate_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TraceSpec(num_jobs=4, arrival="poisson", **{field: value})
 
 
 class TestDemandDistribution:
@@ -172,6 +179,8 @@ class TestTraceIO:
         assert loaded == jobs
         assert header["seed"] == "11"
         assert header["mix"] == "1:1:1:1:1:1"
+        assert header["ideal_throughput"] == "10.0"
+        assert all(j.ideal_throughput == IDEAL_THROUGHPUT for j in loaded)
 
     def test_byte_identical_for_same_spec(self, tmp_path):
         spec = TraceSpec(num_jobs=16, seed=11)
