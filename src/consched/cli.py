@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .actions import ActionSpace
-from .cluster import ClusterConfig
+from .cluster import ClusterConfig, demand_shapes
 from .config import merge_config, output_root, parse_config_file
 from .contention import ContentionParams, load_cs_table
 from .encoding import FEATURE_DIM, dump_state_csv
@@ -151,12 +151,22 @@ def _write_manifest(out_dir, provenance: dict) -> None:
         fh.write(json.dumps(provenance, sort_keys=True, indent=1, default=str) + "\n")
 
 
-def _load_traces(paths) -> list:
+def _load_traces(paths, cluster_config) -> list:
+    """The traces' jobs; a job no placement shape of the cluster fits is a file error."""
     traces = []
     for path in paths:
         if not os.path.exists(path):
             raise TraceParseError(f"trace file {path} does not exist")
-        jobs, _ = read_trace(path)
+        try:
+            jobs, _ = read_trace(path)
+        except TraceParseError as exc:
+            raise TraceParseError(f"trace file {path}: {exc}") from exc
+        for job in jobs:
+            if not demand_shapes(cluster_config, job.gpu_demand):
+                raise TraceParseError(
+                    f"trace file {path}: job {job.id} demands {job.gpu_demand} GPUs, which "
+                    f"no placement fits on {cluster_config.num_nodes} nodes x "
+                    f"{cluster_config.gpus_per_node} GPUs")
         traces.append(jobs)
     return traces
 
@@ -217,7 +227,7 @@ def cmd_train(args) -> int:
             shuffle_per_episode=not args.no_shuffle)
     except ConfigError as exc:
         raise UsageError(f"bad training flags: {exc}") from exc
-    traces = _load_traces([args.trace])
+    traces = _load_traces([args.trace], cluster)
     os.makedirs(ckpt_dir, exist_ok=True)
     trace_id = os.path.basename(args.trace)
     net, curves = train(traces[0], config, cluster, metadata={"trace": trace_id})
@@ -240,26 +250,26 @@ def cmd_eval(args) -> int:
     cluster = _cluster_config(args)
     episode = _episode_config(args, cluster)
     weights = _weights(args)
-    traces = _load_traces(args.trace)
+    traces = _load_traces(args.trace, cluster)
     policy = _policy_for(args.policy, args, cluster)
+    # every episode runs before the report directory is made, so a run
+    # that fails leaves no directory behind
+    reports = [run_episode(policy, trace, episode, cluster, weights=weights,
+                           rng=np.random.default_rng([args.seed, k]),
+                           record_trajectory=dump_rounds > 0)
+               for k, trace in enumerate(traces)]
     root = output_root(args.out_dir)
     exp_id = args.name or _experiment_id("eval", args.policy, args.trace, args.seed)
     out_dir = os.path.join(root, "reports", exp_id)
     os.makedirs(out_dir, exist_ok=True)
     provenance = _provenance(args, {"experiment": exp_id})
+    shape = (cluster.num_nodes, 2 * cluster.gpus_per_node, FEATURE_DIM)
     pooled = {}
-    for k, trace in enumerate(traces):
-        rng = np.random.default_rng([args.seed, k])
-        report = run_episode(policy, trace, episode, cluster, weights=weights, rng=rng,
-                             record_trajectory=dump_rounds > 0)
-        # an RL policy records a row every round, so a row's index is its
-        # round; each run is one decision, from the round that made it
-        encoded, first = [], 0
-        for step, _, _, n in report.trajectory.runs:
-            if step.state is not None:
-                encoded.append((first, step.state))
-            first += n
-        shape = (cluster.num_nodes, 2 * cluster.gpus_per_node, FEATURE_DIM)
+    for k, report in enumerate(reports):
+        # a decision that encoded a state had a choice, so it is never
+        # reused: its run is the one round that made it
+        encoded = [(first, step.state) for _, first, _, step, _ in report.rounds.runs
+                   if step is not None and step.state is not None]
         for r, state in encoded[:dump_rounds]:
             dump_state_csv(state.reshape(shape),
                            os.path.join(out_dir, f"state_set{k:02d}_round{r}.csv"))
@@ -284,7 +294,7 @@ def cmd_compare(args) -> int:
     cluster = _cluster_config(args)
     episode = _episode_config(args, cluster)
     weights = _weights(args)
-    traces = _load_traces(args.trace)
+    traces = _load_traces(args.trace, cluster)
     policies = [(name, _policy_for(name, args, cluster)) for name in names]
     cmp = compare_policies(policies, traces, episode, cluster, weights)
     root = output_root(args.out_dir)

@@ -121,9 +121,6 @@ class CSTable:
                     best = (value, (ts, cs))
         return best
 
-    def __len__(self):
-        return len(self.entries)
-
 
 @dataclass
 class ContentionParams:

@@ -9,16 +9,17 @@ neighbor only changes co-residents' CS at the next round boundary.
 
 Between events the rounds repeat one idle decision, and the engine
 applies such a stretch of rounds in one step (advance_stretch); the
-result is bit-identical to stepping them one at a time. The rounds are
-kept as runs, one per stretch or event round (RoundLog), and the RL
-trajectory as one run per decision (Trajectory).
+result is bit-identical to stepping them one at a time. The episode
+keeps one log of its rounds (RoundLog), one run per stretch or event
+round; a run also carries the RL decision its rounds applied when the
+trajectory is recorded, so training reads the same log.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +94,19 @@ class JobRecord:
     isolated_runtime: float
 
 
-class _Runs:
-    """A read-only sequence kept as runs: tuples whose last entry is a count.
+class RoundLog:
+    """An episode's rounds as runs (record, first round, count, decision, no-op reward).
 
-    _row gives the row at an offset into a run. len costs O(1) and never
-    expands the runs; iteration, indexing and == expand them lazily.
+    Round k starts at k * interval, so a run keeps only its first record:
+    its other rounds are that record with time k * interval. decision is
+    the RLDecision the run's rounds applied and noop_reward their no-op
+    reward, when the episode records its trajectory; otherwise None and
+    0.0. len costs O(1) and never expands the runs; iteration yields one
+    RoundRecord per round.
     """
 
-    def __init__(self):
+    def __init__(self, interval: float):
+        self.interval = interval
         self.runs: list[tuple] = []
         self._len = 0
 
@@ -108,69 +114,23 @@ class _Runs:
         return self._len
 
     def __iter__(self):
-        for run in self.runs:
-            for offset in range(run[-1]):
-                yield self._row(run, offset)
+        interval = self.interval
+        for r, first, n, _, _ in self.runs:
+            yield r
+            for k in range(first + 1, first + n):
+                yield RoundRecord(k * interval, r.utilization, r.mean_cs, r.reward,
+                                  r.num_running, r.num_waiting, r.num_placed,
+                                  r.num_preempted)
 
-    def __getitem__(self, index: int):
-        k = index + self._len if index < 0 else index
-        if not 0 <= k < self._len:
-            raise IndexError("run log index out of range")
-        for run in self.runs:
-            if k < run[-1]:
-                return self._row(run, k)
-            k -= run[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Runs, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-class RoundLog(_Runs):
-    """An episode's rounds as runs (record, first round, count).
-
-    Round k starts at k * interval, so a run keeps only its first record:
-    its other rounds are that record with time k * interval.
-    """
-
-    def __init__(self, interval: float):
-        super().__init__()
-        self.interval = interval
-
-    def append(self, record: RoundRecord, count: int = 1) -> None:
-        self.runs.append((record, self._len, count))
+    def append(self, record: RoundRecord, count: int = 1, decision: RLDecision | None = None,
+               noop_reward: float = 0.0) -> None:
+        self.runs.append((record, self._len, count, decision, noop_reward))
         self._len += count
-
-    def _row(self, run, offset: int) -> RoundRecord:
-        r, first, _ = run
-        return RoundRecord((first + offset) * self.interval, r.utilization, r.mean_cs,
-                           r.reward, r.num_running, r.num_waiting, r.num_placed,
-                           r.num_preempted) if offset else r
 
     def column(self, name: str) -> np.ndarray:
         """One field of every round, in round order."""
-        return np.repeat([getattr(r, name) for r, _, _ in self.runs],
-                         [n for _, _, n in self.runs])
-
-
-class Trajectory(_Runs):
-    """Recorded RL rounds as runs (decision, reward, no-op reward, count).
-
-    Rounds that reuse one decision object share one run: a decision with
-    no choice repeats until the next event, with one reward and no-op
-    reward throughout.
-    """
-
-    def append(self, decision: RLDecision, reward: float, noop_reward: float,
-               count: int = 1) -> None:
-        self._len += count
-        if self.runs and self.runs[-1][0] is decision:
-            count += self.runs.pop()[-1]
-        self.runs.append((decision, reward, noop_reward, count))
-
-    def _row(self, run, offset: int) -> tuple[RLDecision, float, float]:
-        return run[:3]
+        return np.repeat([getattr(r, name) for r, *_ in self.runs],
+                         [run[2] for run in self.runs])
 
 
 @dataclass
@@ -178,7 +138,6 @@ class EpisodeReport:
     jobs: list[JobRecord]
     rounds: RoundLog
     aggregates: dict
-    trajectory: Trajectory = field(default_factory=Trajectory)
 
     def jct_values(self) -> list[float]:
         return [j.jct for j in self.jobs]
@@ -451,10 +410,15 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     that admits the next checkpoint-ready re-queue, the first round in
     which a job finishes, and MAX_ROUNDS. A job still burning a restore
     penalty, and an empty cluster with jobs queued (the livelock guard
-    counts those rounds), make no stretch. The event round itself goes through advance. The
-    report keeps a stretch as one run of rounds (RoundLog) and adds its
-    rounds to its decision's trajectory run (Trajectory); an event round
-    is a run of one round.
+    counts those rounds), make no stretch. Any other round is an event
+    round and goes through advance.
+
+    Each pass of the loop ends in one RoundLog.append: a run of n rounds
+    for a stretch, or of one for an event round. With record_trajectory
+    the run also keeps the RLDecision its rounds applied and their no-op
+    reward (the round reward if nothing were placed or preempted), so
+    the report's rounds are the RL trajectory too; without it a run
+    holds no decision, and keeps no RL state alive.
     """
     cluster_config = cluster_config or ClusterConfig()
     weights = weights or RewardWeights()
@@ -471,7 +435,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     t = 0.0
     T = episode_config.round_interval
     rounds = RoundLog(T)
-    trajectory = Trajectory()
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
@@ -515,26 +478,8 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
             noop_reward = round_reward()
-        if idle_at == cluster.version and (cluster.placements or not queue):
-            start = len(rounds)
-            limit = MAX_ROUNDS - start
-            if pending:
-                limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
-            if checkpointing:
-                limit = min(limit, _round_at(min(e[0] for e in checkpointing), T) - start)
-            running = sorted(cs_map)
-            n = advance_stretch([states[jid] for jid in running],
-                                [throughput[jid] for jid in running],
-                                [cs_map[jid] for jid in running], T, limit)
-            if n:
-                rounds.append(RoundRecord(start * T, utilization, mean_cs, reward, len(cs_map),
-                                          len(queue), 0, 0), n)
-                if record_trajectory and idle_action.rl is not None:
-                    trajectory.append(idle_action.rl, reward, noop_reward, n)
-                stall_rounds = 0
-                t = len(rounds) * T
-                continue
-        if idle_at == cluster.version:
+        reused = idle_at == cluster.version
+        if reused:
             action = idle_action
         else:
             action = policy.decide(cluster, queue_specs(), states, rng, cs)
@@ -558,73 +503,88 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         else:
             stall_rounds = 0
 
+        # a reused idle decision repeats this round up to the next event:
+        # the stretch of such rounds goes in one step
+        n = 0
+        if reused and (cluster.placements or not queue):
+            start = len(rounds)
+            limit = MAX_ROUNDS - start
+            if pending:
+                limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
+            if checkpointing:
+                limit = min(limit, _round_at(min(e[0] for e in checkpointing), T) - start)
+            running = sorted(cs_map)
+            n = advance_stretch([states[jid] for jid in running],
+                                [throughput[jid] for jid in running],
+                                [cs_map[jid] for jid in running], T, limit)
         preempted_now: list[int] = []
-        for jid in action.preemptions:
-            if states[jid].phase is not Phase.RUNNING:
-                raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
-            _preempt(cluster, states[jid], episode_config)
-            checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, jid))
-            preempt_seq += 1
-            preempted_now.append(jid)
-
-        for jid, placement in action.placements:
-            state = states[jid]
-            if placement.total_gpus != state.spec.gpu_demand:
-                raise InvalidPlacementError(
-                    f"placement covers {placement.total_gpus} GPUs, "
-                    f"job {jid} demands {state.spec.gpu_demand}")
-            cluster.allocate(jid, placement)
-            state.placement = placement
-            state.phase = Phase.RUNNING
-            if state.start_time is None:
-                state.start_time = t
-            queue.remove(jid)
-        for jid in action.deferred:
-            if jid in queue:
-                _defer(queue, jid, states)
-
-        if round_version != cluster.version:
-            cs_map = cs.profile()
-            for jid, value in cs_map.items():
-                states[jid].last_cs = value
-            throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
-                          for jid in cs_map}
-            utilization = cluster.utilization()
-            mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
-            reward = round_reward()
-            round_version = cluster.version
-
-        finished: list[int] = []
-        for jid in sorted(cluster.placements):
-            state = states[jid]
-            active = advance(state, T, throughput[jid], now=t)
-            state.cs_integral += cs_map[jid] * active
-            state.placed_time += active
-            if state.phase is Phase.FINISHED:
-                finished.append(jid)
-        for jid in finished:
-            cluster.free(jid)
-            states[jid].placement = None
-
-        threshold = episode_config.cs_preemption_threshold
-        if threshold is not None and checked_version != cluster.version:
-            while cluster.placements:
-                cs_now = cs.profile()
-                worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
-                if cs_now[worst] <= threshold:
-                    break
-                _preempt(cluster, states[worst], episode_config)
-                checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, worst))
+        if not n:
+            n = 1
+            for jid in action.preemptions:
+                if states[jid].phase is not Phase.RUNNING:
+                    raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
+                _preempt(cluster, states[jid], episode_config)
+                checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, jid))
                 preempt_seq += 1
-                preempted_now.append(worst)
-            checked_version = cluster.version
+                preempted_now.append(jid)
+
+            for jid, placement in action.placements:
+                state = states[jid]
+                if placement.total_gpus != state.spec.gpu_demand:
+                    raise InvalidPlacementError(
+                        f"placement covers {placement.total_gpus} GPUs, "
+                        f"job {jid} demands {state.spec.gpu_demand}")
+                cluster.allocate(jid, placement)
+                state.placement = placement
+                state.phase = Phase.RUNNING
+                if state.start_time is None:
+                    state.start_time = t
+                queue.remove(jid)
+            for jid in action.deferred:
+                if jid in queue:
+                    _defer(queue, jid, states)
+
+            if round_version != cluster.version:
+                cs_map = cs.profile()
+                for jid, value in cs_map.items():
+                    states[jid].last_cs = value
+                throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
+                              for jid in cs_map}
+                utilization = cluster.utilization()
+                mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
+                reward = round_reward()
+                round_version = cluster.version
+
+            finished: list[int] = []
+            for jid in sorted(cluster.placements):
+                state = states[jid]
+                active = advance(state, T, throughput[jid], now=t)
+                state.cs_integral += cs_map[jid] * active
+                state.placed_time += active
+                if state.phase is Phase.FINISHED:
+                    finished.append(jid)
+            for jid in finished:
+                cluster.free(jid)
+                states[jid].placement = None
+
+            threshold = episode_config.cs_preemption_threshold
+            if threshold is not None and checked_version != cluster.version:
+                while cluster.placements:
+                    cs_now = cs.profile()
+                    worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
+                    if cs_now[worst] <= threshold:
+                        break
+                    _preempt(cluster, states[worst], episode_config)
+                    checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, worst))
+                    preempt_seq += 1
+                    preempted_now.append(worst)
+                checked_version = cluster.version
 
         rounds.append(RoundRecord(
             time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,
             num_running=len(cs_map), num_waiting=len(queue),
-            num_placed=len(action.placements), num_preempted=len(preempted_now)))
-        if record_trajectory and action.rl is not None:
-            trajectory.append(action.rl, reward, noop_reward)
+            num_placed=len(action.placements), num_preempted=len(preempted_now)),
+            n, action.rl if record_trajectory else None, noop_reward)
         t = len(rounds) * T  # a running sum of T would drift by rounding
 
     job_records = []
@@ -636,8 +596,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             jct=s.jct, preemptions=s.preemption_count, mean_cs=s.mean_cs,
             isolated_runtime=s.spec.isolated_runtime))
     return EpisodeReport(jobs=job_records, rounds=rounds,
-                         aggregates=_aggregate(job_records, rounds),
-                         trajectory=trajectory)
+                         aggregates=_aggregate(job_records, rounds))
 
 
 METRICS = ("avg_jct", "p90_jct", "mean_util", "mean_cs")

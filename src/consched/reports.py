@@ -62,7 +62,7 @@ assert (f"{_PROBE.time!r}{_round_suffix(_PROBE)}"
 def _round_lines(rounds: RoundLog):
     """per_round.csv's rows, one string per run: the suffix is formatted once."""
     interval = rounds.interval
-    for record, first, n in rounds.runs:
+    for record, first, n, _, _ in rounds.runs:
         suffix = _round_suffix(record)
         yield "".join([f"{k * interval!r}{suffix}" for k in range(first, first + n)])
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..actions import ActionSpace
 from ..cluster import ClusterConfig
 from ..encoding import FEATURE_DIM
-from ..engine import EpisodeConfig, Trajectory, run_episode
+from ..engine import EpisodeConfig, RoundLog, run_episode
 from ..errors import ConfigError, NonFiniteLossError
 from ..policies import RLBasePolicy
 from ..workload import JobSpec, shuffle_arrival_order
@@ -87,9 +87,8 @@ class Batch:
     policy_weight: np.ndarray  # (B,) 1.0 normally, 0.0 for forced rounds
     # (B, K, A) contention verdicts the behaviour policy added to its
     # logits, times contention_scale (see RLBasePolicy)
-    verdicts: np.ndarray | None = None
-    # (B,) sampling temperature each round's logits were divided by (None: 1)
-    temperature: np.ndarray | None = None
+    verdicts: np.ndarray
+    temperature: np.ndarray  # (B,) sampling temperature each round's logits were divided by
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -114,24 +113,27 @@ def value_step(net: PolicyNet, states: np.ndarray, returns: np.ndarray,
     return loss
 
 
-def excess_returns(trajectory: Trajectory, gamma: float) -> np.ndarray:
+def excess_returns(rounds: RoundLog, gamma: float) -> np.ndarray:
     """Discounted per-round returns of the excess-over-noop reward stream.
 
     Subtracting the counterfactual no-op reward (a state-only quantity
     the engine computes exactly) cancels the standing reward level set
     by earlier placements, leaving credit that tracks the actions'
     marginal effects. Being action-independent, it keeps the gradient
-    estimator unbiased, like any baseline. The runs are expanded to one
-    reward per round before the sequential discount.
+    estimator unbiased, like any baseline. rounds is a recorded
+    episode's log; its runs are expanded to one reward per round before
+    the sequential discount.
     """
-    runs = trajectory.runs
-    excess = np.repeat([r - noop for _, r, noop, _ in runs], [n for *_, n in runs])
+    runs = rounds.runs
+    excess = np.repeat([r.reward - noop for r, _, _, _, noop in runs], [run[2] for run in runs])
     return discounted_returns(excess, gamma)
 
 
-def build_batch(net: PolicyNet, trajectory: Trajectory, gamma: float,
-                value_opt: Adam) -> Batch:
+def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam) -> Batch:
     """The rounds where some head had a choice, with their advantages.
+
+    rounds is the log of an episode run with record_trajectory, so every
+    run carries the decision its rounds applied.
 
     Returns run over every round, but rounds that offer only skip carry
     no policy gradient, so they enter neither the batch, the value fit
@@ -140,27 +142,24 @@ def build_batch(net: PolicyNet, trajectory: Trajectory, gamma: float,
     returns; the advantages are then normalized over the rounds that
     carry a policy gradient.
     """
-    if not trajectory:
+    if not rounds:
         raise NonFiniteLossError("empty trajectory", {"steps": 0})
-    returns = excess_returns(trajectory, gamma)
-    rows, steps, first = [], [], 0
-    for step, _, _, n in trajectory.runs:
+    returns = excess_returns(rounds, gamma)
+    rows, steps = [], []
+    for _, first, n, step, _ in rounds.runs:
         if step.has_choice:
             rows.extend(range(first, first + n))
             steps.extend([step] * n)
-        first += n
     returns = returns[rows]
     states = np.stack([step.state for step in steps])
     actions = np.stack([step.head_actions for step in steps])
     masks = np.stack([step.masks for step in steps])
     weight = np.array([0.0 if step.forced else 1.0 for step in steps])
     temperature = np.array([step.temperature for step in steps])
+    verdicts = np.stack([step.verdicts for step in steps])
     for _ in range(VALUE_EPOCHS):
         value_step(net, states, returns, value_opt)
     advantages = returns - net.values(states)
-    verdicts = None
-    if all(step.verdicts is not None for step in steps):
-        verdicts = np.stack([step.verdicts for step in steps])
     used = advantages[weight > 0]
     if used.size > 1:
         std = used.std()
@@ -185,10 +184,8 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
     bsz = x.shape[0]
     k, a = net.arch.k, net.arch.head_size
     out, acts = mlp_forward(p, POLICY_LAYERS, x)
-    logits = out.reshape(bsz, k, a) + p["head_prior"]
-    if batch.verdicts is not None:
-        logits = logits + p["contention_scale"][0] * batch.verdicts
-    inv_t = (np.ones(bsz) if batch.temperature is None else 1.0 / batch.temperature)
+    logits = out.reshape(bsz, k, a) + p["head_prior"] + p["contention_scale"][0] * batch.verdicts
+    inv_t = 1.0 / batch.temperature
     logits = logits * inv_t[:, None, None]
 
     probs, logp = masked_log_softmax(logits, batch.masks)
@@ -217,15 +214,14 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
     dlogits *= inv_t[:, None, None]  # back through the division by temperature
 
     grads = mlp_backward(p, POLICY_LAYERS, acts, dlogits.reshape(bsz, k * a))
-    grads["contention_scale"] = np.array([
-        0.0 if batch.verdicts is None else float((dlogits * batch.verdicts).sum())])
+    grads["contention_scale"] = np.array([float((dlogits * batch.verdicts).sum())])
     aux = {"loss": loss, "pg_loss": pg_loss, "entropy": entropy}
     return loss, grads, aux
 
 
-def update(net: PolicyNet, trajectory: Trajectory, config: TrainConfig, opt: Adam,
+def update(net: PolicyNet, rounds: RoundLog, config: TrainConfig, opt: Adam,
            batch: Batch) -> dict:
-    """One gradient step on the batch built from one episode's trajectory.
+    """One gradient step on the batch built from one episode's recorded rounds.
 
     contention_scale steps at CONTENTION_LR and is left out of the
     trunk's norm clipping.
@@ -233,14 +229,14 @@ def update(net: PolicyNet, trajectory: Trajectory, config: TrainConfig, opt: Ada
     loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef)
     finite = np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
     if not finite:
-        rewards = np.array([r for _, r, _, _ in trajectory.runs])
+        rewards = np.array([r.reward for r, *_ in rounds.runs])
         bad = int(np.argmax(~np.isfinite(batch.advantages))) if not np.isfinite(
             batch.advantages).all() else -1
         raise NonFiniteLossError(
             "non-finite loss or gradient", {
                 "loss": float(loss) if np.isfinite(loss) else repr(loss),
                 "pg_loss": aux["pg_loss"], "entropy": aux["entropy"],
-                "steps": len(trajectory),
+                "steps": len(rounds),
                 "first_bad_step": bad,
                 "reward_min": float(rewards.min()), "reward_max": float(rewards.max()),
             })
@@ -319,9 +315,9 @@ def train(trace: list[JobSpec], config: TrainConfig,
         report = run_episode(policy, ep_trace, config.episode, cluster_config,
                              weights=config.weights, rng=ep_rng,
                              record_trajectory=True)
-        batch = build_batch(net, report.trajectory, config.gamma, value_opt)
+        batch = build_batch(net, report.rounds, config.gamma, value_opt)
         for _ in range(UPDATES_PER_EPISODE):
-            aux = update(net, report.trajectory, config, opt, batch)
+            aux = update(net, report.rounds, config, opt, batch)
         curves.append({
             "episode": episode,
             "mean_reward": report.aggregates["mean_reward"],

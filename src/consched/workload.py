@@ -276,6 +276,7 @@ def read_trace(path) -> tuple[list[JobSpec], dict]:
     """Parse a trace file; returns (jobs, header fields)."""
     jobs = []
     header: dict = {}
+    seen: dict[int, int] = {}  # job id -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -313,6 +314,11 @@ def read_trace(path) -> tuple[list[JobSpec], dict]:
                 ))
             except (KeyError, ValueError) as exc:
                 raise TraceParseError(f"bad job record: {exc}", line=lineno) from exc
+            jid = jobs[-1].id
+            if jid in seen:
+                raise TraceParseError(f"job id {jid} already given on line {seen[jid]}",
+                                      line=lineno)
+            seen[jid] = lineno
     return jobs, header
 
 

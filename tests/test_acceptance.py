@@ -152,7 +152,8 @@ def test_criterion_4_gradient_correctness():
                              for k in range(arch.k)] for t in range(steps)])
         batch = Batch(states=states, actions=actions, masks=masks,
                       advantages=rng.standard_normal(steps),
-                      policy_weight=np.ones(steps))
+                      policy_weight=np.ones(steps), verdicts=np.zeros(masks.shape),
+                      temperature=np.ones(steps))
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         h = 1e-6
         for name, tensor in net.params.items():
@@ -414,8 +415,8 @@ def test_criterion_9_episode_throughput():
     report = run_episode(policy, trace, EP_SYSTEM, CLUSTER,
                          weights=cfg.weights, rng=np.random.default_rng(0),
                          record_trajectory=True)
-    batch = build_batch(net, report.trajectory, cfg.gamma, Adam(net.params, lr=VALUE_LR))
-    update(net, report.trajectory, cfg, Adam(net.params, lr=cfg.lr), batch)
+    batch = build_batch(net, report.rounds, cfg.gamma, Adam(net.params, lr=VALUE_LR))
+    update(net, report.rounds, cfg, Adam(net.params, lr=cfg.lr), batch)
     elapsed = time.time() - start
     ok = elapsed < 60.0
     report_line(9, "episode throughput", ok,

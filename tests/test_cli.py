@@ -1,9 +1,13 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
+from consched import engine
 from consched.actions import ActionSpace
 from consched.cli import main
-from consched.cluster import ClusterConfig
+from consched.cluster import ClusterConfig, demand_shapes
 from consched.config import merge_config, output_root, parse_config_file
 from consched.contention import default_cs_table, write_cs_table
 from consched.engine import EpisodeConfig, run_episode
@@ -12,6 +16,7 @@ from consched.policies import make_policy
 from consched.rl.checkpoint import load_checkpoint, save_checkpoint
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import read_trace
+from test_golden import trajectory_rows
 
 
 def run(argv):
@@ -77,6 +82,87 @@ def test_bad_input_is_a_one_line_usage_error(argv, trace_file, tmp_path, capsys)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: "), captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def rewrite_trace(path, edit):
+    """Apply edit to the trace file's first job line, keeping the other lines."""
+    lines = path.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = edit(lines[first])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_fast(argv, monkeypatch):
+    """run(argv) with MAX_ROUNDS cut, so an episode that cannot finish fails in
+    well under a second; returns (exit code, seconds)."""
+    monkeypatch.setattr(engine, "MAX_ROUNDS", 20_000)
+    start = time.perf_counter()
+    code = run(argv)
+    return code, time.perf_counter() - start
+
+
+def assert_one_line_error(capsys, prefix, *parts):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+    for part in parts:
+        assert part in lines[0]
+
+
+def test_failed_eval_leaves_no_report_directory(tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "t8.txt"
+    assert run(["gen-trace", "--jobs", "8", "--seed", "1", "--out", str(trace)]) == 0
+    out = tmp_path / "out"
+    code, seconds = run_fast(["eval", "--policy", "las", "--trace", str(trace),
+                              "--round-interval", "1e-6", "--out-dir", str(out)], monkeypatch)
+    assert code == 4 and seconds < 1.0
+    assert_one_line_error(capsys, "runtime error: ", "episode exceeded 20000 rounds")
+    assert not (out / "reports").exists()
+
+
+# trace edits that leave a file no episode can run: (edit, words the error names)
+UNRUNNABLE = {
+    "repeated-id": (lambda line: line.replace("id=0 ", "id=1 ", 1), ["line", "job id 1"]),
+    "demand-9": (lambda line: re.sub(r"demand=\d+", "demand=9", line),
+                 ["job 0", "demands 9", "4 nodes x 8 GPUs"]),
+}
+COMMANDS = {
+    "eval": ["eval", "--policy", "las"],
+    "compare": ["compare", "--policies", "las,srtf"],
+    "train": ["train", "--episodes", "1"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", UNRUNNABLE)
+def test_unrunnable_trace_is_a_file_error(case, command, trace_file, tmp_path, monkeypatch,
+                                          capsys):
+    edit, parts = UNRUNNABLE[case]
+    rewrite_trace(trace_file, edit)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code, seconds = run_fast([*COMMANDS[command], "--trace", str(trace_file),
+                              "--out-dir", str(out)], monkeypatch)
+    assert code == 3 and seconds < 1.0
+    assert_one_line_error(capsys, "file error: ", str(trace_file), *parts)
+    assert not out.exists()
+
+
+def test_trace_for_larger_nodes_is_a_file_error(tmp_path, monkeypatch, capsys):
+    """A uniform-demand trace made for 16-GPU nodes holds demands that the
+    default 8-GPU nodes cannot place."""
+    trace = tmp_path / "t16.txt"
+    assert run(["gen-trace", "--jobs", "16", "--seed", "1", "--gpus-per-node", "16",
+                "--demand-profile", "uniform", "--out", str(trace)]) == 0
+    jobs, _ = read_trace(trace)
+    assert any(not demand_shapes(ClusterConfig(), job.gpu_demand) for job in jobs)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code, seconds = run_fast(["eval", "--policy", "greedy", "--trace", str(trace),
+                              "--out-dir", str(out)], monkeypatch)
+    assert code == 3 and seconds < 1.0
+    assert_one_line_error(capsys, "file error: ", str(trace), "4 nodes x 8 GPUs")
     assert not out.exists()
 
 
@@ -268,7 +354,7 @@ class TestEval:
         report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
                              record_trajectory=True)
         encoded, seen = [], set()
-        for r, (step, _, _) in enumerate(report.trajectory):
+        for r, (step, _, _) in enumerate(trajectory_rows(report.rounds)):
             if step.state is not None and id(step) not in seen:
                 seen.add(id(step))
                 encoded.append((r, step.state))

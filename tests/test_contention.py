@@ -238,7 +238,7 @@ class TestTableIO:
     def test_empty_file_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n\n")
-        assert len(load_cs_table(path)) == 0
+        assert len(load_cs_table(path).entries) == 0
 
     def test_value_below_one_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"

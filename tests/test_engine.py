@@ -11,15 +11,15 @@ from consched import engine, workload
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CS_CAP, CSTable, ContentionParams, ModelClass
-from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, RoundLog,
-                             RoundRecord, advance_stretch, compare_policies, percentile_90,
-                             run_episode)
+from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, advance_stretch,
+                             compare_policies, percentile_90, run_episode)
 from consched.errors import ConfigError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
 from consched.reports import ROUND_COLUMNS, _fmt, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, Phase, TraceSpec, advance, generate_trace
+from test_golden import trajectory_rows
 
 CFG = ClusterConfig()
 OFF = ContentionParams(mode="off")
@@ -143,7 +143,7 @@ class TestTwoJobTimelineOracle:
         ep = EpisodeConfig(round_interval=1.0, cs_preemption_threshold=1.5,
                            contention=pair_table(2.0, 2.0))
         report = run_episode(GreedyPolicy(), trace, ep, config)
-        assert report.rounds[0].num_preempted == 1
+        assert next(iter(report.rounds)).num_preempted == 1
         # ties break toward the later id: job 1 is the victim
         assert report.jobs[1].preemptions >= 1
         assert report.jobs[0].preemptions == 0
@@ -291,7 +291,7 @@ class TestDeferral:
         assert sorted(j.id for j in report.jobs) == sorted(s.id for s in trace)
         assert all(j.finish is not None and j.jct >= j.isolated_runtime - 1e-9
                    for j in report.jobs)
-        assert any(step.has_choice for step, *_ in report.trajectory)
+        assert any(step.has_choice for step, *_ in trajectory_rows(report.rounds))
 
 
 class TestLivelockGuard:
@@ -402,7 +402,7 @@ class TestIdleBetweenEvents:
         (ref, fast), (ref_calls, fast_calls) = self.run_both(
             kind, trace, EpisodeConfig(cs_preemption_threshold=threshold))
         assert fast.jobs == ref.jobs
-        assert fast.rounds == ref.rounds
+        assert list(fast.rounds) == list(ref.rounds)
         assert fast.aggregates == ref.aggregates
         assert ref_calls.calls == len(ref.rounds)
         if trace is NORMAL_64:  # a backlog: most rounds place nothing
@@ -420,7 +420,7 @@ class TestIdleBetweenEvents:
             rows.append(audit_rows)
         (ref, fast), (ref_rows, fast_rows) = reports, rows
         assert fast.jobs == ref.jobs
-        assert fast.rounds == ref.rounds
+        assert list(fast.rounds) == list(ref.rounds)
         assert len(ref_rows) == len(ref.rounds)
         assert fast_rows == ref_rows
 
@@ -464,10 +464,10 @@ class TestRLIdleBetweenEvents:
             counters.append(counter)
         ref, fast = reports
         assert fast.jobs == ref.jobs
-        assert fast.rounds == ref.rounds
+        assert list(fast.rounds) == list(ref.rounds)
         assert fast.aggregates == ref.aggregates
-        assert len(ref.trajectory) == len(ref.rounds)
-        assert_same_trajectory(fast.trajectory, ref.trajectory)
+        assert len(trajectory_rows(ref.rounds)) == len(ref.rounds)
+        assert_same_trajectory(trajectory_rows(fast.rounds), trajectory_rows(ref.rounds))
         assert counters[0].calls == len(ref.rounds)
         assert counters[1].calls < len(fast.rounds) / 10
 
@@ -495,7 +495,7 @@ class TestRLIdleBetweenEvents:
             assert rnd.reward == pytest.approx(reward_from_terms(capped, util, weights), abs=1e-12)
             for jid, job_cs, throughput, *_ in row:
                 assert throughput == pytest.approx(ideal[jid] / job_cs, rel=1e-12)
-        for rnd, (_, reward, noop) in zip(report.rounds, report.trajectory):
+        for rnd, (_, reward, noop) in zip(report.rounds, trajectory_rows(report.rounds)):
             if rnd.num_placed == 0:  # nothing applied before the reward: it is the no-op's
                 assert noop == reward
 
@@ -551,7 +551,7 @@ class TestEpisodeProperties:
             ref = run(every_round=True)
         report = run(every_round=False)
         assert report.jobs == ref.jobs
-        assert report.rounds == ref.rounds
+        assert list(report.rounds) == list(ref.rounds)
         assert report.aggregates == ref.aggregates
         assert sorted(job.id for job in report.jobs) == sorted(spec.id for spec in trace)
         last = {}  # job id -> (round, samples done after it) of the job's last running round
@@ -560,10 +560,11 @@ class TestEpisodeProperties:
             for jid, _cs, _thr, _before, after, *_ in row:
                 last[jid] = (k, after)
         total = {spec.id: spec.total_samples for spec in trace}
+        rounds = list(report.rounds)
         for job in report.jobs:
             # the job's finish falls in its last running round, which completes its work
             k, done = last[job.id]
-            start = report.rounds[k].time
+            start = rounds[k].time
             assert start <= job.finish <= start + episode.round_interval * (1 + JCT_RTOL)
             assert done == total[job.id]
             assert job.jct >= job.isolated_runtime * (1.0 - JCT_RTOL)
@@ -606,15 +607,13 @@ class TestRunLog:
         report = run(every_round=False)
         # the reference decides and records every round: one run per round
         assert len(ref.rounds.runs) == len(ref.rounds)
-        assert len(ref.trajectory.runs) == len(ref.trajectory)
+        assert len(ref.rounds.runs) == len(trajectory_rows(ref.rounds))
         expanded = list(report.rounds)
         assert len(expanded) == len(report.rounds) == len(ref.rounds)
         assert expanded == list(ref.rounds)
-        assert report.rounds == ref.rounds
-        assert [report.rounds[k] for k in range(-len(expanded), len(expanded))] == 2 * expanded
         assert [r.time for r in expanded] == [k * episode.round_interval
                                                for k in range(len(expanded))]
-        for record, first, n in report.rounds.runs:
+        for record, first, n, _, _ in report.rounds.runs:
             assert expanded[first:first + n] == [replace(record, time=k * episode.round_interval)
                                                  for k in range(first, first + n)]
         assert report.aggregates == ref.aggregates
@@ -624,14 +623,17 @@ class TestRunLog:
         counts, edges = np.histogram(utils, bins=20, range=(0.0, 1.0))
         assert report.util_histogram() == [(float(edge), count / max(1, len(utils)))
                                            for edge, count in zip(edges, counts)]
+        runs = report.rounds.runs
         if kind.startswith("rl-"):
-            assert len(report.trajectory) == len(ref.trajectory) == len(expanded)
-            assert_same_trajectory(report.trajectory, ref.trajectory)
-            # one run per decision: consecutive runs hold different decisions
-            runs = report.trajectory.runs
-            assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+            rows, ref_rows = trajectory_rows(report.rounds), trajectory_rows(ref.rounds)
+            assert len(rows) == len(ref_rows) == len(expanded)
+            assert_same_trajectory(rows, ref_rows)
+            # a decision with a choice is never reused: it is one run of one round
+            chosen = [run for run in runs if run[3].has_choice]
+            assert all(run[2] == 1 for run in chosen)
+            assert len({id(run[3]) for run in chosen}) == len(chosen)
         else:
-            assert len(report.trajectory) == 0
+            assert all(run[3] is None and run[4] == 0.0 for run in runs)
 
     def test_per_round_csv_is_written_run_by_run(self, tmp_path):
         report = run_episode(GreedyPolicy(), NORMAL_64, EpisodeConfig())
@@ -642,19 +644,28 @@ class TestRunLog:
         assert lines[1:] == [",".join(_fmt(getattr(r, c)) for c in ROUND_COLUMNS)
                              for r in report.rounds]
 
-    def test_indexing(self):
-        log = RoundLog(0.5)
-        log.append(RoundRecord(0.0, 0.25, 1.5, 0.1, 1, 2, 1, 0))
-        log.append(RoundRecord(0.5, 0.5, 1.0, 0.2, 2, 0, 0, 0), 3)
-        assert len(log) == 4 and len(log.runs) == 2
-        assert [r.time for r in log] == [0.0, 0.5, 1.0, 1.5]
-        assert log[2] == RoundRecord(1.0, 0.5, 1.0, 0.2, 2, 0, 0, 0)
-        assert log[-1].time == 1.5 and log[-4].time == 0.0
-        assert log.column("num_running").tolist() == [1, 2, 2, 2]
-        for k in (4, -5):
-            with pytest.raises(IndexError):
-                log[k]
-        assert log != list(log)[:3] and log == list(log)
+
+class TestRecordedRounds:
+    """The RL trajectory rides on the round log: a run keeps its rounds' decision."""
+
+    @pytest.mark.parametrize("kind, deterministic", [("rl-base", False), ("rl-hybrid", True)],
+                             ids=["rl-base-sampling", "rl-hybrid-argmax"])
+    def test_runs_hold_a_decision_only_when_recorded(self, kind, deterministic):
+        off, on = (run_episode(fresh_rl_policy(kind, deterministic), HEAVY_POISSON,
+                               EpisodeConfig(), rng=np.random.default_rng(5),
+                               record_trajectory=record) for record in (False, True))
+        assert off.jobs == on.jobs
+        assert list(off.rounds) == list(on.rounds)
+        # unrecorded runs keep no RL state alive
+        assert all(run[3] is None and run[4] == 0.0 for run in off.rounds.runs)
+        assert all(run[3] is not None for run in on.rounds.runs)
+        assert len(on.rounds.runs) < len(on.rounds) / 2
+        # the rows the runs expand to are those of deciding every round
+        ref = run_episode(DecideCounter(fresh_rl_policy(kind, deterministic), every_round=True),
+                          HEAVY_POISSON, EpisodeConfig(), rng=np.random.default_rng(5),
+                          record_trajectory=True)
+        assert len(ref.rounds.runs) == len(ref.rounds)
+        assert_same_trajectory(trajectory_rows(on.rounds), trajectory_rows(ref.rounds))
 
 
 def test_round_times_do_not_drift():
@@ -745,7 +756,7 @@ def test_stretches_longer_than_a_chunk_match_every_round():
                  for every_round in (True, False))
     assert len(ref.rounds) > 2 * STRETCH_CHUNK
     assert fast.jobs == ref.jobs
-    assert fast.rounds == ref.rounds
+    assert list(fast.rounds) == list(ref.rounds)
     assert fast.aggregates == ref.aggregates
 
 

@@ -9,8 +9,8 @@ says in CHANGES.md what moved and by how much.
 
 Each episode case stores its per-job records, its aggregates and a
 digest of its round records; the contention-off cases run with every
-CS at 1; RL cases record their trajectory and store
-a digest of it too. The training case stores a digest per parameter
+CS at 1; RL cases record their trajectory, whose rows the round log's
+runs carry, and store a digest of it too. The training case stores a digest per parameter
 array and the curves of a 2-episode train(). Two comparison cases store a
 sha256 of every file write_comparison writes, so the report bytes
 (per_round.csv included) are pinned as well.
@@ -95,9 +95,15 @@ def rounds_digest(rounds) -> str:
     return hashlib.sha256("\n".join(_floats(astuple(r)) for r in rounds).encode()).hexdigest()
 
 
-def trajectory_digest(trajectory) -> str:
+def trajectory_rows(rounds) -> list[tuple]:
+    """A recorded episode's (decision, reward, no-op reward) rows, one per round."""
+    return [(step, record.reward, noop)
+            for record, _, n, step, noop in rounds.runs for _ in range(n)]
+
+
+def trajectory_digest(rows) -> str:
     h = hashlib.sha256()
-    for step, reward, noop in trajectory:
+    for step, reward, noop in rows:
         for a in (step.state, step.head_actions, step.masks, step.verdicts):
             h.update(b"-" if a is None else _array_digest(a).encode())
         h.update(f"{step.temperature!r},{step.forced!r},{_floats((reward, noop))};".encode())
@@ -147,8 +153,9 @@ def run_case(trace_name: str, policy_name: str, threshold_name: str,
         "rounds_digest": rounds_digest(report.rounds),
     }
     if rl:
-        out["trajectory_rows"] = len(report.trajectory)
-        out["trajectory_digest"] = trajectory_digest(report.trajectory)
+        rows = trajectory_rows(report.rounds)
+        out["trajectory_rows"] = len(rows)
+        out["trajectory_digest"] = trajectory_digest(rows)
     return out
 
 

@@ -29,6 +29,7 @@ from consched.rl.net import masked_log_softmax
 from consched.rl.reward import RewardWeights, compute_reward, reward_from_terms
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import MIX_PRESETS, JobSpec, JobState, TraceSpec, generate_trace
+from test_golden import trajectory_rows
 
 OFF = ContentionParams("off")
 MODES = {"table": default_contention_params, "synthetic": lambda: ContentionParams("synthetic"),
@@ -286,6 +287,7 @@ def test_verdicts_use_the_episode_contention_switch():
                          record_trajectory=True)
     skip = space.skip_index
     feasible = np.concatenate([step.verdicts[:, :skip][step.masks[:, :skip]]
-                               for step, _, _ in report.trajectory if step.verdicts is not None])
+                               for step, _, _ in trajectory_rows(report.rounds)
+                               if step.verdicts is not None])
     assert net.reward_weights.w1 < 1 and feasible.size
     assert (feasible == 1).all(), f"{(feasible != 1).sum()} of {feasible.size} verdicts not +1"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from consched.actions import RLDecision
 from consched.cluster import ClusterConfig
 from consched.contention import CS_CAP
-from consched.engine import Trajectory
+from consched.engine import RoundLog, RoundRecord
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
 from consched.rl.checkpoint import (ensure_compatible, load_checkpoint,
                                     save_checkpoint)
@@ -29,21 +29,25 @@ def tiny_net(seed=0, prior=None):
     return PolicyNet(TINY, np.random.default_rng(seed), head_prior=prior)
 
 
-def as_trajectory(rows, counts=None):
-    """A Trajectory of the (decision, reward, no-op reward) rows, one run each.
+def as_rounds(rows, counts=None):
+    """A recorded round log of the (decision, reward, no-op reward) rows, one run each.
 
     counts[i] repeats row i over that many rounds, as the engine records
-    a decision reused through a stretch.
+    a decision reused through a stretch. Only the records' rewards matter.
     """
-    traj = Trajectory()
-    for row, n in zip(rows, counts or [1] * len(rows)):
-        traj.append(*row, n)
-    return traj
+    log = RoundLog(1.0)
+    for (step, reward, noop), n in zip(rows, counts or [1] * len(rows)):
+        log.append(RoundRecord(float(len(log)), 0.0, 0.0, reward, 0, 0, 0, 0), n, step, noop)
+    return log
 
 
-def fitted_batch(net, trajectory, gamma=0.5):
+def decisions_of(rounds):
+    return [run[3] for run in rounds.runs]
+
+
+def fitted_batch(net, rounds, gamma=0.5):
     """build_batch with a fresh value optimizer, as train() builds one per run."""
-    return build_batch(net, trajectory, gamma, optimizers(net, 0.0)[1])
+    return build_batch(net, rounds, gamma, optimizers(net, 0.0)[1])
 
 
 def random_batch(net, rng, steps=8, forced_none=True):
@@ -58,7 +62,8 @@ def random_batch(net, rng, steps=8, forced_none=True):
             actions[t, k] = rng.choice(np.flatnonzero(masks[t, k]))
     return Batch(states=states, actions=actions, masks=masks,
                  advantages=rng.standard_normal(steps),
-                 policy_weight=np.ones(steps))
+                 policy_weight=np.ones(steps), verdicts=np.zeros(masks.shape),
+                 temperature=np.ones(steps))
 
 
 def numeric_gradients(net, batch, entropy_coef, h=1e-6):
@@ -198,6 +203,7 @@ class TestGradients:
         temperature = 0.25
         tempered = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
                          advantages=np.ones(1), policy_weight=np.ones(1),
+                         verdicts=np.zeros(batch.masks.shape),
                          temperature=np.array([temperature]))
         logits = net.head_logits(batch.states)
         _, logp = masked_log_softmax(logits / temperature, batch.masks)
@@ -213,7 +219,8 @@ class TestGradients:
         mask = np.ones((1, a.k, a.head_size), dtype=bool)
         actions = np.array([[0, 1]])
         batch = Batch(states=state[None, :], actions=actions, masks=mask,
-                      advantages=np.array([1.0]), policy_weight=np.ones(1))
+                      advantages=np.array([1.0]), policy_weight=np.ones(1),
+                      verdicts=np.zeros(mask.shape), temperature=np.ones(1))
 
         def chosen_logp():
             _, logp = masked_log_softmax(net.head_logits(state[None, :]), mask)
@@ -231,7 +238,8 @@ class TestGradients:
         batch = random_batch(net, rng)
         batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
                       advantages=np.zeros(len(batch.advantages)),
-                      policy_weight=batch.policy_weight)
+                      policy_weight=batch.policy_weight, verdicts=batch.verdicts,
+                      temperature=batch.temperature)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             assert np.abs(grad).max() < 1e-12, name
@@ -262,7 +270,8 @@ class TestGradients:
         def grad_for(action):
             batch = Batch(states=state[None, :], actions=np.array([[action]]),
                           masks=mask, advantages=np.array([adv[action]]),
-                          policy_weight=np.ones(1))
+                          policy_weight=np.ones(1), verdicts=np.zeros(mask.shape),
+                          temperature=np.ones(1))
             _, grads, _ = loss_and_grads(net, batch, 0.0)
             return grads["bh"]
 
@@ -314,9 +323,10 @@ class TestUpdate:
             masks |= rng.random((a.k, a.head_size)) < 0.5
             actions = np.array([rng.choice(np.flatnonzero(masks[k])) for k in range(a.k)])
             traj.append((RLDecision(state=rng.standard_normal(a.input_dim),
-                                    head_actions=actions, masks=masks),
+                                    head_actions=actions, masks=masks,
+                                    verdicts=np.zeros(masks.shape)),
                          float(rng.normal()), 0.0))
-        return as_trajectory(traj)
+        return as_rounds(traj)
 
     def test_update_runs_and_returns_metrics(self):
         rng = np.random.default_rng(8)
@@ -332,7 +342,7 @@ class TestUpdate:
         rng = np.random.default_rng(16)
         net = tiny_net(seed=16)
         traj = self._trajectory(net, rng)
-        for step, _, _ in traj:
+        for step in decisions_of(traj):
             step.verdicts = np.where(step.masks, rng.choice([-1.0, 1.0], step.masks.shape), 0.0)
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
@@ -348,7 +358,7 @@ class TestUpdate:
     def test_empty_trajectory_rejected(self):
         net = tiny_net()
         with pytest.raises(NonFiniteLossError):
-            fitted_batch(net, Trajectory(), TrainConfig().gamma)
+            fitted_batch(net, RoundLog(1.0), TrainConfig().gamma)
 
     def test_non_finite_raises_with_diagnostics(self):
         rng = np.random.default_rng(10)
@@ -364,7 +374,7 @@ class TestUpdate:
         rng = np.random.default_rng(13)
         net = tiny_net(seed=13)
         traj = self._trajectory(net, rng, steps=5)
-        for step, _, _ in traj:
+        for step in decisions_of(traj):
             step.forced = True
         batch = fitted_batch(net, traj, gamma=0.9)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.05)
@@ -381,7 +391,7 @@ class TestBuildBatch:
             masks[0, 0] = True
         state = rng.standard_normal(a.input_dim) if choice else None
         step = RLDecision(state=state, head_actions=np.full(a.k, a.head_size - 1),
-                          masks=masks)
+                          masks=masks, verdicts=np.zeros(masks.shape) if choice else None)
         reward = float(rng.normal())
         # a round with no choice places nothing, so its reward is the no-op's
         return step, reward, (0.0 if choice else reward)
@@ -391,22 +401,22 @@ class TestBuildBatch:
         net = tiny_net(seed=14)
         decisions = [self._round(net, rng, choice=True) for _ in range(6)]
         skips = [self._round(net, rng, choice=False) for _ in range(40)]
-        plain = fitted_batch(tiny_net(seed=14), as_trajectory(decisions))
-        trajectory = as_trajectory(skips[:20] + decisions + skips[20:])
-        padded = fitted_batch(tiny_net(seed=14), trajectory)
+        plain = fitted_batch(tiny_net(seed=14), as_rounds(decisions))
+        rounds = as_rounds(skips[:20] + decisions + skips[20:])
+        padded = fitted_batch(tiny_net(seed=14), rounds)
         assert len(padded.advantages) == len(decisions)
         assert np.allclose(padded.advantages, plain.advantages, rtol=0, atol=1e-12)
-        assert np.allclose(excess_returns(trajectory, 0.5)[20:20 + len(decisions)],
-                           excess_returns(as_trajectory(decisions), 0.5), rtol=0, atol=1e-12)
+        assert np.allclose(excess_returns(rounds, 0.5)[20:20 + len(decisions)],
+                           excess_returns(as_rounds(decisions), 0.5), rtol=0, atol=1e-12)
 
     def test_runs_give_the_batch_of_their_rounds(self):
         """A row repeated over n rounds counts as n one-round runs, bit for bit."""
         rng = np.random.default_rng(17)
         rows = [self._round(tiny_net(), rng, choice=k % 4 == 0) for k in range(12)]
         counts = [1 + (7 * k) % 5 for k in range(12)]
-        runs = as_trajectory(rows, counts)
+        runs = as_rounds(rows, counts)
         # a copy of the decision per round, so that the rows stay one run each
-        expanded = as_trajectory([(replace(step), reward, noop)
+        expanded = as_rounds([(replace(step), reward, noop)
                                   for (step, reward, noop), n in zip(rows, counts)
                                   for _ in range(n)])
         assert len(runs.runs) == 12 and len(expanded.runs) == sum(counts)
@@ -419,11 +429,11 @@ class TestBuildBatch:
     def test_value_fit_before_advantages(self):
         """The baseline is fit to the decision rounds before advantages, then normalized."""
         rng = np.random.default_rng(16)
-        traj = as_trajectory([self._round(tiny_net(), rng, choice=k % 3 == 0)
-                              for k in range(30)])
+        traj = as_rounds([self._round(tiny_net(), rng, choice=k % 3 == 0)
+                          for k in range(30)])
         fitted, manual = tiny_net(seed=16), tiny_net(seed=16)
         batch = fitted_batch(fitted, traj)
-        returns = excess_returns(traj, 0.5)[[k for k, (step, *_) in enumerate(traj)
+        returns = excess_returns(traj, 0.5)[[k for k, step in enumerate(decisions_of(traj))
                                              if step.has_choice]]
         opt = Adam(manual.params, lr=VALUE_LR)
         for _ in range(VALUE_EPOCHS):
@@ -436,7 +446,7 @@ class TestBuildBatch:
     def test_normalized_over_decision_rounds(self):
         rng = np.random.default_rng(15)
         net = tiny_net(seed=15)
-        traj = as_trajectory([self._round(net, rng, choice=k % 5 == 0) for k in range(30)])
+        traj = as_rounds([self._round(net, rng, choice=k % 5 == 0) for k in range(30)])
         batch = fitted_batch(net, traj)
         assert batch.advantages.mean() == pytest.approx(0.0, abs=1e-12)
         assert batch.advantages.std() == pytest.approx(1.0, abs=1e-12)
