@@ -20,7 +20,7 @@ from .errors import ConfigError
 
 # Node subsets per head that ActionSpace will index: 16 nodes give
 # 14,827, 17 nodes 26,860 and 32 nodes about 6.1e8. Each subset is one
-# output per head of the policy net.
+# logit per head, and each head's mask spans all of them.
 MAX_SUBSETS = 20_000
 
 
@@ -78,9 +78,8 @@ class ActionSpace:
 
 @dataclass
 class RLDecision:
-    """What the policy network produced for one round, kept for training."""
+    """What the policy produced for one round, kept for training."""
 
-    state: np.ndarray | None  # flattened observation; None when no head had a choice
     head_actions: np.ndarray  # (K,) int indices into the action space
     masks: np.ndarray  # (K, A) bool
     forced: bool = False  # True when the livelock guard overrode the policy
@@ -88,6 +87,9 @@ class RLDecision:
     # predicted to raise the round reward, -1 to lower it, else 0
     verdicts: np.ndarray | None = None
     temperature: float = 1.0  # the logits were divided by it before sampling
+    pooled: np.ndarray | None = None  # the value input; None when the window was empty
+    # (masks.sum(), F) scorer rows in unmasked (head, index) order
+    features: np.ndarray | None = None
 
     @property
     def has_choice(self) -> bool:

@@ -19,7 +19,7 @@ from .actions import ActionSpace
 from .cluster import ClusterConfig, demand_shapes
 from .config import merge_config, output_root, parse_config_file
 from .contention import ContentionParams, load_cs_table
-from .encoding import FEATURE_DIM, dump_state_csv
+from .encoding import write_scorer_rows
 from .engine import (EpisodeConfig, compare_policies, default_contention_params,
                      run_episode)
 from .errors import (CheckpointError, ConfigError, ConschedError, TraceParseError,
@@ -184,8 +184,8 @@ def _policy_for(kind: str, args, cluster_config):
             raise UsageError(f"policy {kind} requires --checkpoint")
         net, _meta = load_checkpoint(args.checkpoint)
         space = _action_space(cluster_config)
-        expected = architecture(cluster_config, space, net.arch.k, net.arch.hidden)
-        ensure_compatible(net.arch, expected, path=args.checkpoint)
+        ensure_compatible(net.arch, architecture(space, net.arch.k, net.arch.hidden),
+                          path=args.checkpoint)
         return make_policy(kind, net=net, action_space=space)
     return make_policy(kind)
 
@@ -246,7 +246,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--dump-state-rounds must be >= 0")
     if dump_rounds and args.policy not in ("rl-base", "rl-hybrid"):
         raise UsageError(f"--dump-state-rounds needs an RL policy: {args.policy} "
-                         "encodes no state")
+                         "scores no placements")
     cluster = _cluster_config(args)
     episode = _episode_config(args, cluster)
     weights = _weights(args)
@@ -263,16 +263,14 @@ def cmd_eval(args) -> int:
     out_dir = os.path.join(root, "reports", exp_id)
     os.makedirs(out_dir, exist_ok=True)
     provenance = _provenance(args, {"experiment": exp_id})
-    shape = (cluster.num_nodes, 2 * cluster.gpus_per_node, FEATURE_DIM)
     pooled = {}
     for k, report in enumerate(reports):
-        # a decision that encoded a state had a choice, so it is never
-        # reused: its run is the one round that made it
-        encoded = [(first, step.state) for _, first, _, step, _ in report.rounds.runs
-                   if step is not None and step.state is not None]
-        for r, state in encoded[:dump_rounds]:
-            dump_state_csv(state.reshape(shape),
-                           os.path.join(out_dir, f"state_set{k:02d}_round{r}.csv"))
+        # a decision with a window had a choice, so it is never reused:
+        # its run is the one round that made it
+        scored = [(first, step) for _, first, _, step, _ in report.rounds.runs
+                  if step is not None and step.pooled is not None]
+        for r, step in scored[:dump_rounds]:
+            write_scorer_rows(step, r, os.path.join(out_dir, f"scorer_set{k:02d}_round{r}.csv"))
         write_episode_report(report, os.path.join(out_dir, f"set{k:02d}"), provenance)
         for key, value in report.aggregates.items():
             pooled.setdefault(key, []).append(value)
@@ -365,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-state-rounds", type=int, default=0,
-                   help="RL policies: dump the first N states the policy encoded per "
-                        "set as CSV grids, named by round")
+                   help="RL policies: dump the scorer rows of the first N decisions "
+                        "with a window per set as CSV, named by round")
     p.add_argument("--config", default=None)
     _add_cluster_flags(p)
     _add_episode_flags(p)

@@ -1,21 +1,12 @@
-"""Fixed-shape observation tensor and candidate-job selection.
+"""The RL policies' inputs: the candidate window, scorer rows and the pooled value input.
 
-The observation has shape [num_nodes, 2 * gpus_per_node, FEATURE_DIM].
-The left half mirrors the occupancy grid: each occupied GPU slot holds
-the resident job's feature vector. The right half indexes demand shapes:
-row i, column j-1 holds a candidate whose demand factors as j * 2^i
-(2^i nodes with j GPUs each); a demand with several factorizations
-appears in several slots. Unused slots are all zeros, so the tensor
-shape never depends on queue length or running-job count.
-
-Feature vector (FEATURE_DIM = 10), all values in [0, 1]:
-  [0:6]  model-class one-hot
-  [6]    comm/comp ratio / RATIO_SCALE, clipped at 1
-  [7]    avg bandwidth / BANDWIDTH_SCALE, clipped at 1
-  [8]    last profiled CS, clipped at CS_CAP, / CS_CAP (0 if never profiled)
-  [9]    fraction of work done
-The normalization constants are fixed, so encodings compare across
-episodes and checkpoints.
+A scorer row (SCORER_FEATURES) describes one (window candidate, feasible
+placement) pair by its contention trial (policies.RLBasePolicy._trials)
+and the candidate's own features (job_features); a skip row keeps only
+the latter. The pooled value input (POOLED_FEATURES) describes a
+decision round. A CS enters clipped at CS_CAP, minus 1, and the other
+scales are fixed, so inputs compare across episodes, clusters and
+checkpoints. The README's RL section defines each feature.
 """
 
 from __future__ import annotations
@@ -25,14 +16,14 @@ import numpy as np
 from .cluster import ClusterConfig, ClusterState, demand_shapes
 from .contention import CS_CAP
 from .errors import ConfigError
-from .workload import MODEL_ORDER, JobSpec, JobState
+from .workload import JobSpec, JobState
 
-FEATURE_DIM = 10
 BANDWIDTH_SCALE = 3000.0
 RATIO_SCALE = 15.0
-
-
-_MODEL_INDEX = {m: k for k, m in enumerate(MODEL_ORDER)}
+SCORER_FEATURES = ("cs", "max_rise", "sum_rise", "d_util", "width", "free_left",
+                   "comm_ratio", "bandwidth", "progress")
+POOLED_FEATURES = ("util", "running", "queued", "mean_cs", "max_cs", "window_demand",
+                   "window_comm_ratio", "window_bandwidth", "window_progress")
 
 
 def _fits(config: ClusterConfig, demand: int, free_per_node: np.ndarray) -> bool:
@@ -70,41 +61,40 @@ def window_candidates(queue: list[JobSpec], k: int, config: ClusterConfig,
     return sorted(picked, key=lambda job: job.gpu_demand)
 
 
-def feature_vector(spec: JobSpec, state: JobState) -> np.ndarray:
-    vec = np.zeros(FEATURE_DIM)
-    vec[_MODEL_INDEX[spec.model_class]] = 1.0
-    vec[6] = min(spec.profile.comm_comp_ratio / RATIO_SCALE, 1.0)
-    vec[7] = min(spec.profile.avg_bandwidth / BANDWIDTH_SCALE, 1.0)
-    vec[8] = min(max(state.last_cs, 0.0), CS_CAP) / CS_CAP
-    vec[9] = state.fraction_done
-    return vec
+def clipped_cs(cs: float) -> float:
+    """A CS as the RL inputs see it: clipped at CS_CAP, minus 1 (0 is uncontended)."""
+    return min(cs, CS_CAP) - 1.0
 
 
-def encode_state(cluster: ClusterState,
-                 candidates: list[JobSpec],
-                 job_states: dict[int, JobState]) -> np.ndarray:
-    """Pure function (cluster, candidates, job states) -> observation tensor."""
-    config = cluster.config
-    n, g = config.num_nodes, config.gpus_per_node
-    tensor = np.zeros((n, 2 * g, FEATURE_DIM))
-    ids = sorted(cluster.placements)  # the job ids in the occupancy grid
-    if ids:
-        occupied = cluster.occupancy >= 0
-        rows = np.array([feature_vector(job_states[jid].spec, job_states[jid]) for jid in ids])
-        tensor[:, :g][occupied] = rows[np.searchsorted(ids, cluster.occupancy[occupied])]
-    for cand in candidates:
-        vec = feature_vector(cand, job_states[cand.id])
-        for i, j in demand_shapes(config, cand.gpu_demand):
-            tensor[i, g + j - 1] = vec
-    return tensor
+def job_features(state: JobState) -> tuple[float, float, float]:
+    """A job's own scorer features: comm_ratio, bandwidth and progress."""
+    profile = state.spec.profile
+    return (min(profile.comm_comp_ratio / RATIO_SCALE, 1.0),
+            min(profile.avg_bandwidth / BANDWIDTH_SCALE, 1.0), state.fraction_done)
 
 
-def dump_state_csv(tensor: np.ndarray, path) -> None:
-    """Write the tensor as one CSV grid per feature channel, for inspection."""
-    n, cols, fdim = tensor.shape
+def encode_state(cluster: ClusterState, candidates: list[JobSpec],
+                 job_states: dict[int, JobState], profile: dict[int, float],
+                 queued: int) -> np.ndarray:
+    """A round's pooled value input; profile is the placed jobs' CS map, queued the queue size."""
+    total = cluster.config.total_gpus
+    cs = [clipped_cs(v) for v in profile.values()] or [0.0]
+    own = [job_features(job_states[c.id]) for c in candidates]
+    return np.array([cluster.utilization(), len(profile) / total, queued / total,
+                     sum(cs) / len(cs), max(cs),
+                     sum(c.gpu_demand for c in candidates) / total,
+                     *(sum(column) / len(own) for column in zip(*own))])
+
+
+def write_scorer_rows(decision, round_index: int, path) -> None:
+    """A recorded decision's scorer rows as CSV, one per unmasked (head, index), with
+    its verdict and whether the head chose it; a comment line holds the pooled input."""
+    pooled = ",".join(f"{n}={v!r}" for n, v in zip(POOLED_FEATURES, decision.pooled.tolist()))
+    heads, indices = np.nonzero(decision.masks)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# state tensor {n}x{cols}x{fdim}; one grid per feature channel\n")
-        for f in range(fdim):
-            fh.write(f"# feature {f}\n")
-            for node in range(n):
-                fh.write(",".join(repr(float(v)) for v in tensor[node, :, f]) + "\n")
+        fh.write(f"# round {round_index}; pooled value input: {pooled}\n")
+        fh.write(",".join(("head", "index", "verdict", "chosen", *SCORER_FEATURES)) + "\n")
+        for head, index, row in zip(heads.tolist(), indices.tolist(), decision.features.tolist()):
+            chosen = int(decision.head_actions[head] == index)
+            fh.write(f"{head},{index},{float(decision.verdicts[head, index])!r},{chosen},"
+                     + ",".join(map(repr, row)) + "\n")

@@ -2,8 +2,8 @@
 
 Baselines (greedy, LAS, SRTF) see the full waiting queue, matching their
 classical definitions. Only the RL policies observe the K-candidate
-window and the fixed-shape state tensor; this asymmetry is deliberate
-and affects how comparisons should be read.
+window and score its placements; this asymmetry is deliberate and
+affects how comparisons should be read.
 
 A policy whose class sets idle_between_events = True promises that
 after an idle decision (no placements, no preemptions, and no RL head
@@ -19,7 +19,7 @@ here keeps the promise:
   made no room, freeing fewer makes none;
 - the RL window (window_candidates) reads only the queue and the free
   GPUs, so an empty window stays empty until an event; a round with an
-  empty window encodes nothing, defers nothing and draws no rng; and
+  empty window scores nothing, defers nothing and draws no rng; and
   the window's fit test is first_fit's, so RL-Hybrid's greedy fallback
   places nothing either.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import Action, ActionSpace, RLDecision
 from .cluster import ClusterState, first_fit
-from .encoding import encode_state, window_candidates
+from .encoding import SCORER_FEATURES, clipped_cs, encode_state, job_features, window_candidates
 from .errors import ConfigError
 from .rl.net import PolicyNet, masked_log_softmax
 from .rl.reward import reward_from_terms
@@ -148,18 +148,17 @@ class RLBasePolicy:
     GPUs the earlier heads left free. A head that declines a job it could
     have placed defers it behind its same-demand peers.
 
-    A head's logits are the net's output (pack-first prior included) plus
-    contention_scale times the contention verdict of each feasible
-    placement: +1 when the profiled contention model predicts that adding
-    it, after the earlier heads' choices, raises the round reward under
-    the net's reward_weights (the weights it was trained for), -1 when it
-    lowers the reward. Each trial placement is priced from the candidate
-    and the jobs sharing its nodes, on the cluster as the earlier heads
-    left it, with no cluster copy (see _verdicts). The contention model,
-    its switch and the CS cap are the episode's: decide starts from the
-    CS map of the engine's EpisodeCS (cs), prices with it and hands it
-    the last trial map. Training learns contention_scale, starting from
-    0, from the realised returns. Sampled logits are divided by
+    A head's logit for a feasible index is the pack-first prior, plus
+    contention_scale times the placement's contention verdict, plus the
+    net's score of the placement's scorer row. The verdict is +1 when the
+    profiled contention model predicts that adding the placement, after
+    the earlier heads' choices, raises the round reward under the net's
+    reward_weights (the weights it was trained for), -1 when it lowers
+    it; the same trial gives the scorer row (see _trials). The contention
+    model, its switch and the CS cap are the episode's: decide starts
+    from the CS map of the engine's EpisodeCS (cs), prices with it and
+    hands it the last trial map. Training learns contention_scale and the
+    scorer, from 0 and a zero score. Sampled logits are divided by
     temperature.
     """
 
@@ -184,35 +183,43 @@ class RLBasePolicy:
             return reward_from_terms(1.0, 0.0, weights)
         return cs.reward(utilization, profile, weights)
 
-    def _verdicts(self, cs, cand, mask, base, placements, residents, used):
-        """Sign of the predicted reward change of each feasible placement.
+    def _trials(self, cs, cand, feasible, base, placements, residents, used, free, own):
+        """Verdicts over the action space, the scorer rows of feasible (skip last)
+        and each trial's (CS map, reward, ...) by index.
 
-        The cluster the head sees is placements and residents (as
-        ClusterState keeps them) with used of the cluster's GPUs busy, and
-        base is its (CS map, reward). Each trial placement re-profiles
-        only the candidate and the jobs sharing its nodes (cs.trial),
-        with no cluster copy. A placement on nodes no job holds gets CS 1
-        and changes no other job's CS, so all such placements share one
-        trial. Returns the signs and each trial's (CS map, reward).
+        The head sees placements, residents (as ClusterState keeps them),
+        used busy GPUs and free GPUs per node; base is that cluster's (CS
+        map, reward). A trial re-profiles only the candidate and the jobs
+        sharing its nodes (cs.trial), with no cluster copy; placements on
+        nodes no job holds get CS 1, change no other CS and share a trial.
         """
-        out = np.zeros(self.space.size)
-        trials = {}
-        alone = None
+        config = cs.cluster.config
         profile, reward = base
-        utilization = (used + cand.gpu_demand) / cs.cluster.config.total_gpus
-        feasible = np.flatnonzero(mask[:self.space.skip_index]).tolist()
-        for idx in feasible:
+        d_util = cand.gpu_demand / config.total_gpus
+        utilization = (used + cand.gpu_demand) / config.total_gpus
+        trials, rows = {}, []
+        alone = None
+        placeable = feasible[:-1].tolist()
+        for idx in placeable:
             placement = self.space.placement_for(idx, cand.gpu_demand)
-            shares = any(residents[node] for node in placement.nodes)
-            if shares or alone is None:
+            nodes = placement.nodes
+            neighbours = sorted(set().union(*(residents[node] for node in nodes)))
+            if neighbours or alone is None:
                 trial = cs.trial(cand.id, placement, placements, residents, profile)
-                trials[idx] = (trial, self._reward(cs, trial, utilization))
-                if not shares:
+                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o]) for o in neighbours]
+                trials[idx] = (trial, self._reward(cs, trial, utilization),
+                               clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises))
+                if not neighbours:
                     alone = trials[idx]
             else:
                 trials[idx] = alone
-        out[feasible] = np.sign(np.array([trials[idx][1] for idx in feasible]) - reward)
-        return out, trials
+            left = sum(int(free[node]) for node in nodes) - cand.gpu_demand
+            rows.append((*trials[idx][2:], d_util, len(nodes) / config.num_nodes,
+                         left / (len(nodes) * config.gpus_per_node), *own))
+        rows.append((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *own))
+        verdicts = np.zeros(self.space.size)
+        verdicts[placeable] = np.sign(np.array([trials[idx][1] for idx in placeable]) - reward)
+        return verdicts, np.array(rows), trials
 
     def decide(self, cluster, queue, states, rng, cs) -> Action:
         free = cluster.free_gpus_per_node()
@@ -222,24 +229,25 @@ class RLBasePolicy:
         masks = np.zeros((self.k, self.space.size), dtype=bool)
         masks[:, skip] = True
         if not candidates:
-            # no head has a choice: nothing to encode or sample
-            return Action(rl=RLDecision(state=None, head_actions=head_actions, masks=masks))
-        x = encode_state(cluster, candidates, states).ravel()
-        logits = self.net.head_logits(x)
-        scale = self.net.params["contention_scale"][0]
+            # no head has a choice: nothing to score or sample
+            return Action(rl=RLDecision(head_actions=head_actions, masks=masks))
+        profile = cs.profile()
+        pooled = encode_state(cluster, candidates, states, profile, len(queue))
         verdicts = np.zeros(masks.shape)
+        features = []
         # each head sees the cluster plus the earlier heads' placements
         placements, residents, used = cluster.placements, cluster.residents, cluster.used
-        profile = cs.profile()
         base = (profile, self._reward(cs, profile, cluster.utilization()))
         placed, deferred = [], []
         for head, cand in enumerate(candidates):
             mask = self.space.mask_for(cand.gpu_demand, free)
             masks[head] = mask
-            verdicts[head], trials = self._verdicts(cs, cand, mask, base, placements,
-                                                    residents, used)
-            probs, _ = masked_log_softmax(
-                (logits[head] + scale * verdicts[head]) / self.temperature, mask)
+            verdicts[head], rows, trials = self._trials(
+                cs, cand, np.flatnonzero(mask), base, placements, residents, used, free,
+                job_features(states[cand.id]))
+            features.append(rows)
+            logits = self.net.head_logits(rows, mask, verdicts[head])
+            probs, _ = masked_log_softmax(logits / self.temperature, mask)
             if self.deterministic:
                 idx = int(np.argmax(probs))
             else:
@@ -253,23 +261,25 @@ class RLBasePolicy:
                              for node, jobs in enumerate(residents)]
                 free[list(placement.nodes)] -= placement.gpus_per_node_used
                 used += cand.gpu_demand
-                base = trials[idx]
-            elif mask.sum() > 1:
+                base = trials[idx][:2]
+            elif len(rows) > 1:
                 deferred.append(cand.id)
         if placed:
             cs.adopt(placements, base[0])
+        features.append(np.zeros((self.k - len(candidates), len(SCORER_FEATURES))))
         return Action(placements=placed, deferred=deferred,
-                      rl=RLDecision(state=x, head_actions=head_actions, masks=masks,
-                                    verdicts=verdicts, temperature=self.temperature))
+                      rl=RLDecision(head_actions=head_actions, masks=masks, verdicts=verdicts,
+                                    temperature=self.temperature, pooled=pooled,
+                                    features=np.concatenate(features)))
 
 
 def hybridize(base_action: Action, cluster, queue) -> Action:
     """Apply the greedy safety rule when the policy scheduled nothing.
 
-    An RL decision that encoded no state had an empty window: no queued
+    An RL decision with no pooled input had an empty window: no queued
     job fits (the window's fit test is first_fit's), so there is no scan.
     """
-    if base_action.placements or (base_action.rl and base_action.rl.state is None):
+    if base_action.placements or (base_action.rl and base_action.rl.pooled is None):
         return base_action
     greedy = decide_fifo_greedy(cluster, queue)
     if not greedy.placements:

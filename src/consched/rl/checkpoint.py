@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,14 +21,14 @@ from .net import Architecture, PolicyNet
 from .reward import RewardWeights
 
 MAGIC = b"#consched-policy\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the placement scorer; 1 held the state-grid trunk
 
 
 def save_checkpoint(net: PolicyNet, path, metadata: dict | None = None) -> None:
     names = sorted(net.params)
     header = {
         "format_version": FORMAT_VERSION,
-        "architecture": net.arch.describe(),
+        "architecture": asdict(net.arch),
         "metadata": metadata or {},
         "params": [{"name": n, "shape": list(net.params[n].shape)} for n in names],
     }
@@ -75,13 +76,13 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
     offset += blob_len
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} != {FORMAT_VERSION}")
-    arch_d = header["architecture"]
-    arch = Architecture(input_dim=int(arch_d["input_dim"]),
-                        hidden=tuple(arch_d["hidden"]),
-                        k=int(arch_d["k"]),
-                        head_size=int(arch_d["head_size"]),
-                        value_hidden=tuple(arch_d["value_hidden"]))
+            f"{path}: format version {header.get('format_version')}; this build reads "
+            f"format version {FORMAT_VERSION}")
+    try:
+        arch = Architecture(**{key: tuple(v) if isinstance(v, list) else v
+                               for key, v in header["architecture"].items()})
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: bad architecture descriptor: {exc}") from exc
     net = PolicyNet(arch, np.random.default_rng(0))
     for item in header["params"]:
         name, shape = item["name"], tuple(item["shape"])
@@ -105,5 +106,5 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
 def ensure_compatible(loaded: Architecture, expected: Architecture, path="checkpoint") -> None:
     if loaded != expected:
         raise CheckpointError(
-            f"{path} architecture {loaded.describe()} does not match "
-            f"configured {expected.describe()}")
+            f"{path} architecture {asdict(loaded)} does not match "
+            f"configured {asdict(expected)}")

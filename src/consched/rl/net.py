@@ -1,14 +1,15 @@
-"""Policy network: shared MLP trunk, K categorical heads, value head.
+"""Policy network: one placement scorer shared by every head, and a value head.
 
-Small enough to run in float64 numpy. Heads emit logits over the shared
+Small enough to run in float64 numpy. A head's logits cover the shared
 placement-index space (one index per node subset, plus skip); masking
-zeroes infeasible indices exactly and renormalizes over the rest.
-
-The trunk-and-heads stack and the value baseline are both tanh MLPs over
-the same parameter dict, run by one forward pass (mlp_forward) and one
-backward pass (mlp_backward); callers name the layers' parameters. A
-single state x is passed 1-D and a batch 2-D, so inference and training
-keep the matrix-vector and matrix-matrix products they each use.
+zeroes infeasible indices exactly and renormalizes over the rest. A
+feasible index's logit is head_prior + contention_scale * verdict +
+score, the score being a small tanh MLP of the (candidate, placement)
+pair's scorer row, shared across heads and placements as in Decima (Mao
+et al., SIGCOMM 2019). Its output layer starts at zero, so an untrained
+net is exactly the fixed rule head_prior + contention_scale * verdict.
+The scorer and the value baseline (a tanh MLP over the pooled round
+input) share one parameter dict, one forward and one backward pass.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ VALUE_LAYERS = (("vw1", "vb1"), ("vw2", "vb2"), ("vw3", "vb3"))
 class Architecture:
     """Shape descriptor; stored in checkpoints and compared on load."""
 
-    input_dim: int
+    input_dim: int  # scorer row width
     hidden: tuple[int, int]
     k: int
     head_size: int
+    value_input_dim: int  # pooled value input width
     value_hidden: tuple[int, int] = (64, 64)
-
-    def describe(self) -> dict:
-        return {"input_dim": self.input_dim, "hidden": list(self.hidden),
-                "k": self.k, "head_size": self.head_size,
-                "value_hidden": list(self.value_hidden)}
 
 
 def mlp_forward(params: dict[str, np.ndarray], layers, x: np.ndarray):
@@ -93,12 +90,7 @@ def entropy_of(probs: np.ndarray) -> np.ndarray:
 
 
 class PolicyNet:
-    """Policy trunk + heads, and a separate small value-baseline MLP.
-
-    Keeping the baseline's parameters disjoint from the policy trunk
-    means the value regression cannot distort the policy; training math
-    lives in train.py.
-    """
+    """The scorer, its fixed prior and contention weight, and the disjoint value MLP."""
 
     def __init__(self, arch: Architecture, rng: np.random.Generator,
                  head_prior: np.ndarray | None = None):
@@ -108,25 +100,23 @@ class PolicyNet:
         self.reward_weights = RewardWeights()
         h1, h2 = arch.hidden
         v1, v2 = arch.value_hidden
-        head_out = arch.k * arch.head_size
-        if head_prior is None:
-            head_prior = np.zeros(arch.head_size)
         self.params: dict[str, np.ndarray] = {
             "w1": rng.standard_normal((arch.input_dim, h1)) / np.sqrt(arch.input_dim),
             "b1": np.zeros(h1),
             "w2": rng.standard_normal((h1, h2)) / np.sqrt(h1),
             "b2": np.zeros(h2),
-            # small head init keeps the starting policy at the prior
-            "wh": rng.standard_normal((h2, head_out)) * (0.01 / np.sqrt(h2)),
-            "bh": np.zeros(head_out),
-            # fixed behavior prior added to every head's logits; excluded
-            # from gradients, so training learns residual deviations from
-            # it instead of having to preserve its ordering under noise
-            "head_prior": np.asarray(head_prior, dtype=float).copy(),
+            # a zero output layer starts the policy at the fixed rule
+            "wh": np.zeros((h2, 1)),
+            "bh": np.zeros(1),
+            # fixed behavior prior per action index; excluded from
+            # gradients, so training learns residual deviations from it
+            # instead of having to preserve its ordering under noise
+            "head_prior": (np.zeros(arch.head_size) if head_prior is None
+                           else np.asarray(head_prior, dtype=float).copy()),
             # learned weight on the contention model's verdict per placement
             # (+1 raises the round reward, -1 lowers it); see RLBasePolicy
             "contention_scale": np.zeros(1),
-            "vw1": rng.standard_normal((arch.input_dim, v1)) / np.sqrt(arch.input_dim),
+            "vw1": rng.standard_normal((arch.value_input_dim, v1)) / np.sqrt(arch.value_input_dim),
             "vb1": np.zeros(v1),
             "vw2": rng.standard_normal((v1, v2)) / np.sqrt(v1),
             "vb2": np.zeros(v2),
@@ -134,13 +124,16 @@ class PolicyNet:
             "vb3": np.zeros(1),
         }
 
-    def head_logits(self, x: np.ndarray) -> np.ndarray:
-        """Prior-shifted head logits: (K, A) for one state, (B, K, A) for a batch."""
-        out, _ = mlp_forward(self.params, POLICY_LAYERS, x)
-        logits = out.reshape(*x.shape[:-1], self.arch.k, self.arch.head_size)
-        return logits + self.params["head_prior"]
+    def head_logits(self, features: np.ndarray, mask: np.ndarray,
+                    verdicts: np.ndarray) -> np.ndarray:
+        """One head's logits over the action space, given a scorer row per unmasked index."""
+        p = self.params
+        score, _ = mlp_forward(p, POLICY_LAYERS, features)
+        logits = p["head_prior"] + p["contention_scale"][0] * verdicts
+        logits[mask] += score[:, 0]
+        return logits
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Value-baseline estimates of a batch of states: (B,)."""
+        """Value-baseline estimates of a batch of pooled round inputs: (B,)."""
         out, _ = mlp_forward(self.params, VALUE_LAYERS, x)
         return out.ravel()

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..actions import ActionSpace
 from ..cluster import ClusterConfig
-from ..encoding import FEATURE_DIM
+from ..encoding import POOLED_FEATURES, SCORER_FEATURES
 from ..engine import EpisodeConfig, RoundLog, run_episode
 from ..errors import ConfigError, NonFiniteLossError
 from ..policies import RLBasePolicy
@@ -34,11 +34,11 @@ from .reward import RewardWeights
 from .checkpoint import save_checkpoint
 
 
-# contention_scale is one weight, so it takes a larger step than the trunk
+# contention_scale is one weight, so it takes a larger step than the scorer
 CONTENTION_LR = 0.05
 # sampling temperature, annealed linearly from the first to the last episode
 TEMPERATURE = (1.0, 0.1)
-MAX_GRAD_NORM = 10.0  # the trunk's global gradient norm is clipped to this
+MAX_GRAD_NORM = 10.0  # the scorer's global gradient norm is clipped to this
 UPDATES_PER_EPISODE = 4  # gradient steps on each episode's surrogate
 VALUE_EPOCHS = 30  # value-net regression steps before the advantages
 VALUE_LR = 0.01
@@ -51,15 +51,14 @@ VALUE_KEYS = tuple(key for layer in VALUE_LAYERS for key in layer)
 class TrainConfig:
     episodes: int = 20
     checkpoint_path: str = "policy.ckpt"
-    # the trunk only refines the priors: in 20 episodes its residual adds
-    # noise to the contention-aware decisions (see README, criterion 6)
-    lr: float = 0.0003
+    # the scorer's step size, chosen on held-out seeds (README, criterion 6)
+    lr: float = 0.003
     gamma: float = 0.5
     entropy_coef: float = 0.01
     shuffle_per_episode: bool = True
     seed: int = 0
     k: int = 6  # one head per demand of the default demand histogram
-    hidden: tuple[int, int] = (256, 256)
+    hidden: tuple[int, int] = (32, 32)  # the scorer's hidden layers
     weights: RewardWeights = field(default_factory=RewardWeights)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
 
@@ -78,16 +77,17 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Fixed inputs to the per-update objective (advantages precomputed)."""
+    """Fixed inputs to the per-update objective: the heads with a choice, in round order."""
 
-    states: np.ndarray  # (B, input_dim)
-    actions: np.ndarray  # (B, K)
-    masks: np.ndarray  # (B, K, A)
-    advantages: np.ndarray  # (B,)
-    policy_weight: np.ndarray  # (B,) 1.0 normally, 0.0 for forced rounds
-    # (B, K, A) contention verdicts the behaviour policy added to its
+    features: np.ndarray  # (R, input_dim) scorer rows, one per unmasked (head, index)
+    masks: np.ndarray  # (G, A) each head's feasible indices
+    actions: np.ndarray  # (G,) each head's sampled index
+    # (G, A) contention verdicts the behaviour policy added to its
     # logits, times contention_scale (see RLBasePolicy)
     verdicts: np.ndarray
+    decisions: np.ndarray  # (G,) the round (advantage row) each head belongs to
+    advantages: np.ndarray  # (B,)
+    policy_weight: np.ndarray  # (B,) 1.0 normally, 0.0 for forced rounds
     temperature: np.ndarray  # (B,) sampling temperature each round's logits were divided by
 
 
@@ -100,16 +100,17 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def value_step(net: PolicyNet, states: np.ndarray, returns: np.ndarray,
+def value_step(net: PolicyNet, pooled: np.ndarray, returns: np.ndarray,
                opt: Adam) -> float:
     """One regression step of the value baseline toward the returns.
 
-    Minimises 0.5 * E[(V - G)^2]; returns the loss before the step.
+    Minimises 0.5 * E[(V - G)^2] over the pooled round inputs; returns
+    the loss before the step.
     """
-    out, acts = mlp_forward(net.params, VALUE_LAYERS, states)
+    out, acts = mlp_forward(net.params, VALUE_LAYERS, pooled)
     err = out.ravel() - returns
     loss = 0.5 * float((err * err).mean())
-    opt.step(mlp_backward(net.params, VALUE_LAYERS, acts, err[:, None] / states.shape[0]))
+    opt.step(mlp_backward(net.params, VALUE_LAYERS, acts, err[:, None] / pooled.shape[0]))
     return loss
 
 
@@ -137,10 +138,11 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
 
     Returns run over every round, but rounds that offer only skip carry
     no policy gradient, so they enter neither the batch, the value fit
-    nor the advantage normalization. The value baseline first takes
-    VALUE_EPOCHS regression steps (value_opt) toward these rounds'
-    returns; the advantages are then normalized over the rounds that
-    carry a policy gradient.
+    nor the advantage normalization, and only their heads with a choice
+    enter the batch. The value baseline first takes VALUE_EPOCHS steps
+    (value_opt) from these rounds' pooled inputs toward their returns;
+    the advantages are then normalized over the rounds that carry a
+    policy gradient.
     """
     if not rounds:
         raise NonFiniteLossError("empty trajectory", {"steps": 0})
@@ -151,22 +153,26 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
             rows.extend(range(first, first + n))
             steps.extend([step] * n)
     returns = returns[rows]
-    states = np.stack([step.state for step in steps])
-    actions = np.stack([step.head_actions for step in steps])
     masks = np.stack([step.masks for step in steps])
+    counts = masks.sum(axis=2)
+    choice = counts > 1
+    pooled = np.stack([step.pooled for step in steps])
     weight = np.array([0.0 if step.forced else 1.0 for step in steps])
-    temperature = np.array([step.temperature for step in steps])
-    verdicts = np.stack([step.verdicts for step in steps])
     for _ in range(VALUE_EPOCHS):
-        value_step(net, states, returns, value_opt)
-    advantages = returns - net.values(states)
+        value_step(net, pooled, returns, value_opt)
+    advantages = returns - net.values(pooled)
     used = advantages[weight > 0]
     if used.size > 1:
         std = used.std()
         advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
-    return Batch(states=states, actions=actions, masks=masks,
-                 advantages=advantages, policy_weight=weight,
-                 verdicts=verdicts, temperature=temperature)
+    # a decision's scorer rows follow its unmasked (head, index) pairs
+    keep = np.repeat(choice.ravel(), counts.ravel())
+    return Batch(features=np.concatenate([step.features for step in steps])[keep],
+                 masks=masks[choice],
+                 actions=np.stack([step.head_actions for step in steps])[choice],
+                 verdicts=np.stack([step.verdicts for step in steps])[choice],
+                 decisions=np.nonzero(choice)[0], advantages=advantages, policy_weight=weight,
+                 temperature=np.array([step.temperature for step in steps]))
 
 
 def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
@@ -174,46 +180,40 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
 
     loss = -E[adv * sum_k log pi_k(a_k)] - entropy_coef * E[sum_k H(pi_k)]
     with both expectations over policy-weighted rounds, and pi_k the
-    softmax of the head's logits over the round's sampling temperature.
-    Advantages are constants here, so a finite-difference probe of this
-    function checks the backward pass end to end. The value baseline is
-    fit on its own (value_step), so its parameters get no gradient here.
+    softmax of head k's logits (head_prior + contention_scale * verdict
+    + score, see RLBasePolicy) over the round's sampling temperature; a
+    head with only skip adds 0 to both. Advantages are constants here, so
+    a finite-difference probe of this function checks the backward pass
+    end to end. The value baseline is fit on its own (value_step).
     """
     p = net.params
-    x = batch.states
-    bsz = x.shape[0]
-    k, a = net.arch.k, net.arch.head_size
-    out, acts = mlp_forward(p, POLICY_LAYERS, x)
-    logits = out.reshape(bsz, k, a) + p["head_prior"] + p["contention_scale"][0] * batch.verdicts
-    inv_t = 1.0 / batch.temperature
-    logits = logits * inv_t[:, None, None]
+    score, acts = mlp_forward(p, POLICY_LAYERS, batch.features)
+    logits = p["head_prior"] + p["contention_scale"][0] * batch.verdicts
+    logits[batch.masks] += score[:, 0]
+    inv_t = (1.0 / batch.temperature)[batch.decisions][:, None]
+    probs, logp = masked_log_softmax(logits * inv_t, batch.masks)
+    heads = np.arange(len(batch.actions))
+    pw = batch.policy_weight[batch.decisions]  # per head
+    n_pg = max(1.0, float(batch.policy_weight.sum()))
+    weighted_adv = pw * batch.advantages[batch.decisions]
+    pg_loss = -float((weighted_adv * logp[heads, batch.actions]).sum()) / n_pg
 
-    probs, logp = masked_log_softmax(logits, batch.masks)
-    idx_b = np.arange(bsz)[:, None]
-    idx_k = np.arange(k)[None, :]
-    pw = batch.policy_weight
-    n_pg = max(1.0, float(pw.sum()))
-    chosen_logp = logp[idx_b, idx_k, batch.actions]  # (B, K)
-    pg_loss = -float((pw * batch.advantages * chosen_logp.sum(axis=1)).sum()) / n_pg
-
-    ent_heads = entropy_of(probs)  # (B, K)
-    entropy = float((pw * ent_heads.sum(axis=1)).sum()) / n_pg
+    ent_heads = entropy_of(probs)  # (G,)
+    entropy = float((pw * ent_heads).sum()) / n_pg
 
     loss = pg_loss - entropy_coef * entropy
 
     # d loss / d logits
     onehot = np.zeros_like(probs)
-    onehot[idx_b, idx_k, batch.actions] = 1.0
-    coeff = (-(pw * batch.advantages) / n_pg)[:, None, None]
-    dlogits = coeff * (onehot - probs)
+    onehot[heads, batch.actions] = 1.0
+    dlogits = (-weighted_adv / n_pg)[:, None] * (onehot - probs)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
     # dH/dlogit_j = -p_j (log p_j + H); loss has -entropy_coef * H
-    dlogits += (entropy_coef / n_pg) * pw[:, None, None] * (
-        plogp + probs * ent_heads[:, :, None])
-    dlogits *= inv_t[:, None, None]  # back through the division by temperature
+    dlogits += (entropy_coef / n_pg) * pw[:, None] * (plogp + probs * ent_heads[:, None])
+    dlogits *= inv_t  # back through the division by temperature
 
-    grads = mlp_backward(p, POLICY_LAYERS, acts, dlogits.reshape(bsz, k * a))
+    grads = mlp_backward(p, POLICY_LAYERS, acts, dlogits[batch.masks][:, None])
     grads["contention_scale"] = np.array([float((dlogits * batch.verdicts).sum())])
     aux = {"loss": loss, "pg_loss": pg_loss, "entropy": entropy}
     return loss, grads, aux
@@ -224,22 +224,16 @@ def update(net: PolicyNet, rounds: RoundLog, config: TrainConfig, opt: Adam,
     """One gradient step on the batch built from one episode's recorded rounds.
 
     contention_scale steps at CONTENTION_LR and is left out of the
-    trunk's norm clipping.
+    scorer's norm clipping.
     """
     loss, grads, aux = loss_and_grads(net, batch, config.entropy_coef)
-    finite = np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())
-    if not finite:
+    if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
         rewards = np.array([r.reward for r, *_ in rounds.runs])
-        bad = int(np.argmax(~np.isfinite(batch.advantages))) if not np.isfinite(
-            batch.advantages).all() else -1
-        raise NonFiniteLossError(
-            "non-finite loss or gradient", {
-                "loss": float(loss) if np.isfinite(loss) else repr(loss),
-                "pg_loss": aux["pg_loss"], "entropy": aux["entropy"],
-                "steps": len(rounds),
-                "first_bad_step": bad,
-                "reward_min": float(rewards.min()), "reward_max": float(rewards.max()),
-            })
+        bad = np.flatnonzero(~np.isfinite(batch.advantages))
+        raise NonFiniteLossError("non-finite loss or gradient", {
+            "loss": repr(loss), "pg_loss": aux["pg_loss"], "entropy": aux["entropy"],
+            "steps": len(rounds), "first_bad_step": int(bad[0]) if bad.size else -1,
+            "reward_min": float(rewards.min()), "reward_max": float(rewards.max())})
     scale_grad = grads.pop("contention_scale")
     aux["grad_norm"] = clip_grad_norm(grads, MAX_GRAD_NORM)
     grads["contention_scale"] = scale_grad
@@ -267,16 +261,15 @@ def pack_first_prior(space: ActionSpace) -> np.ndarray:
     return prior
 
 
-def architecture(cluster_config: ClusterConfig, space: ActionSpace, k: int,
-                 hidden) -> Architecture:
-    """The net shape for a cluster: its state grid in, one head of space.size per k."""
-    input_dim = cluster_config.num_nodes * 2 * cluster_config.gpus_per_node * FEATURE_DIM
-    return Architecture(input_dim=input_dim, hidden=tuple(hidden), k=k, head_size=space.size)
+def architecture(space: ActionSpace, k: int, hidden) -> Architecture:
+    """The net shape for an action space: the scorer rows and pooled input in, k heads out."""
+    return Architecture(input_dim=len(SCORER_FEATURES), hidden=tuple(hidden), k=k,
+                        head_size=space.size, value_input_dim=len(POOLED_FEATURES))
 
 
 def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[PolicyNet, ActionSpace]:
     space = ActionSpace(cluster_config)
-    net = PolicyNet(architecture(cluster_config, space, config.k, config.hidden),
+    net = PolicyNet(architecture(space, config.k, config.hidden),
                     np.random.default_rng(config.seed), head_prior=pack_first_prior(space))
     return net, space
 

@@ -11,6 +11,7 @@ default 1/60 time scale.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ class JobSpec:
     arrival_time: float
     profile: ModelProfile
     isolated_runtime: float
+
+    def __post_init__(self):
+        # an episode divides by these and runs each job to its samples
+        for name, low in (("total_samples", 0.0), ("isolated_runtime", 0.0),
+                          ("arrival_time", -math.inf)):
+            if not low < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)} is outside ({low}, inf)")
 
     @property
     def ideal_throughput(self) -> float:
@@ -312,7 +320,7 @@ def read_trace(path) -> tuple[list[JobSpec], dict]:
                     profile=profile,
                     isolated_runtime=float(fields["isolated_runtime"]),
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, ConfigError) as exc:
                 raise TraceParseError(f"bad job record: {exc}", line=lineno) from exc
             jid = jobs[-1].id
             if jid in seen:

@@ -137,23 +137,27 @@ def test_criterion_4_gradient_correctness():
     """Analytic gradient vs central differences, width-4 net, 20 probes,
     1e-4 relative, < 30 s."""
     start = time.time()
-    arch = Architecture(input_dim=16, hidden=(4, 4), k=2, head_size=6,
+    arch = Architecture(input_dim=9, hidden=(4, 4), k=2, head_size=6, value_input_dim=9,
                         value_hidden=(4, 4))
     worst_rel = 0.0
     for probe in range(20):
         rng = np.random.default_rng(1000 + probe)
         net = PolicyNet(arch, rng, head_prior=rng.standard_normal(arch.head_size))
+        # a trained scorer: the fresh one's zero output layer would hide
+        # the hidden layers' gradients
+        net.params["wh"][:] = rng.standard_normal(net.params["wh"].shape)
+        net.params["contention_scale"][:] = rng.standard_normal()
         steps = 5
-        states = rng.standard_normal((steps, arch.input_dim))
-        masks = np.zeros((steps, arch.k, arch.head_size), dtype=bool)
-        masks[:, :, -1] = True
-        masks |= rng.random((steps, arch.k, arch.head_size)) < 0.5
-        actions = np.array([[rng.choice(np.flatnonzero(masks[t, k]))
-                             for k in range(arch.k)] for t in range(steps)])
-        batch = Batch(states=states, actions=actions, masks=masks,
+        masks = np.zeros((steps * arch.k, arch.head_size), dtype=bool)
+        masks[:, -1] = True
+        masks |= rng.random(masks.shape) < 0.5
+        batch = Batch(features=rng.standard_normal((int(masks.sum()), arch.input_dim)),
+                      masks=masks, actions=np.array([rng.choice(np.flatnonzero(m))
+                                                     for m in masks]),
+                      verdicts=rng.choice([-1.0, 0.0, 1.0], masks.shape) * masks,
+                      decisions=np.repeat(np.arange(steps), arch.k),
                       advantages=rng.standard_normal(steps),
-                      policy_weight=np.ones(steps), verdicts=np.zeros(masks.shape),
-                      temperature=np.ones(steps))
+                      policy_weight=np.ones(steps), temperature=rng.uniform(0.1, 1.0, steps))
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         h = 1e-6
         for name, tensor in net.params.items():

@@ -10,6 +10,7 @@ from consched.cli import main
 from consched.cluster import ClusterConfig, demand_shapes
 from consched.config import merge_config, output_root, parse_config_file
 from consched.contention import default_cs_table, write_cs_table
+from consched.encoding import SCORER_FEATURES
 from consched.engine import EpisodeConfig, run_episode
 from consched.errors import ConfigError
 from consched.policies import make_policy
@@ -17,6 +18,7 @@ from consched.rl.checkpoint import load_checkpoint, save_checkpoint
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import read_trace
 from test_golden import trajectory_rows
+from test_rl import write_format_1_checkpoint
 
 
 def run(argv):
@@ -31,17 +33,12 @@ def fresh_checkpoint(tmp_path):
     return path
 
 
-def read_state_csv(path):
-    """Inverse of dump_state_csv: the (nodes, columns, features) tensor."""
-    grids, rows = [], []
-    for line in path.read_text().splitlines():
-        if line.startswith("# feature") and rows:
-            grids.append(rows)
-            rows = []
-        elif not line.startswith("#"):
-            rows.append([float(v) for v in line.split(",")])
-    grids.append(rows)
-    return np.stack([np.array(g) for g in grids], axis=-1)
+def read_scorer_csv(path):
+    """Inverse of write_scorer_rows: (pooled, header, rows as floats)."""
+    comment, header, *rows = path.read_text().splitlines()
+    pooled = [float(item.partition("=")[2]) for item in comment.split(": ", 1)[1].split(",")]
+    return np.array(pooled), header.split(","), np.array([[float(v) for v in row.split(",")]
+                                                          for row in rows])
 
 
 @pytest.fixture
@@ -127,6 +124,18 @@ UNRUNNABLE = {
     "demand-9": (lambda line: re.sub(r"demand=\d+", "demand=9", line),
                  ["job 0", "demands 9", "4 nodes x 8 GPUs"]),
 }
+
+
+def set_field(name, value):
+    """An edit that sets the job line's field name to value."""
+    return lambda line: re.sub(rf"\b{name}=\S+", f"{name}={value}", line)
+
+
+# job values read_trace rejects, or that the job's own checks reject, each
+# named with its line: the trace's first job is on line 2
+for name, value in (("total_samples", "-5"), ("total_samples", "0"), ("arrival", "nan"),
+                    ("arrival", "inf"), ("isolated_runtime", "0"), ("avg_bandwidth", "-3")):
+    UNRUNNABLE[f"{name}={value}"] = (set_field(name, value), ["line 2", name])
 COMMANDS = {
     "eval": ["eval", "--policy", "las"],
     "compare": ["compare", "--policies", "las,srtf"],
@@ -345,24 +354,32 @@ class TestEval:
         assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
                     "--trace", str(trace_file), "--dump-state-rounds", "2", "--name", "d",
                     "--out-dir", str(out)]) == 0
-        dumps = sorted((out / "reports" / "d").glob("state_set00_round*.csv"))
+        dumps = sorted((out / "reports" / "d").glob("scorer_set00_round*.csv"))
         assert len(dumps) == 2
-        # the states the episode's first two state-bearing decisions encoded
+        # the scorer rows of the episode's first two decisions with a window
         net, _ = load_checkpoint(ckpt)
         policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()))
         trace, _ = read_trace(trace_file)
         report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
                              record_trajectory=True)
-        encoded, seen = [], set()
+        scored, seen = [], set()
         for r, (step, _, _) in enumerate(trajectory_rows(report.rounds)):
-            if step.state is not None and id(step) not in seen:
+            if step.pooled is not None and id(step) not in seen:
                 seen.add(id(step))
-                encoded.append((r, step.state))
+                scored.append((r, step))
         assert [path.name for path in dumps] == sorted(
-            f"state_set00_round{r}.csv" for r, _ in encoded[:2])
-        for r, state in encoded[:2]:
-            dumped = read_state_csv(out / "reports" / "d" / f"state_set00_round{r}.csv")
-            assert np.array_equal(dumped.ravel(), state)
+            f"scorer_set00_round{r}.csv" for r, _ in scored[:2])
+        for r, step in scored[:2]:
+            pooled, header, rows = read_scorer_csv(
+                out / "reports" / "d" / f"scorer_set00_round{r}.csv")
+            assert header == ["head", "index", "verdict", "chosen", *SCORER_FEATURES]
+            assert np.array_equal(pooled, step.pooled)
+            # one row per unmasked (head, index), in that order
+            heads, indices = np.nonzero(step.masks)
+            assert np.array_equal(rows[:, 0], heads) and np.array_equal(rows[:, 1], indices)
+            assert np.array_equal(rows[:, 2], step.verdicts[heads, indices])
+            assert np.array_equal(rows[:, 3], step.head_actions[heads] == indices)
+            assert np.array_equal(rows[:, 4:], step.features)
         # recording the states leaves the episode as it is
         assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
                     "--trace", str(trace_file), "--name", "plain", "--out-dir", str(out)]) == 0
@@ -372,10 +389,19 @@ class TestEval:
                              for exp in ("d", "plain"))
             assert dumped == plain
 
+    def test_format_1_checkpoint_is_a_file_error(self, trace_file, tmp_path, capsys):
+        ckpt = tmp_path / "old.ckpt"
+        write_format_1_checkpoint(ckpt)
+        out = tmp_path / "out"
+        assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
+                    "--trace", str(trace_file), "--out-dir", str(out)]) == 3
+        assert_one_line_error(capsys, "file error: ", "format version 1", "format version 2")
+        assert not out.exists()
+
     def test_state_dump_needs_an_rl_policy(self, trace_file, tmp_path, capsys):
         assert run(["eval", "--policy", "greedy", "--trace", str(trace_file),
                     "--dump-state-rounds", "2", "--out-dir", str(tmp_path)]) == 2
-        assert "encodes no state" in capsys.readouterr().err
+        assert "scores no placements" in capsys.readouterr().err
 
     def test_eval_rl_roundtrip(self, trace_file, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from consched.actions import Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, enumerate_placements
-from consched.encoding import (FEATURE_DIM, dump_state_csv, encode_state, feature_vector,
-                               window_candidates)
+from consched.contention import CS_CAP
+from consched.encoding import (BANDWIDTH_SCALE, POOLED_FEATURES, RATIO_SCALE, SCORER_FEATURES,
+                               encode_state, job_features, window_candidates, write_scorer_rows)
+from consched.engine import EpisodeConfig, EpisodeCS
 from consched.errors import ConfigError
+from consched.policies import RLBasePolicy
+from consched.rl.train import TrainConfig, make_net
 from consched.workload import JobState, Phase, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
@@ -17,7 +22,6 @@ EMPTY_FREE = np.full(CFG.num_nodes, CFG.gpus_per_node)
 
 
 def jobs_with_demands(demands):
-    from dataclasses import replace
     if not demands:
         return []
     base = generate_trace(TraceSpec(num_jobs=len(demands), seed=0))
@@ -69,78 +73,100 @@ class TestSelectCandidates:
         assert ds == sorted(fitting[:k])
 
 
-class TestEncodeState:
-    def test_empty_everything_all_zero(self):
-        tensor = encode_state(ClusterState(CFG), [], {})
-        assert tensor.shape == (4, 16, FEATURE_DIM)
-        assert not tensor.any()
+def decision_on(cluster, specs, states, scale=2.0):
+    """A fresh seed-0 RL-base decision on the cluster, with contention_scale at scale."""
+    net, space = make_net(CFG, TrainConfig(seed=0))
+    net.params["contention_scale"][0] = scale
+    cs = EpisodeCS(cluster, states, EpisodeConfig())
+    return RLBasePolicy(net, space).decide(cluster, specs, states, None, cs).rl, cs
 
-    def test_candidate_demand_4_slots(self):
-        specs = jobs_with_demands([4])
-        tensor = encode_state(ClusterState(CFG), specs, states_for(specs))
-        right = tensor[:, 8:, :]
-        nonzero = {(i, j) for i in range(4) for j in range(8) if right[i, j].any()}
-        assert nonzero == {(0, 3), (1, 1), (2, 0)}  # (i, j-1) for 1x4, 2x2, 4x1
 
-    def test_running_job_slots(self):
-        specs = jobs_with_demands([2])
+class TestPooledInput:
+    def test_empty_cluster(self):
+        specs = jobs_with_demands([4, 8])
         states = states_for(specs)
-        cluster = ClusterState(CFG)
-        cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=2))
-        states[specs[0].id].phase = Phase.RUNNING
-        tensor = encode_state(cluster, [], states)
-        left = tensor[:, :8, :]
-        nonzero = {(n, g) for n in range(4) for g in range(8) if left[n, g].any()}
-        assert nonzero == {(0, 0), (0, 1)}
+        pooled = encode_state(ClusterState(CFG), specs, states, {}, queued=5)
+        assert pooled.shape == (len(POOLED_FEATURES),)
+        own = np.mean([job_features(states[s.id]) for s in specs], axis=0)
+        np.testing.assert_allclose(pooled, [0.0, 0.0, 5 / 32, 0.0, 0.0, 12 / 32, *own],
+                                   rtol=0, atol=1e-15)
 
-    def test_left_slot_count_equals_used_gpus(self):
+    def test_reads_the_running_jobs(self):
         specs = jobs_with_demands([4, 6, 2])
         states = states_for(specs)
         cluster = ClusterState(CFG)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
         cluster.allocate(specs[1].id, Placement(nodes=(1, 2), gpus_per_node_used=3))
-        tensor = encode_state(cluster, [specs[2]], states)
-        left = tensor[:, :8, :]
-        assert sum(1 for n in range(4) for g in range(8) if left[n, g].any()) == cluster.used_gpus()
+        profile = {specs[0].id: 1.5, specs[1].id: 9.0}  # the second beyond the cap
+        pooled = dict(zip(POOLED_FEATURES,
+                          encode_state(cluster, [specs[2]], states, profile, queued=1)))
+        assert pooled["util"] == cluster.used_gpus() / 32
+        assert pooled["running"] == 2 / 32
+        assert pooled["mean_cs"] == pytest.approx((0.5 + CS_CAP - 1) / 2)
+        assert pooled["max_cs"] == CS_CAP - 1
 
     def test_pure_function(self):
         specs = jobs_with_demands([4, 8])
         states = states_for(specs)
         cluster = ClusterState(CFG)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        a = encode_state(cluster, [specs[1]], states)
-        b = encode_state(cluster, [specs[1]], states)
+        a = encode_state(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
+        b = encode_state(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
         assert np.array_equal(a, b)
 
-    def test_features_in_unit_range(self):
-        specs = jobs_with_demands([4, 8, 1])
-        states = states_for(specs)
-        for s in specs:
-            states[s.id].last_cs = 7.5  # beyond the cap
-            states[s.id].samples_done = s.total_samples / 3
-        cluster = ClusterState(CFG)
-        cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        tensor = encode_state(cluster, specs[1:], states)
-        assert np.isfinite(tensor).all()
-        assert tensor.min() >= 0.0 and tensor.max() <= 1.0
-
-    def test_feature_vector_layout(self):
+    def test_job_features_layout(self):
         specs = jobs_with_demands([4])
         state = JobState(spec=specs[0])
-        state.last_cs = 2.0
-        vec = feature_vector(specs[0], state)
-        assert vec.shape == (FEATURE_DIM,)
-        assert vec[:6].sum() == 1.0  # one-hot
-        assert vec[8] == pytest.approx(0.5)  # CS 2.0 / cap 4.0
+        state.samples_done = specs[0].total_samples / 4
+        ratio, bandwidth, progress = job_features(state)
+        profile = specs[0].profile
+        assert ratio == min(profile.comm_comp_ratio / RATIO_SCALE, 1.0)
+        assert bandwidth == min(profile.avg_bandwidth / BANDWIDTH_SCALE, 1.0)
+        assert progress == pytest.approx(0.25)
 
-    def test_dump_csv(self, tmp_path):
+
+class TestScorerRows:
+    @given(demands=st.lists(st.integers(1, 32), min_size=1, max_size=8),
+           used=st.lists(st.integers(0, 8), min_size=4, max_size=4), done=st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_in_range_one_per_unmasked_index(self, demands, used, done):
+        specs = jobs_with_demands(demands)
+        states = states_for(specs)
+        cluster = ClusterState(CFG)
+        for node, u in enumerate(used):
+            if u:
+                runner = replace(specs[0], id=100 + node, gpu_demand=u)
+                states[runner.id] = JobState(spec=runner)
+                cluster.allocate(runner.id, Placement(nodes=(node,), gpus_per_node_used=u))
+        for spec in specs:
+            states[spec.id].samples_done = spec.total_samples * done
+        rl, _ = decision_on(cluster, specs, states)
+        if rl.pooled is None:
+            return
+        assert rl.features.shape == (int(rl.masks.sum()), len(SCORER_FEATURES))
+        assert np.isfinite(rl.features).all() and np.isfinite(rl.pooled).all()
+        cs = [SCORER_FEATURES.index(name) for name in ("cs", "max_rise", "sum_rise")]
+        assert rl.features.min() >= 0.0
+        assert rl.features[:, cs[:2]].max() <= CS_CAP - 1
+        assert np.delete(rl.features, cs, axis=1).max() <= 1.0
+
+    def test_skip_row_holds_only_the_candidates_own_features(self):
         specs = jobs_with_demands([4])
-        tensor = encode_state(ClusterState(CFG), specs, states_for(specs))
-        path = tmp_path / "state.csv"
-        dump_state_csv(tensor, path)
-        text = path.read_text()
-        assert "feature 0" in text
-        assert len([l for l in text.splitlines() if not l.startswith("#")]) == 4 * FEATURE_DIM
+        states = states_for(specs)
+        rl, _ = decision_on(ClusterState(CFG), specs, states)
+        skip_row = rl.features[int(rl.masks[0].sum()) - 1]
+        assert np.array_equal(skip_row, [0.0] * 6 + list(job_features(states[specs[0].id])))
+
+    def test_write_scorer_rows(self, tmp_path):
+        specs = jobs_with_demands([4, 2])
+        rl, _ = decision_on(ClusterState(CFG), specs, states_for(specs))
+        path = tmp_path / "scorer.csv"
+        write_scorer_rows(rl, 7, path)
+        comment, header, *rows = path.read_text().splitlines()
+        assert comment.startswith("# round 7; pooled value input: util=")
+        assert header.split(",") == ["head", "index", "verdict", "chosen", *SCORER_FEATURES]
+        assert len(rows) == rl.masks.sum()
+        assert sum(int(row.split(",")[3]) for row in rows) == rl.masks.shape[0]
 
 
 class TestActionSpace:

@@ -434,10 +434,11 @@ def assert_same_trajectory(fast, ref):
     assert len(fast) == len(ref)
     for (step, reward, noop), (ref_step, ref_reward, ref_noop) in zip(fast, ref):
         assert (reward, noop) == (ref_reward, ref_noop)
-        if ref_step.state is None:
-            assert step.state is None
-        else:
-            np.testing.assert_array_equal(step.state, ref_step.state)
+        for name in ("pooled", "features"):
+            if getattr(ref_step, name) is None:
+                assert getattr(step, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(step, name), getattr(ref_step, name))
         np.testing.assert_array_equal(step.head_actions, ref_step.head_actions)
         np.testing.assert_array_equal(step.masks, ref_step.masks)
         if ref_step.verdicts is None:

@@ -104,7 +104,7 @@ def trajectory_rows(rounds) -> list[tuple]:
 def trajectory_digest(rows) -> str:
     h = hashlib.sha256()
     for step, reward, noop in rows:
-        for a in (step.state, step.head_actions, step.masks, step.verdicts):
+        for a in (step.pooled, step.features, step.head_actions, step.masks, step.verdicts):
             h.update(b"-" if a is None else _array_digest(a).encode())
         h.update(f"{step.temperature!r},{step.forced!r},{_floats((reward, noop))};".encode())
     return h.hexdigest()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from consched.cluster import ClusterConfig, ClusterState, enumerate_placements
 from consched.contention import (DEFAULT_PROFILES, ContentionParams, ModelClass,
                                  contention_sensitivity)
-from consched.encoding import encode_state, window_candidates
+from consched.encoding import clipped_cs, encode_state, job_features, window_candidates
 from consched.engine import EpisodeConfig, EpisodeCS, default_contention_params, run_episode
 from consched.policies import RLBasePolicy
 from consched.rl.net import masked_log_softmax
@@ -60,19 +60,35 @@ def oracle_reward(policy, episode, cluster, states):
     return compute_reward(cluster.utilization(), cs, weights)
 
 
-def oracle_verdicts(policy, episode, cluster, states, cand, mask):
-    """Each trial placement priced on a copy of the cluster with a full profile."""
+def oracle_trials(policy, episode, cluster, states, cand, mask):
+    """Each trial placement's verdict and scorer row, priced on a copy of the
+    cluster with a full profile; the skip row last."""
     out = np.zeros(policy.space.size)
     base = oracle_reward(policy, episode, cluster, states)
+    base_cs = full_profile(cluster, states, episode.contention)
+    config = cluster.config
+    own = job_features(states[cand.id])
+    rows = []
     for idx in np.flatnonzero(mask[:policy.space.skip_index]):
+        placement = policy.space.placement_for(int(idx), cand.gpu_demand)
         trial = cluster.copy()
-        trial.allocate(cand.id, policy.space.placement_for(int(idx), cand.gpu_demand))
+        trial.allocate(cand.id, placement)
         out[idx] = np.sign(oracle_reward(policy, episode, trial, states) - base)
-    return out
+        trial_cs = full_profile(trial, states, episode.contention)
+        sharing = sorted(set().union(*(cluster.residents[node] for node in placement.nodes)))
+        rises = [clipped_cs(trial_cs[o]) - clipped_cs(base_cs[o]) for o in sharing]
+        width = len(placement.nodes)
+        left = int(trial.free_gpus_per_node()[list(placement.nodes)].sum())
+        rows.append((clipped_cs(trial_cs[cand.id]), max(rises, default=0.0), sum(rises),
+                     cand.gpu_demand / config.total_gpus, width / config.num_nodes,
+                     left / (width * config.gpus_per_node), *own))
+    rows.append((0.0,) * 6 + own)
+    return out, np.array(rows)
 
 
 def oracle_decide(policy, episode, cluster, queue, states):
-    """Argmax RL-base decide on a copy of the cluster, with oracle verdicts."""
+    """Argmax RL-base decide on a copy of the cluster, with oracle verdicts and
+    scorer rows; also returns the pooled input of the full profile."""
     candidates = window_candidates(queue, policy.k, cluster.config,
                                    cluster.free_gpus_per_node())
     skip = policy.space.skip_index
@@ -81,16 +97,18 @@ def oracle_decide(policy, episode, cluster, queue, states):
     masks[:, skip] = True
     verdicts = np.zeros(masks.shape)
     if not candidates:
-        return [], [], head_actions, masks, verdicts
-    logits = policy.net.head_logits(encode_state(cluster, candidates, states).ravel())
-    scale = policy.net.params["contention_scale"][0]
+        return [], [], head_actions, masks, verdicts, None, None
+    pooled = encode_state(cluster, candidates, states,
+                          full_profile(cluster, states, episode.contention), len(queue))
+    features = []
     sim = cluster.copy()
     placements, deferred = [], []
     for head, cand in enumerate(candidates):
         mask = policy.space.mask_for(cand.gpu_demand, sim.free_gpus_per_node())
         masks[head] = mask
-        verdicts[head] = oracle_verdicts(policy, episode, sim, states, cand, mask)
-        probs, _ = masked_log_softmax(logits[head] + scale * verdicts[head], mask)
+        verdicts[head], rows = oracle_trials(policy, episode, sim, states, cand, mask)
+        features.append(rows)
+        probs, _ = masked_log_softmax(policy.net.head_logits(rows, mask, verdicts[head]), mask)
         idx = int(np.argmax(probs))
         head_actions[head] = idx
         if idx != skip:
@@ -99,7 +117,8 @@ def oracle_decide(policy, episode, cluster, queue, states):
             sim.allocate(cand.id, placement)
         elif mask.sum() > 1:
             deferred.append(cand.id)
-    return placements, deferred, head_actions, masks, verdicts
+    features.append(np.zeros((policy.k - len(candidates), rows.shape[1])))
+    return placements, deferred, head_actions, masks, verdicts, pooled, np.concatenate(features)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,8 +250,8 @@ class TestVerdicts:
             queue = queue_for(data.draw, config, states)
             version = cluster.version
             action = policy.decide(cluster, queue, states, None, cs)
-            placements, deferred, head_actions, masks, verdicts = oracle_decide(
-                policy, episode, cluster, queue, states)
+            (placements, deferred, head_actions, masks, verdicts, pooled,
+             features) = oracle_decide(policy, episode, cluster, queue, states)
             assert cluster.version == version  # trial placements leave the cluster alone
             assert action.placements == placements
             assert action.deferred == deferred
@@ -240,8 +259,10 @@ class TestVerdicts:
             np.testing.assert_array_equal(action.rl.masks, masks)
             if action.rl.verdicts is not None:
                 np.testing.assert_array_equal(action.rl.verdicts, verdicts)
+                np.testing.assert_array_equal(action.rl.features, features)
+                np.testing.assert_array_equal(action.rl.pooled, pooled)
             else:
-                assert not verdicts.any()
+                assert not verdicts.any() and pooled is None
             if data.draw(st.booleans()):
                 for jid, placement in action.placements:
                     cluster.allocate(jid, placement)

@@ -451,7 +451,8 @@ class TestRLPolicies:
             cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=8))
         action = RLBasePolicy(net, space).decide(cluster, jobs_with([4]), {}, None,
                                                  episode_cs(cluster, {}))
-        assert action.rl.state is None and not action.rl.has_choice
+        assert action.rl.pooled is None and action.rl.features is None
+        assert not action.rl.has_choice
 
     def test_verdicts_follow_net_reward_weights(self, net_space):
         net, space = net_space

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from consched.actions import RLDecision
 from consched.cluster import ClusterConfig
 from consched.contention import CS_CAP
-from consched.engine import RoundLog, RoundRecord
+from consched.engine import EpisodeConfig, RoundLog, RoundRecord, run_episode
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
-from consched.rl.checkpoint import (ensure_compatible, load_checkpoint,
+from consched.policies import RLBasePolicy
+from consched.rl.checkpoint import (FORMAT_VERSION, MAGIC, ensure_compatible, load_checkpoint,
                                     save_checkpoint)
 from consched.rl.net import (Architecture, PolicyNet, entropy_of,
                              masked_log_softmax)
@@ -21,8 +23,10 @@ from consched.rl.train import (CONTENTION_LR, POLICY_KEYS, VALUE_EPOCHS, VALUE_K
                                Batch, TrainConfig, architecture, build_batch, discounted_returns,
                                excess_returns, loss_and_grads, make_net, optimizers,
                                pack_first_prior, update, value_step)
+from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
 
-TINY = Architecture(input_dim=6, hidden=(4, 4), k=2, head_size=4, value_hidden=(3, 3))
+TINY = Architecture(input_dim=5, hidden=(4, 4), k=2, head_size=4, value_input_dim=6,
+                    value_hidden=(3, 3))
 
 
 def tiny_net(seed=0, prior=None):
@@ -50,20 +54,37 @@ def fitted_batch(net, rounds, gamma=0.5):
     return build_batch(net, rounds, gamma, optimizers(net, 0.0)[1])
 
 
-def random_batch(net, rng, steps=8, forced_none=True):
+def random_batch(net, rng, steps=8, verdicts=False, temperature=False):
+    """Every head of steps random decisions, with random scorer rows for its unmasked indices."""
     a = net.arch
-    states = rng.standard_normal((steps, a.input_dim))
-    masks = np.zeros((steps, a.k, a.head_size), dtype=bool)
-    masks[:, :, -1] = True
-    masks |= rng.random((steps, a.k, a.head_size)) < 0.5
-    actions = np.zeros((steps, a.k), dtype=np.int64)
-    for t in range(steps):
-        for k in range(a.k):
-            actions[t, k] = rng.choice(np.flatnonzero(masks[t, k]))
-    return Batch(states=states, actions=actions, masks=masks,
-                 advantages=rng.standard_normal(steps),
-                 policy_weight=np.ones(steps), verdicts=np.zeros(masks.shape),
-                 temperature=np.ones(steps))
+    masks = np.zeros((steps * a.k, a.head_size), dtype=bool)
+    masks[:, -1] = True
+    masks |= rng.random(masks.shape) < 0.5
+    return Batch(features=rng.standard_normal((int(masks.sum()), a.input_dim)), masks=masks,
+                 actions=np.array([rng.choice(np.flatnonzero(mask)) for mask in masks]),
+                 verdicts=(rng.choice([-1.0, 0.0, 1.0], masks.shape) * masks if verdicts
+                           else np.zeros(masks.shape)),
+                 decisions=np.repeat(np.arange(steps), a.k),
+                 advantages=rng.standard_normal(steps), policy_weight=np.ones(steps),
+                 temperature=rng.uniform(0.1, 1.0, steps) if temperature else np.ones(steps))
+
+
+def chosen_log_prob(net, batch, temperature=1.0):
+    """The summed log-probability of the batch's actions, from head_logits as the policy decides."""
+    total, start = 0.0, 0
+    for mask, action, verdicts in zip(batch.masks, batch.actions, batch.verdicts):
+        logits = net.head_logits(batch.features[start:start + mask.sum()], mask, verdicts)
+        total += masked_log_softmax(logits / temperature, mask)[1][action]
+        start += mask.sum()
+    return total
+
+
+def scorer_decision(arch, rng, masks, **fields):
+    """An RLDecision over masks with random scorer rows, pooled input and head actions."""
+    actions = np.array([rng.choice(np.flatnonzero(mask)) for mask in masks])
+    return RLDecision(head_actions=actions, masks=masks,
+                      features=rng.standard_normal((int(masks.sum()), arch.input_dim)),
+                      pooled=rng.standard_normal(arch.value_input_dim), **fields)
 
 
 def numeric_gradients(net, batch, entropy_coef, h=1e-6):
@@ -184,13 +205,7 @@ class TestGradients:
         rng = np.random.default_rng(17)
         net = tiny_net(seed=17, prior=rng.standard_normal(TINY.head_size))
         net.params["contention_scale"][:] = 0.7
-        batch = random_batch(net, rng)
-        verdicts = rng.choice([-1.0, 0.0, 1.0], size=batch.masks.shape) * batch.masks
-        verdicts[..., -1] = 0.0
-        batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
-                      advantages=batch.advantages,
-                      policy_weight=batch.policy_weight, verdicts=verdicts,
-                      temperature=rng.uniform(0.1, 1.0, len(batch.advantages)))
+        batch = random_batch(net, rng, verdicts=True, temperature=True)
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         assert analytic["contention_scale"][0] != 0.0
         assert_matches_numeric(analytic, numeric_gradients(net, batch, 0.02))
@@ -199,81 +214,65 @@ class TestGradients:
         """The log-probability in the loss is that of the tempered softmax that sampled."""
         rng = np.random.default_rng(19)
         net = tiny_net(seed=19, prior=rng.standard_normal(TINY.head_size))
-        batch = random_batch(net, rng, steps=1)
+        net.params["wh"][:] = rng.standard_normal(net.params["wh"].shape)
+        net.params["contention_scale"][:] = 0.7
         temperature = 0.25
-        tempered = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
-                         advantages=np.ones(1), policy_weight=np.ones(1),
-                         verdicts=np.zeros(batch.masks.shape),
-                         temperature=np.array([temperature]))
-        logits = net.head_logits(batch.states)
-        _, logp = masked_log_softmax(logits / temperature, batch.masks)
-        chosen = logp[0, np.arange(TINY.k), batch.actions[0]].sum()
-        _, _, aux = loss_and_grads(net, tempered, entropy_coef=0.0)
+        batch = replace(random_batch(net, rng, steps=1, verdicts=True),
+                        advantages=np.ones(1), temperature=np.array([temperature]))
+        chosen = chosen_log_prob(net, batch, temperature)
+        _, _, aux = loss_and_grads(net, batch, entropy_coef=0.0)
         assert aux["pg_loss"] == pytest.approx(-chosen, abs=1e-12)
 
     def test_ascent_direction_single_step(self):
         rng = np.random.default_rng(2)
         net = tiny_net(seed=3)
-        a = net.arch
-        state = rng.standard_normal(a.input_dim)
-        mask = np.ones((1, a.k, a.head_size), dtype=bool)
-        actions = np.array([[0, 1]])
-        batch = Batch(states=state[None, :], actions=actions, masks=mask,
-                      advantages=np.array([1.0]), policy_weight=np.ones(1),
-                      verdicts=np.zeros(mask.shape), temperature=np.ones(1))
+        batch = replace(random_batch(net, rng, steps=1), advantages=np.array([1.0]))
 
-        def chosen_logp():
-            _, logp = masked_log_softmax(net.head_logits(state[None, :]), mask)
-            return logp[0, 0, 0] + logp[0, 1, 1]
-
-        before = chosen_logp()
+        before = chosen_log_prob(net, batch)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             net.params[name] -= 0.01 * grad
-        assert chosen_logp() > before
+        assert chosen_log_prob(net, batch) > before
+
+    def test_fresh_scorer_adds_nothing(self):
+        """A zero output layer: head_logits is head_prior + contention_scale * verdict."""
+        rng = np.random.default_rng(3)
+        net = tiny_net(seed=3, prior=rng.standard_normal(TINY.head_size))
+        net.params["contention_scale"][:] = 2.0
+        mask = np.array([True, False, True, True])
+        verdicts = np.array([1.0, 0.0, -1.0, 0.0])
+        logits = net.head_logits(rng.standard_normal((3, TINY.input_dim)), mask, verdicts)
+        assert np.array_equal(logits, net.params["head_prior"] + 2.0 * verdicts)
 
     def test_zero_advantage_no_policy_motion(self):
         rng = np.random.default_rng(4)
         net = tiny_net(seed=5)
         batch = random_batch(net, rng)
-        batch = Batch(states=batch.states, actions=batch.actions, masks=batch.masks,
-                      advantages=np.zeros(len(batch.advantages)),
-                      policy_weight=batch.policy_weight, verdicts=batch.verdicts,
-                      temperature=batch.temperature)
+        batch = replace(batch, advantages=np.zeros(len(batch.advantages)))
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             assert np.abs(grad).max() < 1e-12, name
-
-    def test_masked_actions_contribute_zero_gradient(self):
-        rng = np.random.default_rng(6)
-        net = tiny_net(seed=6)
-        batch = random_batch(net, rng, steps=4)
-        _, grads_a, _ = loss_and_grads(net, batch, 0.01)
-        # wiggling a masked head-logit bias must not change the loss:
-        # verified structurally by probs being exactly 0 there
-        probs, _ = masked_log_softmax(net.head_logits(batch.states), batch.masks)
-        assert (probs[~batch.masks] == 0).all()
 
     def test_unbiased_on_two_action_bandit(self):
         """Empirical mean of sampled single-step gradients matches the
         exact expectation within 3 standard errors (2-action toy)."""
         rng = np.random.default_rng(11)
-        arch = Architecture(input_dim=3, hidden=(4, 4), k=1, head_size=2,
+        arch = Architecture(input_dim=3, hidden=(4, 4), k=1, head_size=2, value_input_dim=3,
                             value_hidden=(3, 3))
         net = PolicyNet(arch, np.random.default_rng(12))
-        state = rng.standard_normal(3)
-        mask = np.ones((1, 1, 2), dtype=bool)
+        net.params["wh"][:] = rng.standard_normal((4, 1))
+        features = rng.standard_normal((2, 3))
         adv = {0: 0.7, 1: -0.4}
-        probs, _ = masked_log_softmax(net.head_logits(state[None, :]), mask)
-        pi = probs[0, 0]
+        pi, _ = masked_log_softmax(net.head_logits(features, np.ones(2, dtype=bool), np.zeros(2)),
+                                   np.ones(2, dtype=bool))
 
         def grad_for(action):
-            batch = Batch(states=state[None, :], actions=np.array([[action]]),
-                          masks=mask, advantages=np.array([adv[action]]),
-                          policy_weight=np.ones(1), verdicts=np.zeros(mask.shape),
-                          temperature=np.ones(1))
+            batch = Batch(features=features, masks=np.ones((1, 2), dtype=bool),
+                          actions=np.array([action]), verdicts=np.zeros((1, 2)),
+                          decisions=np.array([0]), advantages=np.array([adv[action]]),
+                          policy_weight=np.ones(1), temperature=np.ones(1))
             _, grads, _ = loss_and_grads(net, batch, 0.0)
-            return grads["bh"]
+            return grads["wh"].ravel()
 
         exact = pi[0] * grad_for(0) + pi[1] * grad_for(1)
         n = 10_000
@@ -289,7 +288,7 @@ class TestValueStep:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         net = tiny_net(seed=23)
-        states = rng.standard_normal((7, TINY.input_dim))
+        states = rng.standard_normal((7, TINY.value_input_dim))
         returns = rng.standard_normal(7)
         opt = CapturingOptimizer()
         loss = value_step(net, states, returns, opt)
@@ -320,11 +319,9 @@ class TestUpdate:
         for _ in range(steps):
             masks = np.zeros((a.k, a.head_size), dtype=bool)
             masks[:, -1] = True
+            masks[:, 0] = True
             masks |= rng.random((a.k, a.head_size)) < 0.5
-            actions = np.array([rng.choice(np.flatnonzero(masks[k])) for k in range(a.k)])
-            traj.append((RLDecision(state=rng.standard_normal(a.input_dim),
-                                    head_actions=actions, masks=masks,
-                                    verdicts=np.zeros(masks.shape)),
+            traj.append((scorer_decision(a, rng, masks, verdicts=np.zeros(masks.shape)),
                          float(rng.normal()), 0.0))
         return as_rounds(traj)
 
@@ -338,7 +335,7 @@ class TestUpdate:
         assert np.isfinite(aux["loss"])
 
     def test_one_adam_step_with_contention_lr(self):
-        """contention_scale moves at CONTENTION_LR, the trunk at the config's lr, in one step."""
+        """contention_scale moves at CONTENTION_LR, the scorer at the config's lr, in one step."""
         rng = np.random.default_rng(16)
         net = tiny_net(seed=16)
         traj = self._trajectory(net, rng)
@@ -353,7 +350,7 @@ class TestUpdate:
         # Adam's first step moves each parameter by its lr times the sign of its gradient
         moved = abs(net.params["contention_scale"][0] - before["contention_scale"][0])
         assert moved == pytest.approx(CONTENTION_LR, rel=1e-4)
-        assert np.abs(net.params["bh"] - before["bh"]).max() == pytest.approx(cfg.lr, rel=1e-4)
+        assert np.abs(net.params["wh"] - before["wh"]).max() == pytest.approx(cfg.lr, rel=1e-4)
 
     def test_empty_trajectory_rejected(self):
         net = tiny_net()
@@ -378,7 +375,7 @@ class TestUpdate:
             step.forced = True
         batch = fitted_batch(net, traj, gamma=0.9)
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.05)
-        for name in ("w1", "w2", "wh", "bh"):
+        for name in ("w1", "w2", "wh", "bh", "contention_scale"):
             assert np.abs(grads[name]).max() == 0.0
 
 
@@ -389,9 +386,9 @@ class TestBuildBatch:
         masks[:, -1] = True
         if choice:
             masks[0, 0] = True
-        state = rng.standard_normal(a.input_dim) if choice else None
-        step = RLDecision(state=state, head_actions=np.full(a.k, a.head_size - 1),
-                          masks=masks, verdicts=np.zeros(masks.shape) if choice else None)
+            step = scorer_decision(a, rng, masks, verdicts=rng.choice([-1.0, 1.0], masks.shape))
+        else:
+            step = RLDecision(head_actions=np.full(a.k, a.head_size - 1), masks=masks)
         reward = float(rng.normal())
         # a round with no choice places nothing, so its reward is the no-op's
         return step, reward, (0.0 if choice else reward)
@@ -423,8 +420,22 @@ class TestBuildBatch:
         assert len(runs) == len(expanded) == sum(counts)
         assert np.array_equal(excess_returns(runs, 0.5), excess_returns(expanded, 0.5))
         a, b = fitted_batch(tiny_net(seed=17), runs), fitted_batch(tiny_net(seed=17), expanded)
-        for name in ("states", "actions", "masks", "advantages", "policy_weight"):
+        for name in ("features", "masks", "actions", "verdicts", "decisions", "advantages",
+                     "policy_weight", "temperature"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_heads_with_a_choice_give_their_unmasked_rows(self):
+        """Each head with a choice is a group of its unmasked indices; skip-only heads are left out."""
+        rng = np.random.default_rng(18)
+        a = TINY
+        masks = np.array([[True, False, True, True], [False, False, False, True]])
+        step = scorer_decision(a, rng, masks, verdicts=rng.standard_normal(masks.shape))
+        batch = fitted_batch(tiny_net(), as_rounds([(step, 0.5, 0.0)]))
+        assert batch.decisions.tolist() == [0]
+        assert np.array_equal(batch.masks, masks[:1])
+        assert np.array_equal(batch.features, step.features[:3])
+        assert np.array_equal(batch.verdicts, step.verdicts[:1])
+        assert batch.actions.tolist() == [step.head_actions[0]]
 
     def test_value_fit_before_advantages(self):
         """The baseline is fit to the decision rounds before advantages, then normalized."""
@@ -435,11 +446,12 @@ class TestBuildBatch:
         batch = fitted_batch(fitted, traj)
         returns = excess_returns(traj, 0.5)[[k for k, step in enumerate(decisions_of(traj))
                                              if step.has_choice]]
+        pooled = np.stack([step.pooled for step in decisions_of(traj) if step.has_choice])
         opt = Adam(manual.params, lr=VALUE_LR)
         for _ in range(VALUE_EPOCHS):
-            value_step(manual, batch.states, returns, opt)
+            value_step(manual, pooled, returns, opt)
         assert np.array_equal(fitted.params["vw1"], manual.params["vw1"])
-        advantages = returns - manual.values(batch.states)
+        advantages = returns - manual.values(pooled)
         advantages = (advantages - advantages.mean()) / advantages.std()
         assert np.allclose(batch.advantages, advantages, rtol=0, atol=1e-12)
 
@@ -506,7 +518,7 @@ class TestCheckpoint:
     def test_expected_architecture_is_the_nets(self):
         config = ClusterConfig(num_nodes=2, gpus_per_node=4)
         net, space = make_net(config, TrainConfig(k=3, hidden=(32, 16)))
-        assert architecture(config, space, 3, [32, 16]) == net.arch
+        assert architecture(space, 3, [32, 16]) == net.arch
 
     def test_architecture_mismatch_named(self, tmp_path):
         net_k3, _ = make_net(ClusterConfig(), TrainConfig(k=3))
@@ -515,6 +527,59 @@ class TestCheckpoint:
             ensure_compatible(net_k3.arch, net_k4.arch, path="p.ckpt")
         msg = str(err.value)
         assert "'k': 3" in msg and "'k': 4" in msg
+
+
+def write_header(path, header):
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+
+
+def write_format_1_checkpoint(path):
+    """A checkpoint header as format 1 wrote it: the 640-input trunk of the 4x8 cluster."""
+    write_header(path, {"format_version": 1,
+                        "architecture": {"input_dim": 640, "hidden": [256, 256], "k": 6,
+                                         "head_size": 12, "value_hidden": [64, 64]},
+                        "metadata": {}, "params": []})
+
+
+class TestCheckpointFormat:
+    def test_format_version_is_2(self):
+        assert FORMAT_VERSION == 2
+
+    def test_format_1_rejected_naming_both_versions(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        write_format_1_checkpoint(path)
+        with pytest.raises(CheckpointError, match="format version 1; .* format version 2"):
+            load_checkpoint(path)
+
+    def test_bad_architecture_descriptor_rejected(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        write_header(path, {"format_version": 2, "architecture": {"input_dim": 9, "k": 6},
+                            "metadata": {}, "params": []})
+        with pytest.raises(CheckpointError, match="architecture descriptor"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+@pytest.mark.parametrize("spec", [
+    TraceSpec(num_jobs=48, seed=21),
+    TraceSpec(num_jobs=32, seed=22, mix=MIX_PRESETS["heavy"], arrival="poisson",
+              arrival_rate=0.05)], ids=["normal", "heavy-poisson"])
+def test_fresh_net_decides_as_the_fixed_rule(spec, scale):
+    """Every deterministic head action of a fresh net is the masked argmax of
+    head_prior + contention_scale * verdict."""
+    net, space = make_net(ClusterConfig(), TrainConfig(seed=0))
+    net.params["contention_scale"][0] = scale
+    report = run_episode(RLBasePolicy(net, space), generate_trace(spec), EpisodeConfig(),
+                         record_trajectory=True)
+    decisions = [step for *_, step, _ in report.rounds.runs if step.pooled is not None]
+    assert decisions
+    prior = net.params["head_prior"]
+    for step in decisions:
+        rule = np.where(step.masks, prior + scale * step.verdicts, -np.inf)
+        assert np.array_equal(step.head_actions, rule.argmax(axis=1))
+    if scale:
+        assert any((step.verdicts < 0).any() for step in decisions)
 
 
 class TestPrior:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,21 @@ class TestTraceIO:
                         "isolated_runtime=60 avg_bandwidth=1 comm_comp_ratio=1 "
                         "comm_pattern=AllReduce\n")
         with pytest.raises(TraceParseError, match="line 1"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("total_samples", "-5"), ("total_samples", "0"), ("arrival", "nan"), ("arrival", "inf"),
+        ("arrival", "-inf"), ("isolated_runtime", "0"), ("isolated_runtime", "-60"),
+        ("avg_bandwidth", "-3"), ("comm_comp_ratio", "0")])
+    def test_job_values_that_cannot_run_report_line(self, tmp_path, field, value):
+        """Each rejected value names its line; the first job line stays good."""
+        spec = TraceSpec(num_jobs=2, seed=11)
+        path = tmp_path / "trace.txt"
+        write_trace(generate_trace(spec), spec, path)
+        header, good, bad = path.read_text().splitlines()
+        bad = re.sub(rf"\b{field}=\S+", f"{field}={value}", bad)
+        path.write_text("\n".join((header, good, bad)) + "\n")
+        with pytest.raises(TraceParseError, match=f"line 3: .*{field}"):
             read_trace(path)
 
     def test_parse_mix(self):
