@@ -15,7 +15,7 @@ from consched.engine import EpisodeConfig, EpisodeCS
 from consched.errors import ConfigError
 from consched.policies import RLBasePolicy
 from consched.rl.train import TrainConfig, make_net
-from consched.workload import JobState, Phase, TraceSpec, generate_trace
+from consched.workload import JobState, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
 EMPTY_FREE = np.full(CFG.num_nodes, CFG.gpus_per_node)

@@ -12,8 +12,7 @@ from consched.contention import CS_CAP
 from consched.engine import EpisodeConfig, RoundLog, RoundRecord, run_episode
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
 from consched.policies import RLBasePolicy
-from consched.rl.checkpoint import (FORMAT_VERSION, MAGIC, ensure_compatible, load_checkpoint,
-                                    save_checkpoint)
+from consched.rl.checkpoint import MAGIC, ensure_compatible, load_checkpoint, save_checkpoint
 from consched.rl.net import (Architecture, PolicyNet, entropy_of,
                              masked_log_softmax)
 from consched.rl.optim import Adam, clip_grad_norm
@@ -252,6 +251,19 @@ class TestGradients:
         _, grads, _ = loss_and_grads(net, batch, entropy_coef=0.0)
         for name, grad in grads.items():
             assert np.abs(grad).max() < 1e-12, name
+
+    def test_masked_actions_contribute_zero_gradient(self):
+        """Masked indices hold no scorer row, and their verdicts move neither loss nor gradient."""
+        rng = np.random.default_rng(6)
+        net = tiny_net(seed=6)
+        net.params["contention_scale"][:] = 0.7
+        batch = random_batch(net, rng, steps=4, verdicts=True)
+        loss, grads, _ = loss_and_grads(net, batch, 0.01)
+        noisy = np.where(batch.masks, batch.verdicts, rng.standard_normal(batch.masks.shape) * 50)
+        loss_b, grads_b, _ = loss_and_grads(net, replace(batch, verdicts=noisy), 0.01)
+        assert loss_b == loss
+        for name, grad in grads.items():
+            assert np.array_equal(grads_b[name], grad), name
 
     def test_unbiased_on_two_action_bandit(self):
         """Empirical mean of sampled single-step gradients matches the
@@ -543,9 +555,6 @@ def write_format_1_checkpoint(path):
 
 
 class TestCheckpointFormat:
-    def test_format_version_is_2(self):
-        assert FORMAT_VERSION == 2
-
     def test_format_1_rejected_naming_both_versions(self, tmp_path):
         path = tmp_path / "old.ckpt"
         write_format_1_checkpoint(path)
