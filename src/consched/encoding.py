@@ -26,10 +26,9 @@ POOLED_FEATURES = ("util", "running", "queued", "mean_cs", "max_cs", "window_dem
                    "window_comm_ratio", "window_bandwidth", "window_progress")
 
 
-def _fits(config: ClusterConfig, demand: int, free_per_node: np.ndarray) -> bool:
-    """Whether some j * 2^i shape of the demand fits the free GPUs now."""
-    return any(int(np.count_nonzero(free_per_node >= j)) >= 2 ** i
-               for i, j in demand_shapes(config, demand))
+def _fits(config: ClusterConfig, demand: int, ranked: list[int]) -> bool:
+    """Whether some j * 2^i shape fits: ranked (free GPUs per node, most first) has j at 2^i - 1."""
+    return any(ranked[2 ** i - 1] >= j for i, j in demand_shapes(config, demand))
 
 
 def window_candidates(queue: list[JobSpec], k: int, config: ClusterConfig,
@@ -50,11 +49,12 @@ def window_candidates(queue: list[JobSpec], k: int, config: ClusterConfig,
         raise ConfigError("k must be >= 1")
     picked: list[JobSpec] = []
     seen: set[int] = set()
+    ranked = np.sort(free_per_node)[::-1].tolist()
     for job in queue:
         if job.gpu_demand in seen:
             continue
         seen.add(job.gpu_demand)
-        if _fits(config, job.gpu_demand, free_per_node):
+        if _fits(config, job.gpu_demand, ranked):
             picked.append(job)
             if len(picked) == k:
                 break
