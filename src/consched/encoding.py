@@ -27,7 +27,7 @@ POOLED_FEATURES = ("util", "running", "queued", "mean_cs", "max_cs", "window_dem
 
 
 def _fits(config: ClusterConfig, demand: int, ranked: list[int]) -> bool:
-    """Whether some j * 2^i shape fits: ranked (free GPUs per node, most first) has j at 2^i - 1."""
+    """Whether some j * 2^i shape fits: ranked (free GPUs per node, descending) has j at 2^i - 1."""
     return any(ranked[2 ** i - 1] >= j for i, j in demand_shapes(config, demand))
 
 
