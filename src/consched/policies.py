@@ -200,20 +200,22 @@ class RLBasePolicy:
         trials, rows = {}, []
         alone = None
         placeable = feasible[:-1].tolist()
+        free = free.tolist()
         for idx in placeable:
             placement = self.space.placement_for(idx, cand.gpu_demand)
             nodes = placement.nodes
-            neighbours = sorted(set().union(*(residents[node] for node in nodes)))
-            if neighbours or alone is None:
+            shares = any(residents[node] for node in nodes)
+            if shares or alone is None:
                 trial = cs.trial(cand.id, placement, placements, residents, profile)
-                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o]) for o in neighbours]
+                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o])
+                         for o in sorted(set().union(*(residents[node] for node in nodes)))]
                 trials[idx] = (trial, self._reward(cs, trial, utilization),
                                clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises))
-                if not neighbours:
+                if not shares:
                     alone = trials[idx]
             else:
                 trials[idx] = alone
-            left = sum(int(free[node]) for node in nodes) - cand.gpu_demand
+            left = sum(free[node] for node in nodes) - cand.gpu_demand
             rows.append((*trials[idx][2:], d_util, len(nodes) / config.num_nodes,
                          left / (len(nodes) * config.gpus_per_node), *own))
         rows.append((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *own))
