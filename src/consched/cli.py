@@ -228,7 +228,6 @@ def cmd_train(args) -> int:
     except ConfigError as exc:
         raise UsageError(f"bad training flags: {exc}") from exc
     traces = _load_traces([args.trace], cluster)
-    os.makedirs(ckpt_dir, exist_ok=True)
     trace_id = os.path.basename(args.trace)
     net, curves = train(traces[0], config, cluster, metadata={"trace": trace_id})
     curves_path = os.path.join(ckpt_dir, name + "_curves.csv")

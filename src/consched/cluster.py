@@ -1,9 +1,8 @@
-"""Physical cluster model: nodes x GPUs occupancy grid and job placements.
+"""Physical cluster model: job placements and the free GPUs they leave.
 
-Nodes are dense integers 0..num_nodes-1, GPU slots 0..gpus_per_node-1.
+Nodes are dense integers 0..num_nodes-1, each with gpus_per_node GPUs.
 A placement always spans 2^i nodes with the same GPU count j on each,
-so a job's total demand factors as j * 2^i. Slots are filled
-lowest-index-first, which keeps episodes replayable.
+so a job's total demand factors as j * 2^i.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .errors import (
     InvalidPlacementError,
     NotFoundError,
 )
-
-EMPTY = -1
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -80,22 +76,21 @@ class Placement:
 
 
 class ClusterState:
-    """Occupancy grid plus the placements map, kept mutually consistent.
+    """The placements map and the counts derived from it, kept consistent.
 
     Single-writer: one episode owns and mutates its ClusterState. Next to
-    the grid it keeps the free GPUs per node (free_per_node), the used
-    GPU count (used) and the jobs resident on each node (residents), all
-    updated by allocate and free, so the accessors below and the
-    contention model's neighbour lookups need no scan of the grid.
-    Copies serve the greedy scans' what-if placements; the RL verdicts
-    price trial placements without one. version counts the allocate and free
-    calls, so an owner can tell whether the placements changed since it
-    last looked.
+    placements (job id -> Placement) it keeps the free GPUs per node
+    (free_per_node), the used GPU count (used) and the jobs resident on
+    each node (residents), all updated by allocate and free, so readers
+    and the contention model's neighbour lookups need no scan. Copies
+    serve the what-if placements of the greedy scans and of an RL
+    decision's heads; the RL verdicts price each trial placement without
+    one. version counts the allocate and free calls, so an owner can tell
+    whether the placements changed since it last looked.
     """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
-        self.occupancy = np.full((config.num_nodes, config.gpus_per_node), EMPTY, dtype=np.int64)
         self.placements: dict[int, Placement] = {}
         self.free_per_node = np.full(config.num_nodes, config.gpus_per_node, dtype=np.int64)
         self.used = 0
@@ -105,7 +100,6 @@ class ClusterState:
     def copy(self) -> "ClusterState":
         dup = ClusterState.__new__(ClusterState)
         dup.config = self.config
-        dup.occupancy = self.occupancy.copy()
         dup.placements = dict(self.placements)
         dup.free_per_node = self.free_per_node.copy()
         dup.used = self.used
@@ -113,19 +107,12 @@ class ClusterState:
         dup.version = self.version
         return dup
 
-    def free_gpus_per_node(self) -> np.ndarray:
-        """A copy of free_per_node, which the caller may change."""
-        return self.free_per_node.copy()
-
-    def used_gpus(self) -> int:
-        return self.used
-
     def utilization(self) -> float:
         """Ratio of used GPUs to total GPUs."""
         return self.used / self.config.total_gpus
 
     def allocate(self, job_id: int, placement: Placement) -> "ClusterState":
-        """Occupy the placement's slots for job_id. State unchanged on error."""
+        """Place job_id, taking the placement's GPUs. State unchanged on error."""
         if job_id in self.placements:
             raise AllocationConflictError(f"job {job_id} is already placed")
         j = placement.gpus_per_node_used
@@ -140,8 +127,6 @@ class ClusterState:
                 raise AllocationConflictError(
                     f"node {node} has {self.free_per_node[node]} free GPUs, needs {j}")
         for node in placement.nodes:
-            row = self.occupancy[node]
-            row[np.flatnonzero(row == EMPTY)[:j]] = job_id
             self.free_per_node[node] -= j
             self.residents[node].add(job_id)
         self.used += placement.total_gpus
@@ -150,13 +135,11 @@ class ClusterState:
         return self
 
     def free(self, job_id: int) -> "ClusterState":
-        """Vacate all slots of a placed job."""
+        """Give back all GPUs of a placed job."""
         placement = self.placements.pop(job_id, None)
         if placement is None:
             raise NotFoundError(f"job {job_id} is not placed")
         for node in placement.nodes:
-            row = self.occupancy[node]
-            row[row == job_id] = EMPTY
             self.free_per_node[node] += placement.gpus_per_node_used
             self.residents[node].discard(job_id)
         self.used -= placement.total_gpus
@@ -164,25 +147,22 @@ class ClusterState:
         return self
 
     def audit(self) -> None:
-        """Rebuild the grid and the counts from placements and compare; raises on drift."""
-        rebuilt = np.full_like(self.occupancy, EMPTY)
+        """Rebuild the counts from placements and compare; raises on drift."""
+        config = self.config
+        free = np.full(config.num_nodes, config.gpus_per_node, dtype=np.int64)
+        residents: list[set[int]] = [set() for _ in range(config.num_nodes)]
         for job_id, placement in self.placements.items():
             for node in placement.nodes:
-                slots = np.flatnonzero(self.occupancy[node] == job_id)
-                if len(slots) != placement.gpus_per_node_used:
-                    raise AllocationConflictError(
-                        f"job {job_id} holds {len(slots)} slots on node {node}, "
-                        f"placement says {placement.gpus_per_node_used}")
-                rebuilt[node, slots] = job_id
-        if not np.array_equal(rebuilt, self.occupancy):
-            raise AllocationConflictError("occupancy grid disagrees with placements map")
-        empty = self.occupancy == EMPTY
-        if not np.array_equal(self.free_per_node, np.count_nonzero(empty, axis=1)):
-            raise AllocationConflictError("free-GPU vector disagrees with the grid")
-        if self.used != np.count_nonzero(~empty):
-            raise AllocationConflictError("used-GPU count disagrees with the grid")
-        if self.residents != [set(row[row != EMPTY].tolist()) for row in self.occupancy]:
-            raise AllocationConflictError("resident sets disagree with the grid")
+                free[node] -= placement.gpus_per_node_used
+                residents[node].add(job_id)
+        if (free < 0).any():
+            raise AllocationConflictError(f"placements overfill nodes {np.flatnonzero(free < 0)}")
+        if not np.array_equal(self.free_per_node, free):
+            raise AllocationConflictError("free-GPU vector disagrees with placements")
+        if self.used != config.total_gpus - int(free.sum()):
+            raise AllocationConflictError("used-GPU count disagrees with placements")
+        if self.residents != residents:
+            raise AllocationConflictError("resident sets disagree with placements")
 
 
 def demand_shapes(config: ClusterConfig, demand: int) -> list[tuple[int, int]]:
@@ -203,7 +183,7 @@ def _capable_nodes(cluster: ClusterState, demand: int):
     if demand <= 0 or demand > config.total_gpus:
         raise InvalidDemandError(
             f"demand {demand} outside [1, {config.total_gpus}]")
-    free = cluster.free_gpus_per_node()
+    free = cluster.free_per_node
     for i, j in demand_shapes(config, demand):
         yield i, j, [n for n in range(config.num_nodes) if free[n] >= j]
 

@@ -17,6 +17,7 @@ trajectory is recorded, so training reads the same log.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -57,12 +58,13 @@ class EpisodeConfig:
     contention: ContentionParams | None = None  # None -> calibrated table mode
 
     def __post_init__(self):
-        if self.round_interval <= 0:
-            raise ConfigError("round_interval must be positive")
-        if self.cs_preemption_threshold is not None and self.cs_preemption_threshold <= 1:
-            raise ConfigError("cs_preemption_threshold must exceed 1")
-        if self.restore_penalty < 0:
-            raise ConfigError("restore_penalty must be >= 0")
+        if not 0 < self.round_interval < math.inf:
+            raise ConfigError("round_interval must be positive and finite")
+        threshold = self.cs_preemption_threshold
+        if threshold is not None and not 1 < threshold < math.inf:
+            raise ConfigError("cs_preemption_threshold must exceed 1 and be finite")
+        if not 0 <= self.restore_penalty < math.inf:
+            raise ConfigError("restore_penalty must be >= 0 and finite")
 
     def contention_params(self) -> ContentionParams:
         return self.contention if self.contention is not None else default_contention_params()
@@ -195,21 +197,21 @@ def _aggregate(jobs: list[JobRecord], rounds: RoundLog) -> dict:
     }
 
 
-def _job_cs(jid: int, placements, residents, states: dict[int, JobState],
-            params: ContentionParams, config: ClusterConfig) -> float:
+def _job_cs(jid: int, cluster: ClusterState, states: dict[int, JobState],
+            params: ContentionParams) -> float:
     """CS of placed job jid against the jobs that share a node with it.
 
-    placements and residents describe a cluster as ClusterState keeps
-    them. The neighbours go in job-id order, the order in which a full
-    profile passes every other job, so the result is the same.
+    The neighbours go in job-id order, the order in which a full profile
+    passes every other job, so the result is the same.
     """
+    placements = cluster.placements
     placement = placements[jid]
-    neighbours = set().union(*(residents[node] for node in placement.nodes))
+    neighbours = set().union(*(cluster.residents[node] for node in placement.nodes))
     neighbours.discard(jid)
     return contention_sensitivity(
         (states[jid].spec.profile, placement),
         [(states[o].spec.profile, placements[o]) for o in sorted(neighbours)],
-        params, config)
+        params, cluster.config)
 
 
 class EpisodeCS:
@@ -240,40 +242,37 @@ class EpisodeCS:
         touched.update(node for jid, p in placements.items() if old.get(jid) is not p
                        for node in p.nodes)
         dirty = set().union(*(cluster.residents[node] for node in touched))
-        self._map = {jid: _job_cs(jid, placements, cluster.residents, self.states,
-                                  self.params, cluster.config)
+        self._map = {jid: _job_cs(jid, cluster, self.states, self.params)
                      if jid in dirty else profile[jid] for jid in sorted(placements)}
         self._placed, self._version = dict(placements), cluster.version
         return self._map
 
-    def trial(self, jid: int, placement, placements, residents,
+    def trial(self, jid: int, placement, cluster: ClusterState,
               profile: dict[int, float]) -> dict[int, float]:
-        """The CS map, in job-id order, after placing jid at placement.
+        """The CS map, in job-id order, after placing jid at placement on cluster.
 
-        profile is the CS map of the cluster that placements and residents
-        describe (without jid). Only jid and the jobs sharing its nodes
-        change. In table mode a neighbour's CS is a max over pairwise
-        lookups, so it becomes max(old, its CS against jid alone); with
-        contention off every CS is 1, so the same holds. Synthetic mode sums
-        per-node demand in order, so there a neighbour is recomputed against
-        its neighbours and jid in job-id order.
+        profile is cluster's CS map (without jid); cluster is left as it
+        is. Only jid and the jobs sharing its nodes change. In table mode
+        a neighbour's CS is a max over pairwise lookups, so it becomes
+        max(old, its CS against jid alone); with contention off every CS
+        is 1, so the same holds. Synthetic mode sums per-node demand in
+        order, so there a neighbour is recomputed on a copy of cluster
+        with jid allocated.
         """
-        states, params, config = self.states, self.params, self.cluster.config
+        states, params, placements = self.states, self.params, cluster.placements
         trial = (states[jid].spec.profile, placement)
-        neighbours = sorted(set().union(*(residents[node] for node in placement.nodes)))
+        neighbours = sorted(set().union(*(cluster.residents[node] for node in placement.nodes)))
         changed = {jid: contention_sensitivity(
             trial, [(states[o].spec.profile, placements[o]) for o in neighbours],
-            params, config)}
+            params, cluster.config)}
         if params.mode == "synthetic":
-            placements = {**placements, jid: placement}
-            residents = [jobs | {jid} if node in placement.nodes else jobs
-                         for node, jobs in enumerate(residents)]
+            after = cluster.copy().allocate(jid, placement)
             for nb in neighbours:
-                changed[nb] = _job_cs(nb, placements, residents, states, params, config)
+                changed[nb] = _job_cs(nb, after, states, params)
         else:
             for nb in neighbours:
                 changed[nb] = max(profile[nb], contention_sensitivity(
-                    (states[nb].spec.profile, placements[nb]), [trial], params, config))
+                    (states[nb].spec.profile, placements[nb]), [trial], params, cluster.config))
         return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
 
     def reward(self, utilization: float, profile: dict[int, float],
@@ -354,12 +353,19 @@ def _round_at(time: float, T: float) -> int:
     return k
 
 
-def _preempt(cluster: ClusterState, state: JobState, cfg: EpisodeConfig) -> None:
+def _preempt(cluster: ClusterState, state: JobState, cfg: EpisodeConfig,
+             checkpointing: list[tuple[float, int]], t: float) -> None:
+    """Free a running job and append (ready time, job id) to checkpointing.
+
+    The job re-queues once its checkpoint is written, CHECKPOINT_GRACE
+    after t. An episode's t never decreases, so checkpointing stays in
+    ready-time order, and in preemption order within one ready time.
+    """
     cluster.free(state.spec.id)
-    state.placement = None
     state.phase = Phase.PREEMPTED
     state.restore_remaining = cfg.restore_penalty
     state.preemption_count += 1
+    checkpointing.append((t + CHECKPOINT_GRACE, state.spec.id))
 
 
 def _defer(queue: list[int], jid: int, states: dict[int, JobState]) -> None:
@@ -397,11 +403,14 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     head had a choice; the rounds up to the event reuse it, so a
     recorded trajectory still gets its skip-only row every round. The
     values derived from the placements (the CS profile, the last_cs
-    writes, throughput, utilization, mean CS, the round and no-op
-    rewards and the CS-threshold check) are computed once per
-    cluster.version, and each new CS profile, the CS-threshold loop's
-    included, recomputes only the jobs on nodes that a placement,
-    preemption or finish touched (EpisodeCS.profile).
+    writes, throughput, utilization, mean CS, the round reward and the
+    CS-threshold check) are computed once per cluster.version; the no-op
+    reward takes the round reward when the placements are those of the
+    last round's values, and prices the cluster itself otherwise. Each
+    new CS profile, the CS-threshold loop's included, recomputes only the
+    jobs on nodes that a placement, preemption or finish touched
+    (EpisodeCS.profile). Preempted jobs wait in one list in ready-time
+    order (_preempt); a round's preemptions are that list's growth.
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
@@ -430,43 +439,32 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     pending = sorted(range(len(trace)), key=lambda k: (trace[k].arrival_time, k))
     pending = [trace[k].id for k in pending]
     queue: list[int] = []
-    checkpointing: list[tuple[float, int, int]] = []  # (ready time, seq, job id)
-    preempt_seq = 0
+    checkpointing: list[tuple[float, int]] = []  # (ready time, job id), see _preempt
     t = 0.0
     T = episode_config.round_interval
     rounds = RoundLog(T)
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
-    reward_version, reward_cached = -1, 0.0
     round_version = -1  # the version cs_map, throughput, ... below were derived at
     checked_version = -1  # a version at which no job exceeds the CS threshold
-
-    def round_reward() -> float:
-        nonlocal reward_version, reward_cached
-        if reward_version != cluster.version:
-            reward_cached = cs.reward(cluster.utilization(), cs.profile(), weights)
-            reward_version = cluster.version
-        return reward_cached
 
     def queue_specs() -> list[JobSpec]:
         return [states[jid].spec for jid in queue]
 
     while True:
         while pending and states[pending[0]].spec.arrival_time <= t:
-            jid = pending.pop(0)
-            states[jid].submit_time = states[jid].spec.arrival_time
-            queue.append(jid)
+            queue.append(pending.pop(0))
             idle_at = None
         # preempted jobs re-enter at the queue head once their checkpoint
         # is written (they cannot resume from a checkpoint that does not
-        # exist yet)
-        ready = sorted([e for e in checkpointing if e[0] <= t])
+        # exist yet), in the order they were preempted
+        ready = bisect.bisect_right(checkpointing, t, key=lambda e: e[0])
         if ready:
-            checkpointing = [e for e in checkpointing if e[0] > t]
-            queue[:0] = [jid for _, _, jid in ready]
-            for _, _, jid in ready:
+            queue[:0] = [jid for _, jid in checkpointing[:ready]]
+            for _, jid in checkpointing[:ready]:
                 states[jid].phase = Phase.WAITING
+            del checkpointing[:ready]
             idle_at = None
         if not queue and not cluster.placements and not pending and not checkpointing:
             break
@@ -477,7 +475,8 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if record_trajectory:
             # counterfactual baseline: the reward this round would yield
             # if nothing were placed or preempted (a state-only quantity)
-            noop_reward = round_reward()
+            noop_reward = (reward if round_version == cluster.version
+                           else cs.reward(cluster.utilization(), cs.profile(), weights))
         reused = idle_at == cluster.version
         if reused:
             action = idle_action
@@ -505,6 +504,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
         # a reused idle decision repeats this round up to the next event:
         # the stretch of such rounds goes in one step
+        before = len(checkpointing)  # this round's preemptions append to it
         n = 0
         if reused and (cluster.placements or not queue):
             start = len(rounds)
@@ -512,21 +512,17 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if pending:
                 limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
             if checkpointing:
-                limit = min(limit, _round_at(min(e[0] for e in checkpointing), T) - start)
+                limit = min(limit, _round_at(checkpointing[0][0], T) - start)
             running = sorted(cs_map)
             n = advance_stretch([states[jid] for jid in running],
                                 [throughput[jid] for jid in running],
                                 [cs_map[jid] for jid in running], T, limit)
-        preempted_now: list[int] = []
         if not n:
             n = 1
             for jid in action.preemptions:
                 if states[jid].phase is not Phase.RUNNING:
                     raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
-                _preempt(cluster, states[jid], episode_config)
-                checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, jid))
-                preempt_seq += 1
-                preempted_now.append(jid)
+                _preempt(cluster, states[jid], episode_config, checkpointing, t)
 
             for jid, placement in action.placements:
                 state = states[jid]
@@ -535,7 +531,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                         f"placement covers {placement.total_gpus} GPUs, "
                         f"job {jid} demands {state.spec.gpu_demand}")
                 cluster.allocate(jid, placement)
-                state.placement = placement
                 state.phase = Phase.RUNNING
                 if state.start_time is None:
                     state.start_time = t
@@ -552,7 +547,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                               for jid in cs_map}
                 utilization = cluster.utilization()
                 mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
-                reward = round_reward()
+                reward = cs.reward(utilization, cs_map, weights)
                 round_version = cluster.version
 
             finished: list[int] = []
@@ -565,7 +560,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                     finished.append(jid)
             for jid in finished:
                 cluster.free(jid)
-                states[jid].placement = None
 
             threshold = episode_config.cs_preemption_threshold
             if threshold is not None and checked_version != cluster.version:
@@ -574,16 +568,13 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                     worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
                     if cs_now[worst] <= threshold:
                         break
-                    _preempt(cluster, states[worst], episode_config)
-                    checkpointing.append((t + CHECKPOINT_GRACE, preempt_seq, worst))
-                    preempt_seq += 1
-                    preempted_now.append(worst)
+                    _preempt(cluster, states[worst], episode_config, checkpointing, t)
                 checked_version = cluster.version
 
         rounds.append(RoundRecord(
             time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,
             num_running=len(cs_map), num_waiting=len(queue),
-            num_placed=len(action.placements), num_preempted=len(preempted_now)),
+            num_placed=len(action.placements), num_preempted=len(checkpointing) - before),
             n, action.rl if record_trajectory else None, noop_reward)
         t = len(rounds) * T  # a running sum of T would drift by rounding
 

@@ -183,30 +183,30 @@ class RLBasePolicy:
             return reward_from_terms(1.0, 0.0, weights)
         return cs.reward(utilization, profile, weights)
 
-    def _trials(self, cs, cand, feasible, base, placements, residents, used, free, own):
+    def _trials(self, cs, cand, feasible, base, sim, own):
         """Verdicts over the action space, the scorer rows of feasible (skip last)
         and each trial's (CS map, reward, ...) by index.
 
-        The head sees placements, residents (as ClusterState keeps them),
-        used busy GPUs and free GPUs per node; base is that cluster's (CS
-        map, reward). A trial re-profiles only the candidate and the jobs
-        sharing its nodes (cs.trial), with no cluster copy; placements on
-        nodes no job holds get CS 1, change no other CS and share a trial.
+        The head sees sim, the cluster with the earlier heads' placements
+        allocated; base is sim's (CS map, reward). A trial re-profiles only
+        the candidate and the jobs sharing its nodes (cs.trial), and copies
+        and changes no cluster; placements on nodes no job holds get CS 1,
+        change no other CS and share a trial.
         """
-        config = cs.cluster.config
+        config, residents = sim.config, sim.residents
         profile, reward = base
         d_util = cand.gpu_demand / config.total_gpus
-        utilization = (used + cand.gpu_demand) / config.total_gpus
+        utilization = (sim.used + cand.gpu_demand) / config.total_gpus
         trials, rows = {}, []
         alone = None
         placeable = feasible[:-1].tolist()
-        free = free.tolist()
+        free = sim.free_per_node.tolist()
         for idx in placeable:
             placement = self.space.placement_for(idx, cand.gpu_demand)
             nodes = placement.nodes
             shares = any(residents[node] for node in nodes)
             if shares or alone is None:
-                trial = cs.trial(cand.id, placement, placements, residents, profile)
+                trial = cs.trial(cand.id, placement, sim, profile)
                 rises = [clipped_cs(trial[o]) - clipped_cs(profile[o])
                          for o in sorted(set().union(*(residents[node] for node in nodes)))]
                 trials[idx] = (trial, self._reward(cs, trial, utilization),
@@ -224,8 +224,7 @@ class RLBasePolicy:
         return verdicts, np.array(rows), trials
 
     def decide(self, cluster, queue, states, rng, cs) -> Action:
-        free = cluster.free_gpus_per_node()
-        candidates = window_candidates(queue, self.k, cluster.config, free)
+        candidates = window_candidates(queue, self.k, cluster.config, cluster.free_per_node)
         skip = self.space.skip_index
         head_actions = np.full(self.k, skip, dtype=np.int64)
         masks = np.zeros((self.k, self.space.size), dtype=bool)
@@ -238,15 +237,14 @@ class RLBasePolicy:
         verdicts = np.zeros(masks.shape)
         features = []
         # each head sees the cluster plus the earlier heads' placements
-        placements, residents, used = cluster.placements, cluster.residents, cluster.used
+        sim = cluster.copy()
         base = (profile, self._reward(cs, profile, cluster.utilization()))
         placed, deferred = [], []
         for head, cand in enumerate(candidates):
-            mask = self.space.mask_for(cand.gpu_demand, free)
+            mask = self.space.mask_for(cand.gpu_demand, sim.free_per_node)
             masks[head] = mask
             verdicts[head], rows, trials = self._trials(
-                cs, cand, np.flatnonzero(mask), base, placements, residents, used, free,
-                job_features(states[cand.id]))
+                cs, cand, np.flatnonzero(mask), base, sim, job_features(states[cand.id]))
             features.append(rows)
             logits = self.net.head_logits(rows, mask, verdicts[head])
             probs, _ = masked_log_softmax(logits / self.temperature, mask)
@@ -258,16 +256,12 @@ class RLBasePolicy:
             if idx != skip:
                 placement = self.space.placement_for(idx, cand.gpu_demand)
                 placed.append((cand.id, placement))
-                placements = {**placements, cand.id: placement}
-                residents = [jobs | {cand.id} if node in placement.nodes else jobs
-                             for node, jobs in enumerate(residents)]
-                free[list(placement.nodes)] -= placement.gpus_per_node_used
-                used += cand.gpu_demand
+                sim.allocate(cand.id, placement)
                 base = trials[idx][:2]
             elif len(rows) > 1:
                 deferred.append(cand.id)
         if placed:
-            cs.adopt(placements, base[0])
+            cs.adopt(sim.placements, base[0])
         features.append(np.zeros((self.k - len(candidates), len(SCORER_FEATURES))))
         return Action(placements=placed, deferred=deferred,
                       rl=RLDecision(head_actions=head_actions, masks=masks, verdicts=verdicts,
@@ -298,7 +292,6 @@ class RLHybridPolicy:
 
     def __init__(self, net, action_space, deterministic: bool = True):
         self.base = RLBasePolicy(net, action_space, deterministic)
-        self.k = self.base.k
 
     def decide(self, cluster, queue, states, rng, cs) -> Action:
         return hybridize(self.base.decide(cluster, queue, states, rng, cs), cluster, queue)

@@ -16,6 +16,7 @@ its own step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ MAX_GRAD_NORM = 10.0  # the scorer's global gradient norm is clipped to this
 UPDATES_PER_EPISODE = 4  # gradient steps on each episode's surrogate
 VALUE_EPOCHS = 30  # value-net regression steps before the advantages
 VALUE_LR = 0.01
+HIDDEN = (32, 32)  # the scorer's hidden layers
 # the parameters each optimizer steps; head_prior takes no gradient
 POLICY_KEYS = (*(key for layer in POLICY_LAYERS for key in layer), "contention_scale")
 VALUE_KEYS = tuple(key for layer in VALUE_LAYERS for key in layer)
@@ -58,7 +60,6 @@ class TrainConfig:
     shuffle_per_episode: bool = True
     seed: int = 0
     k: int = 6  # one head per demand of the default demand histogram
-    hidden: tuple[int, int] = (32, 32)  # the scorer's hidden layers
     weights: RewardWeights = field(default_factory=RewardWeights)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
 
@@ -67,12 +68,12 @@ class TrainConfig:
             raise ConfigError("episodes must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if not 0 <= self.gamma <= 1:
             raise ConfigError("gamma must be in [0, 1]")
-        if self.entropy_coef < 0:
-            raise ConfigError("entropy_coef must be >= 0")
+        if not 0 <= self.entropy_coef < math.inf:
+            raise ConfigError("entropy_coef must be >= 0 and finite")
 
 
 @dataclass
@@ -269,7 +270,7 @@ def architecture(space: ActionSpace, k: int, hidden) -> Architecture:
 
 def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[PolicyNet, ActionSpace]:
     space = ActionSpace(cluster_config)
-    net = PolicyNet(architecture(space, config.k, config.hidden),
+    net = PolicyNet(architecture(space, config.k, HIDDEN),
                     np.random.default_rng(config.seed), head_prior=pack_first_prior(space))
     return net, space
 

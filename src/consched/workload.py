@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterConfig, Placement, demand_shapes
+from .cluster import ClusterConfig, demand_shapes
 from .contention import DEFAULT_PROFILES, CommPattern, ModelClass, ModelProfile
 from .errors import ConfigError, StateError, TraceParseError
 
@@ -73,10 +73,8 @@ class JobState:
     phase: Phase = Phase.WAITING
     samples_done: float = 0.0
     attained_service: float = 0.0  # GPU-seconds
-    submit_time: float | None = None
     start_time: float | None = None
     finish_time: float | None = None
-    placement: Placement | None = None
     preemption_count: int = 0
     restore_remaining: float = 0.0
     last_cs: float = 0.0  # most recent profiled CS; 0 before first profile
@@ -197,10 +195,10 @@ class TraceSpec:
             raise ConfigError("mix needs 6 positive ratios")
         if self.arrival not in ("all-at-zero", "poisson"):
             raise ConfigError(f"unknown arrival process {self.arrival!r}")
-        if self.isolated_hours <= 0 or self.time_scale <= 0:
-            raise ConfigError("isolated_hours and time_scale must be positive")
-        if self.arrival_rate <= 0:
-            raise ConfigError("arrival_rate must be positive")
+        if not (0 < self.isolated_hours < math.inf and 0 < self.time_scale < math.inf):
+            raise ConfigError("isolated_hours and time_scale must be positive and finite")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ConfigError("arrival_rate must be positive and finite")
         if not 0 <= self.jitter < 1:
             raise ConfigError("jitter must be in [0, 1)")
         if self.demand_cap < 1:

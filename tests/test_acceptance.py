@@ -340,7 +340,7 @@ class ShadowHybrid:
     def decide(self, cluster, queue, states, rng, cs):
         action = self.base.decide(cluster, queue, states, rng, cs)
         hybrid = hybridize(action, cluster, queue)
-        used, total = cluster.used_gpus(), cluster.config.total_gpus
+        used, total = cluster.used, cluster.config.total_gpus
         self.utils.append(tuple((used + sum(p.total_gpus for _, p in a.placements)) / total
                                 for a in (action, hybrid)))
         return action

@@ -64,6 +64,19 @@ BAD_INPUTS = {
     "negative-gamma": ["train", "--gamma", "-3"],
     "negative-entropy-coef": ["train", "--entropy-coef", "-0.5"],
 }
+# nan and inf pass an order test such as `value <= 0`; they are usage errors too
+NON_FINITE = {
+    "round-interval": ["eval", "--policy", "las", "--round-interval"],
+    "cs-threshold": ["eval", "--policy", "las", "--cs-threshold"],
+    "restore-penalty": ["eval", "--policy", "las", "--restore-penalty"],
+    "lr": ["train", "--lr"],
+    "entropy-coef": ["train", "--entropy-coef"],
+    "isolated-hours": ["gen-trace", "--isolated-hours"],
+    "time-scale": ["gen-trace", "--time-scale"],
+    "arrival-rate": ["gen-trace", "--arrival", "poisson", "--arrival-rate"],
+}
+BAD_INPUTS.update({f"{name}-{value}": [*argv, value]
+                   for name, argv in NON_FINITE.items() for value in ("nan", "inf")})
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
@@ -116,6 +129,17 @@ def test_failed_eval_leaves_no_report_directory(tmp_path, monkeypatch, capsys):
     assert code == 4 and seconds < 1.0
     assert_one_line_error(capsys, "runtime error: ", "episode exceeded 20000 rounds")
     assert not (out / "reports").exists()
+
+
+def test_failed_train_leaves_no_checkpoint_directory(tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "t8.txt"
+    assert run(["gen-trace", "--jobs", "8", "--seed", "1", "--out", str(trace)]) == 0
+    out = tmp_path / "out"
+    code, seconds = run_fast(["train", "--trace", str(trace), "--episodes", "1",
+                              "--round-interval", "1e-6", "--out-dir", str(out)], monkeypatch)
+    assert code == 4 and seconds < 1.0
+    assert_one_line_error(capsys, "runtime error: ", "episode exceeded 20000 rounds")
+    assert not out.exists()
 
 
 # trace edits that leave a file no episode can run: (edit, words the error names)

@@ -1,6 +1,5 @@
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +13,11 @@ from consched.errors import (AllocationConflictError, InvalidDemandError,
 @pytest.fixture
 def cluster():
     return ClusterState(ClusterConfig())
+
+
+def counts(cluster):
+    """The free GPUs per node, the used count and the resident sets, as plain values."""
+    return cluster.free_per_node.tolist(), cluster.used, [set(jobs) for jobs in cluster.residents]
 
 
 def shapes_of(placements):
@@ -78,19 +82,20 @@ class TestEnumeratePlacements:
 class TestAllocateFree:
     def test_allocate_updates_used(self, cluster):
         cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=2))
-        assert cluster.used_gpus() == 2
+        assert cluster.used == 2
 
-    def test_lowest_slots_first(self, cluster):
-        cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=2))
-        assert list(cluster.occupancy[0][:2]) == [1, 1]
-        assert (cluster.occupancy[0][2:] == -1).all()
+    def test_allocate_takes_gpus_on_its_nodes_only(self, cluster):
+        cluster.allocate(1, Placement(nodes=(0, 2), gpus_per_node_used=3))
+        assert cluster.free_per_node.tolist() == [5, 8, 5, 8]
+        assert cluster.used == 6
+        assert cluster.residents == [{1}, set(), {1}, set()]
 
     def test_conflict_leaves_state_unchanged(self, cluster):
         cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=7))
-        before = cluster.occupancy.copy()
+        before = counts(cluster)
         with pytest.raises(AllocationConflictError):
             cluster.allocate(2, Placement(nodes=(0,), gpus_per_node_used=2))
-        assert np.array_equal(cluster.occupancy, before)
+        assert counts(cluster) == before
         assert 2 not in cluster.placements
 
     def test_double_allocate_same_job(self, cluster):
@@ -103,10 +108,10 @@ class TestAllocateFree:
             cluster.allocate(1, Placement(nodes=(9,), gpus_per_node_used=1))
 
     def test_allocate_free_roundtrip(self, cluster):
-        before = cluster.occupancy.copy()
+        before = counts(cluster)
         cluster.allocate(1, Placement(nodes=(0, 1), gpus_per_node_used=3))
         cluster.free(1)
-        assert np.array_equal(cluster.occupancy, before)
+        assert counts(cluster) == before
         assert cluster.placements == {}
 
     def test_free_unknown_job(self, cluster):
@@ -117,7 +122,7 @@ class TestAllocateFree:
         cluster.allocate(1, Placement(nodes=(0,), gpus_per_node_used=2))
         cluster.allocate(2, Placement(nodes=(0,), gpus_per_node_used=2))
         cluster.free(1)
-        assert cluster.used_gpus() == 2
+        assert cluster.used == 2
         assert 2 in cluster.placements
 
 
@@ -156,7 +161,7 @@ def test_random_alloc_free_sequences_stay_consistent(ops):
             if placement is not None:
                 cluster.allocate(jid, placement)
         cluster.audit()
-        assert cluster.used_gpus() == sum(p.total_gpus for p in cluster.placements.values())
+        assert cluster.used == sum(p.total_gpus for p in cluster.placements.values())
 
 
 @given(ops=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 16)), max_size=40))
@@ -179,12 +184,24 @@ def test_copy_keeps_counts_apart(ops):
     lambda c: setattr(c, "used", 3),
     lambda c: c.residents[0].add(9),
     lambda c: c.residents[0].discard(1),
+    lambda c: c.placements.__setitem__(2, Placement(nodes=(0,), gpus_per_node_used=8)),
 ])
-def test_audit_checks_counts_against_grid(cluster, corrupt):
+def test_audit_checks_counts_against_placements(cluster, corrupt):
     cluster.allocate(1, Placement(nodes=(0, 1), gpus_per_node_used=2))
     cluster.audit()
     corrupt(cluster)
     with pytest.raises(AllocationConflictError):
+        cluster.audit()
+
+
+def test_audit_rejects_overfilled_node(cluster):
+    """Counts that agree with a placements map holding 10 GPUs on 8-GPU node 0."""
+    cluster.allocate(1, Placement(nodes=(0, 1), gpus_per_node_used=2))
+    cluster.placements[2] = Placement(nodes=(0,), gpus_per_node_used=8)
+    cluster.free_per_node[0] -= 8
+    cluster.used += 8
+    cluster.residents[0].add(2)
+    with pytest.raises(AllocationConflictError, match="overfill"):
         cluster.audit()
 
 

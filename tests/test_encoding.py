@@ -61,7 +61,7 @@ class TestSelectCandidates:
         for node, u in enumerate(used):
             if u:
                 cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=u))
-        picked = window_candidates(specs, k, CFG, cluster.free_gpus_per_node())
+        picked = window_candidates(specs, k, CFG, cluster.free_per_node)
         ds = [c.gpu_demand for c in picked]
         assert len(picked) <= k
         assert ds == sorted(set(ds))
@@ -100,7 +100,7 @@ class TestPooledInput:
         profile = {specs[0].id: 1.5, specs[1].id: 9.0}  # the second beyond the cap
         pooled = dict(zip(POOLED_FEATURES,
                           encode_state(cluster, [specs[2]], states, profile, queued=1)))
-        assert pooled["util"] == cluster.used_gpus() / 32
+        assert pooled["util"] == cluster.used / 32
         assert pooled["running"] == 2 / 32
         assert pooled["mean_cs"] == pytest.approx((0.5 + CS_CAP - 1) / 2)
         assert pooled["max_cs"] == CS_CAP - 1

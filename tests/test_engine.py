@@ -26,7 +26,7 @@ OFF = ContentionParams(mode="off")
 
 
 class AuditedCluster(ClusterState):
-    """A ClusterState that checks its grid and counts after every allocate and free."""
+    """A ClusterState that checks its counts against its placements after every allocate and free."""
 
     def allocate(self, job_id, placement):
         super().allocate(job_id, placement)
@@ -179,6 +179,28 @@ class TestPreemptSemantics:
                            contention=pair_table(2.0, 2.0))
         report = run_episode(GreedyPolicy(), trace, ep, config)
         assert all(j.finish is not None for j in report.jobs)
+
+    def test_requeue_order_follows_preemption_order(self, monkeypatch):
+        """Round 1 preempts job 2 (the policy) and then job 1 (CS threshold),
+        round 2 preempts job 3; each comes back at the queue head once its
+        checkpoint is ready, the round's jobs in preemption order."""
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 2.0)
+        trace = jobs_with([2] * 5, runtimes=[600.0] * 5, models=[ModelClass.LM] * 5)
+
+        def on(node):
+            return Placement(nodes=(node,), gpus_per_node_used=2)
+
+        policy = QueueRecorder([
+            Action(placements=[(0, on(0)), (2, on(1)), (3, on(2))]),
+            Action(preemptions=[2], placements=[(1, on(0))]),  # 1 and 0 share node 0
+            Action(preemptions=[3]),
+            Action(),
+        ])
+        ep = EpisodeConfig(round_interval=1.0, cs_preemption_threshold=1.5,
+                           contention=pair_table(2.0, 2.0))
+        report = run_episode(policy, trace, ep)
+        assert policy.queues[:5] == [[0, 1, 2, 3, 4], [1, 4], [4], [2, 1, 4], [3, 2, 1, 4]]
+        assert [r.num_preempted for r in report.rounds][:4] == [0, 2, 1, 0]
 
 
 class TestInvariants:
@@ -547,7 +569,7 @@ class TestEpisodeProperties:
                                config, rng=np.random.default_rng(3))
 
         # the reference decides every round under audit, which checks the
-        # occupancy grid after every change; the other side takes idle stretches
+        # cluster's counts after every change; the other side takes idle stretches
         with audited() as rows:
             ref = run(every_round=True)
         report = run(every_round=False)

@@ -78,7 +78,7 @@ def oracle_trials(policy, episode, cluster, states, cand, mask):
         sharing = sorted(set().union(*(cluster.residents[node] for node in placement.nodes)))
         rises = [clipped_cs(trial_cs[o]) - clipped_cs(base_cs[o]) for o in sharing]
         width = len(placement.nodes)
-        left = int(trial.free_gpus_per_node()[list(placement.nodes)].sum())
+        left = int(trial.free_per_node[list(placement.nodes)].sum())
         rows.append((clipped_cs(trial_cs[cand.id]), max(rises, default=0.0), sum(rises),
                      cand.gpu_demand / config.total_gpus, width / config.num_nodes,
                      left / (width * config.gpus_per_node), *own))
@@ -89,8 +89,7 @@ def oracle_trials(policy, episode, cluster, states, cand, mask):
 def oracle_decide(policy, episode, cluster, queue, states):
     """Argmax RL-base decide on a copy of the cluster, with oracle verdicts and
     scorer rows; also returns the pooled input of the full profile."""
-    candidates = window_candidates(queue, policy.k, cluster.config,
-                                   cluster.free_gpus_per_node())
+    candidates = window_candidates(queue, policy.k, cluster.config, cluster.free_per_node)
     skip = policy.space.skip_index
     head_actions = np.full(policy.k, skip, dtype=np.int64)
     masks = np.zeros((policy.k, policy.space.size), dtype=bool)
@@ -104,7 +103,7 @@ def oracle_decide(policy, episode, cluster, queue, states):
     sim = cluster.copy()
     placements, deferred = [], []
     for head, cand in enumerate(candidates):
-        mask = policy.space.mask_for(cand.gpu_demand, sim.free_gpus_per_node())
+        mask = policy.space.mask_for(cand.gpu_demand, sim.free_per_node)
         masks[head] = mask
         verdicts[head], rows = oracle_trials(policy, episode, sim, states, cand, mask)
         features.append(rows)
@@ -204,10 +203,12 @@ class TestTrialProfile:
         job = queue_for(data.draw, config, states)[0]
         profile = full_profile(cluster, states, params)
         cs = episode_cs(cluster, states, params)
+        version = cluster.version
         for placement in enumerate_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
-            got = cs.trial(job.id, placement, cluster.placements, cluster.residents, profile)
+            got = cs.trial(job.id, placement, cluster, profile)
             assert list(got.items()) == list(full_profile(trial, states, params).items())
+        assert cluster.version == version  # the trials leave the cluster alone
 
 
     def test_synthetic_neighbours_in_job_id_order(self):
@@ -224,7 +225,7 @@ class TestTrialProfile:
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
         cs = episode_cs(cluster, states, params)
-        got = cs.trial(2, pair, cluster.placements, cluster.residents, cs.profile())
+        got = cs.trial(2, pair, cluster, cs.profile())
         cs.adopt({**cluster.placements, 2: pair}, got)
         cluster.allocate(2, pair)
         assert list(got.items()) == list(full_profile(cluster, states, params).items())

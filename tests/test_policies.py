@@ -409,8 +409,8 @@ class TestRLPolicies:
         base = RLBasePolicy(net, space, deterministic=True)
         action = base.decide(cluster, specs, states, None, episode_cs(cluster, states))
         shadow = hybridize(action, cluster, specs)
-        base_util = cluster.used_gpus() + sum(p.total_gpus for _, p in action.placements)
-        hybrid_util = cluster.used_gpus() + sum(p.total_gpus for _, p in shadow.placements)
+        base_util = cluster.used + sum(p.total_gpus for _, p in action.placements)
+        hybrid_util = cluster.used + sum(p.total_gpus for _, p in shadow.placements)
         assert hybrid_util >= base_util
 
     def test_window_holds_only_jobs_that_fit(self, net_space):
@@ -423,8 +423,7 @@ class TestRLPolicies:
         states = states_for(specs)
         for jid in range(900, 904):
             states[jid] = JobState(spec=replace(specs[0], id=jid))
-        free = cluster.free_gpus_per_node()
-        window = window_candidates(specs, net.arch.k, CFG, free)
+        window = window_candidates(specs, net.arch.k, CFG, cluster.free_per_node)
         # 8 and 4 cannot fit; the first 2 and the 1 take heads, smallest demand first
         assert [c.id for c in window] == [specs[4].id, specs[2].id]
         action = RLBasePolicy(net, space, deterministic=True).decide(

@@ -18,10 +18,10 @@ from consched.rl.net import (Architecture, PolicyNet, entropy_of,
 from consched.rl.optim import Adam, clip_grad_norm
 from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
                                 reward_from_terms)
-from consched.rl.train import (CONTENTION_LR, POLICY_KEYS, VALUE_EPOCHS, VALUE_KEYS, VALUE_LR,
-                               Batch, TrainConfig, architecture, build_batch, discounted_returns,
-                               excess_returns, loss_and_grads, make_net, optimizers,
-                               pack_first_prior, update, value_step)
+from consched.rl.train import (CONTENTION_LR, HIDDEN, POLICY_KEYS, VALUE_EPOCHS, VALUE_KEYS,
+                               VALUE_LR, Batch, TrainConfig, architecture, build_batch,
+                               discounted_returns, excess_returns, loss_and_grads, make_net,
+                               optimizers, pack_first_prior, update, value_step)
 from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
 
 TINY = Architecture(input_dim=5, hidden=(4, 4), k=2, head_size=4, value_input_dim=6,
@@ -529,8 +529,8 @@ class TestCheckpoint:
 
     def test_expected_architecture_is_the_nets(self):
         config = ClusterConfig(num_nodes=2, gpus_per_node=4)
-        net, space = make_net(config, TrainConfig(k=3, hidden=(32, 16)))
-        assert architecture(space, 3, [32, 16]) == net.arch
+        net, space = make_net(config, TrainConfig(k=3))
+        assert architecture(space, 3, HIDDEN) == net.arch
 
     def test_architecture_mismatch_named(self, tmp_path):
         net_k3, _ = make_net(ClusterConfig(), TrainConfig(k=3))
