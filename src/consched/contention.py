@@ -11,9 +11,12 @@ co-location, so CS >= 1 and CS == 1 means no degradation. Two modes:
   communication phase by s, so CS = 1 + f * (max-node oversubscription - 1).
   Zero comm/comp overlap is assumed (worst case).
 
-* table: calibrated per (model, shape) pair lookups, combined across
-  co-located jobs with a pairwise max; missing entries fall back to the
-  synthetic model evaluated for that single pair.
+* table: per (model, shape) pair lookups, combined across co-located
+  jobs with a pairwise max. The default table is the shipped calibration
+  (calibrated_cs), evaluated per pair for any cluster shape and memoized
+  (CalibratedCS). A table loaded from a --cs-table file (CSTable) falls
+  back to the synthetic model, evaluated for that single pair, for an
+  entry it lacks.
 
 In both modes a job with no node-sharing neighbor has CS exactly 1.0.
 A third mode, off, gives every job CS 1.0.
@@ -22,6 +25,7 @@ A third mode, off, gives every job CS 1.0.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .cluster import ClusterConfig, Placement
@@ -96,7 +100,8 @@ class CSTable:
     """Pairwise CS lookups keyed by ((target model, shape), (coloc model, shape)).
 
     Shapes are (i, j) with 2^i nodes and j GPUs per node. Values are
-    asymmetric: CS(A|B) generally differs from CS(B|A).
+    asymmetric: CS(A|B) generally differs from CS(B|A). Every value is
+    finite and >= 1, and every shape has i >= 0 and j >= 1.
     """
 
     def __init__(self, entries: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] | None = None):
@@ -105,8 +110,11 @@ class CSTable:
             self.add(key[0], key[1], value)
 
     def add(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape], value: float):
-        if value < 1.0:
-            raise ConfigError(f"CS value {value} < 1.0 for {target} | {coloc}")
+        if not 1.0 <= value < math.inf:
+            raise ConfigError(f"CS value {value} is not finite and >= 1.0")
+        for _, (i, j) in (target, coloc):
+            if i < 0 or j < 1:
+                raise ConfigError(f"shape {(i, j)} needs i >= 0 and j >= 1 GPU per node")
         self.entries[(target, coloc)] = float(value)
 
     def lookup(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float | None:
@@ -124,10 +132,10 @@ class CSTable:
 
 @dataclass
 class ContentionParams:
-    """Which CS mode to use; table mode requires a table."""
+    """Which CS mode to use; table mode requires a table (CSTable or CalibratedCS)."""
 
     mode: str = "synthetic"  # "synthetic" | "table" | "off" (every CS is 1)
-    table: CSTable | None = None
+    table: CSTable | CalibratedCS | None = None
 
     def __post_init__(self):
         if self.mode not in ("synthetic", "table", "off"):
@@ -203,7 +211,8 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
         return 1.0
     if params.mode == "synthetic":
         return _synthetic_cs(job, sharing, cluster_config)
-    # table mode: pairwise max over sharing neighbors, synthetic fallback
+    # table mode: pairwise max over sharing neighbors; a CSTable lacking
+    # an entry falls back to the synthetic model (CalibratedCS lacks none)
     target_key = (profile.model_class, shape_of(placement))
     cs = 1.0
     for other_profile, other_placement in sharing:
@@ -221,7 +230,7 @@ def feasible_shapes(config: ClusterConfig) -> list[Shape]:
             for j in range(1, config.gpus_per_node + 1)]
 
 
-# Calibration behind the shipped default table. Published measurements
+# The shipped calibration (calibrated_cs). Published measurements
 # pin four numbers: FSDP suffers up to 1.96 against MoE, MoE up to 3.00
 # against FSDP, and the moderate FSDP/IMG pairing tops out at 1.35 and
 # 1.43. The remaining constants extend those anchors along the profiled
@@ -271,37 +280,55 @@ def _shape_factor(target_shape: Shape, coloc_shape: Shape) -> float:
     return (1.0 / (2 ** target_shape[0]) + 1.0 / (2 ** coloc_shape[0])) / 2.0
 
 
-def default_cs_table(cluster_config: ClusterConfig | None = None,
-                     profiles: dict[ModelClass, ModelProfile] | None = None) -> CSTable:
-    """The shipped calibrated table.
+def calibrated_cs(target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float:
+    """The shipped calibration: CS of target given one co-located contender.
 
-    entry(target, target_shape, coloc, coloc_shape) =
+    cs(target, target_shape, coloc, coloc_shape) =
         1 + (TARGET_MAX_CS[target] - 1) * weight(coloc | target)
           * shape_factor(target_shape, coloc_shape)
 
     with weight 1.0 for the target's worst contender, so the published
     extremes are block maxima exactly (attained at single-node shape
-    pairs, where the shared node carries both jobs' full traffic).
+    pairs, where the shared node carries both jobs' full traffic). It is
+    defined for any shape, so for any cluster.
     """
-    config = cluster_config or ClusterConfig()
-    shapes = feasible_shapes(config)
+    tm, ts = target
+    cm, cs = coloc
+    if cm is WORST_CONTENDER[tm]:
+        weight = 1.0
+    elif (tm, cm) == (ModelClass.FSDP, ModelClass.IMG):
+        weight = FSDP_IMG_WEIGHT
+    else:
+        weight = CONTENDER_WEIGHT[cm]
+    factor = _shape_factor(ts, cs)
+    if factor == 1.0 and weight == 1.0:
+        return TARGET_MAX_CS[tm]
+    return 1.0 + (TARGET_MAX_CS[tm] - 1.0) * weight * factor
+
+
+class CalibratedCS:
+    """The default table: lookup evaluates calibrated_cs once per key and memoizes it."""
+
+    def __init__(self):
+        self.memo: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] = {}
+
+    def lookup(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float:
+        key = (target, coloc)
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = calibrated_cs(target, coloc)
+        return value
+
+
+def default_cs_table(cluster_config: ClusterConfig | None = None) -> CSTable:
+    """calibrated_cs over every feasible shape pair of the cluster (default 4x8), as a CSTable."""
+    shapes = feasible_shapes(cluster_config or ClusterConfig())
     table = CSTable()
     for tm in ModelClass:
-        spread = TARGET_MAX_CS[tm] - 1.0
         for cm in ModelClass:
-            if cm is WORST_CONTENDER[tm]:
-                weight = 1.0
-            elif (tm, cm) == (ModelClass.FSDP, ModelClass.IMG):
-                weight = FSDP_IMG_WEIGHT
-            else:
-                weight = CONTENDER_WEIGHT[cm]
             for ts in shapes:
                 for cs in shapes:
-                    factor = _shape_factor(ts, cs)
-                    value = 1.0 + spread * weight * factor
-                    if factor == 1.0 and weight == 1.0:
-                        value = TARGET_MAX_CS[tm]
-                    table.add((tm, ts), (cm, cs), value)
+                    table.add((tm, ts), (cm, cs), calibrated_cs((tm, ts), (cm, cs)))
     return table
 
 
@@ -310,7 +337,8 @@ def load_cs_table(path) -> CSTable:
 
     One record per line: target_model,target_nodes,target_gpus_per_node,
     coloc_model,coloc_nodes,coloc_gpus_per_node,cs_value. '#' starts a
-    comment. Node counts must be powers of two; values must be >= 1.
+    comment. Node counts must be powers of two, GPU counts at least 1,
+    and values finite and >= 1.
     """
     table = CSTable()
     with open(path, "r", encoding="utf-8") as fh:
@@ -332,11 +360,12 @@ def load_cs_table(path) -> CSTable:
             for nodes in (t_nodes, c_nodes):
                 if nodes < 1 or (nodes & (nodes - 1)) != 0:
                     raise TraceParseError(f"node count {nodes} is not a power of two", line=lineno)
-            if value < 1.0:
-                raise TraceParseError(f"CS value {value} < 1.0", line=lineno)
             t_shape = (t_nodes.bit_length() - 1, t_gpus)
             c_shape = (c_nodes.bit_length() - 1, c_gpus)
-            table.add((tm, t_shape), (cm, c_shape), value)
+            try:
+                table.add((tm, t_shape), (cm, c_shape), value)
+            except ConfigError as exc:
+                raise TraceParseError(str(exc), line=lineno) from exc
     return table
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .actions import Action, RLDecision
 from .cluster import ClusterConfig, ClusterState
-from .contention import CS_CAP, ContentionParams, contention_sensitivity, default_cs_table
+from .contention import CS_CAP, CalibratedCS, ContentionParams, contention_sensitivity
 from .errors import ConfigError, InvalidPlacementError
 from .policies import decide_fifo_greedy
 from .rl.reward import RewardWeights, compute_reward
@@ -34,15 +34,13 @@ from .workload import JobSpec, JobState, Phase, advance
 
 log = logging.getLogger(__name__)
 
-_DEFAULT_TABLE = None
+# one memo for every episode: each value is a pure function of its key
+_CALIBRATED = CalibratedCS()
 
 
 def default_contention_params() -> ContentionParams:
-    """Table mode over the shipped calibrated table (built once)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = default_cs_table()
-    return ContentionParams(mode="table", table=_DEFAULT_TABLE)
+    """Table mode over the shipped calibration, for any cluster shape."""
+    return ContentionParams(mode="table", table=_CALIBRATED)
 
 
 CHECKPOINT_GRACE = 5.0  # sim-seconds; a preempted job re-queues once its checkpoint is written
@@ -55,7 +53,7 @@ class EpisodeConfig:
     round_interval: float = 0.25
     cs_preemption_threshold: float | None = 2.0  # None turns preemption off
     restore_penalty: float = 5.0
-    contention: ContentionParams | None = None  # None -> calibrated table mode
+    contention: ContentionParams | None = None  # None -> default_contention_params()
 
     def __post_init__(self):
         if not 0 < self.round_interval < math.inf:
@@ -248,8 +246,9 @@ class EpisodeCS:
         return self._map
 
     def trial(self, jid: int, placement, cluster: ClusterState,
-              profile: dict[int, float]) -> dict[int, float]:
-        """The CS map, in job-id order, after placing jid at placement on cluster.
+              profile: dict[int, float]) -> tuple[dict[int, float], list[int]]:
+        """The CS map, in job-id order, after placing jid at placement on cluster,
+        and the jobs sharing placement's nodes, sorted.
 
         profile is cluster's CS map (without jid); cluster is left as it
         is. Only jid and the jobs sharing its nodes change. In table mode
@@ -273,7 +272,8 @@ class EpisodeCS:
             for nb in neighbours:
                 changed[nb] = max(profile[nb], contention_sensitivity(
                     (states[nb].spec.profile, placements[nb]), [trial], params, cluster.config))
-        return {o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])}
+        return ({o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])},
+                neighbours)
 
     def reward(self, utilization: float, profile: dict[int, float],
                weights: RewardWeights) -> float:
@@ -402,15 +402,15 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     A decision is idle when it places and preempts nothing and no RL
     head had a choice; the rounds up to the event reuse it, so a
     recorded trajectory still gets its skip-only row every round. The
-    values derived from the placements (the CS profile, the last_cs
-    writes, throughput, utilization, mean CS, the round reward and the
-    CS-threshold check) are computed once per cluster.version; the no-op
-    reward takes the round reward when the placements are those of the
-    last round's values, and prices the cluster itself otherwise. Each
-    new CS profile, the CS-threshold loop's included, recomputes only the
-    jobs on nodes that a placement, preemption or finish touched
-    (EpisodeCS.profile). Preempted jobs wait in one list in ready-time
-    order (_preempt); a round's preemptions are that list's growth.
+    values derived from the placements (the CS profile, throughput,
+    utilization, mean CS, the round reward and the CS-threshold check)
+    are computed once per cluster.version; the no-op reward takes the
+    round reward when the placements are those of the last round's
+    values, and prices the cluster itself otherwise. Each new CS profile,
+    the CS-threshold loop's included, recomputes only the jobs on nodes
+    that a placement, preemption or finish touched (EpisodeCS.profile).
+    Preempted jobs wait in one list in ready-time order (_preempt); a
+    round's preemptions are that list's growth.
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
@@ -541,8 +541,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
             if round_version != cluster.version:
                 cs_map = cs.profile()
-                for jid, value in cs_map.items():
-                    states[jid].last_cs = value
                 throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
                               for jid in cs_map}
                 utilization = cluster.utilization()

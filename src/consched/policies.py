@@ -206,9 +206,8 @@ class RLBasePolicy:
             nodes = placement.nodes
             shares = any(residents[node] for node in nodes)
             if shares or alone is None:
-                trial = cs.trial(cand.id, placement, sim, profile)
-                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o])
-                         for o in sorted(set().union(*(residents[node] for node in nodes)))]
+                trial, sharing = cs.trial(cand.id, placement, sim, profile)
+                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o]) for o in sharing]
                 trials[idx] = (trial, self._reward(cs, trial, utilization),
                                clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises))
                 if not shares:

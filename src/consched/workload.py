@@ -77,7 +77,6 @@ class JobState:
     finish_time: float | None = None
     preemption_count: int = 0
     restore_remaining: float = 0.0
-    last_cs: float = 0.0  # most recent profiled CS; 0 before first profile
     cs_integral: float = 0.0  # integral of CS over placed time
     placed_time: float = 0.0
 

@@ -355,6 +355,17 @@ class TestEval:
         assert "--contention-mode synthetic" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["FSDP,1,4,MoE,1,4,nan", "FSDP,1,4,MoE,1,4,inf",
+                                     "FSDP,1,0,MoE,1,4,1.5", "FSDP,1,4,MoE,1,-2,1.5"])
+    def test_cs_table_with_a_bad_value_is_a_parse_error(self, row, trace_file, tmp_path, capsys):
+        table = tmp_path / "cs_table.csv"
+        table.write_text(f"# header\n{row}\n")
+        out = tmp_path / "out"
+        assert run(["eval", "--policy", "las", "--trace", str(trace_file),
+                    "--cs-table", str(table), "--out-dir", str(out)]) == 3
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--cs-table", "--contention-mode"])
     def test_no_contention_with_a_contention_flag_is_a_usage_error(self, flag, trace_file,
                                                                    tmp_path, capsys):

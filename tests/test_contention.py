@@ -1,14 +1,20 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consched import contention
 from consched.cluster import ClusterConfig, Placement
 from consched.contention import (CSTable, ContentionParams, DEFAULT_PROFILES,
                                  ModelClass, ModelProfile, CommPattern,
                                  contention_sensitivity,
                                  default_cs_table, load_cs_table, write_cs_table,
                                  feasible_shapes)
+from consched.engine import EpisodeConfig, default_contention_params, run_episode
 from consched.errors import ConfigError, StateError, TraceParseError
+from consched.policies import make_policy
+from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
 SYNTH = ContentionParams(mode="synthetic")
@@ -169,6 +175,56 @@ class TestDefaultTable:
         assert abs((1 - 1 / 3.00) * 100 - 66.7) < 0.5
 
 
+def no_synthetic(*_):
+    raise AssertionError("the default calibration fell back to the synthetic model")
+
+
+class TestCalibration:
+    """The default mode evaluates the shipped calibration per pair (CalibratedCS)."""
+
+    def test_4x8_table_equals_default_lookup_bit_for_bit(self):
+        table = default_cs_table()
+        lookup = default_contention_params().table.lookup
+        for _ in range(2):  # the first pass may fill the memo, the second reads it
+            assert all(lookup(*key).hex() == value.hex() for key, value in table.entries.items())
+
+    @pytest.mark.parametrize("config,digest", [
+        (None, "9aa61857cfceb2321f09c481512d3374595d3d3a7eb3e19aca15ec22de1839d9"),
+        (ClusterConfig(num_nodes=2, gpus_per_node=4),
+         "3ba78ad474523e181609cd782d4d8a8d88911f5c79f72a0f288ce012da0fb1f7"),
+    ])
+    def test_shipped_tables_are_pinned(self, config, digest, tmp_path):
+        """The 4x8 and 2x4 tables, written with repr'd floats, keep their bytes."""
+        path = tmp_path / "table.csv"
+        write_cs_table(default_cs_table(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("nodes", [8, 16])
+    def test_default_mode_equals_table_built_for_the_cluster(self, nodes, monkeypatch):
+        config = ClusterConfig(num_nodes=nodes)
+        table = ContentionParams(mode="table", table=default_cs_table(config))
+        default = default_contention_params()
+        monkeypatch.setattr(contention, "_synthetic_cs", no_synthetic)
+        placed = [Placement(nodes=tuple(range(2 ** i)), gpus_per_node_used=j)
+                  for i, j in feasible_shapes(config)]
+        for tm in ModelClass:
+            for cm in ModelClass:
+                for tp in placed:
+                    target = (DEFAULT_PROFILES[tm], tp)
+                    for cp in placed:
+                        coloc = [(DEFAULT_PROFILES[cm], cp)]
+                        got = contention_sensitivity(target, coloc, default, config)
+                        assert got == contention_sensitivity(target, coloc, table, config)
+
+    def test_16_node_episode_never_reaches_the_synthetic_model(self, monkeypatch):
+        """SRTF spreads some jobs over 8 nodes here, a shape no 4-node table holds."""
+        trace = generate_trace(TraceSpec(num_jobs=64, mix=MIX_PRESETS["heavy"], seed=1))
+        monkeypatch.setattr(contention, "_synthetic_cs", no_synthetic)
+        report = run_episode(make_policy("srtf"), trace, EpisodeConfig(),
+                             ClusterConfig(num_nodes=16))
+        assert report.aggregates["mean_cs"] > 1.0
+
+
 class TestTableMode:
     def test_worst_case_lookup_through_contention_sensitivity(self):
         params = ContentionParams(mode="table", table=default_cs_table())
@@ -251,6 +307,21 @@ class TestTableIO:
         path.write_text("FSDP,2,4\n")
         with pytest.raises(TraceParseError, match="line 1"):
             load_cs_table(path)
+
+    @pytest.mark.parametrize("row", ["FSDP,2,4,MoE,2,4,nan", "FSDP,2,4,MoE,2,4,inf",
+                                     "FSDP,2,0,MoE,2,4,1.5", "FSDP,2,4,MoE,2,-2,1.5"])
+    def test_non_finite_value_or_gpu_count_below_one_rejected_with_line(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"FSDP,1,4,MoE,1,4,1.5\n{row}\n")
+        with pytest.raises(TraceParseError, match="line 2"):
+            load_cs_table(path)
+
+    @pytest.mark.parametrize("target,coloc,value", [
+        ((0, 4), (0, 4), float("nan")), ((0, 4), (0, 4), float("inf")),
+        ((0, 0), (0, 4), 1.5), ((0, 4), (-1, 4), 1.5)])
+    def test_add_rejects_non_finite_value_or_bad_shape(self, target, coloc, value):
+        with pytest.raises(ConfigError):
+            CSTable().add((ModelClass.FSDP, target), (ModelClass.MoE, coloc), value)
 
     def test_non_power_of_two_nodes_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

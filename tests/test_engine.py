@@ -46,21 +46,29 @@ def audited():
     advance_stretch makes no stretch, so every round is stepped on its
     own; the episode's cluster audits itself after every allocate and
     free. Yields a list that holds, for round k, one row per job the
-    round advanced: (job, last_cs, throughput, samples before, samples
-    after, active time, restore time burned).
+    round advanced: (job, CS, throughput, samples before, samples
+    after, active time, restore time burned). The CS is the job's entry
+    in the last map EpisodeCS.profile returned, the map the round used.
     """
     rows = []
+    used = [{}]
+    profile = engine.EpisodeCS.profile
+
+    def last_profile(self):
+        used[0] = profile(self)
+        return used[0]
 
     def advance(state, dt, throughput, now):
         k = round(now / dt)  # now is k * dt
         rows.extend([] for _ in range(k + 1 - len(rows)))
         before, restore = state.samples_done, state.restore_remaining
         active = workload.advance(state, dt, throughput, now=now)
-        rows[k].append((state.spec.id, state.last_cs, throughput, before, state.samples_done,
-                        active, restore - state.restore_remaining))
+        rows[k].append((state.spec.id, used[0][state.spec.id], throughput, before,
+                        state.samples_done, active, restore - state.restore_remaining))
         return active
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine.EpisodeCS, "profile", last_profile)
         patch.setattr(engine, "advance_stretch", lambda *args: 0)
         patch.setattr(engine, "advance", advance)
         patch.setattr(engine, "ClusterState", AuditedCluster)

@@ -206,8 +206,10 @@ class TestTrialProfile:
         version = cluster.version
         for placement in enumerate_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
-            got = cs.trial(job.id, placement, cluster, profile)
+            got, sharing = cs.trial(job.id, placement, cluster, profile)
             assert list(got.items()) == list(full_profile(trial, states, params).items())
+            assert sharing == sorted(set().union(*(cluster.residents[node]
+                                                   for node in placement.nodes)))
         assert cluster.version == version  # the trials leave the cluster alone
 
 
@@ -225,7 +227,8 @@ class TestTrialProfile:
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
         cs = episode_cs(cluster, states, params)
-        got = cs.trial(2, pair, cluster, cs.profile())
+        got, sharing = cs.trial(2, pair, cluster, cs.profile())
+        assert sharing == [0, 1, 3]
         cs.adopt({**cluster.placements, 2: pair}, got)
         cluster.allocate(2, pair)
         assert list(got.items()) == list(full_profile(cluster, states, params).items())
