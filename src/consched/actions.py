@@ -1,10 +1,14 @@
-"""Constant-size action space over placement shapes, plus the Action record.
+"""Per-decision choice lists for the RL heads, plus the Action record.
 
-For a fixed cluster shape the index set per candidate never changes: one
-index per (2^i-node subset) in ascending node count then lexicographic
-order, plus a final skip index. A candidate's demand determines the GPU
-count j = demand / 2^i for each width, and indices whose subset lacks j
-free GPUs on some node are masked. Skip is never masked.
+Each round a head lists its choices for its candidate's demand: the
+feasible placements in ascending width, then lexicographic node order,
+at most M per width, then skip. A placement's pack-first prior is
+-0.5 * i - 0.02 * r for a 2^i-node subset whose rank among all
+itertools.combinations(range(num_nodes), 2^i) is r; skip's is -1. On
+4x8 an untrained argmax therefore places like first_fit, while sampling still
+explores. On larger clusters the rank term grows with C(num_nodes, 2^i):
+lexicographically late subsets become effectively unpickable, and one
+ranked low enough sits below skip.
 """
 
 from __future__ import annotations
@@ -15,86 +19,86 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterConfig, Placement
-from .errors import ConfigError
+from .cluster import ClusterConfig, ClusterState, Placement, capable_nodes
 
-# Node subsets per head that ActionSpace will index: 16 nodes give
-# 14,827, 17 nodes 26,860 and 32 nodes about 6.1e8. Each subset is one
-# logit per head, and each head's mask spans all of them.
-MAX_SUBSETS = 20_000
+M = 16  # placements a head lists per width; 4x8 has at most 6, so it lists them all
+SKIP_PRIOR = -1.0
+
+
+def subset_rank(nodes: tuple[int, ...], num_nodes: int) -> int:
+    """Rank of ascending nodes among itertools.combinations(range(num_nodes), len(nodes)).
+
+    By the combinatorial number system: C(num_nodes - 1 - nodes[p], k - p)
+    subsets first differ from it at position p with a larger node there,
+    and those are all the subsets after it.
+    """
+    k = len(nodes)
+    return math.comb(num_nodes, k) - 1 - sum(
+        math.comb(num_nodes - 1 - node, k - p) for p, node in enumerate(nodes))
 
 
 class ActionSpace:
-    """Index <-> (node subset) mapping shared by every candidate head."""
+    """Builds a head's choice list on one cluster shape."""
 
     def __init__(self, config: ClusterConfig):
-        count = sum(math.comb(config.num_nodes, 2 ** i) for i in config.node_exponents())
-        if count > MAX_SUBSETS:
-            raise ConfigError(
-                f"{config.num_nodes} nodes give {count:,} node subsets per RL head, above "
-                f"the bound of {MAX_SUBSETS:,} (16 nodes at most); the baselines run "
-                "on any cluster size")
         self.config = config
-        self.subsets: list[tuple[int, tuple[int, ...]]] = []
-        # per width: (width, first index, end index, (subsets, width) node ids)
-        self._blocks: list[tuple[int, int, int, np.ndarray]] = []
-        for i in config.node_exponents():
-            combos = list(itertools.combinations(range(config.num_nodes), 2 ** i))
-            start = len(self.subsets)
-            self.subsets.extend((i, combo) for combo in combos)
-            self._blocks.append((2 ** i, start, len(self.subsets),
-                                 np.array(combos, dtype=np.intp)))
-        self.skip_index = len(self.subsets)
-        self.size = len(self.subsets) + 1
-        self._placements: dict[tuple[int, int], Placement] = {}
+        # (nodes, GPUs per node) -> (Placement, prior), built once (a Placement is immutable)
+        self._listed: dict[tuple[tuple[int, ...], int], tuple[Placement, float]] = {}
 
-    def placement_for(self, index: int, demand: int) -> Placement:
-        """The index's placement for the demand, built once (a Placement is immutable)."""
-        placement = self._placements.get((index, demand))
-        if placement is None:
-            i, combo = self.subsets[index]
-            placement = Placement(nodes=combo, gpus_per_node_used=demand // (2 ** i))
-            self._placements[index, demand] = placement
-        return placement
+    def mask_for(self, shapes: list[tuple[int, int, list[int]]]) -> np.ndarray:
+        """How many choices a head lists per demand shape, then 1 for skip.
 
-    def mask_for(self, demand: int | None, free_per_node: np.ndarray) -> np.ndarray:
-        """Feasibility mask over indices; only skip is unmasked for demand None.
-
-        A subset of width w is feasible when w divides the demand and each
-        of its nodes has demand / w free GPUs, which is tested for all
-        subsets of a width at once.
+        shapes is capable_nodes' (i, j, nodes with j free GPUs) per shape;
+        shape i lists the first min(M, C(len(nodes), 2^i)) subsets of its nodes.
         """
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self.skip_index] = True
-        if demand is None:
-            return mask
-        free = np.asarray(free_per_node)
-        for width, start, end, nodes in self._blocks:
-            j = demand // width
-            if demand % width == 0 and 1 <= j <= self.config.gpus_per_node:
-                mask[start:end] = free[nodes].min(axis=1) >= j
-        return mask
+        return np.array([*(min(M, math.comb(len(capable), 2 ** i)) for i, _, capable in shapes),
+                         1])
+
+    def choices(self, cluster: ClusterState, demand: int) -> tuple[list[Placement], np.ndarray]:
+        """The head's listed placements and the prior of each choice, skip's last.
+
+        InvalidDemandError when the demand could never fit an empty cluster.
+        """
+        placements, prior = [], []
+        shapes = list(capable_nodes(cluster, demand))
+        for (i, j, capable), count in zip(shapes, self.mask_for(shapes).tolist()):
+            for nodes in itertools.islice(itertools.combinations(capable, 2 ** i), count):
+                listed = self._listed.get((nodes, j))
+                if listed is None:
+                    rank = subset_rank(nodes, self.config.num_nodes)
+                    listed = (Placement(nodes=nodes, gpus_per_node_used=j), -0.5 * i - 0.02 * rank)
+                    self._listed[nodes, j] = listed
+                placements.append(listed[0])
+                prior.append(listed[1])
+        prior.append(SKIP_PRIOR)
+        return placements, np.array(prior)
 
 
 @dataclass
 class RLDecision:
-    """What the policy produced for one round, kept for training."""
+    """What the policy produced for one round, kept for training.
 
-    head_actions: np.ndarray  # (K,) int indices into the action space
-    masks: np.ndarray  # (K, A) bool
+    One head per window candidate, in the window's order. A head's
+    choices are its listed placements, then skip; prior, verdicts and
+    features hold one row per choice, in (head, choice) order. A round
+    with an empty window has no heads and no rows.
+    """
+
+    choices: list[list[Placement]] = field(default_factory=list)  # per head, skip not listed
+    chosen: list[int] = field(default_factory=list)  # per head; len(choices[head]) is skip
     forced: bool = False  # True when the livelock guard overrode the policy
-    # (K, A) contention-model verdict per feasible placement: +1 if it is
-    # predicted to raise the round reward, -1 to lower it, else 0
+    prior: np.ndarray | None = None  # pack-first prior per choice (see ActionSpace)
+    # contention-model verdict per choice: +1 if the placement is
+    # predicted to raise the round reward, -1 to lower it, else 0 (skip)
     verdicts: np.ndarray | None = None
     temperature: float = 1.0  # the logits were divided by it before sampling
     pooled: np.ndarray | None = None  # the value input; None when the window was empty
-    # (masks.sum(), F) scorer rows in unmasked (head, index) order
-    features: np.ndarray | None = None
+    features: np.ndarray | None = None  # (choices, F) scorer rows
 
     @property
     def has_choice(self) -> bool:
         """Whether some head could do more than skip."""
-        return bool((self.masks.sum(axis=-1) > 1).any())
+        return any(self.choices)
 
 
 @dataclass

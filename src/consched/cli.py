@@ -84,14 +84,6 @@ def _cluster_config(args) -> ClusterConfig:
         raise UsageError(f"bad cluster flags: {exc}") from exc
 
 
-def _action_space(cluster_config) -> ActionSpace:
-    """The RL action space; a cluster too large for it is a usage error."""
-    try:
-        return ActionSpace(cluster_config)
-    except ConfigError as exc:
-        raise UsageError(f"bad cluster flags: {exc}") from exc
-
-
 def _episode_config(args, cluster_config) -> EpisodeConfig:
     if args.cs_table and args.contention_mode == "synthetic":
         raise UsageError("--cs-table gives table-mode values; it cannot go with "
@@ -183,10 +175,9 @@ def _policy_for(kind: str, args, cluster_config):
         if not args.checkpoint:
             raise UsageError(f"policy {kind} requires --checkpoint")
         net, _meta = load_checkpoint(args.checkpoint)
-        space = _action_space(cluster_config)
-        ensure_compatible(net.arch, architecture(space, net.arch.k, net.arch.hidden),
+        ensure_compatible(net.arch, architecture(net.arch.k, net.arch.hidden),
                           path=args.checkpoint)
-        return make_policy(kind, net=net, action_space=space)
+        return make_policy(kind, net=net, action_space=ActionSpace(cluster_config))
     return make_policy(kind)
 
 
@@ -213,7 +204,6 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_train(args) -> int:
     cluster = _cluster_config(args)
-    _action_space(cluster)  # fail before any work on a cluster RL cannot index
     episode = _episode_config(args, cluster)
     weights = _weights(args)
     ckpt_dir = os.path.join(output_root(args.out_dir), "checkpoints")

@@ -7,7 +7,6 @@ so a job's total demand factors as j * 2^i.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +176,7 @@ def demand_shapes(config: ClusterConfig, demand: int) -> list[tuple[int, int]]:
     return shapes
 
 
-def _capable_nodes(cluster: ClusterState, demand: int):
+def capable_nodes(cluster: ClusterState, demand: int):
     """(i, j, nodes with >= j free GPUs) per demand shape, in shape order."""
     config = cluster.config
     if demand <= 0 or demand > config.total_gpus:
@@ -188,25 +187,14 @@ def _capable_nodes(cluster: ClusterState, demand: int):
         yield i, j, [n for n in range(config.num_nodes) if free[n] >= j]
 
 
-def enumerate_placements(cluster: ClusterState, demand: int) -> list[Placement]:
-    """Every feasible placement for the demand, in deterministic order.
-
-    Order: ascending node count, then lexicographic node id tuples.
-    Empty list when nothing fits; InvalidDemandError when the demand could
-    never fit an empty cluster.
-    """
-    return [Placement(nodes=combo, gpus_per_node_used=j)
-            for i, j, capable in _capable_nodes(cluster, demand)
-            for combo in itertools.combinations(capable, 2 ** i)]
-
-
 def first_fit(cluster: ClusterState, demand: int) -> Placement | None:
-    """First placement in enumerate_placements order, or None.
+    """The first feasible placement, in ascending width then lexicographic node order, or None.
 
     The first combination of a shape is its lowest-numbered capable
-    nodes, so no other combination is built.
+    nodes, so no other combination is built. It is the first choice an
+    RL head lists (ActionSpace.choices).
     """
-    for i, j, capable in _capable_nodes(cluster, demand):
+    for i, j, capable in capable_nodes(cluster, demand):
         if len(capable) >= 2 ** i:
             return Placement(nodes=tuple(capable[:2 ** i]), gpus_per_node_used=j)
     return None

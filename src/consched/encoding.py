@@ -87,14 +87,19 @@ def encode_state(cluster: ClusterState, candidates: list[JobSpec],
 
 
 def write_scorer_rows(decision, round_index: int, path) -> None:
-    """A recorded decision's scorer rows as CSV, one per unmasked (head, index), with
-    its verdict and whether the head chose it; a comment line holds the pooled input."""
+    """A recorded decision's scorer rows as CSV, one per (head, choice), with the
+    placement (nodes joined by '-', blank for skip), its verdict and whether the
+    head chose it; a comment line holds the pooled input."""
     pooled = ",".join(f"{n}={v!r}" for n, v in zip(POOLED_FEATURES, decision.pooled.tolist()))
-    heads, indices = np.nonzero(decision.masks)
+    rows = iter(zip(decision.verdicts.tolist(), decision.features.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# round {round_index}; pooled value input: {pooled}\n")
-        fh.write(",".join(("head", "index", "verdict", "chosen", *SCORER_FEATURES)) + "\n")
-        for head, index, row in zip(heads.tolist(), indices.tolist(), decision.features.tolist()):
-            chosen = int(decision.head_actions[head] == index)
-            fh.write(f"{head},{index},{float(decision.verdicts[head, index])!r},{chosen},"
-                     + ",".join(map(repr, row)) + "\n")
+        fh.write(",".join(("head", "choice", "nodes", "gpus_per_node", "verdict", "chosen",
+                           *SCORER_FEATURES)) + "\n")
+        for head, (choices, pick) in enumerate(zip(decision.choices, decision.chosen)):
+            for choice, placement in enumerate([*choices, None]):
+                verdict, row = next(rows)
+                nodes = "-".join(map(str, placement.nodes)) if placement else ""
+                gpus = placement.gpus_per_node_used if placement else ""
+                fh.write(f"{head},{choice},{nodes},{gpus},{verdict!r},{int(choice == pick)},"
+                         + ",".join(map(repr, row)) + "\n")

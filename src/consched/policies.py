@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import Action, ActionSpace, RLDecision
 from .cluster import ClusterState, first_fit
-from .encoding import SCORER_FEATURES, clipped_cs, encode_state, job_features, window_candidates
+from .encoding import clipped_cs, encode_state, job_features, window_candidates
 from .errors import ConfigError
 from .rl.net import PolicyNet, masked_log_softmax
 from .rl.reward import reward_from_terms
@@ -143,16 +143,18 @@ class SRTFPolicy:
 class RLBasePolicy:
     """Acts from the trained policy alone; may decline to schedule.
 
-    Each round the K heads hold the window of queued jobs that fit (see
-    window_candidates) and act in ascending demand order, each seeing the
-    GPUs the earlier heads left free. A head that declines a job it could
-    have placed defers it behind its same-demand peers.
+    Each round the window of queued jobs that fit (see window_candidates)
+    gives one head per job, and the heads act in ascending demand order,
+    each seeing the GPUs the earlier heads left free. A head chooses from
+    its list (ActionSpace.choices): the feasible placements, at most M per
+    width, then skip. A head that declines a job it could have placed
+    defers it behind its same-demand peers.
 
-    A head's logit for a feasible index is the pack-first prior, plus
-    contention_scale times the placement's contention verdict, plus the
-    net's score of the placement's scorer row. The verdict is +1 when the
-    profiled contention model predicts that adding the placement, after
-    the earlier heads' choices, raises the round reward under the net's
+    A choice's logit is its pack-first prior, plus contention_scale
+    times the placement's contention verdict, plus the net's score of
+    the placement's scorer row. The verdict is +1 when the profiled
+    contention model predicts that adding the placement, after the
+    earlier heads' choices, raises the round reward under the net's
     reward_weights (the weights it was trained for), -1 when it lowers
     it; the same trial gives the scorer row (see _trials). The contention
     model, its switch and the CS cap are the episode's: decide starts
@@ -172,9 +174,6 @@ class RLBasePolicy:
         self.deterministic = deterministic
         self.temperature = 1.0  # sampling only; training anneals it
         self.k = net.arch.k
-        if net.arch.head_size != action_space.size:
-            raise ConfigError(
-                f"policy head size {net.arch.head_size} != action space {action_space.size}")
 
     def _reward(self, cs, profile: dict[int, float], utilization: float) -> float:
         """Predicted round reward of a CS map; an empty cluster counts as uncontended (CS 1)."""
@@ -183,9 +182,9 @@ class RLBasePolicy:
             return reward_from_terms(1.0, 0.0, weights)
         return cs.reward(utilization, profile, weights)
 
-    def _trials(self, cs, cand, feasible, base, sim, own):
-        """Verdicts over the action space, the scorer rows of feasible (skip last)
-        and each trial's (CS map, reward, ...) by index.
+    def _trials(self, cs, cand, choices, base, sim, own):
+        """The verdict and scorer row of each choice (skip last), and each listed
+        placement's trial (CS map, reward, ...), in list order.
 
         The head sees sim, the cluster with the earlier heads' placements
         allocated; base is sim's (CS map, reward). A trial re-profiles only
@@ -197,75 +196,70 @@ class RLBasePolicy:
         profile, reward = base
         d_util = cand.gpu_demand / config.total_gpus
         utilization = (sim.used + cand.gpu_demand) / config.total_gpus
-        trials, rows = {}, []
+        trials, rows = [], []
         alone = None
-        placeable = feasible[:-1].tolist()
         free = sim.free_per_node.tolist()
-        for idx in placeable:
-            placement = self.space.placement_for(idx, cand.gpu_demand)
+        for placement in choices:
             nodes = placement.nodes
             shares = any(residents[node] for node in nodes)
             if shares or alone is None:
                 trial, sharing = cs.trial(cand.id, placement, sim, profile)
                 rises = [clipped_cs(trial[o]) - clipped_cs(profile[o]) for o in sharing]
-                trials[idx] = (trial, self._reward(cs, trial, utilization),
-                               clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises))
+                trials.append((trial, self._reward(cs, trial, utilization),
+                               clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises)))
                 if not shares:
-                    alone = trials[idx]
+                    alone = trials[-1]
             else:
-                trials[idx] = alone
+                trials.append(alone)
             left = sum(free[node] for node in nodes) - cand.gpu_demand
-            rows.append((*trials[idx][2:], d_util, len(nodes) / config.num_nodes,
+            rows.append((*trials[-1][2:], d_util, len(nodes) / config.num_nodes,
                          left / (len(nodes) * config.gpus_per_node), *own))
         rows.append((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *own))
-        verdicts = np.zeros(self.space.size)
-        verdicts[placeable] = np.sign(np.array([trials[idx][1] for idx in placeable]) - reward)
+        verdicts = np.append(np.sign(np.array([trial[1] for trial in trials]) - reward), 0.0)
         return verdicts, np.array(rows), trials
 
     def decide(self, cluster, queue, states, rng, cs) -> Action:
         candidates = window_candidates(queue, self.k, cluster.config, cluster.free_per_node)
-        skip = self.space.skip_index
-        head_actions = np.full(self.k, skip, dtype=np.int64)
-        masks = np.zeros((self.k, self.space.size), dtype=bool)
-        masks[:, skip] = True
         if not candidates:
             # no head has a choice: nothing to score or sample
-            return Action(rl=RLDecision(head_actions=head_actions, masks=masks))
+            return Action(rl=RLDecision())
         profile = cs.profile()
-        pooled = encode_state(cluster, candidates, states, profile, len(queue))
-        verdicts = np.zeros(masks.shape)
-        features = []
+        decision = RLDecision(temperature=self.temperature,
+                              pooled=encode_state(cluster, candidates, states, profile,
+                                                  len(queue)))
+        priors, verdicts, features = [], [], []
         # each head sees the cluster plus the earlier heads' placements
         sim = cluster.copy()
         base = (profile, self._reward(cs, profile, cluster.utilization()))
         placed, deferred = [], []
-        for head, cand in enumerate(candidates):
-            mask = self.space.mask_for(cand.gpu_demand, sim.free_per_node)
-            masks[head] = mask
-            verdicts[head], rows, trials = self._trials(
-                cs, cand, np.flatnonzero(mask), base, sim, job_features(states[cand.id]))
-            features.append(rows)
-            logits = self.net.head_logits(rows, mask, verdicts[head])
-            probs, _ = masked_log_softmax(logits / self.temperature, mask)
+        for cand in candidates:
+            choices, prior = self.space.choices(sim, cand.gpu_demand)
+            head_verdicts, rows, trials = self._trials(
+                cs, cand, choices, base, sim, job_features(states[cand.id]))
+            logits = self.net.head_logits(rows, prior, head_verdicts)
+            # every listed choice is feasible, so none is masked
+            probs, _ = masked_log_softmax(logits / self.temperature, True)
             if self.deterministic:
-                idx = int(np.argmax(probs))
+                pick = int(np.argmax(probs))
             else:
-                idx = int(rng.choice(self.space.size, p=probs))
-            head_actions[head] = idx
-            if idx != skip:
-                placement = self.space.placement_for(idx, cand.gpu_demand)
-                placed.append((cand.id, placement))
-                sim.allocate(cand.id, placement)
-                base = trials[idx][:2]
-            elif len(rows) > 1:
+                pick = int(rng.choice(len(probs), p=probs))
+            decision.choices.append(choices)
+            decision.chosen.append(pick)
+            priors.append(prior)
+            verdicts.append(head_verdicts)
+            features.append(rows)
+            if pick < len(choices):
+                placed.append((cand.id, choices[pick]))
+                sim.allocate(cand.id, choices[pick])
+                base = trials[pick][:2]
+            elif choices:
                 deferred.append(cand.id)
         if placed:
             cs.adopt(sim.placements, base[0])
-        features.append(np.zeros((self.k - len(candidates), len(SCORER_FEATURES))))
-        return Action(placements=placed, deferred=deferred,
-                      rl=RLDecision(head_actions=head_actions, masks=masks, verdicts=verdicts,
-                                    temperature=self.temperature, pooled=pooled,
-                                    features=np.concatenate(features)))
+        decision.prior = np.concatenate(priors)
+        decision.verdicts = np.concatenate(verdicts)
+        decision.features = np.concatenate(features)
+        return Action(placements=placed, deferred=deferred, rl=decision)
 
 
 def hybridize(base_action: Action, cluster, queue) -> Action:

@@ -21,7 +21,9 @@ from .net import Architecture, PolicyNet
 from .reward import RewardWeights
 
 MAGIC = b"#consched-policy\n"
-FORMAT_VERSION = 2  # 2: the placement scorer; 1 held the state-grid trunk
+# 3: per-decision choice lists, so no head size and no stored prior;
+# 2 held a head_prior per 2^i-node subset; 1 the state-grid trunk
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(net: PolicyNet, path, metadata: dict | None = None) -> None:

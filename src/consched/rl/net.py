@@ -1,13 +1,15 @@
 """Policy network: one placement scorer shared by every head, and a value head.
 
-Small enough to run in float64 numpy. A head's logits cover the shared
-placement-index space (one index per node subset, plus skip); masking
-zeroes infeasible indices exactly and renormalizes over the rest. A
-feasible index's logit is head_prior + contention_scale * verdict +
-score, the score being a small tanh MLP of the (candidate, placement)
-pair's scorer row, shared across heads and placements as in Decima (Mao
-et al., SIGCOMM 2019). Its output layer starts at zero, so an untrained
-net is exactly the fixed rule head_prior + contention_scale * verdict.
+Small enough to run in float64 numpy. A head's logits cover its choice
+list (actions.ActionSpace.choices: the listed placements, then skip),
+whose length varies per decision. A choice's logit is prior +
+contention_scale * verdict + score, the prior being the choice's fixed
+pack-first prior and the score a small tanh MLP of the (candidate,
+placement) pair's scorer row, shared across heads and choices as in
+Decima (Mao et al., SIGCOMM 2019). Its output layer starts at zero, so an
+untrained net is exactly the fixed rule prior + contention_scale *
+verdict. Training pads the lists to a common length; masking zeroes the
+padding exactly and renormalizes over the rest.
 The scorer and the value baseline (a tanh MLP over the pooled round
 input) share one parameter dict, one forward and one backward pass.
 """
@@ -32,7 +34,6 @@ class Architecture:
     input_dim: int  # scorer row width
     hidden: tuple[int, int]
     k: int
-    head_size: int
     value_input_dim: int  # pooled value input width
     value_hidden: tuple[int, int] = (64, 64)
 
@@ -90,10 +91,9 @@ def entropy_of(probs: np.ndarray) -> np.ndarray:
 
 
 class PolicyNet:
-    """The scorer, its fixed prior and contention weight, and the disjoint value MLP."""
+    """The scorer, its contention weight, and the disjoint value MLP."""
 
-    def __init__(self, arch: Architecture, rng: np.random.Generator,
-                 head_prior: np.ndarray | None = None):
+    def __init__(self, arch: Architecture, rng: np.random.Generator):
         self.arch = arch
         # reward weights the policy was trained for; its contention
         # verdicts predict the reward under them
@@ -108,11 +108,6 @@ class PolicyNet:
             # a zero output layer starts the policy at the fixed rule
             "wh": np.zeros((h2, 1)),
             "bh": np.zeros(1),
-            # fixed behavior prior per action index; excluded from
-            # gradients, so training learns residual deviations from it
-            # instead of having to preserve its ordering under noise
-            "head_prior": (np.zeros(arch.head_size) if head_prior is None
-                           else np.asarray(head_prior, dtype=float).copy()),
             # learned weight on the contention model's verdict per placement
             # (+1 raises the round reward, -1 lowers it); see RLBasePolicy
             "contention_scale": np.zeros(1),
@@ -124,14 +119,12 @@ class PolicyNet:
             "vb3": np.zeros(1),
         }
 
-    def head_logits(self, features: np.ndarray, mask: np.ndarray,
+    def head_logits(self, features: np.ndarray, prior: np.ndarray,
                     verdicts: np.ndarray) -> np.ndarray:
-        """One head's logits over the action space, given a scorer row per unmasked index."""
+        """One head's logits over its choices, given a scorer row, prior and verdict per choice."""
         p = self.params
         score, _ = mlp_forward(p, POLICY_LAYERS, features)
-        logits = p["head_prior"] + p["contention_scale"][0] * verdicts
-        logits[mask] += score[:, 0]
-        return logits
+        return prior + p["contention_scale"][0] * verdicts + score[:, 0]
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Value-baseline estimates of a batch of pooled round inputs: (B,)."""

@@ -11,7 +11,10 @@ terms (the applied action was not the policy's sample). The sampling
 temperature is annealed over the episodes, and the gradient is taken
 for the tempered policy that sampled. The policy's contention_scale
 (how far it follows the contention model's verdicts) is learned with
-its own step size.
+its own step size. A head's choice list varies in length from decision
+to decision, so the batch pads every head's list to the longest one in
+it and masks the padding; only the scorer rows of listed choices enter
+the net.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ UPDATES_PER_EPISODE = 4  # gradient steps on each episode's surrogate
 VALUE_EPOCHS = 30  # value-net regression steps before the advantages
 VALUE_LR = 0.01
 HIDDEN = (32, 32)  # the scorer's hidden layers
-# the parameters each optimizer steps; head_prior takes no gradient
+# the parameters each optimizer steps
 POLICY_KEYS = (*(key for layer in POLICY_LAYERS for key in layer), "contention_scale")
 VALUE_KEYS = tuple(key for layer in VALUE_LAYERS for key in layer)
 
@@ -78,12 +81,16 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """Fixed inputs to the per-update objective: the heads with a choice, in round order."""
+    """Fixed inputs to the per-update objective: the heads with a choice, in round order.
 
-    features: np.ndarray  # (R, input_dim) scorer rows, one per unmasked (head, index)
-    masks: np.ndarray  # (G, A) each head's feasible indices
-    actions: np.ndarray  # (G,) each head's sampled index
-    # (G, A) contention verdicts the behaviour policy added to its
+    Each head's choices are padded to the longest list in the batch.
+    """
+
+    features: np.ndarray  # (R, input_dim) scorer rows, one per listed (head, choice)
+    masks: np.ndarray  # (G, L) True on each head's listed choices, False on the padding
+    actions: np.ndarray  # (G,) each head's sampled position in its list
+    prior: np.ndarray  # (G, L) each choice's pack-first prior
+    # (G, L) contention verdicts the behaviour policy added to its
     # logits, times contention_scale (see RLBasePolicy)
     verdicts: np.ndarray
     decisions: np.ndarray  # (G,) the round (advantage row) each head belongs to
@@ -154,9 +161,6 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
             rows.extend(range(first, first + n))
             steps.extend([step] * n)
     returns = returns[rows]
-    masks = np.stack([step.masks for step in steps])
-    counts = masks.sum(axis=2)
-    choice = counts > 1
     pooled = np.stack([step.pooled for step in steps])
     weight = np.array([0.0 if step.forced else 1.0 for step in steps])
     for _ in range(VALUE_EPOCHS):
@@ -166,13 +170,24 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
     if used.size > 1:
         std = used.std()
         advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
-    # a decision's scorer rows follow its unmasked (head, index) pairs
-    keep = np.repeat(choice.ravel(), counts.ravel())
-    return Batch(features=np.concatenate([step.features for step in steps])[keep],
-                 masks=masks[choice],
-                 actions=np.stack([step.head_actions for step in steps])[choice],
-                 verdicts=np.stack([step.verdicts for step in steps])[choice],
-                 decisions=np.nonzero(choice)[0], advantages=advantages, policy_weight=weight,
+    # a head with a choice becomes a row of its choices, padded to the longest list
+    sizes = np.array([len(choices) + 1 for step in steps for choices in step.choices])
+    choice = sizes > 1
+    keep = np.repeat(choice, sizes)
+
+    def kept(name):
+        """The per-choice field's rows for the heads with a choice."""
+        return np.concatenate([getattr(step, name) for step in steps])[keep]
+
+    masks = np.arange(sizes[choice].max()) < sizes[choice][:, None]
+    prior, verdicts = np.zeros(masks.shape), np.zeros(masks.shape)
+    prior[masks], verdicts[masks] = kept("prior"), kept("verdicts")
+    heads = [len(step.choices) for step in steps]
+    return Batch(features=kept("features"), masks=masks,
+                 actions=np.concatenate([step.chosen for step in steps])[choice],
+                 prior=prior, verdicts=verdicts,
+                 decisions=np.repeat(np.arange(len(steps)), heads)[choice],
+                 advantages=advantages, policy_weight=weight,
                  temperature=np.array([step.temperature for step in steps]))
 
 
@@ -181,15 +196,15 @@ def loss_and_grads(net: PolicyNet, batch: Batch, entropy_coef: float):
 
     loss = -E[adv * sum_k log pi_k(a_k)] - entropy_coef * E[sum_k H(pi_k)]
     with both expectations over policy-weighted rounds, and pi_k the
-    softmax of head k's logits (head_prior + contention_scale * verdict
-    + score, see RLBasePolicy) over the round's sampling temperature; a
+    softmax of head k's logits (prior + contention_scale * verdict +
+    score, see RLBasePolicy) over the round's sampling temperature; a
     head with only skip adds 0 to both. Advantages are constants here, so
     a finite-difference probe of this function checks the backward pass
     end to end. The value baseline is fit on its own (value_step).
     """
     p = net.params
     score, acts = mlp_forward(p, POLICY_LAYERS, batch.features)
-    logits = p["head_prior"] + p["contention_scale"][0] * batch.verdicts
+    logits = batch.prior + p["contention_scale"][0] * batch.verdicts
     logits[batch.masks] += score[:, 0]
     inv_t = (1.0 / batch.temperature)[batch.decisions][:, None]
     probs, logp = masked_log_softmax(logits * inv_t, batch.masks)
@@ -242,37 +257,16 @@ def update(net: PolicyNet, rounds: RoundLog, config: TrainConfig, opt: Adam,
     return aux
 
 
-def pack_first_prior(space: ActionSpace) -> np.ndarray:
-    """Initial head biases replicating greedy first-fit preferences.
-
-    Fewer nodes beats more nodes (0.5 per doubling of the width),
-    lexicographically earlier subsets beat later ones (0.02 per rank),
-    and skip (-1) sits below every placement, so an untrained argmax
-    places like the greedy baseline while sampling still explores.
-    """
-    prior = np.zeros(space.size)
-    rank = 0
-    last_width = None
-    for idx, (i, _) in enumerate(space.subsets):
-        if i != last_width:
-            rank, last_width = 0, i
-        prior[idx] = -0.5 * i - 0.02 * rank
-        rank += 1
-    prior[space.skip_index] = -1.0
-    return prior
-
-
-def architecture(space: ActionSpace, k: int, hidden) -> Architecture:
-    """The net shape for an action space: the scorer rows and pooled input in, k heads out."""
+def architecture(k: int, hidden) -> Architecture:
+    """The net shape: the scorer rows and pooled input in, k heads out."""
     return Architecture(input_dim=len(SCORER_FEATURES), hidden=tuple(hidden), k=k,
-                        head_size=space.size, value_input_dim=len(POOLED_FEATURES))
+                        value_input_dim=len(POOLED_FEATURES))
 
 
 def make_net(cluster_config: ClusterConfig, config: TrainConfig) -> tuple[PolicyNet, ActionSpace]:
-    space = ActionSpace(cluster_config)
-    net = PolicyNet(architecture(space, config.k, HIDDEN),
-                    np.random.default_rng(config.seed), head_prior=pack_first_prior(space))
-    return net, space
+    """A fresh net for the config's seed and the choice lists of the cluster shape."""
+    net = PolicyNet(architecture(config.k, HIDDEN), np.random.default_rng(config.seed))
+    return net, ActionSpace(cluster_config)
 
 
 def optimizers(net: PolicyNet, lr: float) -> tuple[Adam, Adam]:

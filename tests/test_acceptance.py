@@ -137,23 +137,26 @@ def test_criterion_4_gradient_correctness():
     """Analytic gradient vs central differences, width-4 net, 20 probes,
     1e-4 relative, < 30 s."""
     start = time.time()
-    arch = Architecture(input_dim=9, hidden=(4, 4), k=2, head_size=6, value_input_dim=9,
+    arch = Architecture(input_dim=9, hidden=(4, 4), k=2, value_input_dim=9,
                         value_hidden=(4, 4))
+    longest = 6  # the batch's padded list length
     worst_rel = 0.0
     for probe in range(20):
         rng = np.random.default_rng(1000 + probe)
-        net = PolicyNet(arch, rng, head_prior=rng.standard_normal(arch.head_size))
+        prior = rng.standard_normal(longest)
+        net = PolicyNet(arch, rng)
         # a trained scorer: the fresh one's zero output layer would hide
         # the hidden layers' gradients
         net.params["wh"][:] = rng.standard_normal(net.params["wh"].shape)
         net.params["contention_scale"][:] = rng.standard_normal()
         steps = 5
-        masks = np.zeros((steps * arch.k, arch.head_size), dtype=bool)
+        masks = np.zeros((steps * arch.k, longest), dtype=bool)
         masks[:, -1] = True
         masks |= rng.random(masks.shape) < 0.5
         batch = Batch(features=rng.standard_normal((int(masks.sum()), arch.input_dim)),
                       masks=masks, actions=np.array([rng.choice(np.flatnonzero(m))
                                                      for m in masks]),
+                      prior=np.where(masks, prior, 0.0),
                       verdicts=rng.choice([-1.0, 0.0, 1.0], masks.shape) * masks,
                       decisions=np.repeat(np.arange(steps), arch.k),
                       advantages=rng.standard_normal(steps),
@@ -161,8 +164,6 @@ def test_criterion_4_gradient_correctness():
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         h = 1e-6
         for name, tensor in net.params.items():
-            if name == "head_prior":
-                continue
             flat = tensor.ravel()
             # the value baseline's parameters have no analytic gradient:
             # the policy loss does not read them, so theirs must be 0

@@ -18,7 +18,7 @@ from consched.rl.checkpoint import load_checkpoint, save_checkpoint
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import read_trace
 from test_golden import trajectory_rows
-from test_rl import write_format_1_checkpoint
+from test_rl import write_format_2_checkpoint
 
 
 def run(argv):
@@ -34,11 +34,10 @@ def fresh_checkpoint(tmp_path):
 
 
 def read_scorer_csv(path):
-    """Inverse of write_scorer_rows: (pooled, header, rows as floats)."""
+    """Inverse of write_scorer_rows: (pooled, header, rows as lists of strings)."""
     comment, header, *rows = path.read_text().splitlines()
     pooled = [float(item.partition("=")[2]) for item in comment.split(": ", 1)[1].split(",")]
-    return np.array(pooled), header.split(","), np.array([[float(v) for v in row.split(",")]
-                                                          for row in rows])
+    return np.array(pooled), header.split(","), [row.split(",") for row in rows]
 
 
 @pytest.fixture
@@ -291,10 +290,18 @@ class TestTrain:
         assert "--branch or --w1/--w2, not both" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cluster_beyond_action_space_usage_error(self, trace_file, tmp_path, capsys):
-        assert run(["train", "--trace", str(trace_file), "--nodes", "32",
-                    "--episodes", "1", "--out-dir", str(tmp_path)]) == 2
-        assert "node subsets" in capsys.readouterr().err
+    def test_train_and_eval_on_32_nodes(self, tmp_path):
+        """Choice lists are capped per width, so RL runs on 32 nodes too."""
+        trace = tmp_path / "t32.txt"
+        assert run(["gen-trace", "--jobs", "8", "--seed", "3", "--nodes", "32",
+                    "--out", str(trace)]) == 0
+        out = tmp_path / "out"
+        assert run(["train", "--trace", str(trace), "--nodes", "32", "--episodes", "1",
+                    "--name", "p32", "--out-dir", str(out)]) == 0
+        assert run(["eval", "--policy", "rl-hybrid", "--nodes", "32",
+                    "--checkpoint", str(out / "checkpoints" / "p32.ckpt"),
+                    "--trace", str(trace), "--name", "e32", "--out-dir", str(out)]) == 0
+        assert (out / "reports" / "e32" / "set00" / "per_job.csv").exists()
 
     def test_checkpoint_deterministic(self, trace_file, tmp_path):
         paths = []
@@ -407,14 +414,21 @@ class TestEval:
         for r, step in scored[:2]:
             pooled, header, rows = read_scorer_csv(
                 out / "reports" / "d" / f"scorer_set00_round{r}.csv")
-            assert header == ["head", "index", "verdict", "chosen", *SCORER_FEATURES]
+            assert header == ["head", "choice", "nodes", "gpus_per_node", "verdict", "chosen",
+                              *SCORER_FEATURES]
             assert np.array_equal(pooled, step.pooled)
-            # one row per unmasked (head, index), in that order
-            heads, indices = np.nonzero(step.masks)
-            assert np.array_equal(rows[:, 0], heads) and np.array_equal(rows[:, 1], indices)
-            assert np.array_equal(rows[:, 2], step.verdicts[heads, indices])
-            assert np.array_equal(rows[:, 3], step.head_actions[heads] == indices)
-            assert np.array_equal(rows[:, 4:], step.features)
+            # one row per (head, choice), in that order, skip last in each head
+            listed = [(head, choice, placement)
+                      for head, choices in enumerate(step.choices)
+                      for choice, placement in enumerate([*choices, None])]
+            assert [(int(row[0]), int(row[1])) for row in rows] == [h[:2] for h in listed]
+            assert [row[2:4] for row in rows] == [
+                ["-".join(map(str, p.nodes)), str(p.gpus_per_node_used)] if p else ["", ""]
+                for *_, p in listed]
+            values = np.array([[float(v) for v in (row[4], *row[6:])] for row in rows])
+            assert np.array_equal(values[:, 0], step.verdicts)
+            assert np.array_equal(values[:, 1:], step.features)
+            assert [int(row[5]) for row in rows] == [int(step.chosen[h] == c) for h, c, _ in listed]
         # recording the states leaves the episode as it is
         assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
                     "--trace", str(trace_file), "--name", "plain", "--out-dir", str(out)]) == 0
@@ -424,14 +438,57 @@ class TestEval:
                              for exp in ("d", "plain"))
             assert dumped == plain
 
-    def test_format_1_checkpoint_is_a_file_error(self, trace_file, tmp_path, capsys):
+    def test_state_dump_chosen_rows_are_the_applied_placements(self, trace_file, tmp_path):
+        """Each dumped round's chosen rows name the placements the episode
+        applied that round, and their jobs start at that round."""
+        out = tmp_path / "out"
+        ckpt = fresh_checkpoint(tmp_path)
+        assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
+                    "--trace", str(trace_file), "--dump-state-rounds", "3", "--name", "d",
+                    "--out-dir", str(out)]) == 0
+        # the same episode in process, keeping what each decide returned
+        net, _ = load_checkpoint(ckpt)
+        policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()))
+        applied, decide = {}, policy.decide
+
+        def recording(*args):
+            action = decide(*args)
+            applied[id(action.rl)] = action.placements
+            return action
+
+        policy.decide = recording
+        trace, _ = read_trace(trace_file)
+        report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
+                             record_trajectory=True)
+        rounds = {first: (record, step) for record, first, _, step, _ in report.rounds.runs}
+        starts = {job.id: job.start for job in report.jobs}
+        dumps = sorted((out / "reports" / "d").glob("scorer_set00_round*.csv"))
+        assert len(dumps) == 3
+        for path in dumps:
+            record, step = rounds[int(path.stem.rpartition("round")[2])]
+            _, _, rows = read_scorer_csv(path)
+            chosen = [row[2:4] for row in rows if row[5] == "1" and row[2]]
+            placements = applied[id(step)]
+            assert chosen and chosen == [["-".join(map(str, p.nodes)), str(p.gpus_per_node_used)]
+                                         for _, p in placements]
+            assert all(starts[jid] == record.time for jid, _ in placements)
+
+    def test_format_2_checkpoint_is_a_file_error(self, trace_file, tmp_path, capsys):
         ckpt = tmp_path / "old.ckpt"
-        write_format_1_checkpoint(ckpt)
+        write_format_2_checkpoint(ckpt)
         out = tmp_path / "out"
         assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
                     "--trace", str(trace_file), "--out-dir", str(out)]) == 3
-        assert_one_line_error(capsys, "file error: ", "format version 1", "format version 2")
+        assert_one_line_error(capsys, "file error: ", "format version 2", "format version 3")
         assert not out.exists()
+
+    def test_4x8_checkpoint_evaluates_on_8_nodes(self, trace_file, tmp_path):
+        """The architecture names no cluster shape, so a checkpoint runs on any."""
+        out = tmp_path / "out"
+        assert run(["eval", "--policy", "rl-hybrid", "--checkpoint",
+                    str(fresh_checkpoint(tmp_path)), "--nodes", "8", "--trace",
+                    str(trace_file), "--name", "n8", "--out-dir", str(out)]) == 0
+        assert (out / "reports" / "n8" / "set00" / "per_job.csv").exists()
 
     def test_state_dump_needs_an_rl_policy(self, trace_file, tmp_path, capsys):
         assert run(["eval", "--policy", "greedy", "--trace", str(trace_file),

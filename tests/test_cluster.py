@@ -1,11 +1,13 @@
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.cluster import (ClusterConfig, ClusterState, Placement,
-                              demand_shapes, enumerate_placements, first_fit)
+from consched.actions import ActionSpace
+from consched.cluster import (ClusterConfig, ClusterState, Placement, capable_nodes,
+                              demand_shapes, first_fit)
 from consched.errors import (AllocationConflictError, InvalidDemandError,
                              InvalidPlacementError, NotFoundError)
 
@@ -18,6 +20,18 @@ def cluster():
 def counts(cluster):
     """The free GPUs per node, the used count and the resident sets, as plain values."""
     return cluster.free_per_node.tolist(), cluster.used, [set(jobs) for jobs in cluster.residents]
+
+
+def all_placements(cluster, demand):
+    """Every feasible placement for the demand, in ascending width then lexicographic order."""
+    return [Placement(nodes=nodes, gpus_per_node_used=j)
+            for i, j, capable in capable_nodes(cluster, demand)
+            for nodes in itertools.combinations(capable, 2 ** i)]
+
+
+def listed(cluster, demand):
+    """The placements an RL head lists for the demand."""
+    return ActionSpace(cluster.config).choices(cluster, demand)[0]
 
 
 def shapes_of(placements):
@@ -37,43 +51,49 @@ class TestPlacement:
         assert Placement(nodes=(0, 1), gpus_per_node_used=3).total_gpus == 6
 
 
-class TestEnumeratePlacements:
+class TestListedPlacements:
+    """On 4x8 a head lists every feasible placement (at most 6 per width)."""
+
     def test_demand_4_has_all_three_shapes(self, cluster):
-        shapes = shapes_of(enumerate_placements(cluster, 4))
+        shapes = shapes_of(listed(cluster, 4))
         assert {(1, 4), (2, 2), (4, 1)} <= shapes
 
     def test_demand_8_excludes_mismatched_factorization(self, cluster):
-        shapes = shapes_of(enumerate_placements(cluster, 8))
+        shapes = shapes_of(listed(cluster, 8))
         assert (2, 2) not in shapes  # 2 nodes x 2 GPUs is 4 GPUs, not 8
         assert (2, 4) in shapes
 
     def test_demand_3_single_node_only(self, cluster):
-        shapes = shapes_of(enumerate_placements(cluster, 3))
+        shapes = shapes_of(listed(cluster, 3))
         assert shapes == {(1, 3)}
 
     def test_ordering_ascending_width_then_lexicographic(self, cluster):
-        placements = enumerate_placements(cluster, 4)
+        placements = listed(cluster, 4)
         widths = [len(p.nodes) for p in placements]
         assert widths == sorted(widths)
         two_node = [p.nodes for p in placements if len(p.nodes) == 2]
         assert two_node == sorted(two_node)
 
+    def test_every_placement_on_4_nodes(self, cluster):
+        assert listed(cluster, 4) == all_placements(cluster, 4)
+        assert len(listed(cluster, 4)) == 4 + 6 + 1
+
     def test_invalid_demand(self, cluster):
         with pytest.raises(InvalidDemandError):
-            enumerate_placements(cluster, 0)
+            listed(cluster, 0)
         with pytest.raises(InvalidDemandError):
-            enumerate_placements(cluster, 33)
+            listed(cluster, 33)
 
     def test_no_feasible_returns_empty(self):
         cluster = ClusterState(ClusterConfig(num_nodes=2, gpus_per_node=2))
         cluster.allocate(0, Placement(nodes=(0, 1), gpus_per_node_used=2))
-        assert enumerate_placements(cluster, 1) == []
+        assert listed(cluster, 1) == []
 
     @given(demand=st.integers(min_value=1, max_value=32))
     @settings(max_examples=40, deadline=None)
-    def test_enumerated_placements_never_conflict(self, demand):
+    def test_listed_placements_never_conflict(self, demand):
         cluster = ClusterState(ClusterConfig())
-        for placement in enumerate_placements(cluster, demand):
+        for placement in listed(cluster, demand):
             trial = cluster.copy()
             trial.allocate(7, placement)  # must not raise
             trial.audit()
@@ -222,7 +242,7 @@ class TestFirstFit:
             if used:
                 cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=used))
         demand = data.draw(st.integers(1, config.total_gpus))
-        assert first_fit(cluster, demand) == (enumerate_placements(cluster, demand) or [None])[0]
+        assert first_fit(cluster, demand) == (all_placements(cluster, demand) or [None])[0]
 
     def test_invalid_demand(self, cluster):
         with pytest.raises(InvalidDemandError):

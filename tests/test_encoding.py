@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.actions import Action, ActionSpace
-from consched.cluster import ClusterConfig, ClusterState, Placement, enumerate_placements
+from consched.actions import M, Action, ActionSpace
+from consched.cluster import ClusterConfig, ClusterState, Placement, capable_nodes, first_fit
 from consched.contention import CS_CAP
 from consched.encoding import (BANDWIDTH_SCALE, POOLED_FEATURES, RATIO_SCALE, SCORER_FEATURES,
                                encode_state, job_features, window_candidates, write_scorer_rows)
@@ -68,7 +70,7 @@ class TestSelectCandidates:
         first_of = {}
         for spec in specs:
             first_of.setdefault(spec.gpu_demand, spec)
-        fitting = [d for d in first_of if enumerate_placements(cluster, d)]
+        fitting = [d for d in first_of if first_fit(cluster, d)]
         assert all(first_of[c.gpu_demand] is c for c in picked)
         assert ds == sorted(fitting[:k])
 
@@ -143,7 +145,9 @@ class TestScorerRows:
         rl, _ = decision_on(cluster, specs, states)
         if rl.pooled is None:
             return
-        assert rl.features.shape == (int(rl.masks.sum()), len(SCORER_FEATURES))
+        rows = sum(len(choices) + 1 for choices in rl.choices)
+        assert rl.features.shape == (rows, len(SCORER_FEATURES))
+        assert rl.prior.shape == rl.verdicts.shape == (rows,)
         assert np.isfinite(rl.features).all() and np.isfinite(rl.pooled).all()
         cs = [SCORER_FEATURES.index(name) for name in ("cs", "max_rise", "sum_rise")]
         assert rl.features.min() >= 0.0
@@ -154,7 +158,7 @@ class TestScorerRows:
         specs = jobs_with_demands([4])
         states = states_for(specs)
         rl, _ = decision_on(ClusterState(CFG), specs, states)
-        skip_row = rl.features[int(rl.masks[0].sum()) - 1]
+        skip_row = rl.features[len(rl.choices[0])]
         assert np.array_equal(skip_row, [0.0] * 6 + list(job_features(states[specs[0].id])))
 
     def test_write_scorer_rows(self, tmp_path):
@@ -164,80 +168,131 @@ class TestScorerRows:
         write_scorer_rows(rl, 7, path)
         comment, header, *rows = path.read_text().splitlines()
         assert comment.startswith("# round 7; pooled value input: util=")
-        assert header.split(",") == ["head", "index", "verdict", "chosen", *SCORER_FEATURES]
-        assert len(rows) == rl.masks.sum()
-        assert sum(int(row.split(",")[3]) for row in rows) == rl.masks.shape[0]
+        assert header.split(",") == ["head", "choice", "nodes", "gpus_per_node", "verdict",
+                                     "chosen", *SCORER_FEATURES]
+        assert len(rows) == sum(len(choices) + 1 for choices in rl.choices)
+        assert sum(int(row.split(",")[5]) for row in rows) == len(rl.choices) == 2
+        # head 0 (demand 2) lists 4 one-node and 6 two-node placements, then skip
+        head = [row.split(",")[:4] for row in rows[:11]]
+        assert head[:5] == [["0", str(c), str(c), "2"] for c in range(4)] + [["0", "4", "0-1", "1"]]
+        assert head[10] == ["0", "10", "", ""]
+
+
+def rank_by_counting(nodes, num_nodes):
+    """The subsets of the same size that come before nodes in lexicographic order."""
+    rank, prev = 0, -1
+    for p, node in enumerate(nodes):
+        rank += sum(math.comb(num_nodes - 1 - v, len(nodes) - 1 - p) for v in range(prev + 1, node))
+        prev = node
+    return rank
+
+
+def listed_by_brute_force(config, free, demand):
+    """Each width's feasible subsets of range(num_nodes), in combinations order, the first M kept."""
+    out = []
+    for i in config.node_exponents():
+        j, rem = divmod(demand, 2 ** i)
+        if rem == 0 and 1 <= j <= config.gpus_per_node:
+            fits = (c for c in itertools.combinations(range(config.num_nodes), 2 ** i)
+                    if all(free[n] >= j for n in c))
+            out += [Placement(nodes=c, gpus_per_node_used=j) for c in itertools.islice(fits, M)]
+    return out
+
+
+def listed_per_shape(space, cluster, demand):
+    """mask_for's count of listed choices per demand shape, then 1 for skip."""
+    return space.mask_for(list(capable_nodes(cluster, demand))).tolist()
+
+
+def cluster_with_free(config, free):
+    cluster = ClusterState(config)
+    for node, f in enumerate(free):
+        if f < config.gpus_per_node:
+            cluster.allocate(100 + node, Placement(nodes=(node,),
+                                                   gpus_per_node_used=config.gpus_per_node - f))
+    return cluster
 
 
 class TestActionSpace:
-    def test_size_for_default_cluster(self):
+    def test_default_cluster_lists_every_placement(self):
         space = ActionSpace(CFG)
-        # C(4,1) + C(4,2) + C(4,4) node subsets plus skip
-        assert space.size == 4 + 6 + 1 + 1
-        assert space.skip_index == 11
+        placements, prior = space.choices(ClusterState(CFG), 4)
+        # C(4,1) + C(4,2) + C(4,4) placements plus skip
+        assert listed_per_shape(space, ClusterState(CFG), 4) == [4, 6, 1, 1]
+        assert len(placements) == 4 + 6 + 1 and len(prior) == 12
+        assert prior[-1] == -1.0
+        assert placements[4] == Placement(nodes=(0, 1), gpus_per_node_used=2)
 
-    def test_size_at_8_nodes(self):
-        # C(8,1) + C(8,2) + C(8,4) + C(8,8) node subsets plus skip
-        assert ActionSpace(ClusterConfig(num_nodes=8)).size == 107 + 1
+    def test_cap_at_8_nodes(self):
+        config = ClusterConfig(num_nodes=8)
+        space = ActionSpace(config)
+        # C(8,1) + min(M, C(8,2)) + min(M, C(8,4)) + C(8,8) placements plus skip
+        assert listed_per_shape(space, ClusterState(config), 8) == [8, 16, 16, 1, 1]
+        placements, _ = space.choices(ClusterState(config), 8)
+        assert len(placements) == 41
+        assert placements[8 + 15].nodes == (2, 5)  # the 16th of C(8,2), in combinations order
 
-    def test_oversized_cluster_fails_before_building(self):
-        # 32 nodes would need about 6.1e8 subsets; the check is arithmetic only
+    def test_lists_choices_on_32_nodes(self):
+        # 32 nodes give about 6.1e8 node subsets; the list never builds them
+        config = ClusterConfig(num_nodes=32)
+        space = ActionSpace(config)
+        cluster = ClusterState(config)
         start = time.perf_counter()
-        with pytest.raises(ConfigError, match="subsets"):
-            ActionSpace(ClusterConfig(num_nodes=32))
+        placements, prior = space.choices(cluster, 32)
         assert time.perf_counter() - start < 1.0
+        # widths 4, 8 and 16 are capped at M; one 32-node placement
+        assert listed_per_shape(space, cluster, 32) == [M, M, M, 1, 1]
+        assert len(placements) == 3 * M + 1 and len(prior) == len(placements) + 1
+        assert placements[0] == first_fit(cluster, 32)
+        assert placements[-1] == Placement(nodes=tuple(range(32)), gpus_per_node_used=1)
+        assert np.isfinite(prior).all() and prior[:-1].max() == prior[0] == -1.0
 
-    def test_placement_for_index(self):
+    def test_nothing_fits_lists_only_skip(self):
         space = ActionSpace(CFG)
-        idx = space.subsets.index((1, (0, 2)))
-        placement = space.placement_for(idx, demand=8)
-        assert placement.nodes == (0, 2)
-        assert placement.gpus_per_node_used == 4
-
-    def test_mask_respects_occupancy(self):
-        space = ActionSpace(CFG)
-        free = np.array([8, 8, 8, 8])
-        mask = space.mask_for(4, free)
-        assert mask[space.skip_index]
-        assert mask.sum() == 1 + 4 + 6 + 1  # all shapes feasible on empty
-        free = np.array([2, 0, 0, 0])
-        mask = space.mask_for(4, free)
-        feasible = [space.subsets[i] for i in range(space.size - 1) if mask[i]]
-        assert feasible == []  # nothing fits: 1x4 needs 4 free, 2x2 two nodes
-
-    def test_mask_skip_only_for_none(self):
-        space = ActionSpace(CFG)
-        mask = space.mask_for(None, np.array([8, 8, 8, 8]))
-        assert mask[space.skip_index] and mask.sum() == 1
+        free = [2, 0, 0, 0]
+        # 1x4 needs 4 free GPUs on one node, 2x2 two nodes with 2, 4x1 all four
+        assert listed_per_shape(space, cluster_with_free(CFG, free), 4) == [0, 0, 0, 1]
+        placements, prior = space.choices(cluster_with_free(CFG, free), 4)
+        assert placements == [] and prior.tolist() == [-1.0]
 
     @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
-    def test_mask_equals_per_subset_check(self, data, nodes, gpus):
-        """The vectorised mask against a test of each subset on its own."""
+    def test_list_equals_brute_force(self, data, nodes, gpus):
+        """The list against a test of each subset on its own, and mask_for against its length."""
         config = ClusterConfig(num_nodes=nodes, gpus_per_node=gpus)
         space = ActionSpace(config)
-        free = np.array(data.draw(st.lists(st.integers(0, gpus), min_size=nodes,
-                                           max_size=nodes)))
+        free = data.draw(st.lists(st.integers(0, gpus), min_size=nodes, max_size=nodes))
         demand = data.draw(st.integers(1, config.total_gpus))
-        expected = np.zeros(space.size, dtype=bool)
-        expected[space.skip_index] = True
-        for idx, (i, combo) in enumerate(space.subsets):
-            j, rem = divmod(demand, 2 ** i)
-            expected[idx] = rem == 0 and 1 <= j <= gpus and all(free[n] >= j for n in combo)
-        np.testing.assert_array_equal(space.mask_for(demand, free), expected)
+        cluster = cluster_with_free(config, free)
+        placements, prior = space.choices(cluster, demand)
+        assert placements == listed_by_brute_force(config, free, demand)
+        assert sum(listed_per_shape(space, cluster, demand)) == len(placements) + 1 == len(prior)
+
+    @given(data=st.data(), nodes=st.integers(2, 32), gpus=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=80, deadline=None)
+    def test_first_choice_is_first_fit_and_prior_is_the_rank_formula(self, data, nodes, gpus):
+        config = ClusterConfig(num_nodes=nodes, gpus_per_node=gpus)
+        free = data.draw(st.lists(st.integers(0, gpus), min_size=nodes, max_size=nodes))
+        demand = data.draw(st.integers(1, config.total_gpus))
+        cluster = cluster_with_free(config, free)
+        placements, prior = ActionSpace(config).choices(cluster, demand)
+        assert first_fit(cluster, demand) == (placements or [None])[0]
+        for placement, value in zip(placements, prior.tolist()):
+            i = len(placement.nodes).bit_length() - 1
+            rank = rank_by_counting(placement.nodes, nodes)
+            if math.comb(nodes, 2 ** i) <= 5000:
+                combos = itertools.combinations(range(nodes), 2 ** i)
+                assert rank == list(combos).index(placement.nodes)
+            assert value == -0.5 * i - 0.02 * rank
+        assert prior[-1] == -1.0
 
     @given(demand=st.integers(1, 32), free=st.lists(st.integers(0, 8), min_size=4, max_size=4))
     @settings(max_examples=80, deadline=None)
-    def test_unmasked_indices_always_allocatable(self, demand, free):
-        space = ActionSpace(CFG)
-        cluster = ClusterState(CFG)
-        for node, used in enumerate([8 - f for f in free]):
-            if used:
-                cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=used))
-        mask = space.mask_for(demand, np.array(free))
-        for idx in np.flatnonzero(mask[:-1]):
+    def test_listed_placements_always_allocatable(self, demand, free):
+        cluster = cluster_with_free(CFG, free)
+        for placement in ActionSpace(CFG).choices(cluster, demand)[0]:
             trial = cluster.copy()
-            trial.allocate(0, space.placement_for(int(idx), demand))
+            trial.allocate(0, placement)
 
 
 def test_action_noop():

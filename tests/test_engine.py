@@ -464,17 +464,12 @@ def assert_same_trajectory(fast, ref):
     assert len(fast) == len(ref)
     for (step, reward, noop), (ref_step, ref_reward, ref_noop) in zip(fast, ref):
         assert (reward, noop) == (ref_reward, ref_noop)
-        for name in ("pooled", "features"):
+        for name in ("pooled", "features", "prior", "verdicts"):
             if getattr(ref_step, name) is None:
                 assert getattr(step, name) is None
             else:
                 np.testing.assert_array_equal(getattr(step, name), getattr(ref_step, name))
-        np.testing.assert_array_equal(step.head_actions, ref_step.head_actions)
-        np.testing.assert_array_equal(step.masks, ref_step.masks)
-        if ref_step.verdicts is None:
-            assert step.verdicts is None
-        else:
-            np.testing.assert_array_equal(step.verdicts, ref_step.verdicts)
+        assert (step.choices, step.chosen) == (ref_step.choices, ref_step.chosen)
         assert (step.temperature, step.forced) == (ref_step.temperature, ref_step.forced)
 
 

@@ -104,8 +104,11 @@ def trajectory_rows(rounds) -> list[tuple]:
 def trajectory_digest(rows) -> str:
     h = hashlib.sha256()
     for step, reward, noop in rows:
-        for a in (step.pooled, step.features, step.head_actions, step.masks, step.verdicts):
+        for a in (step.pooled, step.features, step.prior, step.verdicts):
             h.update(b"-" if a is None else _array_digest(a).encode())
+        for choices, pick in zip(step.choices, step.chosen):
+            listed = ",".join(f"{p.nodes}x{p.gpus_per_node_used}" for p in choices)
+            h.update(f"[{listed}]->{pick};".encode())
         h.update(f"{step.temperature!r},{step.forced!r},{_floats((reward, noop))};".encode())
     return h.hexdigest()
 

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.cluster import ClusterConfig, ClusterState, enumerate_placements
+from consched.cluster import ClusterConfig, ClusterState
 from consched.contention import (DEFAULT_PROFILES, ContentionParams, ModelClass,
                                  contention_sensitivity)
 from consched.encoding import clipped_cs, encode_state, job_features, window_candidates
@@ -29,6 +29,7 @@ from consched.rl.net import masked_log_softmax
 from consched.rl.reward import RewardWeights, compute_reward, reward_from_terms
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import MIX_PRESETS, JobSpec, JobState, TraceSpec, generate_trace
+from test_cluster import all_placements
 from test_golden import trajectory_rows
 
 OFF = ContentionParams("off")
@@ -60,20 +61,18 @@ def oracle_reward(policy, episode, cluster, states):
     return compute_reward(cluster.utilization(), cs, weights)
 
 
-def oracle_trials(policy, episode, cluster, states, cand, mask):
-    """Each trial placement's verdict and scorer row, priced on a copy of the
-    cluster with a full profile; the skip row last."""
-    out = np.zeros(policy.space.size)
+def oracle_trials(policy, episode, cluster, states, cand, choices):
+    """Each listed placement's verdict and scorer row, priced on a copy of the
+    cluster with a full profile; skip's last."""
     base = oracle_reward(policy, episode, cluster, states)
     base_cs = full_profile(cluster, states, episode.contention)
     config = cluster.config
     own = job_features(states[cand.id])
-    rows = []
-    for idx in np.flatnonzero(mask[:policy.space.skip_index]):
-        placement = policy.space.placement_for(int(idx), cand.gpu_demand)
+    verdicts, rows = [], []
+    for placement in choices:
         trial = cluster.copy()
         trial.allocate(cand.id, placement)
-        out[idx] = np.sign(oracle_reward(policy, episode, trial, states) - base)
+        verdicts.append(np.sign(oracle_reward(policy, episode, trial, states) - base))
         trial_cs = full_profile(trial, states, episode.contention)
         sharing = sorted(set().union(*(cluster.residents[node] for node in placement.nodes)))
         rises = [clipped_cs(trial_cs[o]) - clipped_cs(base_cs[o]) for o in sharing]
@@ -83,41 +82,41 @@ def oracle_trials(policy, episode, cluster, states, cand, mask):
                      cand.gpu_demand / config.total_gpus, width / config.num_nodes,
                      left / (width * config.gpus_per_node), *own))
     rows.append((0.0,) * 6 + own)
-    return out, np.array(rows)
+    return np.array(verdicts + [0.0]), np.array(rows)
 
 
 def oracle_decide(policy, episode, cluster, queue, states):
     """Argmax RL-base decide on a copy of the cluster, with oracle verdicts and
-    scorer rows; also returns the pooled input of the full profile."""
+    scorer rows: (placements, deferred, the RLDecision's per-head and per-choice
+    fields). The pooled input is that of the full profile."""
     candidates = window_candidates(queue, policy.k, cluster.config, cluster.free_per_node)
-    skip = policy.space.skip_index
-    head_actions = np.full(policy.k, skip, dtype=np.int64)
-    masks = np.zeros((policy.k, policy.space.size), dtype=bool)
-    masks[:, skip] = True
-    verdicts = np.zeros(masks.shape)
     if not candidates:
-        return [], [], head_actions, masks, verdicts, None, None
+        return [], [], {"choices": [], "chosen": [], "pooled": None, "prior": None,
+                        "verdicts": None, "features": None}
     pooled = encode_state(cluster, candidates, states,
                           full_profile(cluster, states, episode.contention), len(queue))
-    features = []
+    fields = {"choices": [], "chosen": [], "pooled": pooled}
+    priors, verdicts, features = [], [], []
     sim = cluster.copy()
     placements, deferred = [], []
-    for head, cand in enumerate(candidates):
-        mask = policy.space.mask_for(cand.gpu_demand, sim.free_per_node)
-        masks[head] = mask
-        verdicts[head], rows = oracle_trials(policy, episode, sim, states, cand, mask)
+    for cand in candidates:
+        choices, prior = policy.space.choices(sim, cand.gpu_demand)
+        head_verdicts, rows = oracle_trials(policy, episode, sim, states, cand, choices)
+        logits = policy.net.head_logits(rows, prior, head_verdicts)
+        pick = int(np.argmax(masked_log_softmax(logits, np.ones(len(logits), dtype=bool))[0]))
+        fields["choices"].append(choices)
+        fields["chosen"].append(pick)
+        priors.append(prior)
+        verdicts.append(head_verdicts)
         features.append(rows)
-        probs, _ = masked_log_softmax(policy.net.head_logits(rows, mask, verdicts[head]), mask)
-        idx = int(np.argmax(probs))
-        head_actions[head] = idx
-        if idx != skip:
-            placement = policy.space.placement_for(idx, cand.gpu_demand)
-            placements.append((cand.id, placement))
-            sim.allocate(cand.id, placement)
-        elif mask.sum() > 1:
+        if pick < len(choices):
+            placements.append((cand.id, choices[pick]))
+            sim.allocate(cand.id, choices[pick])
+        elif choices:
             deferred.append(cand.id)
-    features.append(np.zeros((policy.k - len(candidates), rows.shape[1])))
-    return placements, deferred, head_actions, masks, verdicts, pooled, np.concatenate(features)
+    fields.update(prior=np.concatenate(priors), verdicts=np.concatenate(verdicts),
+                  features=np.concatenate(features))
+    return placements, deferred, fields
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,7 +152,7 @@ def scenarios(draw):
             cluster.free(draw(st.sampled_from(placed)))
         else:
             demand = draw(st.integers(1, config.total_gpus))
-            options = enumerate_placements(cluster, demand)
+            options = all_placements(cluster, demand)
             if not options:
                 continue
             states[jid] = JobState(spec=spec(jid, draw(st.sampled_from(list(ModelClass))),
@@ -189,7 +188,7 @@ class TestIncrementalProfile:
         states = {}
         for jid, model in enumerate([ModelClass.FSDP, ModelClass.MoE]):
             states[jid] = JobState(spec=spec(jid, model, 4))
-            cluster.allocate(jid, enumerate_placements(cluster, 4)[0])
+            cluster.allocate(jid, all_placements(cluster, 4)[0])
         params = default_contention_params()
         assert episode_cs(cluster, states, params).profile()[1] > 1.0
         assert episode_cs(cluster, states, OFF).profile() == {0: 1.0, 1: 1.0}
@@ -204,7 +203,7 @@ class TestTrialProfile:
         profile = full_profile(cluster, states, params)
         cs = episode_cs(cluster, states, params)
         version = cluster.version
-        for placement in enumerate_placements(cluster, job.gpu_demand):
+        for placement in all_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
             got, sharing = cs.trial(job.id, placement, cluster, profile)
             assert list(got.items()) == list(full_profile(trial, states, params).items())
@@ -222,7 +221,7 @@ class TestTrialProfile:
         models = [ModelClass.GNN, ModelClass.GNN, ModelClass.IMG, ModelClass.FSDP]
         states = {jid: JobState(spec=spec(jid, model, 2)) for jid, model in enumerate(models)}
         cluster = ClusterState(config)
-        pair = enumerate_placements(cluster, 2)[-1]
+        pair = all_placements(cluster, 2)[-1]
         assert pair.nodes == (0, 1)
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
@@ -254,19 +253,15 @@ class TestVerdicts:
             queue = queue_for(data.draw, config, states)
             version = cluster.version
             action = policy.decide(cluster, queue, states, None, cs)
-            (placements, deferred, head_actions, masks, verdicts, pooled,
-             features) = oracle_decide(policy, episode, cluster, queue, states)
+            placements, deferred, fields = oracle_decide(policy, episode, cluster, queue, states)
             assert cluster.version == version  # trial placements leave the cluster alone
             assert action.placements == placements
             assert action.deferred == deferred
-            np.testing.assert_array_equal(action.rl.head_actions, head_actions)
-            np.testing.assert_array_equal(action.rl.masks, masks)
-            if action.rl.verdicts is not None:
-                np.testing.assert_array_equal(action.rl.verdicts, verdicts)
-                np.testing.assert_array_equal(action.rl.features, features)
-                np.testing.assert_array_equal(action.rl.pooled, pooled)
-            else:
-                assert not verdicts.any() and pooled is None
+            for name, expected in fields.items():
+                if isinstance(expected, np.ndarray):
+                    np.testing.assert_array_equal(getattr(action.rl, name), expected)
+                else:
+                    assert getattr(action.rl, name) == expected, name
             if data.draw(st.booleans()):
                 for jid, placement in action.placements:
                     cluster.allocate(jid, placement)
@@ -288,7 +283,7 @@ class TestVerdicts:
         for apply in (False, True):
             cluster = ClusterState(config)
             states = {0: JobState(spec=spec(0, ModelClass.FSDP, 4))}
-            cluster.allocate(0, enumerate_placements(cluster, 4)[0])
+            cluster.allocate(0, all_placements(cluster, 4)[0])
             cs = episode_cs(cluster, states, params)
             alone = cs.profile()
             queue = [spec(1, ModelClass.MoE, 4)]
@@ -301,6 +296,11 @@ class TestVerdicts:
             assert cs.profile() == full_profile(cluster, states, params)
 
 
+def skips(step):
+    """The rows of a recorded decision that belong to skip, one per head."""
+    return np.cumsum([len(choices) + 1 for choices in step.choices]) - 1
+
+
 def test_verdicts_use_the_episode_contention_switch():
     """With contention off every CS is 1, so at w1 < 1 each placement raises
     the reward: the verdicts must come from the episode's model, not from
@@ -310,8 +310,7 @@ def test_verdicts_use_the_episode_contention_switch():
     trace = generate_trace(TraceSpec(num_jobs=32, seed=3, mix=MIX_PRESETS["heavy"]))
     report = run_episode(RLBasePolicy(net, space), trace, EpisodeConfig(contention=OFF),
                          record_trajectory=True)
-    skip = space.skip_index
-    feasible = np.concatenate([step.verdicts[:, :skip][step.masks[:, :skip]]
+    feasible = np.concatenate([np.delete(step.verdicts, skips(step))
                                for step, _, _ in trajectory_rows(report.rounds)
                                if step.verdicts is not None])
     assert net.reward_weights.w1 < 1 and feasible.size

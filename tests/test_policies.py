@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched import engine, policies
+from consched import actions, engine, policies
 from consched.actions import Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, first_fit
 from consched.contention import ContentionParams
@@ -340,7 +340,8 @@ class TestRLPolicies:
         policy = RLBasePolicy(net, space, deterministic=True)
         action = policy.decide(cluster, specs, states, None, episode_cs(cluster, states))
         assert action.placements == []
-        assert (action.rl.head_actions == space.skip_index).all()
+        # no job fits, so the window is empty and no head lists a choice
+        assert action.rl.choices == [] and not action.rl.has_choice
 
     def test_eval_mode_deterministic(self, net_space):
         net, space = net_space
@@ -428,13 +429,12 @@ class TestRLPolicies:
         assert [c.id for c in window] == [specs[4].id, specs[2].id]
         action = RLBasePolicy(net, space, deterministic=True).decide(
             cluster, specs, states, None, episode_cs(cluster, states))
-        assert action.rl.masks[:2, :space.skip_index].any(axis=1).all()
-        assert not action.rl.masks[2:, :space.skip_index].any()
+        assert len(action.rl.choices) == 2 and all(action.rl.choices)
         assert {jid for jid, _ in action.placements} <= {specs[4].id, specs[2].id}
 
-    def test_declined_jobs_are_deferred(self, net_space):
+    def test_declined_jobs_are_deferred(self, net_space, monkeypatch):
         net, space = net_space
-        net.params["head_prior"][space.skip_index] = 100.0  # always decline
+        monkeypatch.setattr(actions, "SKIP_PRIOR", 100.0)  # always decline
         specs = jobs_with([4, 2, 4])
         states = states_for(specs)
         cluster = ClusterState(CFG)
@@ -461,11 +461,11 @@ class TestRLPolicies:
         net.reward_weights = RewardWeights(0.0)  # utilization only: every placement raises it
         cluster = ClusterState(CFG)
         rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
-        feasible = rl.masks[0, :space.skip_index]
-        assert feasible.any() and (rl.verdicts[0, :space.skip_index][feasible] == 1).all()
+        listed = len(rl.choices[0])
+        assert listed and (rl.verdicts[:listed] == 1).all() and rl.verdicts[listed] == 0
         net.reward_weights = RewardWeights(1.0)  # CS only: a lone job keeps CS 1
         rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
-        assert (rl.verdicts[0] == 0).all()
+        assert (rl.verdicts == 0).all()
 
     def test_decision_records_sampling_temperature(self, net_space):
         net, space = net_space
@@ -477,11 +477,19 @@ class TestRLPolicies:
                                episode_cs(cluster, states))
         assert action.rl.temperature == 0.3
 
-    def test_mismatched_head_size_rejected(self):
+    def test_net_decides_on_any_cluster_shape(self):
+        """The net names no cluster shape: a 4x8 net lists and scores 8-node choices."""
         net, _ = make_net(CFG, TrainConfig(seed=0))
-        other_space = ActionSpace(ClusterConfig(num_nodes=2, gpus_per_node=2))
-        with pytest.raises(ConfigError):
-            RLBasePolicy(net, other_space)
+        config = ClusterConfig(num_nodes=8)
+        specs = jobs_with([16, 4])
+        cluster, states = ClusterState(config), states_for(specs)
+        action = RLBasePolicy(net, ActionSpace(config)).decide(
+            cluster, specs, states, None, episode_cs(cluster, states))
+        # demand 4: C(8,1) + M + M; demand 16 after it: M (of C(7,2)) + M + C(8,8)
+        assert [len(choices) for choices in action.rl.choices] == [8 + 16 + 16, 16 + 16 + 1]
+        assert action.placements == [(specs[1].id, Placement(nodes=(0,), gpus_per_node_used=4)),
+                                     (specs[0].id, Placement(nodes=(1, 2),
+                                                             gpus_per_node_used=8))]
 
 
 class TestMakePolicy:

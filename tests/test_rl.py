@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consched.actions import RLDecision
-from consched.cluster import ClusterConfig
+from consched.cluster import ClusterConfig, Placement
 from consched.contention import CS_CAP
 from consched.engine import EpisodeConfig, RoundLog, RoundRecord, run_episode
 from consched.errors import CheckpointError, ConfigError, NonFiniteLossError
@@ -21,15 +21,15 @@ from consched.rl.reward import (BRANCHES, RewardWeights, compute_reward,
 from consched.rl.train import (CONTENTION_LR, HIDDEN, POLICY_KEYS, VALUE_EPOCHS, VALUE_KEYS,
                                VALUE_LR, Batch, TrainConfig, architecture, build_batch,
                                discounted_returns, excess_returns, loss_and_grads, make_net,
-                               optimizers, pack_first_prior, update, value_step)
+                               optimizers, update, value_step)
 from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
 
-TINY = Architecture(input_dim=5, hidden=(4, 4), k=2, head_size=4, value_input_dim=6,
-                    value_hidden=(3, 3))
+TINY = Architecture(input_dim=5, hidden=(4, 4), k=2, value_input_dim=6, value_hidden=(3, 3))
+LONGEST = 4  # the longest choice list (skip included) of the random batches
 
 
-def tiny_net(seed=0, prior=None):
-    return PolicyNet(TINY, np.random.default_rng(seed), head_prior=prior)
+def tiny_net(seed=0):
+    return PolicyNet(TINY, np.random.default_rng(seed))
 
 
 def as_rounds(rows, counts=None):
@@ -54,13 +54,13 @@ def fitted_batch(net, rounds, gamma=0.5):
 
 
 def random_batch(net, rng, steps=8, verdicts=False, temperature=False):
-    """Every head of steps random decisions, with random scorer rows for its unmasked indices."""
+    """Every head of steps random decisions, with a random list length, random
+    priors and random scorer rows for its choices."""
     a = net.arch
-    masks = np.zeros((steps * a.k, a.head_size), dtype=bool)
-    masks[:, -1] = True
-    masks |= rng.random(masks.shape) < 0.5
+    sizes = rng.integers(1, LONGEST + 1, steps * a.k)
+    masks = np.arange(LONGEST) < sizes[:, None]
     return Batch(features=rng.standard_normal((int(masks.sum()), a.input_dim)), masks=masks,
-                 actions=np.array([rng.choice(np.flatnonzero(mask)) for mask in masks]),
+                 actions=rng.integers(0, sizes), prior=rng.standard_normal(masks.shape) * masks,
                  verdicts=(rng.choice([-1.0, 0.0, 1.0], masks.shape) * masks if verdicts
                            else np.zeros(masks.shape)),
                  decisions=np.repeat(np.arange(steps), a.k),
@@ -71,27 +71,36 @@ def random_batch(net, rng, steps=8, verdicts=False, temperature=False):
 def chosen_log_prob(net, batch, temperature=1.0):
     """The summed log-probability of the batch's actions, from head_logits as the policy decides."""
     total, start = 0.0, 0
-    for mask, action, verdicts in zip(batch.masks, batch.actions, batch.verdicts):
-        logits = net.head_logits(batch.features[start:start + mask.sum()], mask, verdicts)
-        total += masked_log_softmax(logits / temperature, mask)[1][action]
-        start += mask.sum()
+    for mask, action, prior, verdicts in zip(batch.masks, batch.actions, batch.prior,
+                                             batch.verdicts):
+        n = int(mask.sum())
+        logits = net.head_logits(batch.features[start:start + n], prior[:n], verdicts[:n])
+        total += masked_log_softmax(logits / temperature, np.ones(n, dtype=bool))[1][action]
+        start += n
     return total
 
 
-def scorer_decision(arch, rng, masks, **fields):
-    """An RLDecision over masks with random scorer rows, pooled input and head actions."""
-    actions = np.array([rng.choice(np.flatnonzero(mask)) for mask in masks])
-    return RLDecision(head_actions=actions, masks=masks,
-                      features=rng.standard_normal((int(masks.sum()), arch.input_dim)),
+def scorer_decision(arch, rng, sizes, verdicts=None, **fields):
+    """An RLDecision whose heads list sizes[h] choices (skip included), with random
+    chosen positions, priors, scorer rows and pooled input; verdicts "random" are
+    +-1 on the placements and 0 on skip."""
+    choices = [[Placement(nodes=(n,), gpus_per_node_used=1) for n in range(size - 1)]
+               for size in sizes]
+    rows = int(sum(sizes))
+    if verdicts == "random":
+        verdicts = rng.choice([-1.0, 1.0], rows)
+        verdicts[np.cumsum(sizes) - 1] = 0.0
+    return RLDecision(choices=choices, chosen=[int(rng.integers(size)) for size in sizes],
+                      prior=rng.standard_normal(rows),
+                      verdicts=np.zeros(rows) if verdicts is None else verdicts,
+                      features=rng.standard_normal((rows, arch.input_dim)),
                       pooled=rng.standard_normal(arch.value_input_dim), **fields)
 
 
 def numeric_gradients(net, batch, entropy_coef, h=1e-6):
-    """Central differences of the loss for every parameter but head_prior."""
+    """Central differences of the loss for every parameter."""
     grads = {}
     for name, tensor in net.params.items():
-        if name == "head_prior":
-            continue
         grad = np.zeros_like(tensor)
         flat = tensor.ravel()
         for idx in range(flat.size):
@@ -194,7 +203,7 @@ class TestReward:
 class TestGradients:
     def test_gradcheck_small_net(self):
         rng = np.random.default_rng(7)
-        net = tiny_net(seed=1, prior=rng.standard_normal(TINY.head_size))
+        net = tiny_net(seed=1)
         batch = random_batch(net, rng)
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
         assert_matches_numeric(analytic, numeric_gradients(net, batch, 0.02))
@@ -202,7 +211,7 @@ class TestGradients:
     def test_gradcheck_with_contention_verdicts(self):
         """Verdicts and per-round sampling temperatures, as training records them."""
         rng = np.random.default_rng(17)
-        net = tiny_net(seed=17, prior=rng.standard_normal(TINY.head_size))
+        net = tiny_net(seed=17)
         net.params["contention_scale"][:] = 0.7
         batch = random_batch(net, rng, verdicts=True, temperature=True)
         _, analytic, _ = loss_and_grads(net, batch, entropy_coef=0.02)
@@ -212,7 +221,7 @@ class TestGradients:
     def test_loss_uses_the_sampling_policy(self):
         """The log-probability in the loss is that of the tempered softmax that sampled."""
         rng = np.random.default_rng(19)
-        net = tiny_net(seed=19, prior=rng.standard_normal(TINY.head_size))
+        net = tiny_net(seed=19)
         net.params["wh"][:] = rng.standard_normal(net.params["wh"].shape)
         net.params["contention_scale"][:] = 0.7
         temperature = 0.25
@@ -234,14 +243,14 @@ class TestGradients:
         assert chosen_log_prob(net, batch) > before
 
     def test_fresh_scorer_adds_nothing(self):
-        """A zero output layer: head_logits is head_prior + contention_scale * verdict."""
+        """A zero output layer: head_logits is prior + contention_scale * verdict."""
         rng = np.random.default_rng(3)
-        net = tiny_net(seed=3, prior=rng.standard_normal(TINY.head_size))
+        net = tiny_net(seed=3)
         net.params["contention_scale"][:] = 2.0
-        mask = np.array([True, False, True, True])
-        verdicts = np.array([1.0, 0.0, -1.0, 0.0])
-        logits = net.head_logits(rng.standard_normal((3, TINY.input_dim)), mask, verdicts)
-        assert np.array_equal(logits, net.params["head_prior"] + 2.0 * verdicts)
+        prior = rng.standard_normal(3)
+        verdicts = np.array([1.0, -1.0, 0.0])
+        logits = net.head_logits(rng.standard_normal((3, TINY.input_dim)), prior, verdicts)
+        assert np.array_equal(logits, prior + 2.0 * verdicts)
 
     def test_zero_advantage_no_policy_motion(self):
         rng = np.random.default_rng(4)
@@ -253,14 +262,17 @@ class TestGradients:
             assert np.abs(grad).max() < 1e-12, name
 
     def test_masked_actions_contribute_zero_gradient(self):
-        """Masked indices hold no scorer row, and their verdicts move neither loss nor gradient."""
+        """The padding holds no scorer row, and its priors and verdicts move neither
+        loss nor gradient."""
         rng = np.random.default_rng(6)
         net = tiny_net(seed=6)
         net.params["contention_scale"][:] = 0.7
         batch = random_batch(net, rng, steps=4, verdicts=True)
         loss, grads, _ = loss_and_grads(net, batch, 0.01)
-        noisy = np.where(batch.masks, batch.verdicts, rng.standard_normal(batch.masks.shape) * 50)
-        loss_b, grads_b, _ = loss_and_grads(net, replace(batch, verdicts=noisy), 0.01)
+        noisy = {name: np.where(batch.masks, getattr(batch, name),
+                                rng.standard_normal(batch.masks.shape) * 50)
+                 for name in ("prior", "verdicts")}
+        loss_b, grads_b, _ = loss_and_grads(net, replace(batch, **noisy), 0.01)
         assert loss_b == loss
         for name, grad in grads.items():
             assert np.array_equal(grads_b[name], grad), name
@@ -269,18 +281,19 @@ class TestGradients:
         """Empirical mean of sampled single-step gradients matches the
         exact expectation within 3 standard errors (2-action toy)."""
         rng = np.random.default_rng(11)
-        arch = Architecture(input_dim=3, hidden=(4, 4), k=1, head_size=2, value_input_dim=3,
+        arch = Architecture(input_dim=3, hidden=(4, 4), k=1, value_input_dim=3,
                             value_hidden=(3, 3))
         net = PolicyNet(arch, np.random.default_rng(12))
         net.params["wh"][:] = rng.standard_normal((4, 1))
         features = rng.standard_normal((2, 3))
         adv = {0: 0.7, 1: -0.4}
-        pi, _ = masked_log_softmax(net.head_logits(features, np.ones(2, dtype=bool), np.zeros(2)),
+        pi, _ = masked_log_softmax(net.head_logits(features, np.zeros(2), np.zeros(2)),
                                    np.ones(2, dtype=bool))
 
         def grad_for(action):
             batch = Batch(features=features, masks=np.ones((1, 2), dtype=bool),
-                          actions=np.array([action]), verdicts=np.zeros((1, 2)),
+                          actions=np.array([action]), prior=np.zeros((1, 2)),
+                          verdicts=np.zeros((1, 2)),
                           decisions=np.array([0]), advantages=np.array([adv[action]]),
                           policy_weight=np.ones(1), temperature=np.ones(1))
             _, grads, _ = loss_and_grads(net, batch, 0.0)
@@ -329,12 +342,8 @@ class TestUpdate:
         a = net.arch
         traj = []
         for _ in range(steps):
-            masks = np.zeros((a.k, a.head_size), dtype=bool)
-            masks[:, -1] = True
-            masks[:, 0] = True
-            masks |= rng.random((a.k, a.head_size)) < 0.5
-            traj.append((scorer_decision(a, rng, masks, verdicts=np.zeros(masks.shape)),
-                         float(rng.normal()), 0.0))
+            sizes = rng.integers(2, LONGEST + 1, a.k)
+            traj.append((scorer_decision(a, rng, sizes), float(rng.normal()), 0.0))
         return as_rounds(traj)
 
     def test_update_runs_and_returns_metrics(self):
@@ -352,7 +361,7 @@ class TestUpdate:
         net = tiny_net(seed=16)
         traj = self._trajectory(net, rng)
         for step in decisions_of(traj):
-            step.verdicts = np.where(step.masks, rng.choice([-1.0, 1.0], step.masks.shape), 0.0)
+            step.verdicts = rng.choice([-1.0, 1.0], len(step.verdicts))
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
         batch = fitted_batch(net, traj, cfg.gamma)
@@ -394,13 +403,10 @@ class TestUpdate:
 class TestBuildBatch:
     def _round(self, net, rng, choice):
         a = net.arch
-        masks = np.zeros((a.k, a.head_size), dtype=bool)
-        masks[:, -1] = True
         if choice:
-            masks[0, 0] = True
-            step = scorer_decision(a, rng, masks, verdicts=rng.choice([-1.0, 1.0], masks.shape))
+            step = scorer_decision(a, rng, [2] + [1] * (a.k - 1), verdicts="random")
         else:
-            step = RLDecision(head_actions=np.full(a.k, a.head_size - 1), masks=masks)
+            step = RLDecision()  # an empty window
         reward = float(rng.normal())
         # a round with no choice places nothing, so its reward is the no-op's
         return step, reward, (0.0 if choice else reward)
@@ -432,22 +438,25 @@ class TestBuildBatch:
         assert len(runs) == len(expanded) == sum(counts)
         assert np.array_equal(excess_returns(runs, 0.5), excess_returns(expanded, 0.5))
         a, b = fitted_batch(tiny_net(seed=17), runs), fitted_batch(tiny_net(seed=17), expanded)
-        for name in ("features", "masks", "actions", "verdicts", "decisions", "advantages",
-                     "policy_weight", "temperature"):
+        for name in ("features", "masks", "actions", "prior", "verdicts", "decisions",
+                     "advantages", "policy_weight", "temperature"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_heads_with_a_choice_give_their_unmasked_rows(self):
-        """Each head with a choice is a group of its unmasked indices; skip-only heads are left out."""
+        """Each head with a choice is a row of its listed choices, padded to the
+        longest list; skip-only heads are left out."""
         rng = np.random.default_rng(18)
-        a = TINY
-        masks = np.array([[True, False, True, True], [False, False, False, True]])
-        step = scorer_decision(a, rng, masks, verdicts=rng.standard_normal(masks.shape))
-        batch = fitted_batch(tiny_net(), as_rounds([(step, 0.5, 0.0)]))
-        assert batch.decisions.tolist() == [0]
-        assert np.array_equal(batch.masks, masks[:1])
-        assert np.array_equal(batch.features, step.features[:3])
-        assert np.array_equal(batch.verdicts, step.verdicts[:1])
-        assert batch.actions.tolist() == [step.head_actions[0]]
+        first = scorer_decision(TINY, rng, [3, 1], verdicts="random")
+        second = scorer_decision(TINY, rng, [1, 2], verdicts="random")
+        batch = fitted_batch(tiny_net(), as_rounds([(first, 0.5, 0.0), (second, 0.2, 0.0)]))
+        assert batch.decisions.tolist() == [0, 1]
+        assert batch.masks.tolist() == [[True] * 3, [True, True, False]]
+        assert np.array_equal(batch.features,
+                              np.concatenate([first.features[:3], second.features[1:]]))
+        for name in ("prior", "verdicts"):
+            assert getattr(batch, name).tolist() == [getattr(first, name)[:3].tolist(),
+                                                     getattr(second, name)[1:].tolist() + [0.0]]
+        assert batch.actions.tolist() == [first.chosen[0], second.chosen[1]]
 
     def test_value_fit_before_advantages(self):
         """The baseline is fit to the decision rounds before advantages, then normalized."""
@@ -488,7 +497,8 @@ class TestDiscountedReturns:
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
-        net = tiny_net(seed=20, prior=np.arange(TINY.head_size, dtype=float))
+        net = tiny_net(seed=20)
+        net.params["wh"][:] = np.arange(TINY.hidden[1], dtype=float)[:, None]
         path = tmp_path / "p.ckpt"
         save_checkpoint(net, path, metadata={"seed": 1, "w1": 0.4})
         loaded, meta = load_checkpoint(path)
@@ -529,8 +539,8 @@ class TestCheckpoint:
 
     def test_expected_architecture_is_the_nets(self):
         config = ClusterConfig(num_nodes=2, gpus_per_node=4)
-        net, space = make_net(config, TrainConfig(k=3))
-        assert architecture(space, 3, HIDDEN) == net.arch
+        net, _ = make_net(config, TrainConfig(k=3))
+        assert architecture(3, HIDDEN) == net.arch
 
     def test_architecture_mismatch_named(self, tmp_path):
         net_k3, _ = make_net(ClusterConfig(), TrainConfig(k=3))
@@ -546,24 +556,26 @@ def write_header(path, header):
     path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
 
 
-def write_format_1_checkpoint(path):
-    """A checkpoint header as format 1 wrote it: the 640-input trunk of the 4x8 cluster."""
-    write_header(path, {"format_version": 1,
-                        "architecture": {"input_dim": 640, "hidden": [256, 256], "k": 6,
-                                         "head_size": 12, "value_hidden": [64, 64]},
-                        "metadata": {}, "params": []})
+def write_format_2_checkpoint(path):
+    """A checkpoint header as format 2 wrote it: the scorer with a head_prior over
+    the 12 indices of the 4x8 cluster."""
+    write_header(path, {"format_version": 2,
+                        "architecture": {"input_dim": 9, "hidden": [32, 32], "k": 6,
+                                         "head_size": 12, "value_input_dim": 9,
+                                         "value_hidden": [64, 64]},
+                        "metadata": {}, "params": [{"name": "head_prior", "shape": [12]}]})
 
 
 class TestCheckpointFormat:
-    def test_format_1_rejected_naming_both_versions(self, tmp_path):
+    def test_format_2_rejected_naming_both_versions(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        write_format_1_checkpoint(path)
-        with pytest.raises(CheckpointError, match="format version 1; .* format version 2"):
+        write_format_2_checkpoint(path)
+        with pytest.raises(CheckpointError, match="format version 2; .* format version 3"):
             load_checkpoint(path)
 
     def test_bad_architecture_descriptor_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        write_header(path, {"format_version": 2, "architecture": {"input_dim": 9, "k": 6},
+        write_header(path, {"format_version": 3, "architecture": {"input_dim": 9, "k": 6},
                             "metadata": {}, "params": []})
         with pytest.raises(CheckpointError, match="architecture descriptor"):
             load_checkpoint(path)
@@ -575,18 +587,18 @@ class TestCheckpointFormat:
     TraceSpec(num_jobs=32, seed=22, mix=MIX_PRESETS["heavy"], arrival="poisson",
               arrival_rate=0.05)], ids=["normal", "heavy-poisson"])
 def test_fresh_net_decides_as_the_fixed_rule(spec, scale):
-    """Every deterministic head action of a fresh net is the masked argmax of
-    head_prior + contention_scale * verdict."""
+    """Every deterministic head choice of a fresh net is the argmax of
+    prior + contention_scale * verdict over its list."""
     net, space = make_net(ClusterConfig(), TrainConfig(seed=0))
     net.params["contention_scale"][0] = scale
     report = run_episode(RLBasePolicy(net, space), generate_trace(spec), EpisodeConfig(),
                          record_trajectory=True)
     decisions = [step for *_, step, _ in report.rounds.runs if step.pooled is not None]
     assert decisions
-    prior = net.params["head_prior"]
     for step in decisions:
-        rule = np.where(step.masks, prior + scale * step.verdicts, -np.inf)
-        assert np.array_equal(step.head_actions, rule.argmax(axis=1))
+        rule = np.split(step.prior + scale * step.verdicts,
+                        np.cumsum([len(choices) + 1 for choices in step.choices])[:-1])
+        assert step.chosen == [int(np.argmax(logits)) for logits in rule]
     if scale:
         assert any((step.verdicts < 0).any() for step in decisions)
 
@@ -594,12 +606,15 @@ def test_fresh_net_decides_as_the_fixed_rule(spec, scale):
 class TestPrior:
     def test_pack_first_prior_orders_widths(self):
         from consched.actions import ActionSpace
-        space = ActionSpace(ClusterConfig())
-        prior = pack_first_prior(space)
-        one_node = [prior[i] for i, (w, _) in enumerate(space.subsets) if w == 0]
-        two_node = [prior[i] for i, (w, _) in enumerate(space.subsets) if w == 1]
+        from consched.cluster import ClusterState
+        placements, prior = ActionSpace(ClusterConfig()).choices(
+            ClusterState(ClusterConfig()), 4)
+        widths = [len(p.nodes) for p in placements]
+        one_node = [v for w, v in zip(widths, prior) if w == 1]
+        two_node = [v for w, v in zip(widths, prior) if w == 2]
         assert min(one_node) > max(two_node)
-        assert prior[space.skip_index] < max(two_node)
+        assert prior[-1] < max(two_node)
+        assert np.all(np.diff(prior[:-1]) < 0)  # each choice below the one before
 
     def test_untrained_argmax_matches_first_fit(self):
         from consched.actions import ActionSpace
@@ -675,7 +690,7 @@ class TestOptimizers:
         assert set(opt.m) == set(opt.v) == set(POLICY_KEYS)
         assert set(value_opt.m) == set(value_opt.v) == set(VALUE_KEYS)
         assert not set(POLICY_KEYS) & set(VALUE_KEYS)
-        assert set(POLICY_KEYS) | set(VALUE_KEYS) == set(net.params) - {"head_prior"}
+        assert set(POLICY_KEYS) | set(VALUE_KEYS) == set(net.params)
         # the optimizers step net.params' own arrays
         for key in POLICY_KEYS:
             assert opt.params[key] is net.params[key]
