@@ -12,12 +12,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from consched.cluster import ClusterConfig
-from consched.engine import EpisodeConfig, run_episode
+from consched.engine import METRICS, EpisodeConfig, compare_policies
 from consched.policies import RLBasePolicy, RLHybridPolicy, make_policy
 from consched.reports import write_csv, write_points, write_training_curves
 from consched.rl.reward import BRANCHES
@@ -47,22 +45,19 @@ def main():
         num_jobs=args.jobs, seed=args.seed0 + k, mix=MIX_PRESETS[args.mix]))
         for k in range(args.eval_seeds)]
 
-    def evaluate(policy, episode_config):
-        reports = [run_episode(policy, t, episode_config, cluster) for t in eval_traces]
-        return {
-            "avg_jct": float(np.mean([r.aggregates["avg_jct"] for r in reports])),
-            "p90_jct": float(np.mean([r.aggregates["p90_jct"] for r in reports])),
-            "mean_util": float(np.mean([r.aggregates["mean_util"] for r in reports])),
-            "mean_cs": float(np.mean([r.aggregates["mean_cs"] for r in reports])),
-        }
-
     rows, scatter = [], []
-    for name in ("las", "srtf", "greedy"):
-        agg = evaluate(make_policy(name), ep_classic)
-        rows.append((name, agg["avg_jct"], agg["p90_jct"], agg["mean_util"], agg["mean_cs"]))
-        scatter.append((agg["avg_jct"], agg["mean_util"]))
-        print(f"{name:12s} avg_jct={agg['avg_jct']:8.1f} util={agg['mean_util']:.3f} "
-              f"cs={agg['mean_cs']:.3f}")
+
+    def evaluate(policies, episode_config):
+        """One sweep row and scatter point per policy: its means over the eval traces."""
+        cmp = compare_policies(policies, eval_traces, episode_config, cluster)
+        for name in cmp.policies:
+            agg = cmp.per_policy[name]
+            rows.append((name, *(agg[m] for m in METRICS)))
+            scatter.append((agg["avg_jct"], agg["mean_util"]))
+            print(f"{name:12s} avg_jct={agg['avg_jct']:8.1f} util={agg['mean_util']:.3f} "
+                  f"cs={agg['mean_cs']:.3f}")
+
+    evaluate([(name, make_policy(name)) for name in ("las", "srtf", "greedy")], ep_classic)
 
     _, space = make_net(cluster, TrainConfig())
     for branch, weights in BRANCHES.items():
@@ -72,19 +67,13 @@ def main():
         net, curves = train(train_trace, cfg, cluster)
         write_training_curves(os.path.join(args.out, f"branch_{branch}_curves.csv"),
                               curves, {"branch": branch, "mix": args.mix})
-        for label, policy in ((f"rl-base-{branch}", RLBasePolicy(net, space)),
-                              (f"rl-hybrid-{branch}", RLHybridPolicy(net, space))):
-            agg = evaluate(policy, ep_system)
-            rows.append((label, agg["avg_jct"], agg["p90_jct"],
-                         agg["mean_util"], agg["mean_cs"]))
-            scatter.append((agg["avg_jct"], agg["mean_util"]))
-            print(f"{label:12s} avg_jct={agg['avg_jct']:8.1f} util={agg['mean_util']:.3f} "
-                  f"cs={agg['mean_cs']:.3f}")
+        evaluate([(f"rl-base-{branch}", RLBasePolicy(net, space)),
+                  (f"rl-hybrid-{branch}", RLHybridPolicy(net, space))], ep_system)
 
     provenance = {"mix": args.mix, "jobs": args.jobs, "episodes": args.episodes,
                   "train_seed": args.train_seed, "eval_seeds": args.eval_seeds}
     write_csv(os.path.join(args.out, "sweep.csv"),
-              ("policy", "avg_jct", "p90_jct", "mean_util", "mean_cs"),
+              ("policy", *METRICS),
               rows, provenance)
     write_points(os.path.join(args.out, "jct_util_scatter.csv"), scatter,
                  "avg_jct,mean_util (rows follow sweep.csv order)", provenance)

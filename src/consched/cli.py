@@ -17,11 +17,10 @@ import numpy as np
 from . import __version__
 from .actions import ActionSpace
 from .cluster import ClusterConfig, demand_shapes
-from .config import merge_config, output_root, parse_config_file
+from .config import output_root, parse_config_file
 from .contention import ContentionParams, load_cs_table
 from .encoding import write_scorer_rows
-from .engine import (EpisodeConfig, compare_policies, default_contention_params,
-                     run_episode)
+from .engine import EpisodeConfig, compare_policies, run_episode
 from .errors import (CheckpointError, ConfigError, ConschedError, TraceParseError,
                      UsageError)
 from .policies import POLICY_KINDS, make_policy
@@ -37,6 +36,8 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_RUNTIME = 4
 
+RL_POLICIES = ("rl-base", "rl-hybrid")  # the policies that read --checkpoint
+
 
 # cluster flag (config-file key) -> ClusterConfig field
 CLUSTER_FLAGS = {"nodes": "num_nodes", "gpus_per_node": "gpus_per_node",
@@ -45,6 +46,8 @@ CLUSTER_FLAGS = {"nodes": "num_nodes", "gpus_per_node": "gpus_per_node",
 
 def _add_cluster_flags(parser):
     c = ClusterConfig
+    parser.add_argument("--config", default=None,
+                        help="file of key = value defaults for the cluster flags")
     parser.add_argument("--nodes", type=int, help=f"cluster nodes (default {c.num_nodes})")
     parser.add_argument("--gpus-per-node", type=int,
                         help=f"GPUs per node (default {c.gpus_per_node})")
@@ -62,48 +65,57 @@ def _add_episode_flags(parser):
                         f"(default {e.cs_preemption_threshold}); <=1 disables")
     parser.add_argument("--restore-penalty", type=float, help="restore penalty after "
                         f"preemption, sim-seconds (default {e.restore_penalty})")
-    parser.add_argument("--no-contention", action="store_true",
-                        help="contention mode off: CS = 1 everywhere")
-    parser.add_argument("--contention-mode", choices=("table", "synthetic"), default=None,
-                        help="CS mode (default: calibrated table)")
+    parser.add_argument("--contention-mode", choices=("table", "synthetic", "off"),
+                        default=None, help="CS mode (default: calibrated table); "
+                        "off sets every CS to 1")
     parser.add_argument("--cs-table", default=None, help="path to a CS table file")
 
 
+def _add_run_flags(parser):
+    """The flags train, eval and compare share."""
+    parser.add_argument("--branch", default=None, help="reward preset A..E")
+    parser.add_argument("--w1", type=float, default=None)
+    parser.add_argument("--w2", type=float, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out-dir", default=None)
+    _add_cluster_flags(parser)
+    _add_episode_flags(parser)
+
+
 def _cluster_config(args) -> ClusterConfig:
-    """The cluster flags over the --config file's values; it may hold no other key."""
-    defaults = {key: getattr(ClusterConfig, name) for key, name in CLUSTER_FLAGS.items()}
-    cli = {key: getattr(args, key) for key in CLUSTER_FLAGS}
-    file_cfg = parse_config_file(args.config) if args.config else {}
+    """Each cluster flag over the --config file's value over the default; the
+    file may hold no other key."""
+    fields = {}
+    for key, text in (parse_config_file(args.config) if args.config else {}).items():
+        if key not in CLUSTER_FLAGS:
+            raise TraceParseError(f"config file {args.config}: unknown config key {key!r}; "
+                                  f"the keys read are {', '.join(CLUSTER_FLAGS)}")
+        name = CLUSTER_FLAGS[key]
+        try:  # as the type of the default: every key read is an int or a float
+            fields[name] = type(getattr(ClusterConfig, name))(text)
+        except ValueError as exc:
+            raise TraceParseError(f"config file {args.config}: config key {key!r}: {exc}") from exc
+    fields.update((name, getattr(args, key)) for key, name in CLUSTER_FLAGS.items()
+                  if getattr(args, key) is not None)
     try:
-        merged = merge_config(file_cfg, cli, defaults)
-    except ConfigError as exc:
-        raise TraceParseError(f"config file {args.config}: {exc}") from exc
-    try:
-        return ClusterConfig(**{name: merged[key] for key, name in CLUSTER_FLAGS.items()})
+        return ClusterConfig(**fields)
     except ConfigError as exc:
         raise UsageError(f"bad cluster flags: {exc}") from exc
 
 
-def _episode_config(args, cluster_config) -> EpisodeConfig:
-    if args.cs_table and args.contention_mode == "synthetic":
+def _episode_config(args) -> EpisodeConfig:
+    if args.cs_table and args.contention_mode in ("synthetic", "off"):
         raise UsageError("--cs-table gives table-mode values; it cannot go with "
-                         "--contention-mode synthetic")
-    if args.no_contention and (args.cs_table or args.contention_mode):
-        flag = "--cs-table" if args.cs_table else "--contention-mode"
-        raise UsageError(f"--no-contention sets every CS to 1; it cannot go with {flag}")
+                         f"--contention-mode {args.contention_mode}")
     given = {"round_interval": args.round_interval, "restore_penalty": args.restore_penalty,
              "cs_preemption_threshold": args.cs_threshold}
     fields = {key: value for key, value in given.items() if value is not None}
     if args.cs_threshold is not None and args.cs_threshold <= 1.0:
         fields["cs_preemption_threshold"] = None
-    if args.no_contention:
-        fields["contention"] = ContentionParams(mode="off")
-    elif args.cs_table:
+    if args.cs_table:
         fields["contention"] = ContentionParams(mode="table", table=load_cs_table(args.cs_table))
-    elif args.contention_mode == "synthetic":
-        fields["contention"] = ContentionParams(mode="synthetic")
-    else:
-        fields["contention"] = default_contention_params()
+    elif args.contention_mode in ("synthetic", "off"):
+        fields["contention"] = ContentionParams(mode=args.contention_mode)
     try:
         return EpisodeConfig(**fields)
     except ConfigError as exc:
@@ -171,7 +183,7 @@ def _experiment_id(kind: str, names: str, trace_paths, seed) -> str:
 
 
 def _policy_for(kind: str, args, cluster_config):
-    if kind in ("rl-base", "rl-hybrid"):
+    if kind in RL_POLICIES:
         if not args.checkpoint:
             raise UsageError(f"policy {kind} requires --checkpoint")
         net, _meta = load_checkpoint(args.checkpoint)
@@ -204,7 +216,7 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_train(args) -> int:
     cluster = _cluster_config(args)
-    episode = _episode_config(args, cluster)
+    episode = _episode_config(args)
     weights = _weights(args)
     ckpt_dir = os.path.join(output_root(args.out_dir), "checkpoints")
     name = args.name or f"policy_w1-{weights.w1!r}_s{args.seed}"
@@ -213,8 +225,7 @@ def cmd_train(args) -> int:
         config = TrainConfig(
             episodes=args.episodes, checkpoint_path=ckpt_path, lr=args.lr,
             gamma=args.gamma, entropy_coef=args.entropy_coef, seed=args.seed,
-            k=args.k, weights=weights, episode=episode,
-            shuffle_per_episode=not args.no_shuffle)
+            k=args.k, weights=weights, episode=episode)
     except ConfigError as exc:
         raise UsageError(f"bad training flags: {exc}") from exc
     traces = _load_traces([args.trace], cluster)
@@ -227,38 +238,51 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    if args.policy not in POLICY_KINDS:
-        raise UsageError(f"unknown policy {args.policy!r}; valid: {', '.join(POLICY_KINDS)}")
-    dump_rounds = args.dump_state_rounds
+def _set_up(args, kind: str, names: list[str]):
+    """The set-up eval and compare share. Checks the policy names and the flags
+    that need an RL policy first; returns (policies, traces, episode, cluster,
+    weights, report directory, provenance) and makes no directory."""
+    for name in names:
+        if name not in POLICY_KINDS:
+            raise UsageError(f"unknown policy {name!r}; valid: {', '.join(POLICY_KINDS)}")
+    dump_rounds = getattr(args, "dump_state_rounds", 0)
     if dump_rounds < 0:
         raise UsageError("--dump-state-rounds must be >= 0")
-    if dump_rounds and args.policy not in ("rl-base", "rl-hybrid"):
-        raise UsageError(f"--dump-state-rounds needs an RL policy: {args.policy} "
-                         "scores no placements")
+    if not any(name in RL_POLICIES for name in names):
+        if dump_rounds:
+            raise UsageError(f"--dump-state-rounds needs an RL policy: {','.join(names)} "
+                             "scores no placements")
+        if args.checkpoint:
+            raise UsageError("--checkpoint needs an RL policy (rl-base or rl-hybrid); "
+                             f"got {','.join(names)}")
     cluster = _cluster_config(args)
-    episode = _episode_config(args, cluster)
+    episode = _episode_config(args)
     weights = _weights(args)
     traces = _load_traces(args.trace, cluster)
-    policy = _policy_for(args.policy, args, cluster)
+    policies = [(name, _policy_for(name, args, cluster)) for name in names]
+    exp_id = args.name or _experiment_id(kind, "+".join(names), args.trace, args.seed)
+    out_dir = os.path.join(output_root(args.out_dir), "reports", exp_id)
+    return (policies, traces, episode, cluster, weights, out_dir,
+            _provenance(args, {"experiment": exp_id}))
+
+
+def cmd_eval(args) -> int:
+    [(_, policy)], traces, episode, cluster, weights, out_dir, provenance = _set_up(
+        args, "eval", [args.policy])
     # every episode runs before the report directory is made, so a run
     # that fails leaves no directory behind
     reports = [run_episode(policy, trace, episode, cluster, weights=weights,
                            rng=np.random.default_rng([args.seed, k]),
-                           record_trajectory=dump_rounds > 0)
+                           record_trajectory=args.dump_state_rounds > 0)
                for k, trace in enumerate(traces)]
-    root = output_root(args.out_dir)
-    exp_id = args.name or _experiment_id("eval", args.policy, args.trace, args.seed)
-    out_dir = os.path.join(root, "reports", exp_id)
     os.makedirs(out_dir, exist_ok=True)
-    provenance = _provenance(args, {"experiment": exp_id})
     pooled = {}
     for k, report in enumerate(reports):
         # a decision with a window had a choice, so it is never reused:
         # its run is the one round that made it
         scored = [(first, step) for _, first, _, step, _ in report.rounds.runs
                   if step is not None and step.pooled is not None]
-        for r, step in scored[:dump_rounds]:
+        for r, step in scored[:args.dump_state_rounds]:
             write_scorer_rows(step, r, os.path.join(out_dir, f"scorer_set{k:02d}_round{r}.csv"))
         write_episode_report(report, os.path.join(out_dir, f"set{k:02d}"), provenance)
         for key, value in report.aggregates.items():
@@ -275,19 +299,9 @@ def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated policy names")
-    for name in names:
-        if name not in POLICY_KINDS:
-            raise UsageError(f"unknown policy {name!r}; valid: {', '.join(POLICY_KINDS)}")
-    cluster = _cluster_config(args)
-    episode = _episode_config(args, cluster)
-    weights = _weights(args)
-    traces = _load_traces(args.trace, cluster)
-    policies = [(name, _policy_for(name, args, cluster)) for name in names]
+    policies, traces, episode, cluster, weights, out_dir, provenance = _set_up(
+        args, "compare", names)
     cmp = compare_policies(policies, traces, episode, cluster, weights)
-    root = output_root(args.out_dir)
-    exp_id = args.name or _experiment_id("compare", "+".join(names), args.trace, args.seed)
-    out_dir = os.path.join(root, "reports", exp_id)
-    provenance = _provenance(args, {"experiment": exp_id})
     write_comparison(cmp, out_dir, provenance)
     _write_manifest(out_dir, provenance)
     for (a, b), deltas in sorted(cmp.deltas.items()):
@@ -316,28 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demand-profile", choices=("small-skew", "uniform"), default="small-skew")
     p.add_argument("--arrival", choices=("all-at-zero", "poisson"), default="all-at-zero")
     p.add_argument("--arrival-rate", type=float, default=1.0)
-    p.add_argument("--config", default=None)
     _add_cluster_flags(p)
     p.set_defaults(func=cmd_gen_trace)
 
     p = sub.add_parser("train", help="train an RL scheduling policy")
     p.add_argument("--trace", required=True)
-    p.add_argument("--branch", default=None, help="reward preset A..E")
-    p.add_argument("--w1", type=float, default=None)
-    p.add_argument("--w2", type=float, default=None)
     p.add_argument("--episodes", type=int, default=TrainConfig.episodes)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--gamma", type=float, default=TrainConfig.gamma)
     p.add_argument("--entropy-coef", type=float, default=TrainConfig.entropy_coef)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=TrainConfig.k)
-    p.add_argument("--no-shuffle", action="store_true",
-                   help="keep the trace arrival order fixed across episodes")
     p.add_argument("--name", default=None, help="checkpoint name stem")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", default=None)
-    _add_cluster_flags(p)
-    _add_episode_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate one policy on trace sets")
@@ -345,33 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="append", required=True,
                    help="trace file; repeat for multiple job sets")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--branch", default=None)
-    p.add_argument("--w1", type=float, default=None)
-    p.add_argument("--w2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
-    p.add_argument("--out-dir", default=None)
     p.add_argument("--dump-state-rounds", type=int, default=0,
                    help="RL policies: dump the scorer rows of the first N decisions "
                         "with a window per set as CSV, named by round")
-    p.add_argument("--config", default=None)
-    _add_cluster_flags(p)
-    _add_episode_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="compare policies over shared traces")
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     p.add_argument("--trace", action="append", required=True)
     p.add_argument("--checkpoint", default=None, help="checkpoint for RL policies")
-    p.add_argument("--branch", default=None)
-    p.add_argument("--w1", type=float, default=None)
-    p.add_argument("--w2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", default=None)
-    _add_cluster_flags(p)
-    _add_episode_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -1,15 +1,15 @@
-"""Experiment configuration: flat key=value config files + CLI overrides.
+"""Experiment configuration: flat key=value config files and the output root.
 
-A config file holds `key = value` lines ('#' comments). CLI flags always
-win over file values. Keys mirror the CLI flag names with '-' replaced
-by '_'.
+A config file holds `key = value` lines ('#' comments). Keys mirror the
+CLI flag names with '-' replaced by '_'; the CLI decides which keys it
+reads, and its flags win over file values.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ConfigError, TraceParseError
+from .errors import TraceParseError
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -26,28 +26,6 @@ def parse_config_file(path) -> dict[str, str]:
                 raise TraceParseError(f"expected key = value, got {line!r}", line=lineno)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def merge_config(file_values: dict[str, str], cli_values: dict, defaults: dict) -> dict:
-    """defaults < file < explicitly set CLI flags."""
-    merged = dict(defaults)
-    for key, value in file_values.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}; the keys read are "
-                              + ", ".join(defaults))
-        try:
-            merged[key] = _coerce(value, defaults[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _coerce(text: str, like):
-    """text as the type of like: every key read is an int or a float."""
-    return int(text) if isinstance(like, int) else float(text)
 
 
 def output_root(cli_value: str | None) -> str:

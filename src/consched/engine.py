@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class EpisodeConfig:
     round_interval: float = 0.25
     cs_preemption_threshold: float | None = 2.0  # None turns preemption off
     restore_penalty: float = 5.0
-    contention: ContentionParams | None = None  # None -> default_contention_params()
+    contention: ContentionParams = field(default_factory=default_contention_params)
 
     def __post_init__(self):
         if not 0 < self.round_interval < math.inf:
@@ -63,9 +63,6 @@ class EpisodeConfig:
             raise ConfigError("cs_preemption_threshold must exceed 1 and be finite")
         if not 0 <= self.restore_penalty < math.inf:
             raise ConfigError("restore_penalty must be >= 0 and finite")
-
-    def contention_params(self) -> ContentionParams:
-        return self.contention if self.contention is not None else default_contention_params()
 
 
 @dataclass
@@ -225,7 +222,7 @@ class EpisodeCS:
                  episode_config: EpisodeConfig):
         self.cluster = cluster
         self.states = states
-        self.params = episode_config.contention_params()
+        self.params = episode_config.contention
         # the map and the version and placements it was computed for
         self._map, self._version, self._placed = {}, -1, {}
 

@@ -60,7 +60,6 @@ class TrainConfig:
     lr: float = 0.003
     gamma: float = 0.5
     entropy_coef: float = 0.01
-    shuffle_per_episode: bool = True
     seed: int = 0
     k: int = 6  # one head per demand of the default demand histogram
     weights: RewardWeights = field(default_factory=RewardWeights)
@@ -297,11 +296,8 @@ def train(trace: list[JobSpec], config: TrainConfig,
         ep_rng = np.random.default_rng([config.seed, episode])
         first, last = TEMPERATURE
         policy.temperature = first + episode / max(1, config.episodes - 1) * (last - first)
-        ep_trace = trace
-        if config.shuffle_per_episode:
-            ep_trace = shuffle_arrival_order(trace, ep_rng)
-        report = run_episode(policy, ep_trace, config.episode, cluster_config,
-                             weights=config.weights, rng=ep_rng,
+        report = run_episode(policy, shuffle_arrival_order(trace, ep_rng), config.episode,
+                             cluster_config, weights=config.weights, rng=ep_rng,
                              record_trajectory=True)
         batch = build_batch(net, report.rounds, config.gamma, value_opt)
         for _ in range(UPDATES_PER_EPISODE):

@@ -38,7 +38,6 @@ class JobSpec:
     """One distributed training job's demand and communication profile."""
 
     id: int
-    model_class: ModelClass
     gpu_demand: int
     total_samples: float
     arrival_time: float
@@ -51,6 +50,11 @@ class JobSpec:
                           ("arrival_time", -math.inf)):
             if not low < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name}={getattr(self, name)} is outside ({low}, inf)")
+
+    @property
+    def model_class(self) -> ModelClass:
+        """The profile's model class: the one the job is reported and priced by."""
+        return self.profile.model_class
 
     @property
     def ideal_throughput(self) -> float:
@@ -236,7 +240,6 @@ def generate_trace(spec: TraceSpec, cluster_config: ClusterConfig | None = None)
         )
         jobs.append(JobSpec(
             id=k,
-            model_class=model,
             gpu_demand=demand,
             total_samples=IDEAL_THROUGHPUT * spec.isolated_runtime,
             arrival_time=float(arrivals[k]),
@@ -310,7 +313,6 @@ def read_trace(path) -> tuple[list[JobSpec], dict]:
                 )
                 jobs.append(JobSpec(
                     id=int(fields["id"]),
-                    model_class=model,
                     gpu_demand=int(fields["demand"]),
                     total_samples=float(fields["total_samples"]),
                     arrival_time=float(fields["arrival"]),

@@ -1,18 +1,19 @@
+import argparse
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consched import engine
 from consched.actions import ActionSpace
-from consched.cli import main
+from consched.cli import _cluster_config, build_parser, main
 from consched.cluster import ClusterConfig, demand_shapes
-from consched.config import merge_config, output_root, parse_config_file
+from consched.config import output_root
 from consched.contention import default_cs_table, write_cs_table
 from consched.encoding import SCORER_FEATURES
 from consched.engine import EpisodeConfig, run_episode
-from consched.errors import ConfigError
 from consched.policies import make_policy
 from consched.rl.checkpoint import load_checkpoint, save_checkpoint
 from consched.rl.train import TrainConfig, make_net
@@ -198,6 +199,22 @@ def test_trace_for_larger_nodes_is_a_file_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["eval", "--policy", "las"],
+                                     ["compare", "--policies", "las,srtf"]],
+                         ids=["eval", "compare"])
+def test_checkpoint_without_an_rl_policy_is_a_usage_error(command, trace_file, tmp_path,
+                                                          capsys):
+    """No baseline reads a checkpoint, so naming one is a mistake; the file is
+    not opened."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*command, "--checkpoint", str(tmp_path / "missing.ckpt"),
+                "--trace", str(trace_file), "--out-dir", str(out)]) == 2
+    assert_one_line_error(capsys, "usage error: ", "--checkpoint needs an RL policy",
+                          command[2])
+    assert not out.exists()
+
+
 class TestGenTrace:
     def test_writes_jobs(self, trace_file):
         jobs, header = read_trace(trace_file)
@@ -345,21 +362,24 @@ class TestEval:
         assert run(["eval", "--policy", "greedy", "--trace",
                     str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 3
 
-    def test_no_contention_flag(self, trace_file, tmp_path):
+    def test_contention_mode_off(self, trace_file, tmp_path):
         out = tmp_path / "out"
         assert run(["eval", "--policy", "greedy", "--trace", str(trace_file),
-                    "--no-contention", "--name", "nc", "--out-dir", str(out)]) == 0
+                    "--contention-mode", "off", "--name", "nc", "--out-dir", str(out)]) == 0
         summary = (out / "reports" / "nc" / "summary.txt").read_text()
         assert "mean_mean_cs = 1.0" in summary
 
-    def test_cs_table_with_synthetic_mode_is_a_usage_error(self, trace_file, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["synthetic", "off"])
+    def test_cs_table_with_a_non_table_mode_is_a_usage_error(self, mode, trace_file, tmp_path,
+                                                             capsys):
         table = tmp_path / "cs_table.csv"
         write_cs_table(default_cs_table(), table)
         out = tmp_path / "out"
         assert run(["eval", "--policy", "las", "--trace", str(trace_file),
-                    "--cs-table", str(table), "--contention-mode", "synthetic",
+                    "--cs-table", str(table), "--contention-mode", mode,
                     "--out-dir", str(out)]) == 2
-        assert "--contention-mode synthetic" in capsys.readouterr().err
+        assert ("--cs-table gives table-mode values; it cannot go with "
+                f"--contention-mode {mode}") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ["FSDP,1,4,MoE,1,4,nan", "FSDP,1,4,MoE,1,4,inf",
@@ -371,19 +391,6 @@ class TestEval:
         assert run(["eval", "--policy", "las", "--trace", str(trace_file),
                     "--cs-table", str(table), "--out-dir", str(out)]) == 3
         assert "line 2" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--cs-table", "--contention-mode"])
-    def test_no_contention_with_a_contention_flag_is_a_usage_error(self, flag, trace_file,
-                                                                   tmp_path, capsys):
-        table = tmp_path / "cs_table.csv"
-        write_cs_table(default_cs_table(), table)
-        value = str(table) if flag == "--cs-table" else "table"
-        out = tmp_path / "out"
-        assert run(["eval", "--policy", "las", "--trace", str(trace_file), "--no-contention",
-                    flag, value, "--out-dir", str(out)]) == 2
-        assert f"--no-contention sets every CS to 1; it cannot go with {flag}" in (
-            capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_policy(self, trace_file, tmp_path):
@@ -532,26 +539,12 @@ class TestCompare:
 
 
 class TestConfigFile:
-    def test_parse_and_merge(self, tmp_path):
+    def test_flag_beats_file_beats_default(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("# comment\nnodes = 2\ngpus_per_node = 4\n")
-        values = parse_config_file(cfg)
-        merged = merge_config(values, {"nodes": None, "gpus_per_node": 8},
-                              {"nodes": 4, "gpus_per_node": 8})
-        assert merged["nodes"] == 2  # file beats default
-        assert merged["gpus_per_node"] == 8
-
-    def test_cli_beats_file(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("nodes = 2\n")
-        merged = merge_config(parse_config_file(cfg), {"nodes": 3}, {"nodes": 4})
-        assert merged["nodes"] == 3
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("warp_factor = 9\n")
-        with pytest.raises(ConfigError):
-            merge_config(parse_config_file(cfg), {}, {"nodes": 4})
+        cfg.write_text("# comment\nnodes = 2\ngpus-per-node = 4\n")
+        args = build_parser().parse_args(["gen-trace", "--jobs", "1", "--out", "t.txt",
+                                          "--config", str(cfg), "--gpus-per-node", "2"])
+        assert _cluster_config(args) == ClusterConfig(num_nodes=2, gpus_per_node=2)
 
     @pytest.mark.parametrize("line", ["round_interval = 5.0", "bogus_key = 3"])
     def test_unread_key_is_a_file_error(self, tmp_path, capsys, line):
@@ -586,3 +579,16 @@ class TestConfigFile:
         assert output_root("explicit") == "explicit"
         monkeypatch.delenv("CONSCHED_OUT")
         assert output_root(None) == "."
+
+
+def test_readme_names_every_flag():
+    """README's CLI section lists each command's flags; this keeps it true."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    missing = [f"{command} {flag}" for command, parser in commands.items()
+               for action in parser._actions if action.dest != "help"
+               for flag in action.option_strings
+               if not re.search(re.escape(flag) + r"(?![\w-])", readme)]
+    assert not missing, f"flags README.md's CLI section does not name: {missing}"

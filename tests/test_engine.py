@@ -84,7 +84,6 @@ def jobs_with(demands, runtimes=None, models=None):
             fields["isolated_runtime"] = runtimes[k]
             fields["total_samples"] = runtimes[k] * job.ideal_throughput
         if models:
-            fields["model_class"] = models[k]
             fields["profile"] = replace(job.profile, model_class=models[k])
         out.append(replace(job, **fields))
     return out

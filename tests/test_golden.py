@@ -34,7 +34,8 @@ if __name__ == "__main__":  # run as a script from a checkout
 
 from consched.cluster import ClusterConfig  # noqa: E402
 from consched.contention import ContentionParams  # noqa: E402
-from consched.engine import EpisodeConfig, compare_policies, run_episode  # noqa: E402
+from consched.engine import (EpisodeConfig, compare_policies,  # noqa: E402
+                             default_contention_params, run_episode)
 from consched.policies import make_policy  # noqa: E402
 from consched.reports import write_comparison  # noqa: E402
 from consched.rl.train import TrainConfig, make_net, train  # noqa: E402
@@ -44,11 +45,13 @@ SMALL = ClusterConfig(num_nodes=2, gpus_per_node=4)
 
 # trace name -> (trace spec, cluster config, contention params)
 TRACES = {
-    "normal64": (TraceSpec(num_jobs=64, seed=11), None, None),
+    "normal64": (TraceSpec(num_jobs=64, seed=11), None, default_contention_params()),
     "heavy-poisson": (TraceSpec(num_jobs=32, seed=12, mix=MIX_PRESETS["heavy"],
-                                arrival="poisson", arrival_rate=0.05), None, None),
+                                arrival="poisson", arrival_rate=0.05), None,
+                      default_contention_params()),
     "synthetic": (TraceSpec(num_jobs=32, seed=13), None, ContentionParams(mode="synthetic")),
-    "small-2x4": (TraceSpec(num_jobs=24, seed=14, demand_cap=8), SMALL, None),
+    "small-2x4": (TraceSpec(num_jobs=24, seed=14, demand_cap=8), SMALL,
+                  default_contention_params()),
 }
 # policy case -> (policy kind, argmax)
 POLICIES = {

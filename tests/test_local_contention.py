@@ -125,7 +125,7 @@ def net_for(nodes: int, gpus: int):
 
 
 def spec(jid: int, model: ModelClass, demand: int) -> JobSpec:
-    return JobSpec(id=jid, model_class=model, gpu_demand=demand, total_samples=100.0,
+    return JobSpec(id=jid, gpu_demand=demand, total_samples=100.0,
                    arrival_time=0.0, profile=DEFAULT_PROFILES[model], isolated_runtime=10.0)
 
 
