@@ -8,6 +8,7 @@ so a job's total demand factors as j * 2^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -164,16 +165,11 @@ class ClusterState:
             raise AllocationConflictError("resident sets disagree with placements")
 
 
-def demand_shapes(config: ClusterConfig, demand: int) -> list[tuple[int, int]]:
+@cache
+def demand_shapes(config: ClusterConfig, demand: int) -> tuple[tuple[int, int], ...]:
     """All (i, j) with j * 2^i == demand feasible on the cluster shape."""
-    shapes = []
-    for i in config.node_exponents():
-        width = 2 ** i
-        if demand % width == 0:
-            j = demand // width
-            if 1 <= j <= config.gpus_per_node:
-                shapes.append((i, j))
-    return shapes
+    return tuple((i, demand // 2 ** i) for i in config.node_exponents()
+                 if demand % 2 ** i == 0 and 1 <= demand // 2 ** i <= config.gpus_per_node)
 
 
 def capable_nodes(cluster: ClusterState, demand: int):
@@ -182,9 +178,9 @@ def capable_nodes(cluster: ClusterState, demand: int):
     if demand <= 0 or demand > config.total_gpus:
         raise InvalidDemandError(
             f"demand {demand} outside [1, {config.total_gpus}]")
-    free = cluster.free_per_node
+    free = cluster.free_per_node.tolist()
     for i, j in demand_shapes(config, demand):
-        yield i, j, [n for n in range(config.num_nodes) if free[n] >= j]
+        yield i, j, [n for n, f in enumerate(free) if f >= j]
 
 
 def first_fit(cluster: ClusterState, demand: int) -> Placement | None:

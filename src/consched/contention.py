@@ -120,15 +120,6 @@ class CSTable:
     def lookup(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float | None:
         return self.entries.get((target, coloc))
 
-    def block_max(self, target_model: ModelClass, coloc_model: ModelClass) -> tuple[float, tuple[Shape, Shape]] | None:
-        """Max value over all shape pairs for one (target, coloc) model pair."""
-        best = None
-        for ((tm, ts), (cm, cs)), value in sorted(self.entries.items(), key=lambda kv: (kv[0][0][1], kv[0][1][1])):
-            if tm is target_model and cm is coloc_model:
-                if best is None or value > best[0]:
-                    best = (value, (ts, cs))
-        return best
-
 
 @dataclass
 class ContentionParams:

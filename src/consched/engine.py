@@ -8,8 +8,11 @@ re-evaluation. Throughput is piecewise-constant per round: a finishing
 neighbor only changes co-residents' CS at the next round boundary.
 
 Between events the rounds repeat one idle decision, and the engine
-applies such a stretch of rounds in one step (advance_stretch); the
-result is bit-identical to stepping them one at a time. The episode
+applies such a stretch of rounds in one step (advance_stretch), rounds
+in which a job burns a whole interval of restore penalty included; the
+result is bit-identical to stepping them one at a time. A stretch that
+stops before a round in which a job finishes or burns a partial
+penalty says so, and that round goes through advance. The episode
 keeps one log of its rounds (RoundLog), one run per stretch or event
 round; a run also carries the RL decision its rounds applied when the
 trajectory is recorded, so training reads the same log.
@@ -290,54 +293,77 @@ STRETCH_CHUNK = 4096  # most rounds one advance_stretch call applies
 
 
 def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
-                    dt: float, limit: int) -> int:
-    """Advance running jobs through the rounds before the first finish; returns their count.
+                    dt: float, limit: int) -> tuple[int, bool]:
+    """Advance running jobs through the rounds that advance would step alike.
 
-    Applies at most limit rounds of length dt (STRETCH_CHUNK if fewer,
-    unless no job runs), each at the job's fixed throughput and CS, and
-    stops before the first round in which some job would finish: round k
-    finishes a job when throughput * dt >= total - s_k, s_k being its
-    samples done before round k. A job still burning a restore penalty
-    makes no stretch (returns 0). np.add.accumulate adds in sequence, so
-    samples_done, attained_service, cs_integral and placed_time end
-    bit-identical to as many advance calls with the engine's CS
-    bookkeeping; a closed form such as s + g * n would not be.
+    Returns (rounds applied, whether the next round must go through
+    advance). Applies at most limit rounds of length dt (STRETCH_CHUNK
+    if fewer, unless no job runs), each at the job's fixed throughput
+    and CS. In a round where a job burns a whole interval of restore
+    penalty (restore_remaining >= dt) it gains no samples, but its
+    attained service, CS integral and placed time grow as in any other
+    round. The stretch stops before the first round in which some job
+    would finish, round k finishing a job when gain >= total - s_k (s_k
+    being its samples done before round k), and before the first round
+    in which a job burns a partial penalty (0 < restore_remaining < dt);
+    the flag says the next round is such a round. np.add.accumulate adds
+    in sequence, so samples_done, attained_service, cs_integral,
+    placed_time and restore_remaining end bit-identical to as many
+    advance calls with the engine's CS bookkeeping; a closed form such
+    as s + g * n would not be.
     """
     if not jobs:
-        return limit
-    if any(job.restore_remaining > 0 for job in jobs):
-        return 0
-    thr = np.array(throughputs)
-    gained = thr * dt
-    total = np.array([job.spec.total_samples for job in jobs])
-    start = np.array([[job.samples_done for job in jobs],
-                      [job.attained_service for job in jobs],
-                      [job.cs_integral for job in jobs],
-                      [job.placed_time for job in jobs]])
-    # every job runs about (total - s) / gained rounds before it finishes;
-    # +2 covers the rounding of the sum, and a short guess or the chunk cap
-    # (which bounds the array at 32 * STRETCH_CHUNK bytes per job) only ends
-    # the stretch early: the caller takes the next stretch
-    with np.errstate(divide="ignore"):
-        guess = np.min((total - start[0]) / gained)
+        return limit, False
     n = min(limit, STRETCH_CHUNK)
-    if np.isfinite(guess):
-        n = min(n, int(guess) + 2)
-    steps = np.empty((n + 1, 4, len(jobs)))
+    partial = n + 1  # the first round with a partial penalty, when it is round n or before
+    soon = math.inf  # about the rounds before the first finish
+    start, step, reach, total, begins = [], [], [], [], []  # five fields a job: samples first
+    for job, thr, c in zip(jobs, throughputs, cs):
+        s, r, gained = job.samples_done, job.restore_remaining, thr * dt
+        left = job.spec.total_samples - s
+        whole = 0
+        while r >= dt and whole <= n:  # as advance burns it, dt a round
+            r -= dt
+            whole += 1
+        if thr > 0 and (0.0 if whole else gained) >= left:
+            return 0, True  # round 0 finishes the job
+        if 0 < r < dt:
+            partial = min(partial, whole)
+        if gained > 0:
+            soon = min(soon, whole + left / gained)
+        start += (s, job.attained_service, job.cs_integral, job.placed_time,
+                  job.restore_remaining)
+        step += (gained, job.spec.gpu_demand * dt, c * dt, dt, -dt if whole else 0.0)
+        reach.append(gained if thr > 0 else -math.inf)
+        total.append(job.spec.total_samples)
+        begins.append(whole)  # its first round that can finish it
+    # every job runs about (total - s) / gain rounds past its penalty before
+    # it finishes; +2 covers the rounding of the sum, and a short guess or the
+    # chunk cap (which bounds the array at 40 * STRETCH_CHUNK bytes per job)
+    # only ends the stretch early: the caller takes the next stretch
+    n = min(n, partial, int(min(soon, n)) + 2)
+    steps = np.empty((n + 1, len(start)))
     steps[0] = start
-    steps[1:] = [gained, np.array([job.spec.gpu_demand for job in jobs]) * dt,
-                 np.array(cs) * dt, np.full(len(jobs), dt)]
+    steps[1:] = step
+    for k, whole in enumerate(begins):
+        if whole:
+            steps[1:whole + 1, 5 * k] = 0.0  # no samples while the penalty burns
+            steps[whole + 1:, 5 * k + 4] = 0.0  # and no more penalty once it is burnt
     np.add.accumulate(steps, axis=0, out=steps)
-    finishing = (gained >= total - steps[:n, 0]) & (thr > 0)
-    hit = np.flatnonzero(finishing.any(axis=1))
-    if hit.size:
-        n = int(hit[0])
-    for job, (samples, service, cs_sum, placed) in zip(jobs, steps[n].T.tolist()):
-        job.samples_done = samples
-        job.attained_service = service
-        job.cs_integral = cs_sum
-        job.placed_time = placed
-    return n
+    # samples never fall, so a job that finishes in some round up to round n
+    # finishes in round n too: test that row, then walk back to the first
+    row = steps[n].tolist()
+    finishing = [k for k, whole in enumerate(begins)
+                 if whole <= n and reach[k] >= total[k] - row[5 * k]]
+    if finishing:
+        for k in finishing:
+            while n > begins[k] and reach[k] >= total[k] - steps[n - 1, 5 * k]:
+                n -= 1
+        row = steps[n].tolist()
+    for k, job in enumerate(jobs):
+        (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
+         job.restore_remaining) = row[5 * k:5 * k + 5]
+    return n, bool(finishing) or n == partial
 
 
 def _round_at(time: float, T: float) -> int:
@@ -411,13 +437,16 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
 
     So the rounds from a reused idle decision to the next event repeat
     one round: the same records but the time, and the same per-job
-    additions. They go in one step (advance_stretch) that ends before
+    additions, a job burning a whole interval of restore penalty gaining
+    no samples. They go in one step (advance_stretch) that ends before
     the earliest of the round that admits the next arrival, the round
     that admits the next checkpoint-ready re-queue, the first round in
-    which a job finishes, and MAX_ROUNDS. A job still burning a restore
-    penalty, and an empty cluster with jobs queued (the livelock guard
-    counts those rounds), make no stretch. Any other round is an event
-    round and goes through advance.
+    which a job finishes or burns a partial penalty, and MAX_ROUNDS.
+    When a stretch ends before such a job round it says so, and the next
+    pass steps that round without asking for another stretch. An empty
+    cluster with jobs queued (the livelock guard counts those rounds)
+    makes no stretch. Any other round is an event round and goes
+    through advance.
 
     Each pass of the loop ends in one RoundLog.append: a run of n rounds
     for a stretch, or of one for an event round. With record_trajectory
@@ -443,6 +472,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
+    event_next = False  # the last stretch stopped before a round that advance must step
     round_version = -1  # the version cs_map, throughput, ... below were derived at
     checked_version = -1  # a version at which no job exceeds the CS threshold
 
@@ -503,7 +533,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         # the stretch of such rounds goes in one step
         before = len(checkpointing)  # this round's preemptions append to it
         n = 0
-        if reused and (cluster.placements or not queue):
+        if reused and not event_next and (cluster.placements or not queue):
             start = len(rounds)
             limit = MAX_ROUNDS - start
             if pending:
@@ -511,11 +541,11 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if checkpointing:
                 limit = min(limit, _round_at(checkpointing[0][0], T) - start)
             running = sorted(cs_map)
-            n = advance_stretch([states[jid] for jid in running],
-                                [throughput[jid] for jid in running],
-                                [cs_map[jid] for jid in running], T, limit)
+            n, event_next = advance_stretch([states[jid] for jid in running],
+                                            [throughput[jid] for jid in running],
+                                            [cs_map[jid] for jid in running], T, limit)
         if not n:
-            n = 1
+            n, event_next = 1, False
             for jid in action.preemptions:
                 if states[jid].phase is not Phase.RUNNING:
                     raise InvalidPlacementError(f"cannot preempt non-running job {jid}")

@@ -213,6 +213,12 @@ class TraceSpec:
         return 3600.0 * self.isolated_hours * self.time_scale
 
 
+def _pick(probs: np.ndarray, u: np.ndarray) -> list[int]:
+    """The indices Generator.choice(len(probs), p=probs) picks with uniform doubles u."""
+    cdf = np.cumsum(probs)
+    return np.searchsorted(cdf / cdf[-1], u, side="right").tolist()
+
+
 def generate_trace(spec: TraceSpec, cluster_config: ClusterConfig | None = None) -> list[JobSpec]:
     """Sample a job set; deterministic for a fixed spec."""
     config = cluster_config or ClusterConfig()
@@ -226,21 +232,25 @@ def generate_trace(spec: TraceSpec, cluster_config: ClusterConfig | None = None)
         arrivals[0] = 0.0
     else:
         arrivals = np.zeros(spec.num_jobs)
+    # a job's model, demand and two jitters take one uniform double each,
+    # drawn as Generator.choice(p=...) and Generator.uniform would draw them
+    draws = rng.random((spec.num_jobs, 4))
+    models, picks = _pick(probs, draws[:, 0]), _pick(demand_probs, draws[:, 1])
+    lo, hi = 1.0 - spec.jitter, 1.0 + spec.jitter
+    jitters = (lo + (hi - lo) * draws[:, 2:]).tolist()
     jobs = []
-    for k in range(spec.num_jobs):
-        model = MODEL_ORDER[rng.choice(len(MODEL_ORDER), p=probs)]
-        demand = int(demands[rng.choice(len(demands), p=demand_probs)])
+    for k, (bandwidth_jitter, ratio_jitter) in enumerate(jitters):
+        model = MODEL_ORDER[models[k]]
         base = DEFAULT_PROFILES[model]
-        lo, hi = 1.0 - spec.jitter, 1.0 + spec.jitter
         profile = ModelProfile(
             model_class=model,
-            avg_bandwidth=base.avg_bandwidth * rng.uniform(lo, hi),
-            comm_comp_ratio=base.comm_comp_ratio * rng.uniform(lo, hi),
+            avg_bandwidth=base.avg_bandwidth * bandwidth_jitter,
+            comm_comp_ratio=base.comm_comp_ratio * ratio_jitter,
             comm_pattern=base.comm_pattern,
         )
         jobs.append(JobSpec(
             id=k,
-            gpu_demand=demand,
+            gpu_demand=int(demands[picks[k]]),
             total_samples=IDEAL_THROUGHPUT * spec.isolated_runtime,
             arrival_time=float(arrivals[k]),
             profile=profile,

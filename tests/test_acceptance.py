@@ -28,6 +28,7 @@ from consched.rl.reward import BRANCHES, RewardWeights, reward_from_terms
 from consched.rl.train import (Batch, TrainConfig, loss_and_grads, make_net,
                                train)
 from consched.workload import JobState, MIX_PRESETS, TraceSpec, generate_trace
+from test_contention import block_max
 
 CLUSTER = ClusterConfig()
 SYNTH = ContentionParams(mode="synthetic")
@@ -115,8 +116,8 @@ def test_criterion_3_published_extremes():
     """Shipped table returns the published worst-case pair values and the
     implied throughput degradations match within 0.5 points."""
     table = default_cs_table()
-    fsdp_moe, _ = table.block_max(ModelClass.FSDP, ModelClass.MoE)
-    moe_fsdp, _ = table.block_max(ModelClass.MoE, ModelClass.FSDP)
+    fsdp_moe = block_max(table, ModelClass.FSDP, ModelClass.MoE)
+    moe_fsdp = block_max(table, ModelClass.MoE, ModelClass.FSDP)
     params = ContentionParams(mode="table", table=table)
     fsdp = DEFAULT_PROFILES[ModelClass.FSDP]
     moe = DEFAULT_PROFILES[ModelClass.MoE]

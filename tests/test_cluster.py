@@ -227,8 +227,8 @@ def test_audit_rejects_overfilled_node(cluster):
 
 def test_demand_shapes_respects_cluster():
     small = ClusterConfig(num_nodes=2, gpus_per_node=2)
-    assert demand_shapes(small, 4) == [(1, 2)]
-    assert demand_shapes(small, 2) == [(0, 2), (1, 1)]
+    assert demand_shapes(small, 4) == ((1, 2),)
+    assert demand_shapes(small, 2) == ((0, 2), (1, 1))
 
 
 class TestFirstFit:

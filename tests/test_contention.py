@@ -25,6 +25,12 @@ def profile(bw, ratio, model=ModelClass.LM):
                         comm_pattern=CommPattern.ALL_REDUCE)
 
 
+def block_max(table, target_model, coloc_model):
+    """Max CS of table over every shape pair of one (target, coloc) model pair."""
+    return max(value for ((target, _), (coloc, _)), value in table.entries.items()
+               if target is target_model and coloc is coloc_model)
+
+
 def brute_force_cs(target, others, config):
     """Independent oracle: accumulate per-node demand with explicit loops.
 
@@ -149,10 +155,10 @@ class TestSensitivityValues:
 class TestDefaultTable:
     def test_published_extremes_exact(self):
         table = default_cs_table()
-        assert table.block_max(ModelClass.FSDP, ModelClass.MoE)[0] == 1.96
-        assert table.block_max(ModelClass.MoE, ModelClass.FSDP)[0] == 3.00
-        assert table.block_max(ModelClass.FSDP, ModelClass.IMG)[0] == 1.35
-        assert table.block_max(ModelClass.IMG, ModelClass.FSDP)[0] == 1.43
+        assert block_max(table, ModelClass.FSDP, ModelClass.MoE) == 1.96
+        assert block_max(table, ModelClass.MoE, ModelClass.FSDP) == 3.00
+        assert block_max(table, ModelClass.FSDP, ModelClass.IMG) == 1.35
+        assert block_max(table, ModelClass.IMG, ModelClass.FSDP) == 1.43
 
     def test_all_entries_at_least_one(self):
         table = default_cs_table()

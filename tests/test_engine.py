@@ -69,7 +69,7 @@ def audited():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine.EpisodeCS, "profile", last_profile)
-        patch.setattr(engine, "advance_stretch", lambda *args: 0)
+        patch.setattr(engine, "advance_stretch", lambda *args: (0, False))
         patch.setattr(engine, "advance", advance)
         patch.setattr(engine, "ClusterState", AuditedCluster)
         yield rows
@@ -453,6 +453,43 @@ class TestIdleBetweenEvents:
         assert len(ref_rows) == len(ref.rounds)
         assert fast_rows == ref_rows
 
+    @pytest.mark.parametrize("kind", BASELINES)
+    @pytest.mark.parametrize("restore_penalty", [5.0, 1.1, 0.3, 0.0])
+    def test_restore_penalties_match_deciding_every_round(self, kind, restore_penalty):
+        """Whole-penalty rounds go in stretches, partial ones through advance;
+        the episode is the every-round one either way. At 0.25 s rounds a
+        1.1 s penalty makes stretches that stop before its partial round,
+        and 0.3 s ends in the event rounds after a placement."""
+        episode = EpisodeConfig(cs_preemption_threshold=2.0, restore_penalty=restore_penalty)
+        (ref, fast), _ = self.run_both(kind, HEAVY_POISSON, episode)
+        assert ref.aggregates["total_preemptions"] > 0
+        assert fast.jobs == ref.jobs
+        assert list(fast.rounds) == list(ref.rounds)
+        assert fast.aggregates == ref.aggregates
+
+
+def test_no_zero_round_stretch_right_after_a_stretch(monkeypatch):
+    """A stretch that stops before a finish says so, so the engine steps that
+    round through advance instead of asking for a stretch that gets none."""
+    calls = []  # (rounds, flag) per advance_stretch call, None per advance call
+    stretch = engine.advance_stretch
+
+    def recorded_stretch(*args):
+        calls.append(stretch(*args))
+        return calls[-1]
+
+    def recorded_advance(*args, **kwargs):
+        calls.append(None)
+        return workload.advance(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "advance_stretch", recorded_stretch)
+    monkeypatch.setattr(engine, "advance", recorded_advance)
+    run_episode(make_policy("las"), NORMAL_64, EpisodeConfig())
+    pairs = list(zip(calls, calls[1:]))
+    assert sum(1 for first, _ in pairs if first and first[0] and first[1]) > 10
+    assert [(first, then) for first, then in pairs
+            if first is not None and then is not None and then[0] == 0] == []
+
 
 def fresh_rl_policy(kind, deterministic):
     net, space = make_net(CFG, TrainConfig(seed=0))
@@ -712,57 +749,100 @@ def job_fields(job):
             job.restore_remaining, job.phase, job.finish_time)
 
 
+def step_rounds(jobs, throughputs, cs, dt, limit):
+    """The reference for advance_stretch: one advance call per round.
+
+    Steps copies of jobs round by round, with the engine's CS
+    bookkeeping, up to limit rounds or the first round that finishes a
+    job or burns a partial restore penalty; returns (the copies, the
+    rounds stepped, whether such a round stopped it).
+    """
+    done = 0
+    while True:
+        after = [replace(job) for job in jobs]
+        for copy, throughput, c in zip(after, throughputs, cs):
+            active = advance(copy, dt, throughput, now=0.0)
+            copy.cs_integral += c * active
+            copy.placed_time += active
+        event = (any(0 < job.restore_remaining < dt for job in jobs)
+                 or any(copy.phase is Phase.FINISHED for copy in after))
+        if event or done == limit:
+            return jobs, done, event
+        jobs = after
+        done += 1
+
+
+@st.composite
+def restore_penalties(draw, dt):
+    """0, a whole number of rounds dt, or a whole number and a part of one."""
+    whole = draw(st.integers(0, 40))
+    part = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+    return float(sum([dt] * whole)) + part * dt
+
+
 class TestAdvanceStretch:
     """advance_stretch against one advance call per round, bit for bit."""
 
     @given(total=st.floats(1.0, 1e6), start=st.floats(0.0, 0.999),
            rounds=st.lists(st.floats(0.3, 400.0), min_size=1, max_size=3),
-           cs=st.floats(1.0, 4.0), dt=st.floats(0.01, 2.0), limit=st.integers(1, 500))
-    @settings(max_examples=300, deadline=None)
-    def test_sums_and_finish_round_match_advance(self, total, start, rounds, cs, dt, limit):
-        # job k finishes after about rounds[k] rounds of dt
-        jobs, ref = ([running_job(total, total * start) for _ in rounds] for _ in range(2))
+           cs=st.floats(1.0, 4.0), limit=st.integers(1, 500), data=st.data(),
+           dt=st.sampled_from([0.25, 0.1, 1.0]) | st.floats(0.01, 2.0))
+    @settings(max_examples=400, deadline=None)
+    def test_sums_and_finish_round_match_advance(self, total, start, rounds, cs, dt, limit, data):
+        # job k finishes about rounds[k] rounds of dt after its restore penalty
+        restores = [data.draw(restore_penalties(dt)) for _ in rounds]
+        jobs, ref = ([running_job(total, total * start, restore) for restore in restores]
+                     for _ in range(2))
         throughputs = [(total - total * start) / (r * dt) for r in rounds]
-        n = advance_stretch(jobs, throughputs, [cs] * len(rounds), dt, limit)
-        done = 0
-        while done < limit:
-            after = [replace(job) for job in ref]
-            for copy, throughput in zip(after, throughputs):
-                active = advance(copy, dt, throughput, now=0.0)
-                copy.cs_integral += cs * active
-                copy.placed_time += active
-            if any(copy.phase is Phase.FINISHED for copy in after):
-                break
-            ref = after
-            done += 1
-        assert n == done
+        got = advance_stretch(jobs, throughputs, [cs] * len(rounds), dt, limit)
+        ref, done, event = step_rounds(ref, throughputs, [cs] * len(rounds), dt, limit)
+        assert got == (done, event)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
 
-    def test_restore_penalty_makes_no_stretch(self):
-        jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.0)]
-        before = [job_fields(job) for job in jobs]
-        assert advance_stretch(jobs, [1.0, 1.0], [1.0, 1.0], 0.25, 100) == 0
-        assert [job_fields(job) for job in jobs] == before
+    def test_whole_penalty_goes_in_the_stretch_and_a_partial_one_stops_it(self):
+        # 5.0 s is 20 whole rounds of 0.25 s: the job gains samples from round 20 on
+        jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=5.0)]
+        ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
+                                       [1.5, 2.5], 0.25, 100)
+        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (100, False)
+        assert (done, event) == (100, False)
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+        assert jobs[1].restore_remaining == 0.0 and jobs[1].samples_done == 10.0 + 80 * 0.25
+        # 1.1 s is 4 whole rounds and 0.1 s of a fifth, which advance must step
+        jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.1)]
+        ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
+                                       [1.5, 2.5], 0.25, 100)
+        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (4, True)
+        assert (done, event) == (4, True)
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+        assert 0 < jobs[1].restore_remaining < 0.25 and jobs[1].samples_done == 10.0
+        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (0, True)
+        # a job one round from its finish burns penalty past the limit: no event
+        jobs = [running_job(100.0, 99.9, restore=5.0)]
+        ref, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
+        assert advance_stretch(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (10, False)
+        assert job_fields(jobs[0]) == job_fields(ref[0])
+        # one with no samples left finishes in its first round, penalty or not
+        jobs = [running_job(100.0, 100.0, restore=5.0)]
+        _, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
+        assert advance_stretch(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (0, True)
 
     def test_no_running_jobs_take_the_whole_limit(self):
-        assert advance_stretch([], [], [], 0.25, 17) == 17
+        assert advance_stretch([], [], [], 0.25, 17) == (17, False)
 
     def test_long_stretch_goes_in_chunks(self):
         # the job finishes in round 10,000; the limit would allow all of them
         total, dt, throughput, cs = 1e6, 0.1, 1000.0, 1.5
-        job, ref = running_job(total, 0.0), running_job(total, 0.0)
-        steps = []
-        while n := advance_stretch([job], [throughput], [cs], dt, 20_000 - sum(steps)):
+        job = running_job(total, 0.0)
+        steps, event = [], False
+        while not event:
+            n, event = advance_stretch([job], [throughput], [cs], dt, 20_000 - sum(steps))
             steps.append(n)
         assert steps[0] == STRETCH_CHUNK and len(steps) >= 10_000 // STRETCH_CHUNK
-        for _ in range(sum(steps)):
-            active = advance(ref, dt, throughput, now=0.0)
-            ref.cs_integral += cs * active
-            ref.placed_time += active
-        assert ref.phase is Phase.RUNNING
-        assert job_fields(job) == job_fields(ref)
-        advance(ref, dt, throughput, now=0.0)
-        assert ref.phase is Phase.FINISHED
+        assert all(steps)  # the last stretch ends before the finish and says so
+        ref, done, event = step_rounds([running_job(total, 0.0)], [throughput], [cs], dt, 20_000)
+        assert (sum(steps), True) == (done, event) == (9_999, True)
+        assert job_fields(job) == job_fields(ref[0])
 
 
 class StateCapture(DecideCounter):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consched.cluster import ClusterConfig, demand_shapes
-from consched.contention import ModelClass
+from consched.contention import DEFAULT_PROFILES, ModelClass, ModelProfile
 from consched.errors import ConfigError, StateError, TraceParseError
-from consched.workload import (IDEAL_THROUGHPUT, JobState, MIX_PRESETS, Phase, TraceSpec,
-                               advance, demand_weights,
+from consched.workload import (IDEAL_THROUGHPUT, MODEL_ORDER, JobSpec, JobState, MIX_PRESETS,
+                               Phase, TraceSpec, advance, demand_weights,
                                feasible_demands, generate_trace, parse_mix,
                                read_trace, shuffle_arrival_order, write_trace)
 
@@ -82,6 +83,45 @@ class TestGenerateTrace:
             TraceSpec(num_jobs=4, arrival="poisson", **{field: value})
 
 
+def per_job_trace(spec, config):
+    """generate_trace as it drew each job's values: two choice and two uniform calls a job."""
+    rng = np.random.default_rng(spec.seed)
+    ratios = np.asarray(spec.mix, dtype=float)
+    demands, demand_probs = demand_weights(config, spec.demand_cap, spec.demand_profile)
+    if spec.arrival == "poisson":
+        arrivals = np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=spec.num_jobs))
+        arrivals[0] = 0.0
+    else:
+        arrivals = np.zeros(spec.num_jobs)
+    lo, hi = 1.0 - spec.jitter, 1.0 + spec.jitter
+    jobs = []
+    for k in range(spec.num_jobs):
+        model = MODEL_ORDER[rng.choice(len(MODEL_ORDER), p=ratios / ratios.sum())]
+        demand = int(demands[rng.choice(len(demands), p=demand_probs)])
+        base = DEFAULT_PROFILES[model]
+        profile = ModelProfile(model_class=model,
+                               avg_bandwidth=base.avg_bandwidth * rng.uniform(lo, hi),
+                               comm_comp_ratio=base.comm_comp_ratio * rng.uniform(lo, hi),
+                               comm_pattern=base.comm_pattern)
+        jobs.append(JobSpec(id=k, gpu_demand=demand,
+                            total_samples=IDEAL_THROUGHPUT * spec.isolated_runtime,
+                            arrival_time=float(arrivals[k]), profile=profile,
+                            isolated_runtime=spec.isolated_runtime))
+    return jobs
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (2, 4), (16, 8), (3, 5)])
+@pytest.mark.parametrize("arrival", ["all-at-zero", "poisson"])
+def test_trace_draws_match_one_draw_per_call(shape, arrival):
+    config = ClusterConfig(num_nodes=shape[0], gpus_per_node=shape[1])
+    for mix, jitter, profile, seed in itertools.product(
+            [*MIX_PRESETS.values(), (0.5, 2.0, 1.0, 3.5, 0.25, 1.0)], [0.0, 0.2, 0.7],
+            ["small-skew", "uniform"], [0, 7, 12345]):
+        spec = TraceSpec(num_jobs=40, mix=mix, seed=seed, jitter=jitter, demand_profile=profile,
+                         arrival=arrival, arrival_rate=0.3)
+        assert generate_trace(spec, config) == per_job_trace(spec, config)
+
+
 class TestDemandDistribution:
     def test_sampled_demands_in_range(self):
         values = [job.gpu_demand for job in generate_trace(TraceSpec(num_jobs=300, seed=1))]
@@ -99,7 +139,7 @@ class TestDemandDistribution:
 
     def test_18_not_feasible(self):
         # 18 = 9 * 2: nine GPUs per node exceeds the 8-GPU nodes
-        assert demand_shapes(CFG, 18) == []
+        assert demand_shapes(CFG, 18) == ()
         assert 18 not in feasible_demands(CFG)
 
     def test_weights_sum_to_one(self):
