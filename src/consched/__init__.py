@@ -7,4 +7,4 @@ __version__ = "0.1.0"
 from .cluster import ClusterConfig, ClusterState, Placement
 from .contention import (ContentionParams, CSTable, ModelClass, ModelProfile,
                          contention_sensitivity, default_cs_table, load_cs_table)
-from .workload import JobSpec, JobState, Phase, TraceSpec, generate_trace
+from .workload import JobSpec, JobState, TraceSpec, generate_trace

@@ -8,6 +8,7 @@ error, 3 file/parse error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .actions import ActionSpace
-from .cluster import ClusterConfig, demand_shapes
+from .cluster import ClusterConfig
 from .config import output_root, parse_config_file
 from .contention import ContentionParams, load_cs_table
 from .encoding import write_scorer_rows
@@ -29,7 +30,7 @@ from .rl.reward import BRANCHES, RewardWeights
 from .rl.train import TrainConfig, architecture, train
 from .reports import (write_comparison, write_episode_report, write_summary,
                       write_training_curves)
-from .workload import (MIX_PRESETS, TraceSpec, generate_trace, parse_mix,
+from .workload import (MIX_PRESETS, TraceSpec, check_trace, generate_trace, parse_mix,
                        read_trace, write_trace)
 
 EXIT_USAGE = 2
@@ -142,11 +143,21 @@ def _weights(args) -> RewardWeights:
     return RewardWeights()
 
 
-def _provenance(args, extra: dict | None = None) -> dict:
-    skip = {"func", "config"}
-    fields = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    fields["version"] = __version__
-    fields.update(extra or {})
+# flags whose resolved values _provenance records under their own names
+RESOLVED_FLAGS = {*CLUSTER_FLAGS, "round_interval", "cs_threshold", "restore_penalty",
+                  "contention_mode", "w1", "w2"}
+
+
+def _provenance(args, cluster: ClusterConfig, episode: EpisodeConfig, weights: RewardWeights,
+                extra: dict) -> dict:
+    """The flags given, --config and --cs-table paths included, with the cluster,
+    episode and reward flags replaced by the settings they resolve to."""
+    fields = {k: v for k, v in vars(args).items()
+              if k != "func" and k not in RESOLVED_FLAGS and v is not None}
+    fields.update(dataclasses.asdict(cluster), round_interval=episode.round_interval,
+                  cs_preemption_threshold=episode.cs_preemption_threshold,
+                  restore_penalty=episode.restore_penalty, contention=episode.contention.mode,
+                  w1=weights.w1, version=__version__, **extra)
     return fields
 
 
@@ -162,15 +173,10 @@ def _load_traces(paths, cluster_config) -> list:
         if not os.path.exists(path):
             raise TraceParseError(f"trace file {path} does not exist")
         try:
-            jobs, _ = read_trace(path)
-        except TraceParseError as exc:
+            jobs = read_trace(path)
+            check_trace(jobs, cluster_config)
+        except (TraceParseError, ConfigError) as exc:
             raise TraceParseError(f"trace file {path}: {exc}") from exc
-        for job in jobs:
-            if not demand_shapes(cluster_config, job.gpu_demand):
-                raise TraceParseError(
-                    f"trace file {path}: job {job.id} demands {job.gpu_demand} GPUs, which "
-                    f"no placement fits on {cluster_config.num_nodes} nodes x "
-                    f"{cluster_config.gpus_per_node} GPUs")
         traces.append(jobs)
     return traces
 
@@ -232,7 +238,8 @@ def cmd_train(args) -> int:
     trace_id = os.path.basename(args.trace)
     net, curves = train(traces[0], config, cluster, metadata={"trace": trace_id})
     curves_path = os.path.join(ckpt_dir, name + "_curves.csv")
-    write_training_curves(curves_path, curves, _provenance(args, {"checkpoint": ckpt_path}))
+    write_training_curves(curves_path, curves,
+                          _provenance(args, cluster, episode, weights, {"checkpoint": ckpt_path}))
     print(f"saved checkpoint {ckpt_path}")
     print(f"wrote training curves {curves_path}")
     return 0
@@ -263,7 +270,7 @@ def _set_up(args, kind: str, names: list[str]):
     exp_id = args.name or _experiment_id(kind, "+".join(names), args.trace, args.seed)
     out_dir = os.path.join(output_root(args.out_dir), "reports", exp_id)
     return (policies, traces, episode, cluster, weights, out_dir,
-            _provenance(args, {"experiment": exp_id}))
+            _provenance(args, cluster, episode, weights, {"experiment": exp_id}))
 
 
 def cmd_eval(args) -> int:

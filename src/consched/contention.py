@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .cluster import ClusterConfig, Placement
-from .errors import ConfigError, StateError, TraceParseError
+from .errors import ConfigError, TraceParseError
 
 # a CS above this counts as CS_CAP in the round reward, the state
 # encoding and the per-job CS histogram
@@ -104,10 +104,8 @@ class CSTable:
     finite and >= 1, and every shape has i >= 0 and j >= 1.
     """
 
-    def __init__(self, entries: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] | None = None):
-        self.entries = {}
-        for key, value in (entries or {}).items():
-            self.add(key[0], key[1], value)
+    def __init__(self):
+        self.entries: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] = {}
 
     def add(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape], value: float):
         if not 1.0 <= value < math.inf:
@@ -188,12 +186,10 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
     """CS of the target job given the jobs it shares nodes with.
 
     Returns exactly 1.0 when no co-located job shares a node with the
-    target, or when contention is off. colocated must not contain the
-    target itself.
+    target, or when contention is off. job is placed (a running job or a
+    trial placement), and colocated must not contain it.
     """
     profile, placement = job
-    if placement is None:
-        raise StateError("contention_sensitivity requires a placed job")
     if params.mode == "off":
         return 1.0
     mine = set(placement.nodes)

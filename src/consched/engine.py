@@ -1,11 +1,11 @@
 """Round-based episode driver.
 
 Each round: enqueue arrivals, let the policy decide, apply preemptions
-then placements, profile per-job CS and contended throughput, advance
-every running job by the round interval (finishing jobs at their exact
-crossing times), then preempt CS-threshold offenders one at a time with
-re-evaluation. Throughput is piecewise-constant per round: a finishing
-neighbor only changes co-residents' CS at the next round boundary.
+then placements, read the round's CS and throughput from EpisodeCS,
+advance every running job by the round interval (finishing jobs at
+their exact crossing times), then preempt CS-threshold offenders one at
+a time with re-evaluation. Throughput is piecewise-constant per round: a
+finishing neighbor only changes co-residents' CS at the next round boundary.
 
 Between events the rounds repeat one idle decision, and the engine
 applies such a stretch of rounds in one step (advance_stretch), rounds
@@ -33,7 +33,7 @@ from .contention import CS_CAP, CalibratedCS, ContentionParams, contention_sensi
 from .errors import ConfigError, InvalidPlacementError
 from .policies import decide_fifo_greedy
 from .rl.reward import RewardWeights, compute_reward
-from .workload import JobSpec, JobState, Phase, advance
+from .workload import JobSpec, JobState, advance, check_trace
 
 log = logging.getLogger(__name__)
 
@@ -139,11 +139,8 @@ class EpisodeReport:
     rounds: RoundLog
     aggregates: dict
 
-    def jct_values(self) -> list[float]:
-        return [j.jct for j in self.jobs]
-
     def jct_cdf(self) -> list[tuple[float, float]]:
-        jcts = sorted(self.jct_values())
+        jcts = sorted(j.jct for j in self.jobs)
         n = len(jcts)
         return [(v, (k + 1) / n) for k, v in enumerate(jcts)]
 
@@ -213,21 +210,23 @@ def _job_cs(jid: int, cluster: ClusterState, states: dict[int, JobState],
 
 
 class EpisodeCS:
-    """One episode's contention model and its CS map, one per cluster.version.
+    """One episode's contention model, its CS map and round values, one per cluster.version.
 
-    The model comes from the episode config; run_episode builds one
-    EpisodeCS and hands it to every decide. A new map recomputes only
-    the jobs on nodes that a job placed, moved or freed since the last
-    map touches, so it equals a full profile.
+    The model comes from the episode config, the reward weights from the
+    episode; run_episode builds one EpisodeCS and hands it to every
+    decide. A new map recomputes only the jobs on nodes that a job
+    placed, moved or freed since the last map touches, so it equals a
+    full profile.
     """
 
     def __init__(self, cluster: ClusterState, states: dict[int, JobState],
-                 episode_config: EpisodeConfig):
+                 episode_config: EpisodeConfig, weights: RewardWeights):
         self.cluster = cluster
         self.states = states
         self.params = episode_config.contention
-        # the map and the version and placements it was computed for
-        self._map, self._version, self._placed = {}, -1, {}
+        self.weights = weights
+        # the map, the version and placements it was computed for, its round values
+        self._map, self._version, self._placed, self._values = {}, -1, {}, None
 
     def profile(self) -> dict[int, float]:
         """CS of every placed job under the current co-location, in job-id order."""
@@ -242,8 +241,20 @@ class EpisodeCS:
         dirty = set().union(*(cluster.residents[node] for node in touched))
         self._map = {jid: _job_cs(jid, cluster, self.states, self.params)
                      if jid in dirty else profile[jid] for jid in sorted(placements)}
-        self._placed, self._version = dict(placements), cluster.version
+        self._placed, self._version, self._values = dict(placements), cluster.version, None
         return self._map
+
+    def round_values(self) -> tuple[dict[int, float], dict[int, float], float, float, float]:
+        """(CS map, throughput per job, utilization, mean CS, round reward), once per map."""
+        cs_map = self.profile()
+        if self._values is None:
+            utilization = self.cluster.utilization()
+            throughput = {jid: self.states[jid].spec.ideal_throughput / cs_map[jid]
+                          for jid in cs_map}
+            mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
+            self._values = (cs_map, throughput, utilization, mean_cs,
+                            self.reward(utilization, cs_map, self.weights))
+        return self._values
 
     def trial(self, jid: int, placement, cluster: ClusterState,
               profile: dict[int, float]) -> tuple[dict[int, float], list[int]]:
@@ -385,23 +396,21 @@ def _preempt(cluster: ClusterState, state: JobState, cfg: EpisodeConfig,
     ready-time order, and in preemption order within one ready time.
     """
     cluster.free(state.spec.id)
-    state.phase = Phase.PREEMPTED
     state.restore_remaining = cfg.restore_penalty
     state.preemption_count += 1
     checkpointing.append((t + CHECKPOINT_GRACE, state.spec.id))
 
 
-def _defer(queue: list[int], jid: int, states: dict[int, JobState]) -> None:
+def _defer(queue: list[JobSpec], spec: JobSpec) -> None:
     """Move a declined job behind the last queued job of the same demand.
 
     The RL window offers the first queued job of each demand, so without
     the move a declined job would block every peer of its demand.
     """
-    demand = states[jid].spec.gpu_demand
-    pos = queue.index(jid)
-    peers = [k for k in range(pos + 1, len(queue)) if states[queue[k]].spec.gpu_demand == demand]
+    pos = queue.index(spec)
+    peers = [k for k in range(pos + 1, len(queue)) if queue[k].gpu_demand == spec.gpu_demand]
     if peers:
-        queue.insert(peers[-1] + 1, jid)
+        queue.insert(peers[-1] + 1, spec)
         del queue[pos]
 
 
@@ -413,11 +422,14 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     """Drive one episode to completion and collect metrics.
 
     Deterministic for a fixed (policy, trace, configs, rng seed); rng
-    None means default_rng(0). The livelock guard forces a single greedy
-    placement after LIVELOCK_ROUNDS consecutive no-progress rounds with
-    an empty cluster and waiting jobs.
-    Every decide gets the episode's EpisodeCS as its fifth argument; the
-    RL policy prices its verdicts with it, and baselines ignore it.
+    None means default_rng(0). A trace with a repeated job id, or with a
+    job that no placement shape of the cluster fits, raises ConfigError
+    before round 0 (check_trace). The livelock guard forces a single
+    greedy placement after LIVELOCK_ROUNDS consecutive no-progress
+    rounds with an empty cluster and waiting jobs.
+    Every decide gets the queued JobSpecs (not to be changed) and the
+    episode's EpisodeCS; the RL policy prices its verdicts with the
+    latter, and baselines ignore it.
 
     A policy that declares idle_between_events is not asked to decide
     again after an idle decision until an event: an arrival, a
@@ -426,12 +438,13 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     head had a choice; the rounds up to the event reuse it, so a
     recorded trajectory still gets its skip-only row every round. The
     values derived from the placements (the CS profile, throughput,
-    utilization, mean CS, the round reward and the CS-threshold check)
-    are computed once per cluster.version; the no-op reward takes the
-    round reward when the placements are those of the last round's
-    values, and prices the cluster itself otherwise. Each new CS profile,
-    the CS-threshold loop's included, recomputes only the jobs on nodes
-    that a placement, preemption or finish touched (EpisodeCS.profile).
+    utilization, mean CS and the round reward) belong to EpisodeCS,
+    computed once per cluster.version (EpisodeCS.round_values); the
+    no-op reward is the round reward of the placements the round starts
+    from. Each new CS profile, the CS-threshold loop's included,
+    recomputes only the jobs on nodes that a placement, preemption or
+    finish touched (EpisodeCS.profile), so over a cached map the
+    threshold check is one max over the running jobs.
     Preempted jobs wait in one list in ready-time order (_preempt); a
     round's preemptions are that list's growth.
 
@@ -456,31 +469,27 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     holds no decision, and keeps no RL state alive.
     """
     cluster_config = cluster_config or ClusterConfig()
+    check_trace(trace, cluster_config)
     weights = weights or RewardWeights()
     if rng is None:
         rng = np.random.default_rng(0)
     cluster = ClusterState(cluster_config)
     states = {spec.id: JobState(spec=spec) for spec in trace}
-    cs = EpisodeCS(cluster, states, episode_config)
-    pending = sorted(range(len(trace)), key=lambda k: (trace[k].arrival_time, k))
-    pending = [trace[k].id for k in pending]
-    queue: list[int] = []
+    cs = EpisodeCS(cluster, states, episode_config, weights)
+    pending = sorted(trace, key=lambda spec: spec.arrival_time)  # stable: ties keep trace order
+    queue: list[JobSpec] = []
     checkpointing: list[tuple[float, int]] = []  # (ready time, job id), see _preempt
     t = 0.0
     T = episode_config.round_interval
+    threshold = episode_config.cs_preemption_threshold
     rounds = RoundLog(T)
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
     idle_at, idle_action = None, None  # the last idle decision and its version, until an event
     event_next = False  # the last stretch stopped before a round that advance must step
-    round_version = -1  # the version cs_map, throughput, ... below were derived at
-    checked_version = -1  # a version at which no job exceeds the CS threshold
-
-    def queue_specs() -> list[JobSpec]:
-        return [states[jid].spec for jid in queue]
 
     while True:
-        while pending and states[pending[0]].spec.arrival_time <= t:
+        while pending and pending[0].arrival_time <= t:
             queue.append(pending.pop(0))
             idle_at = None
         # preempted jobs re-enter at the queue head once their checkpoint
@@ -488,9 +497,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         # exist yet), in the order they were preempted
         ready = bisect.bisect_right(checkpointing, t, key=lambda e: e[0])
         if ready:
-            queue[:0] = [jid for _, jid in checkpointing[:ready]]
-            for _, jid in checkpointing[:ready]:
-                states[jid].phase = Phase.WAITING
+            queue[:0] = [states[jid].spec for _, jid in checkpointing[:ready]]
             del checkpointing[:ready]
             idle_at = None
         if not queue and not cluster.placements and not pending and not checkpointing:
@@ -498,17 +505,14 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if len(rounds) >= MAX_ROUNDS:
             raise RuntimeError(f"episode exceeded {MAX_ROUNDS} rounds")
 
-        noop_reward = 0.0
-        if record_trajectory:
-            # counterfactual baseline: the reward this round would yield
-            # if nothing were placed or preempted (a state-only quantity)
-            noop_reward = (reward if round_version == cluster.version
-                           else cs.reward(cluster.utilization(), cs.profile(), weights))
+        # counterfactual baseline: the reward this round would yield if
+        # nothing were placed or preempted (a state-only quantity)
+        noop_reward = cs.round_values()[4] if record_trajectory else 0.0
         reused = idle_at == cluster.version
         if reused:
             action = idle_action
         else:
-            action = policy.decide(cluster, queue_specs(), states, rng, cs)
+            action = policy.decide(cluster, queue, states, rng, cs)
             idle = action.is_noop and not (action.rl and action.rl.has_choice)
             idle_at, idle_action = ((cluster.version, action)
                                     if idle_between_events and idle else (None, None))
@@ -517,7 +521,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if not action.placements and not cluster.placements and queue:
             stall_rounds += 1
             if stall_rounds >= LIVELOCK_ROUNDS:
-                fallback = decide_fifo_greedy(cluster, queue_specs())
+                fallback = decide_fifo_greedy(cluster, queue)
                 if fallback.placements:
                     log.warning("livelock guard forcing greedy placement at t=%s", t)
                     rl = action.rl
@@ -534,20 +538,20 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         before = len(checkpointing)  # this round's preemptions append to it
         n = 0
         if reused and not event_next and (cluster.placements or not queue):
+            cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
             start = len(rounds)
             limit = MAX_ROUNDS - start
             if pending:
-                limit = min(limit, _round_at(states[pending[0]].spec.arrival_time, T) - start)
+                limit = min(limit, _round_at(pending[0].arrival_time, T) - start)
             if checkpointing:
                 limit = min(limit, _round_at(checkpointing[0][0], T) - start)
-            running = sorted(cs_map)
-            n, event_next = advance_stretch([states[jid] for jid in running],
-                                            [throughput[jid] for jid in running],
-                                            [cs_map[jid] for jid in running], T, limit)
+            n, event_next = advance_stretch([states[jid] for jid in cs_map],
+                                            list(throughput.values()),
+                                            list(cs_map.values()), T, limit)
         if not n:
             n, event_next = 1, False
             for jid in action.preemptions:
-                if states[jid].phase is not Phase.RUNNING:
+                if jid not in cluster.placements:
                     raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
                 _preempt(cluster, states[jid], episode_config, checkpointing, t)
 
@@ -558,43 +562,31 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                         f"placement covers {placement.total_gpus} GPUs, "
                         f"job {jid} demands {state.spec.gpu_demand}")
                 cluster.allocate(jid, placement)
-                state.phase = Phase.RUNNING
                 if state.start_time is None:
                     state.start_time = t
-                queue.remove(jid)
+                queue.remove(state.spec)
             for jid in action.deferred:
-                if jid in queue:
-                    _defer(queue, jid, states)
+                if states[jid].spec in queue:
+                    _defer(queue, states[jid].spec)
 
-            if round_version != cluster.version:
-                cs_map = cs.profile()
-                throughput = {jid: states[jid].spec.ideal_throughput / cs_map[jid]
-                              for jid in cs_map}
-                utilization = cluster.utilization()
-                mean_cs = sum(cs_map.values()) / len(cs_map) if cs_map else 0.0
-                reward = cs.reward(utilization, cs_map, weights)
-                round_version = cluster.version
-
+            cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
             finished: list[int] = []
-            for jid in sorted(cluster.placements):
+            for jid in cs_map:  # the placed jobs, in job-id order
                 state = states[jid]
                 active = advance(state, T, throughput[jid], now=t)
                 state.cs_integral += cs_map[jid] * active
                 state.placed_time += active
-                if state.phase is Phase.FINISHED:
+                if state.finish_time is not None:
                     finished.append(jid)
             for jid in finished:
                 cluster.free(jid)
 
-            threshold = episode_config.cs_preemption_threshold
-            if threshold is not None and checked_version != cluster.version:
-                while cluster.placements:
-                    cs_now = cs.profile()
+            if threshold is not None:
+                cs_now = cs.profile()
+                while cs_now and max(cs_now.values()) > threshold:
                     worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
-                    if cs_now[worst] <= threshold:
-                        break
                     _preempt(cluster, states[worst], episode_config, checkpointing, t)
-                checked_version = cluster.version
+                    cs_now = cs.profile()
 
         rounds.append(RoundRecord(
             time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,

@@ -25,10 +25,6 @@ class NotFoundError(ConschedError):
     """Referenced job is not present in the cluster/state."""
 
 
-class StateError(ConschedError):
-    """Operation applied to a job in the wrong lifecycle phase."""
-
-
 class ConfigError(ConschedError):
     """Invalid or missing configuration value."""
 

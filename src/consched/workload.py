@@ -1,4 +1,4 @@
-"""Job specifications, lifecycle state, progress accounting, and traces.
+"""Job specifications, per-job progress state and accounting, and traces.
 
 A trace is a list of JobSpec. Communication mixes follow the four named
 ratios over GNN:IMG:DLRM:LM:FSDP:MoE. Per-job configuration variety is
@@ -10,7 +10,6 @@ default 1/60 time scale.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .cluster import ClusterConfig, demand_shapes
 from .contention import DEFAULT_PROFILES, CommPattern, ModelClass, ModelProfile
-from .errors import ConfigError, StateError, TraceParseError
+from .errors import ConfigError, TraceParseError
 
 MIX_PRESETS = {
     "normal": (1, 1, 1, 1, 1, 1),
@@ -62,19 +61,13 @@ class JobSpec:
         return self.total_samples / self.isolated_runtime
 
 
-class Phase(enum.Enum):
-    WAITING = "waiting"
-    RUNNING = "running"
-    PREEMPTED = "preempted"
-    FINISHED = "finished"
-
-
 @dataclass
 class JobState:
-    """Mutable lifecycle state of one job within an episode."""
+    """Mutable progress of one job within an episode. Where the job is, the
+    engine's collections say (queued, placed, checkpointing); finish_time
+    says it finished."""
 
     spec: JobSpec
-    phase: Phase = Phase.WAITING
     samples_done: float = 0.0
     attained_service: float = 0.0  # GPU-seconds
     start_time: float | None = None
@@ -114,14 +107,9 @@ def advance(job: JobState, dt: float, throughput: float, now: float) -> float:
     A pending restore penalty is burned before samples accrue. If the job
     finishes inside the interval the finish timestamp is the exact
     crossing time. Returns the active time consumed (min(dt, crossing)),
-    which the caller uses to weight CS exposure.
+    which the caller uses to weight CS exposure. The job is placed and
+    unfinished, and dt is the episode's (positive) round interval.
     """
-    if job.phase is not Phase.RUNNING:
-        raise StateError(f"cannot advance job {job.spec.id} in phase {job.phase.value}")
-    if dt < 0:
-        raise StateError("dt must be >= 0")
-    if dt == 0:
-        return 0.0
     penalty = min(job.restore_remaining, dt)
     job.restore_remaining -= penalty
     progress_window = dt - penalty
@@ -132,11 +120,24 @@ def advance(job: JobState, dt: float, throughput: float, now: float) -> float:
         job.samples_done = job.spec.total_samples
         job.attained_service += job.spec.gpu_demand * active
         job.finish_time = now + active
-        job.phase = Phase.FINISHED
         return active
     job.samples_done += gained
     job.attained_service += job.spec.gpu_demand * dt
     return dt
+
+
+def check_trace(trace: list[JobSpec], config: ClusterConfig) -> None:
+    """Refuse a trace that no episode on the cluster can finish: a repeated
+    job id, or a job whose demand no placement shape fits."""
+    seen: set[int] = set()
+    for job in trace:
+        if job.id in seen:
+            raise ConfigError(f"job id {job.id} is given twice")
+        seen.add(job.id)
+        if not demand_shapes(config, job.gpu_demand):
+            raise ConfigError(
+                f"job {job.id} demands {job.gpu_demand} GPUs, which no placement fits "
+                f"on {config.num_nodes} nodes x {config.gpus_per_node} GPUs")
 
 
 def feasible_demands(config: ClusterConfig, cap: int = 32) -> list[int]:
@@ -290,22 +291,14 @@ def write_trace(jobs: list[JobSpec], spec: TraceSpec, path) -> None:
                      f"comm_pattern={job.profile.comm_pattern.value}\n")
 
 
-def read_trace(path) -> tuple[list[JobSpec], dict]:
-    """Parse a trace file; returns (jobs, header fields)."""
+def read_trace(path) -> list[JobSpec]:
+    """Parse a trace file's jobs; '#' lines, the write_trace header among them, are comments."""
     jobs = []
-    header: dict = {}
     seen: dict[int, int] = {}  # job id -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("# ").strip()
-                if body.startswith("trace "):
-                    for token in body[len("trace "):].split():
-                        key, _, value = token.partition("=")
-                        header[key] = value
+            if not line or line.startswith("#"):
                 continue
             fields = {}
             for token in line.split():
@@ -336,7 +329,7 @@ def read_trace(path) -> tuple[list[JobSpec], dict]:
                 raise TraceParseError(f"job id {jid} already given on line {seen[jid]}",
                                       line=lineno)
             seen[jid] = lineno
-    return jobs, header
+    return jobs
 
 
 def shuffle_arrival_order(jobs: list[JobSpec], rng: np.random.Generator) -> list[JobSpec]:

@@ -1,4 +1,5 @@
 import argparse
+import json
 import re
 import time
 from pathlib import Path
@@ -188,7 +189,7 @@ def test_trace_for_larger_nodes_is_a_file_error(tmp_path, monkeypatch, capsys):
     trace = tmp_path / "t16.txt"
     assert run(["gen-trace", "--jobs", "16", "--seed", "1", "--gpus-per-node", "16",
                 "--demand-profile", "uniform", "--out", str(trace)]) == 0
-    jobs, _ = read_trace(trace)
+    jobs = read_trace(trace)
     assert any(not demand_shapes(ClusterConfig(), job.gpu_demand) for job in jobs)
     out = tmp_path / "out"
     capsys.readouterr()
@@ -217,9 +218,8 @@ def test_checkpoint_without_an_rl_policy_is_a_usage_error(command, trace_file, t
 
 class TestGenTrace:
     def test_writes_jobs(self, trace_file):
-        jobs, header = read_trace(trace_file)
-        assert len(jobs) == 12
-        assert header["seed"] == "5"
+        assert len(read_trace(trace_file)) == 12
+        assert "seed=5" in trace_file.read_text().splitlines()[0].split()
 
     def test_byte_identical_repeat(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -232,7 +232,7 @@ class TestGenTrace:
         path = tmp_path / "t.txt"
         run(["gen-trace", "--mix", "heavy", "--jobs", "600", "--seed", "7",
              "--out", str(path)])
-        jobs, _ = read_trace(path)
+        jobs = read_trace(path)
         frac = sum(1 for j in jobs if j.model_class.value in ("FSDP", "MoE")) / 600
         assert abs(frac - 2 / 3) < 0.06
 
@@ -408,7 +408,7 @@ class TestEval:
         # the scorer rows of the episode's first two decisions with a window
         net, _ = load_checkpoint(ckpt)
         policy = make_policy("rl-base", net=net, action_space=ActionSpace(ClusterConfig()))
-        trace, _ = read_trace(trace_file)
+        trace = read_trace(trace_file)
         report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
                              record_trajectory=True)
         scored, seen = [], set()
@@ -464,7 +464,7 @@ class TestEval:
             return action
 
         policy.decide = recording
-        trace, _ = read_trace(trace_file)
+        trace = read_trace(trace_file)
         report = run_episode(policy, trace, EpisodeConfig(), rng=np.random.default_rng([0, 0]),
                              record_trajectory=True)
         rounds = {first: (record, step) for record, first, _, step, _ in report.rounds.runs}
@@ -570,8 +570,31 @@ class TestConfigFile:
         path = tmp_path / "t.txt"
         assert run(["gen-trace", "--jobs", "6", "--seed", "1", "--config",
                     str(cfg), "--out", str(path)]) == 0
-        jobs, _ = read_trace(path)
+        jobs = read_trace(path)
         assert all(j.gpu_demand <= 4 for j in jobs)
+
+    def test_reports_record_the_resolved_settings(self, tmp_path):
+        """The file's cluster values and the defaults no flag gave reach every report."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("nodes = 2\ngpus_per_node = 4\n")
+        trace, out = tmp_path / "t.txt", tmp_path / "out"
+        assert run(["gen-trace", "--jobs", "6", "--seed", "1", "--config", str(cfg),
+                    "--out", str(trace)]) == 0
+        assert run(["eval", "--policy", "las", "--trace", str(trace), "--config", str(cfg),
+                    "--name", "e", "--out-dir", str(out)]) == 0
+        base = out / "reports" / "e"
+        manifest = json.loads((base / "manifest.txt").read_text())
+        assert {k: manifest[k] for k in ("config", "num_nodes", "gpus_per_node",
+                                         "inter_node_bandwidth", "round_interval",
+                                         "cs_preemption_threshold", "restore_penalty",
+                                         "contention", "w1")} == {
+            "config": str(cfg), "num_nodes": 2, "gpus_per_node": 4,
+            "inter_node_bandwidth": 1250.0, "round_interval": 0.25,
+            "cs_preemption_threshold": 2.0, "restore_penalty": 5.0, "contention": "table",
+            "w1": 0.4}
+        for path in (base / "summary.txt", base / "set00" / "per_job.csv"):
+            lines = path.read_text().splitlines()
+            assert {"# num_nodes = 2", "# gpus_per_node = 4", f"# config = {cfg}"} <= set(lines)
 
     def test_output_root_env(self, monkeypatch):
         monkeypatch.setenv("CONSCHED_OUT", "/some/root")

@@ -12,7 +12,7 @@ from consched.contention import (CSTable, ContentionParams, DEFAULT_PROFILES,
                                  default_cs_table, load_cs_table, write_cs_table,
                                  feasible_shapes)
 from consched.engine import EpisodeConfig, default_contention_params, run_episode
-from consched.errors import ConfigError, StateError, TraceParseError
+from consched.errors import ConfigError, TraceParseError
 from consched.policies import make_policy
 from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
 
@@ -95,10 +95,6 @@ class TestSyntheticMode:
         job = (profile(100, 3), Placement(nodes=(0, 1), gpus_per_node_used=2))
         other = (profile(100, 3), Placement(nodes=(0, 1), gpus_per_node_used=2))
         assert contention_sensitivity(job, [other], SYNTH, CFG) == 1.0
-
-    def test_unplaced_job_rejected(self):
-        with pytest.raises(StateError):
-            contention_sensitivity((profile(100, 1), None), [], SYNTH, CFG)
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from consched.encoding import (BANDWIDTH_SCALE, POOLED_FEATURES, RATIO_SCALE, SC
 from consched.engine import EpisodeConfig, EpisodeCS
 from consched.errors import ConfigError
 from consched.policies import RLBasePolicy
+from consched.rl.reward import RewardWeights
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import JobState, TraceSpec, generate_trace
 
@@ -79,7 +80,7 @@ def decision_on(cluster, specs, states, scale=2.0):
     """A fresh seed-0 RL-base decision on the cluster, with contention_scale at scale."""
     net, space = make_net(CFG, TrainConfig(seed=0))
     net.params["contention_scale"][0] = scale
-    cs = EpisodeCS(cluster, states, EpisodeConfig())
+    cs = EpisodeCS(cluster, states, EpisodeConfig(), RewardWeights())
     return RLBasePolicy(net, space).decide(cluster, specs, states, None, cs).rl, cs
 
 

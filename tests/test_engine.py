@@ -18,7 +18,7 @@ from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_polic
 from consched.reports import ROUND_COLUMNS, _fmt, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
-from consched.workload import MIX_PRESETS, JobState, Phase, TraceSpec, advance, generate_trace
+from consched.workload import MIX_PRESETS, JobState, TraceSpec, advance, generate_trace
 from test_golden import trajectory_rows
 
 CFG = ClusterConfig()
@@ -740,13 +740,13 @@ def test_round_times_do_not_drift():
 
 def running_job(total, done, restore=0.0):
     spec = replace(NORMAL_64[0], total_samples=total)
-    return JobState(spec=spec, phase=Phase.RUNNING, samples_done=done, attained_service=done / 3,
+    return JobState(spec=spec, samples_done=done, attained_service=done / 3,
                     cs_integral=done / 7, placed_time=done / 11, restore_remaining=restore)
 
 
 def job_fields(job):
     return (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
-            job.restore_remaining, job.phase, job.finish_time)
+            job.restore_remaining, job.finish_time)
 
 
 def step_rounds(jobs, throughputs, cs, dt, limit):
@@ -765,7 +765,7 @@ def step_rounds(jobs, throughputs, cs, dt, limit):
             copy.cs_integral += c * active
             copy.placed_time += active
         event = (any(0 < job.restore_remaining < dt for job in jobs)
-                 or any(copy.phase is Phase.FINISHED for copy in after))
+                 or any(copy.finish_time is not None for copy in after))
         if event or done == limit:
             return jobs, done, event
         jobs = after
@@ -879,3 +879,58 @@ def test_max_rounds_raises_at_the_same_round(max_rounds, monkeypatch):
     ref, fast = progress
     assert fast == ref
     assert ref[0][0] == pytest.approx(trace[0].ideal_throughput * max_rounds * 0.25)
+
+
+class LifecycleAudit(DecideCounter):
+    """Checks, at every decide, that each job is in one place.
+
+    Queued and placed are disjoint, neither holds a finished job, and a
+    started job that is in none of them and unfinished was preempted.
+    Counts the decisions that saw such a preempted job.
+    """
+
+    def __init__(self, policy):
+        super().__init__(policy, every_round=False)
+        self.saw_preempted = 0
+
+    def decide(self, cluster, queue, states, rng=None, cs=None):
+        queued = {spec.id for spec in queue}
+        placed = set(cluster.placements)
+        assert not queued & placed
+        assert all(states[jid].finish_time is None for jid in queued | placed)
+        away = [s for jid, s in states.items() if jid not in queued | placed
+                and s.start_time is not None and s.finish_time is None]
+        assert all(s.preemption_count > 0 for s in away)
+        self.saw_preempted += bool(away)
+        return super().decide(cluster, queue, states, rng, cs)
+
+
+@pytest.mark.parametrize("kind", ["las", "srtf", "rl-hybrid"])
+def test_each_job_is_in_one_place_at_every_decision(kind):
+    net, space = make_net(CFG, TrainConfig(seed=0))
+    audit = LifecycleAudit(make_policy(kind, net, space))
+    report = run_episode(audit, HEAVY_POISSON, EpisodeConfig(cs_preemption_threshold=2.0,
+                                                             restore_penalty=5.0))
+    assert report.aggregates["total_preemptions"] > 0 and audit.saw_preempted > 0
+    assert all(j.finish is not None for j in report.jobs)
+
+
+class TestUnfinishableTrace:
+    """run_episode refuses, before round 0, a trace that no episode can finish."""
+
+    def refuse(self, trace, match):
+        counter = DecideCounter(GreedyPolicy(), every_round=True)
+        with pytest.raises(ConfigError, match=match):
+            run_episode(counter, trace, EpisodeConfig())
+        assert counter.calls == 0
+
+    def test_demand_no_placement_fits(self):
+        # 9 GPUs is neither 9 on one 8-GPU node nor a power-of-two split
+        trace = generate_trace(TraceSpec(num_jobs=4, seed=1))
+        trace[2] = replace(trace[2], gpu_demand=9)
+        self.refuse(trace, "job 2 demands 9 GPUs, which no placement fits on 4 nodes x 8 GPUs")
+
+    def test_repeated_job_id(self):
+        trace = generate_trace(TraceSpec(num_jobs=4, seed=1))
+        trace[3] = replace(trace[3], id=1)
+        self.refuse(trace, "job id 1 is given twice")

@@ -50,7 +50,7 @@ def full_profile(cluster, states, params):
 
 
 def episode_cs(cluster, states, params):
-    return EpisodeCS(cluster, states, EpisodeConfig(contention=params))
+    return EpisodeCS(cluster, states, EpisodeConfig(contention=params), RewardWeights())
 
 
 def oracle_reward(policy, episode, cluster, states):
@@ -248,7 +248,7 @@ class TestVerdicts:
         net.params["contention_scale"][0] = scale
         policy = RLBasePolicy(net, space)
         episode = EpisodeConfig(contention=params)
-        cs = EpisodeCS(cluster, states, episode)
+        cs = EpisodeCS(cluster, states, episode, RewardWeights())
         for _ in range(2):
             queue = queue_for(data.draw, config, states)
             version = cluster.version

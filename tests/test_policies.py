@@ -19,7 +19,7 @@ from consched.policies import (GreedyPolicy, LASPolicy, RLBasePolicy,
                                make_policy, srtf_order)
 from consched.rl.reward import RewardWeights
 from consched.rl.train import TrainConfig, make_net
-from consched.workload import JobState, Phase, TraceSpec, feasible_demands, generate_trace
+from consched.workload import JobState, TraceSpec, feasible_demands, generate_trace
 
 CFG = ClusterConfig()
 
@@ -39,7 +39,7 @@ def jobs_with(demands, runtimes=None, arrivals=None):
 
 
 def episode_cs(cluster, states):
-    return EpisodeCS(cluster, states, EpisodeConfig())
+    return EpisodeCS(cluster, states, EpisodeConfig(), RewardWeights())
 
 
 def states_for(specs):
@@ -134,7 +134,6 @@ class TestSRTFPreemption:
         specs = jobs_with([4, 4], runtimes=[100.0, 30.0])
         states = states_for(specs)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        states[specs[0].id].phase = Phase.RUNNING
         action = decide_srtf(cluster, [specs[1]], states, preemptive=True)
         assert action.preemptions == [specs[0].id]
         assert [jid for jid, _ in action.placements] == [specs[1].id]
@@ -144,7 +143,6 @@ class TestSRTFPreemption:
         specs = jobs_with([4, 4], runtimes=[30.0, 100.0])
         states = states_for(specs)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        states[specs[0].id].phase = Phase.RUNNING
         action = decide_srtf(cluster, [specs[1]], states, preemptive=True)
         assert action.preemptions == []
         assert action.placements == []
@@ -154,7 +152,6 @@ class TestSRTFPreemption:
         specs = jobs_with([4, 4], runtimes=[100.0, 30.0])
         states = states_for(specs)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        states[specs[0].id].phase = Phase.RUNNING
         action = decide_srtf(cluster, [specs[1]], states, preemptive=False)
         assert action.preemptions == [] and action.placements == []
 
@@ -214,7 +211,6 @@ def occupied_clusters(draw):
         placement = first_fit(cluster, spec.gpu_demand)
         if placement is not None:
             cluster.allocate(spec.id, placement)
-            states[spec.id].phase = Phase.RUNNING
     return cluster, specs[len(running):], states
 
 

@@ -627,8 +627,9 @@ class TestPrior:
         specs = generate_trace(TraceSpec(num_jobs=1, seed=0))
         states = {specs[0].id: JobState(spec=specs[0])}
         cluster = ClusterState(ClusterConfig())
+        cs = EpisodeCS(cluster, states, EpisodeConfig(), RewardWeights())
         action = RLBasePolicy(net, space, deterministic=True).decide(
-            cluster, specs, states, None, EpisodeCS(cluster, states, EpisodeConfig()))
+            cluster, specs, states, None, cs)
         assert action.placements
         assert action.placements[0][1] == first_fit(cluster, specs[0].gpu_demand)
 
