@@ -21,7 +21,7 @@ def main():
     args = parser.parse_args()
     table = default_cs_table()
     write_cs_table(table, args.out)
-    print(f"wrote {len(table.entries)} entries to {args.out}")
+    print(f"wrote {len(table)} entries to {args.out}")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,11 @@ co-location, so CS >= 1 and CS == 1 means no degradation. Two modes:
   communication phase by s, so CS = 1 + f * (max-node oversubscription - 1).
   Zero comm/comp overlap is assumed (worst case).
 
-* table: per (model, shape) pair lookups, combined across co-located
-  jobs with a pairwise max. The default table is the shipped calibration
-  (calibrated_cs), evaluated per pair for any cluster shape and memoized
-  (CalibratedCS). A table loaded from a --cs-table file (CSTable) falls
-  back to the synthetic model, evaluated for that single pair, for an
-  entry it lacks.
+* table: per (model, shape) pair values, combined across co-located
+  jobs with a pairwise max. A pair's value is the loaded table's (a
+  --cs-table file) when it holds the pair, and the shipped calibration
+  (calibrated_cs, defined for any cluster shape and cached) otherwise.
+  With no table loaded every value is the calibration's.
 
 In both modes a job with no node-sharing neighbor has CS exactly 1.0.
 A third mode, off, gives every job CS 1.0.
@@ -25,6 +24,7 @@ A third mode, off, gives every job CS 1.0.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,41 +96,22 @@ def shape_of(placement: Placement) -> Shape:
     return (n.bit_length() - 1, placement.gpus_per_node_used)
 
 
-class CSTable:
-    """Pairwise CS lookups keyed by ((target model, shape), (coloc model, shape)).
-
-    Shapes are (i, j) with 2^i nodes and j GPUs per node. Values are
-    asymmetric: CS(A|B) generally differs from CS(B|A). Every value is
-    finite and >= 1, and every shape has i >= 0 and j >= 1.
-    """
-
-    def __init__(self):
-        self.entries: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] = {}
-
-    def add(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape], value: float):
-        if not 1.0 <= value < math.inf:
-            raise ConfigError(f"CS value {value} is not finite and >= 1.0")
-        for _, (i, j) in (target, coloc):
-            if i < 0 or j < 1:
-                raise ConfigError(f"shape {(i, j)} needs i >= 0 and j >= 1 GPU per node")
-        self.entries[(target, coloc)] = float(value)
-
-    def lookup(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float | None:
-        return self.entries.get((target, coloc))
+# Pairwise CS values keyed ((target model, shape), (coloc model, shape)),
+# shapes (i, j) with 2^i nodes and j GPUs per node. Values are asymmetric:
+# CS(A|B) generally differs from CS(B|A).
+CSTable = dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float]
 
 
 @dataclass
 class ContentionParams:
-    """Which CS mode to use; table mode requires a table (CSTable or CalibratedCS)."""
+    """Which CS mode to use; table mode overrides the calibration with table's pairs."""
 
-    mode: str = "synthetic"  # "synthetic" | "table" | "off" (every CS is 1)
-    table: CSTable | CalibratedCS | None = None
+    mode: str = "table"  # "table" | "synthetic" | "off" (every CS is 1)
+    table: CSTable | None = None
 
     def __post_init__(self):
         if self.mode not in ("synthetic", "table", "off"):
             raise ConfigError(f"unknown contention mode {self.mode!r}")
-        if self.mode == "table" and self.table is None:
-            raise ConfigError("table mode requires a CS table")
 
 
 def _per_node_demands(jobs: list[tuple[ModelProfile, Placement]]):
@@ -198,14 +179,16 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
         return 1.0
     if params.mode == "synthetic":
         return _synthetic_cs(job, sharing, cluster_config)
-    # table mode: pairwise max over sharing neighbors; a CSTable lacking
-    # an entry falls back to the synthetic model (CalibratedCS lacks none)
+    # table mode: pairwise max over sharing neighbors, each pair the loaded
+    # table's value or else the calibration's (a key hashes once without a table)
+    table = params.table
     target_key = (profile.model_class, shape_of(placement))
     cs = 1.0
     for other_profile, other_placement in sharing:
-        value = params.table.lookup(target_key, (other_profile.model_class, shape_of(other_placement)))
+        coloc_key = (other_profile.model_class, shape_of(other_placement))
+        value = table.get((target_key, coloc_key)) if table else None
         if value is None:
-            value = _synthetic_cs(job, [(other_profile, other_placement)], cluster_config)
+            value = calibrated_cs(target_key, coloc_key)
         cs = max(cs, value)
     return cs
 
@@ -267,6 +250,7 @@ def _shape_factor(target_shape: Shape, coloc_shape: Shape) -> float:
     return (1.0 / (2 ** target_shape[0]) + 1.0 / (2 ** coloc_shape[0])) / 2.0
 
 
+@functools.cache
 def calibrated_cs(target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float:
     """The shipped calibration: CS of target given one co-located contender.
 
@@ -277,7 +261,7 @@ def calibrated_cs(target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Sha
     with weight 1.0 for the target's worst contender, so the published
     extremes are block maxima exactly (attained at single-node shape
     pairs, where the shared node carries both jobs' full traffic). It is
-    defined for any shape, so for any cluster.
+    defined for any shape, so for any cluster, and cached per pair.
     """
     tm, ts = target
     cm, cs = coloc
@@ -293,29 +277,15 @@ def calibrated_cs(target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Sha
     return 1.0 + (TARGET_MAX_CS[tm] - 1.0) * weight * factor
 
 
-class CalibratedCS:
-    """The default table: lookup evaluates calibrated_cs once per key and memoizes it."""
-
-    def __init__(self):
-        self.memo: dict[tuple[tuple[ModelClass, Shape], tuple[ModelClass, Shape]], float] = {}
-
-    def lookup(self, target: tuple[ModelClass, Shape], coloc: tuple[ModelClass, Shape]) -> float:
-        key = (target, coloc)
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = calibrated_cs(target, coloc)
-        return value
-
-
 def default_cs_table(cluster_config: ClusterConfig | None = None) -> CSTable:
-    """calibrated_cs over every feasible shape pair of the cluster (default 4x8), as a CSTable."""
+    """calibrated_cs over every feasible shape pair of the cluster (default 4x8)."""
     shapes = feasible_shapes(cluster_config or ClusterConfig())
-    table = CSTable()
+    table: CSTable = {}
     for tm in ModelClass:
         for cm in ModelClass:
             for ts in shapes:
                 for cs in shapes:
-                    table.add((tm, ts), (cm, cs), calibrated_cs((tm, ts), (cm, cs)))
+                    table[(tm, ts), (cm, cs)] = calibrated_cs((tm, ts), (cm, cs))
     return table
 
 
@@ -327,7 +297,7 @@ def load_cs_table(path) -> CSTable:
     comment. Node counts must be powers of two, GPU counts at least 1,
     and values finite and >= 1.
     """
-    table = CSTable()
+    table: CSTable = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -347,22 +317,22 @@ def load_cs_table(path) -> CSTable:
             for nodes in (t_nodes, c_nodes):
                 if nodes < 1 or (nodes & (nodes - 1)) != 0:
                     raise TraceParseError(f"node count {nodes} is not a power of two", line=lineno)
-            t_shape = (t_nodes.bit_length() - 1, t_gpus)
-            c_shape = (c_nodes.bit_length() - 1, c_gpus)
-            try:
-                table.add((tm, t_shape), (cm, c_shape), value)
-            except ConfigError as exc:
-                raise TraceParseError(str(exc), line=lineno) from exc
+            for gpus in (t_gpus, c_gpus):
+                if gpus < 1:
+                    raise TraceParseError(f"GPU count {gpus} per node is below 1", line=lineno)
+            if not 1.0 <= value < math.inf:
+                raise TraceParseError(f"CS value {value} is not finite and >= 1.0", line=lineno)
+            table[(tm, (t_nodes.bit_length() - 1, t_gpus)),
+                  (cm, (c_nodes.bit_length() - 1, c_gpus))] = value
     return table
 
 
 def write_cs_table(table: CSTable, path) -> None:
     """Write a table in the load_cs_table format (deterministic order)."""
-    keys = sorted(table.entries,
-                  key=lambda k: (k[0][0].value, k[0][1], k[1][0].value, k[1][1]))
+    keys = sorted(table, key=lambda k: (k[0][0].value, k[0][1], k[1][0].value, k[1][1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# target_model,target_nodes,target_gpus_per_node,"
                  "coloc_model,coloc_nodes,coloc_gpus_per_node,cs_value\n")
         for (tm, ts), (cm, cs) in keys:
-            value = table.entries[((tm, ts), (cm, cs))]
+            value = table[(tm, ts), (cm, cs)]
             fh.write(f"{tm.value},{2 ** ts[0]},{ts[1]},{cm.value},{2 ** cs[0]},{cs[1]},{value!r}\n")

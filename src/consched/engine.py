@@ -29,7 +29,7 @@ import numpy as np
 
 from .actions import Action, RLDecision
 from .cluster import ClusterConfig, ClusterState
-from .contention import CS_CAP, CalibratedCS, ContentionParams, contention_sensitivity
+from .contention import CS_CAP, ContentionParams, contention_sensitivity
 from .errors import ConfigError, InvalidPlacementError
 from .policies import decide_fifo_greedy
 from .rl.reward import RewardWeights, compute_reward
@@ -37,13 +37,10 @@ from .workload import JobSpec, JobState, advance, check_trace
 
 log = logging.getLogger(__name__)
 
-# one memo for every episode: each value is a pure function of its key
-_CALIBRATED = CalibratedCS()
-
 
 def default_contention_params() -> ContentionParams:
     """Table mode over the shipped calibration, for any cluster shape."""
-    return ContentionParams(mode="table", table=_CALIBRATED)
+    return ContentionParams()
 
 
 CHECKPOINT_GRACE = 5.0  # sim-seconds; a preempted job re-queues once its checkpoint is written
@@ -405,9 +402,14 @@ def _defer(queue: list[JobSpec], spec: JobSpec) -> None:
     """Move a declined job behind the last queued job of the same demand.
 
     The RL window offers the first queued job of each demand, so without
-    the move a declined job would block every peer of its demand.
+    the move a declined job would block every peer of its demand. A job
+    that is no longer queued (RL-Hybrid's greedy pass placed it) is left
+    alone. The scan matches by identity, which is equality here because
+    check_trace refuses a repeated job id.
     """
-    pos = queue.index(spec)
+    pos = next((k for k, queued in enumerate(queue) if queued is spec), None)
+    if pos is None:
+        return
     peers = [k for k in range(pos + 1, len(queue)) if queue[k].gpu_demand == spec.gpu_demand]
     if peers:
         queue.insert(peers[-1] + 1, spec)
@@ -566,8 +568,7 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                     state.start_time = t
                 queue.remove(state.spec)
             for jid in action.deferred:
-                if states[jid].spec in queue:
-                    _defer(queue, states[jid].spec)
+                _defer(queue, states[jid].spec)
 
             cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
             finished: list[int] = []

@@ -55,6 +55,7 @@ def save_checkpoint(net: PolicyNet, path, metadata: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[PolicyNet, dict]:
     """Read a checkpoint; returns (net, metadata). Round-trips exactly.
 
+    Every parameter of the architecture's net must be in the manifest.
     The net's reward_weights come from the metadata's w1 when it has one.
     """
     try:
@@ -99,6 +100,9 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    missing = sorted(set(net.params) - {item["name"] for item in header["params"]})
+    if missing:
+        raise CheckpointError(f"{path}: missing parameters {', '.join(missing)}")
     metadata = header.get("metadata", {})
     if "w1" in metadata:
         net.reward_weights = RewardWeights(metadata["w1"])

@@ -382,6 +382,20 @@ class TestEval:
                 f"--contention-mode {mode}") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_shipped_4x8_table_file_on_8_nodes_matches_the_default(self, tmp_path):
+        """The file lacks the 8-node shapes; the calibration gives those pairs."""
+        trace, table, out = tmp_path / "t.txt", tmp_path / "cs_table.csv", tmp_path / "out"
+        assert run(["gen-trace", "--jobs", "64", "--seed", "1", "--mix", "heavy",
+                    "--nodes", "8", "--demand-cap", "64", "--out", str(trace)]) == 0
+        write_cs_table(default_cs_table(), table)
+        rows = []
+        for name, extra in (("calibration", []), ("file", ["--cs-table", str(table)])):
+            assert run(["eval", "--policy", "srtf", "--nodes", "8", "--trace", str(trace),
+                        *extra, "--name", name, "--out-dir", str(out)]) == 0
+            text = (out / "reports" / name / "set00" / "per_job.csv").read_text()
+            rows.append([line for line in text.splitlines() if not line.startswith("#")])
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("row", ["FSDP,1,4,MoE,1,4,nan", "FSDP,1,4,MoE,1,4,inf",
                                      "FSDP,1,0,MoE,1,4,1.5", "FSDP,1,4,MoE,1,-2,1.5"])
     def test_cs_table_with_a_bad_value_is_a_parse_error(self, row, trace_file, tmp_path, capsys):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from consched import contention
 from consched.cluster import ClusterConfig, Placement
-from consched.contention import (CSTable, ContentionParams, DEFAULT_PROFILES,
+from consched.contention import (ContentionParams, DEFAULT_PROFILES,
                                  ModelClass, ModelProfile, CommPattern,
-                                 contention_sensitivity,
+                                 calibrated_cs, contention_sensitivity,
                                  default_cs_table, load_cs_table, write_cs_table,
                                  feasible_shapes)
 from consched.engine import EpisodeConfig, default_contention_params, run_episode
@@ -27,7 +27,7 @@ def profile(bw, ratio, model=ModelClass.LM):
 
 def block_max(table, target_model, coloc_model):
     """Max CS of table over every shape pair of one (target, coloc) model pair."""
-    return max(value for ((target, _), (coloc, _)), value in table.entries.items()
+    return max(value for ((target, _), (coloc, _)), value in table.items()
                if target is target_model and coloc is coloc_model)
 
 
@@ -132,8 +132,7 @@ class TestSensitivityValues:
     def test_two_in_engineered_table(self):
         bw = 3 * CFG.inter_node_bandwidth
         # engineered so CS is exactly 2: f = 1? impossible; use table
-        table = CSTable()
-        table.add((ModelClass.LM, (0, 4)), (ModelClass.LM, (0, 2)), 2.0)
+        table = {((ModelClass.LM, (0, 4)), (ModelClass.LM, (0, 2))): 2.0}
         params = ContentionParams(mode="table", table=table)
         job = (profile(bw, 2), Placement(nodes=(0,), gpus_per_node_used=4))
         other = (profile(bw, 2), Placement(nodes=(0,), gpus_per_node_used=2))
@@ -158,18 +157,18 @@ class TestDefaultTable:
 
     def test_all_entries_at_least_one(self):
         table = default_cs_table()
-        assert all(v >= 1.0 for v in table.entries.values())
+        assert all(v >= 1.0 for v in table.values())
 
     def test_asymmetry(self):
         table = default_cs_table()
-        a = table.lookup((ModelClass.FSDP, (0, 4)), (ModelClass.MoE, (0, 4)))
-        b = table.lookup((ModelClass.MoE, (0, 4)), (ModelClass.FSDP, (0, 4)))
+        a = table[(ModelClass.FSDP, (0, 4)), (ModelClass.MoE, (0, 4))]
+        b = table[(ModelClass.MoE, (0, 4)), (ModelClass.FSDP, (0, 4))]
         assert a != b
 
     def test_covers_all_feasible_shape_pairs(self):
         table = default_cs_table()
         shapes = feasible_shapes(CFG)
-        assert len(table.entries) == 36 * len(shapes) ** 2
+        assert len(table) == 36 * len(shapes) ** 2
 
     def test_degradation_matches_published_percentages(self):
         # 1 - 1/CS within 0.5 percentage points of the published 49.1/66.7
@@ -182,13 +181,17 @@ def no_synthetic(*_):
 
 
 class TestCalibration:
-    """The default mode evaluates the shipped calibration per pair (CalibratedCS)."""
+    """The default mode evaluates the shipped calibration per pair (calibrated_cs)."""
 
     def test_4x8_table_equals_default_lookup_bit_for_bit(self):
-        table = default_cs_table()
-        lookup = default_contention_params().table.lookup
-        for _ in range(2):  # the first pass may fill the memo, the second reads it
-            assert all(lookup(*key).hex() == value.hex() for key, value in table.entries.items())
+        table = default_cs_table()  # fills the cache, which the lookups below read
+        closed_form = calibrated_cs.__wrapped__
+        assert all(calibrated_cs(*key).hex() == closed_form(*key).hex() == value.hex()
+                   for key, value in table.items())
+
+    def test_default_params_are_table_mode_over_the_calibration(self):
+        assert ContentionParams() == default_contention_params() == EpisodeConfig().contention
+        assert (ContentionParams().mode, ContentionParams().table) == ("table", None)
 
     @pytest.mark.parametrize("config,digest", [
         (None, "9aa61857cfceb2321f09c481512d3374595d3d3a7eb3e19aca15ec22de1839d9"),
@@ -238,21 +241,25 @@ class TestTableMode:
         assert contention_sensitivity(coloc, [target], params, CFG) == 3.00
 
     def test_pairwise_max_combination(self):
-        table = CSTable()
-        table.add((ModelClass.LM, (0, 2)), (ModelClass.LM, (0, 2)), 1.3)
-        table.add((ModelClass.LM, (0, 2)), (ModelClass.GNN, (0, 2)), 1.1)
+        table = {((ModelClass.LM, (0, 2)), (ModelClass.LM, (0, 2))): 1.3,
+                 ((ModelClass.LM, (0, 2)), (ModelClass.GNN, (0, 2))): 1.1}
         params = ContentionParams(mode="table", table=table)
         target = (profile(100, 1, ModelClass.LM), Placement(nodes=(0,), gpus_per_node_used=2))
         lm = (profile(100, 1, ModelClass.LM), Placement(nodes=(0,), gpus_per_node_used=2))
         gnn = (profile(100, 1, ModelClass.GNN), Placement(nodes=(0,), gpus_per_node_used=2))
         assert contention_sensitivity(target, [lm, gnn], params, CFG) == 1.3
 
-    def test_missing_entry_falls_back_to_synthetic(self):
-        params = ContentionParams(mode="table", table=CSTable())
-        bw = 2 * CFG.inter_node_bandwidth
-        target = (profile(bw, 1.0), Placement(nodes=(0, 1), gpus_per_node_used=2))
-        other = (profile(bw, 1.0), Placement(nodes=(0, 1), gpus_per_node_used=2))
-        assert contention_sensitivity(target, [other], params, CFG) == pytest.approx(1.5)
+    def test_partial_table_overrides_its_pair_and_calibration_gives_the_rest(self, monkeypatch):
+        fsdp, moe = (ModelClass.FSDP, (0, 4)), (ModelClass.MoE, (3, 2))
+        params = ContentionParams(mode="table", table={(fsdp, moe): 1.25})
+        monkeypatch.setattr(contention, "_synthetic_cs", no_synthetic)
+        target = (DEFAULT_PROFILES[ModelClass.FSDP], Placement(nodes=(0,), gpus_per_node_used=4))
+        coloc = (DEFAULT_PROFILES[ModelClass.MoE], Placement(nodes=tuple(range(8)),
+                                                             gpus_per_node_used=2))
+        config = ClusterConfig(num_nodes=8)
+        assert contention_sensitivity(target, [coloc], params, config) == 1.25
+        assert contention_sensitivity(coloc, [target], params, config) == calibrated_cs(moe, fsdp)
+        assert calibrated_cs(moe, fsdp) > 1.0
 
     def test_no_shared_node_short_circuits_table(self):
         params = ContentionParams(mode="table", table=default_cs_table())
@@ -261,10 +268,6 @@ class TestTableMode:
         target = (fsdp, Placement(nodes=(0,), gpus_per_node_used=4))
         coloc = (moe, Placement(nodes=(1,), gpus_per_node_used=4))
         assert contention_sensitivity(target, [coloc], params, CFG) == 1.0
-
-    def test_table_mode_requires_table(self):
-        with pytest.raises(ConfigError):
-            ContentionParams(mode="table", table=None)
 
 
 class TestOffMode:
@@ -285,18 +288,18 @@ class TestTableIO:
         path = tmp_path / "table.csv"
         write_cs_table(table, path)
         loaded = load_cs_table(path)
-        assert loaded.entries == table.entries
+        assert loaded == table
 
     def test_row_shape_convention(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("FSDP,2,4,MoE,2,4,1.96\n")
         table = load_cs_table(path)
-        assert table.lookup((ModelClass.FSDP, (1, 4)), (ModelClass.MoE, (1, 4))) == 1.96
+        assert table == {((ModelClass.FSDP, (1, 4)), (ModelClass.MoE, (1, 4))): 1.96}
 
     def test_empty_file_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n\n")
-        assert len(load_cs_table(path).entries) == 0
+        assert load_cs_table(path) == {}
 
     def test_value_below_one_rejected_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -318,12 +321,13 @@ class TestTableIO:
         with pytest.raises(TraceParseError, match="line 2"):
             load_cs_table(path)
 
-    @pytest.mark.parametrize("target,coloc,value", [
-        ((0, 4), (0, 4), float("nan")), ((0, 4), (0, 4), float("inf")),
-        ((0, 0), (0, 4), 1.5), ((0, 4), (-1, 4), 1.5)])
-    def test_add_rejects_non_finite_value_or_bad_shape(self, target, coloc, value):
-        with pytest.raises(ConfigError):
-            CSTable().add((ModelClass.FSDP, target), (ModelClass.MoE, coloc), value)
+    @pytest.mark.parametrize("row", ["FSDP,1,4,MoE,1,4,nan", "FSDP,1,4,MoE,1,4,inf",
+                                     "FSDP,1,0,MoE,1,4,1.5", "FSDP,1,4,MoE,0,4,1.5"])
+    def test_rejects_non_finite_value_or_bad_shape_after_comments(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# header\n\nFSDP,1,4,MoE,1,4,1.5  # fine\n{row}\n")
+        with pytest.raises(TraceParseError, match="line 4"):
+            load_cs_table(path)
 
     def test_non_power_of_two_nodes_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

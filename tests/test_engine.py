@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from consched import engine, workload
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
-from consched.contention import CS_CAP, CSTable, ContentionParams, ModelClass
-from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, advance_stretch,
-                             compare_policies, percentile_90, run_episode)
+from consched.contention import CS_CAP, ContentionParams, ModelClass
+from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, _defer,
+                             advance_stretch, compare_policies, percentile_90, run_episode)
 from consched.errors import ConfigError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
 from consched.reports import ROUND_COLUMNS, _fmt, write_episode_report
@@ -91,11 +91,9 @@ def jobs_with(demands, runtimes=None, models=None):
 
 def pair_table(value_ab, value_ba, model=ModelClass.LM):
     """Table giving fixed CS for any single-node shape pair of one model."""
-    table = CSTable()
-    for j1 in range(1, 9):
-        for j2 in range(1, 9):
-            table.add((model, (0, j1)), (model, (0, j2)), value_ab)
-    return ContentionParams(mode="table", table=table)
+    return ContentionParams(mode="table", table={
+        ((model, (0, j1)), (model, (0, j2))): value_ab
+        for j1 in range(1, 9) for j2 in range(1, 9)})
 
 
 class ScriptedPolicy:
@@ -299,6 +297,12 @@ class TestDeferral:
         report = run_episode(policy, trace, EpisodeConfig())
         assert policy.queues[1] == [1]
         assert report.jobs[0].start == 0.0
+
+    def test_job_no_longer_queued_leaves_the_queue_alone(self):
+        placed, *queue = jobs_with([4, 2, 4])
+        before = list(queue)
+        _defer(queue, placed)
+        assert queue == before
 
     def test_baseline_queues_untouched(self):
         trace = generate_trace(TraceSpec(num_jobs=24, seed=4))

@@ -7,8 +7,8 @@ neighbours. The oracles below are the full computations those shortcuts
 replace: every placed job profiled against every other, and each trial
 placement priced on a copy of the cluster with the job allocated. The
 tests draw clusters of 1-8 nodes, random allocate and free sequences,
-the table and synthetic modes and contention off, and compare with ==,
-dict order included.
+the table mode with and without a partial file table, the synthetic
+mode and contention off, and compare with ==, dict order included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from consched.cluster import ClusterConfig, ClusterState
 from consched.contention import (DEFAULT_PROFILES, ContentionParams, ModelClass,
-                                 contention_sensitivity)
+                                 contention_sensitivity, default_cs_table)
 from consched.encoding import clipped_cs, encode_state, job_features, window_candidates
 from consched.engine import EpisodeConfig, EpisodeCS, default_contention_params, run_episode
 from consched.policies import RLBasePolicy
@@ -33,8 +33,12 @@ from test_cluster import all_placements
 from test_golden import trajectory_rows
 
 OFF = ContentionParams("off")
+# a file table that gives its own value for every other pair of the 4x8
+# calibration and leaves the rest, 8-node shapes included, to the calibration
+PARTIAL = {key: 2 * value - 1
+           for k, (key, value) in enumerate(default_cs_table().items()) if k % 2}
 MODES = {"table": default_contention_params, "synthetic": lambda: ContentionParams("synthetic"),
-         "off": lambda: OFF}
+         "file": lambda: ContentionParams("table", PARTIAL), "off": lambda: OFF}
 
 
 def full_profile(cluster, states, params):

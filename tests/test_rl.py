@@ -566,7 +566,32 @@ def write_format_2_checkpoint(path):
                         "metadata": {}, "params": [{"name": "head_prior", "shape": [12]}]})
 
 
+def drop_parameter(path, name):
+    """Rewrite a checkpoint without one parameter's manifest entry and data."""
+    raw = path.read_bytes()
+    offset = len(MAGIC) + 8
+    blob_len = int.from_bytes(raw[len(MAGIC):offset], "little")
+    header = json.loads(raw[offset:offset + blob_len])
+    data, tensors = raw[offset + blob_len:], {}
+    for item in header["params"]:
+        nbytes = 8 * int(np.prod(item["shape"]))
+        tensors[item["name"]], data = data[:nbytes], data[nbytes:]
+    header["params"] = [item for item in header["params"] if item["name"] != name]
+    write_header(path, header)
+    with open(path, "ab") as fh:
+        fh.write(b"".join(tensors[item["name"]] for item in header["params"]))
+
+
 class TestCheckpointFormat:
+    def test_missing_parameter_rejected_by_name(self, tmp_path):
+        net = tiny_net(seed=23)
+        net.params["contention_scale"][:] = 2.5
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(net, path)
+        drop_parameter(path, "contention_scale")
+        with pytest.raises(CheckpointError, match="missing parameters contention_scale"):
+            load_checkpoint(path)
+
     def test_format_2_rejected_naming_both_versions(self, tmp_path):
         path = tmp_path / "old.ckpt"
         write_format_2_checkpoint(path)

@@ -47,7 +47,7 @@ def test_branch_sweep(tmp_path):
 def test_dump_default_cs_table(tmp_path):
     out = tmp_path / "cs_table.csv"
     run_script("dump_default_cs_table.py", "--out", out)
-    assert load_cs_table(out).entries == default_cs_table().entries
+    assert load_cs_table(out) == default_cs_table()
 
 
 def test_bench_snapshot_reads_the_import_phase(tmp_path):
