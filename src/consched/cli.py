@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
         # a decision with a window had a choice, so it is never reused:
         # its run is the one round that made it
         scored = [(first, step) for _, first, _, step, _ in report.rounds.runs
-                  if step is not None and step.pooled is not None]
+                  if step is not None and step.has_choice]
         for r, step in scored[:args.dump_state_rounds]:
             write_scorer_rows(step, r, os.path.join(out_dir, f"scorer_set{k:02d}_round{r}.csv"))
         write_episode_report(report, os.path.join(out_dir, f"set{k:02d}"), provenance)

@@ -146,14 +146,14 @@ class EpisodeReport:
         counts, edges = np.histogram(self.rounds.column("utilization"), bins=20,
                                      range=(0.0, 1.0))
         total = max(1, len(self.rounds))
-        return [(float(edge), count / total) for edge, count in zip(edges, counts)]
+        return [(float(edge), int(count) / total) for edge, count in zip(edges, counts)]
 
     def cs_job_histogram(self) -> list[tuple[float, float]]:
         """(bin left edge, fraction of jobs) over per-job mean experienced CS in 15 bins."""
         values = [min(j.mean_cs, CS_CAP) for j in self.jobs]
         counts, edges = np.histogram(values, bins=15, range=(1.0, CS_CAP))
         total = max(1, len(values))
-        return [(float(edge), count / total) for edge, count in zip(edges, counts)]
+        return [(float(edge), int(count) / total) for edge, count in zip(edges, counts)]
 
 
 def percentile_90(values: list[float]) -> float:
@@ -398,16 +398,20 @@ def _preempt(cluster: ClusterState, state: JobState, cfg: EpisodeConfig,
     checkpointing.append((t + CHECKPOINT_GRACE, state.spec.id))
 
 
+def _queued_at(queue: list[JobSpec], spec: JobSpec) -> int | None:
+    """spec's position in queue, or None; the scan matches by identity, which
+    is equality here because check_trace refuses a repeated job id."""
+    return next((k for k, queued in enumerate(queue) if queued is spec), None)
+
+
 def _defer(queue: list[JobSpec], spec: JobSpec) -> None:
     """Move a declined job behind the last queued job of the same demand.
 
     The RL window offers the first queued job of each demand, so without
     the move a declined job would block every peer of its demand. A job
-    that is no longer queued (RL-Hybrid's greedy pass placed it) is left
-    alone. The scan matches by identity, which is equality here because
-    check_trace refuses a repeated job id.
+    that is no longer queued (RL-Hybrid's greedy pass placed it) is left alone.
     """
-    pos = next((k for k, queued in enumerate(queue) if queued is spec), None)
+    pos = _queued_at(queue, spec)
     if pos is None:
         return
     peers = [k for k in range(pos + 1, len(queue)) if queue[k].gpu_demand == spec.gpu_demand]
@@ -563,10 +567,13 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
                     raise InvalidPlacementError(
                         f"placement covers {placement.total_gpus} GPUs, "
                         f"job {jid} demands {state.spec.gpu_demand}")
+                pos = _queued_at(queue, state.spec)
+                if pos is None:
+                    raise InvalidPlacementError(f"cannot place job {jid}: it is not queued")
                 cluster.allocate(jid, placement)
                 if state.start_time is None:
                     state.start_time = t
-                queue.remove(state.spec)
+                del queue[pos]
             for jid in action.deferred:
                 _defer(queue, states[jid].spec)
 

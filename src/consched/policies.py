@@ -265,10 +265,10 @@ class RLBasePolicy:
 def hybridize(base_action: Action, cluster, queue) -> Action:
     """Apply the greedy safety rule when the policy scheduled nothing.
 
-    An RL decision with no pooled input had an empty window: no queued
-    job fits (the window's fit test is first_fit's), so there is no scan.
+    An RL decision with no choice had an empty window: no queued job
+    fits (the window's fit test is first_fit's), so there is no scan.
     """
-    if base_action.placements or (base_action.rl and base_action.rl.pooled is None):
+    if base_action.placements or (base_action.rl and not base_action.rl.has_choice):
         return base_action
     greedy = decide_fifo_greedy(cluster, queue)
     if not greedy.placements:

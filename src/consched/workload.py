@@ -292,7 +292,8 @@ def write_trace(jobs: list[JobSpec], spec: TraceSpec, path) -> None:
 
 
 def read_trace(path) -> list[JobSpec]:
-    """Parse a trace file's jobs; '#' lines, the write_trace header among them, are comments."""
+    """Parse a trace file's jobs; '#' lines, the write_trace header among them, are comments.
+    A file with no job record is a TraceParseError."""
     jobs = []
     seen: dict[int, int] = {}  # job id -> the line that gave it
     with open(path, "r", encoding="utf-8") as fh:
@@ -329,6 +330,8 @@ def read_trace(path) -> list[JobSpec]:
                 raise TraceParseError(f"job id {jid} already given on line {seen[jid]}",
                                       line=lineno)
             seen[jid] = lineno
+    if not jobs:
+        raise TraceParseError("no job record")
     return jobs
 
 

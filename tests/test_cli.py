@@ -183,6 +183,53 @@ def test_unrunnable_trace_is_a_file_error(case, command, trace_file, tmp_path, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_trace_with_no_job_record_is_a_file_error(command, trace_file, tmp_path, capsys):
+    """A file of comment lines alone has no job to run."""
+    trace_file.write_text("".join(line for line in trace_file.read_text().splitlines(True)
+                                  if line.startswith("#")))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*COMMANDS[command], "--trace", str(trace_file), "--out-dir", str(out)]) == 3
+    assert_one_line_error(capsys, "file error: ", str(trace_file), "no job record")
+    assert not out.exists()
+
+
+# columns of written CSV files that hold words, not numbers
+WORD_COLUMNS = {"policy", "baseline", "model", "nodes"}
+POINT_FILES = {"jct_cdf.csv", "util_hist.csv", "cs_hist.csv", "jct_util_scatter.csv"}
+
+
+def test_every_written_cell_is_a_plain_number(trace_file, tmp_path):
+    """Each data cell of each CSV and point file the commands write parses
+    with float(), but for the word columns and a skip row's blank placement."""
+    out = tmp_path / "out"
+    ckpt = fresh_checkpoint(tmp_path)
+    for argv in (["train", "--episodes", "1", "--name", "t"],
+                 ["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
+                  "--dump-state-rounds", "2", "--name", "e"],
+                 ["compare", "--policies", "las,srtf,rl-hybrid", "--checkpoint", str(ckpt),
+                  "--name", "c"]):
+        assert run([*argv, "--trace", str(trace_file), "--out-dir", str(out)]) == 0
+    files = sorted(out.rglob("*.csv"))
+    assert {path.name for path in files} >= POINT_FILES | {
+        "t_curves.csv", "comparison.csv", "deltas_pct.csv", "per_job.csv", "per_round.csv",
+        "scorer_set00_round0.csv"}
+    for path in files:
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        header = [f"x{k}" for k in range(2)] if path.name in POINT_FILES else rows.pop(0)
+        assert rows, path
+        for row in rows:
+            assert len(row) == len(header), path
+            cells = dict(zip(header, row))
+            skip = cells.get("nodes") == ""  # a scorer file's skip row
+            for column, cell in cells.items():
+                if column in WORD_COLUMNS or (skip and column == "gpus_per_node"):
+                    continue
+                float(cell)  # raises on np.float64(...) and on any word
+
+
 def test_trace_for_larger_nodes_is_a_file_error(tmp_path, monkeypatch, capsys):
     """A uniform-demand trace made for 16-GPU nodes holds demands that the
     default 8-GPU nodes cannot place."""

@@ -11,11 +11,12 @@ from consched import engine, workload
 from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CS_CAP, ContentionParams, ModelClass
-from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, _defer,
-                             advance_stretch, compare_policies, percentile_90, run_episode)
-from consched.errors import ConfigError
+from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, RoundRecord,
+                             _defer, advance_stretch, compare_policies, percentile_90,
+                             run_episode)
+from consched.errors import ConfigError, InvalidPlacementError
 from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
-from consched.reports import ROUND_COLUMNS, _fmt, write_episode_report
+from consched.reports import ROUND_COLUMNS, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, TraceSpec, advance, generate_trace
@@ -275,6 +276,20 @@ class QueueRecorder:
         return self.greedy.decide(cluster, queue, states, rng, cs)
 
 
+class ClusterRecorder(ScriptedPolicy):
+    """Plays back a fixed list of Actions, then greedy; keeps the cluster and
+    the placements each decide saw."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.seen = []
+
+    def decide(self, cluster, queue, states, rng=None, cs=None):
+        self.cluster = cluster
+        self.seen.append(dict(cluster.placements))
+        return super().decide(cluster, queue, states, rng, cs)
+
+
 class TestDeferral:
     def test_declined_job_moves_behind_same_demand_peers(self):
         trace = jobs_with([4, 2, 4, 4, 2])
@@ -297,6 +312,26 @@ class TestDeferral:
         report = run_episode(policy, trace, EpisodeConfig())
         assert policy.queues[1] == [1]
         assert report.jobs[0].start == 0.0
+
+    @pytest.mark.parametrize("case", ["not-arrived", "checkpointing"])
+    def test_placing_a_job_that_is_not_queued_is_refused(self, case, monkeypatch):
+        """The refusal comes before the allocate: the cluster keeps what it had."""
+        monkeypatch.setattr(engine, "CHECKPOINT_GRACE", 100.0)
+        trace = jobs_with([4, 4], runtimes=[600.0, 600.0])
+        on = [Placement(nodes=(node,), gpus_per_node_used=4) for node in (0, 1)]
+        if case == "not-arrived":
+            trace[1] = replace(trace[1], arrival_time=50.0)
+            script = [Action(placements=[(1, on[0])])]
+        else:  # job 1 is preempted in round 1 and placed again in round 2
+            script = [Action(placements=[(1, on[0])]), Action(preemptions=[1]),
+                      Action(placements=[(1, on[1])])]
+        policy = ClusterRecorder(script)
+        with pytest.raises(InvalidPlacementError, match="job 1: it is not queued"):
+            run_episode(policy, trace, EpisodeConfig(round_interval=1.0,
+                                                     cs_preemption_threshold=None))
+        assert len(policy.seen) == len(script)
+        assert policy.cluster.placements == policy.seen[-1] == {}
+        policy.cluster.audit()
 
     def test_job_no_longer_queued_leaves_the_queue_alone(self):
         placed, *queue = jobs_with([4, 2, 4])
@@ -701,14 +736,37 @@ class TestRunLog:
         else:
             assert all(run[3] is None and run[4] == 0.0 for run in runs)
 
-    def test_per_round_csv_is_written_run_by_run(self, tmp_path):
-        report = run_episode(GreedyPolicy(), NORMAL_64, EpisodeConfig())
-        assert len(report.rounds.runs) < len(report.rounds) / 5
+    @pytest.mark.parametrize("kind", ["las", "rl-base-recorded"])
+    def test_per_round_csv_rows_expand_to_the_rounds(self, kind, tmp_path):
+        """A row stands for its run: round k's time is k * interval, and the
+        run's rounds are `rounds` copies of the row's values."""
+        episode = EpisodeConfig()
+        if kind == "las":
+            report = run_episode(make_policy("las"), NORMAL_64, episode)
+        else:
+            report = run_episode(fresh_rl_policy("rl-base", False), HEAVY_POISSON, episode,
+                                 rng=np.random.default_rng(5), record_trajectory=True)
+        assert len(report.rounds.runs) < len(report.rounds) / 2  # stretches as rows
         write_episode_report(report, tmp_path)
-        lines = (tmp_path / "per_round.csv").read_text().splitlines()
-        assert lines[0] == ",".join(ROUND_COLUMNS)
-        assert lines[1:] == [",".join(_fmt(getattr(r, c)) for c in ROUND_COLUMNS)
-                             for r in report.rounds]
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "per_round.csv").read_text().splitlines()
+                         if not line.startswith("#")]
+        assert header == list(ROUND_COLUMNS)
+        assert len(rows) == len(report.rounds.runs)
+        expanded = []
+        for time, count, utilization, mean_cs, reward, *counts in rows:
+            first, n = len(expanded), int(count)
+            assert float(time) == first * episode.round_interval
+            values = (float(utilization), float(mean_cs), float(reward), *map(int, counts))
+            expanded += [RoundRecord(k * episode.round_interval, *values)
+                         for k in range(first, first + n)]
+            if n > 1:  # an idle stretch
+                assert counts[-2:] == ["0", "0"]
+        assert expanded == list(report.rounds)
+        for column in ("num_placed", "num_preempted"):
+            k = ROUND_COLUMNS.index(column)
+            assert (sum(int(row[k]) for row in rows)
+                    == sum(getattr(r, column) for r in report.rounds) > 0)
 
 
 class TestRecordedRounds:
