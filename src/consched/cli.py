@@ -285,8 +285,8 @@ def cmd_eval(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     pooled = {}
     for k, report in enumerate(reports):
-        # a decision with a window had a choice, so it is never reused:
-        # its run is the one round that made it
+        # a decision with a window had a choice, so it holds for one
+        # round: its run is that round
         scored = [(first, step) for _, first, _, step, _ in report.rounds.runs
                   if step is not None and step.has_choice]
         for r, step in scored[:args.dump_state_rounds]:

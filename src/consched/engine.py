@@ -1,21 +1,17 @@
 """Round-based episode driver.
 
-Each round: enqueue arrivals, let the policy decide, apply preemptions
-then placements, read the round's CS and throughput from EpisodeCS,
-advance every running job by the round interval (finishing jobs at
-their exact crossing times), then preempt CS-threshold offenders one at
-a time with re-evaluation. Throughput is piecewise-constant per round: a
-finishing neighbor only changes co-residents' CS at the next round boundary.
-
-Between events the rounds repeat one idle decision, and the engine
-applies such a stretch of rounds in one step (advance_stretch), rounds
-in which a job burns a whole interval of restore penalty included; the
-result is bit-identical to stepping them one at a time. A stretch that
-stops before a round in which a job finishes or burns a partial
-penalty says so, and that round goes through advance. The episode
-keeps one log of its rounds (RoundLog), one run per stretch or event
-round; a run also carries the RL decision its rounds applied when the
-trajectory is recorded, so training reads the same log.
+Each pass of run_episode makes one decision: enqueue arrivals, let the
+policy decide, apply preemptions then placements, read the round's CS
+and throughput from EpisodeCS, advance every running job through the
+rounds the decision holds for (finishing jobs at their exact crossing
+times), then preempt CS-threshold offenders one at a time with
+re-evaluation. Throughput is piecewise-constant per round: a finishing
+neighbor only changes co-residents' CS at the next round boundary.
+advance_stretch applies alike rounds in chunks, bit-identically to
+stepping them one at a time. The episode keeps one log of its rounds
+(RoundLog), one run per decision; a run also carries the RL decision
+its rounds applied when the trajectory is recorded, so training reads
+the same log.
 """
 
 from __future__ import annotations
@@ -297,11 +293,11 @@ class EpisodeCS:
         self._map, self._version, self._placed = profile, -1, dict(placements)
 
 
-STRETCH_CHUNK = 4096  # most rounds one advance_stretch call applies
+STRETCH_CHUNK = 4096  # most rounds one _accumulate call applies
 
 
-def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
-                    dt: float, limit: int) -> tuple[int, bool]:
+def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
+                dt: float, limit: int) -> tuple[int, bool]:
     """Advance running jobs through the rounds that advance would step alike.
 
     Returns (rounds applied, whether the next round must go through
@@ -310,7 +306,7 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
     and CS. In a round where a job burns a whole interval of restore
     penalty (restore_remaining >= dt) it gains no samples, but its
     attained service, CS integral and placed time grow as in any other
-    round. The stretch stops before the first round in which some job
+    round. The chunk stops before the first round in which some job
     would finish, round k finishing a job when gain >= total - s_k (s_k
     being its samples done before round k), and before the first round
     in which a job burns a partial penalty (0 < restore_remaining < dt);
@@ -348,7 +344,7 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
     # every job runs about (total - s) / gain rounds past its penalty before
     # it finishes; +2 covers the rounding of the sum, and a short guess or the
     # chunk cap (which bounds the array at 40 * STRETCH_CHUNK bytes per job)
-    # only ends the stretch early: the caller takes the next stretch
+    # only ends the chunk early: the caller takes the next chunk
     n = min(n, partial, int(min(soon, n)) + 2)
     steps = np.empty((n + 1, len(start)))
     steps[0] = start
@@ -372,6 +368,35 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
         (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
          job.restore_remaining) = row[5 * k:5 * k + 5]
     return n, bool(finishing) or n == partial
+
+
+def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
+                    dt: float, limit: int, start: int) -> int:
+    """Advance the running jobs through up to limit rounds from round start.
+
+    Returns the rounds applied. Every round runs each job for dt at its
+    fixed throughput and CS, and the call stops after the first round
+    in which a job finishes (its finish_time set, its samples complete).
+    The rounds that advance would step alike go in chunks (_accumulate);
+    a round in which a job finishes or burns part of a round of restore
+    penalty goes through advance at now = round * dt, with the CS
+    bookkeeping, and so does a call of one round.
+    """
+    done = 0
+    while done < limit:
+        if limit - done > 1:
+            n, stepped = _accumulate(jobs, throughputs, cs, dt, limit - done)
+            done += n
+            if not stepped or done == limit:
+                continue
+        for job, throughput, c in zip(jobs, throughputs, cs):
+            active = advance(job, dt, throughput, now=(start + done) * dt)
+            job.cs_integral += c * active
+            job.placed_time += active
+        done += 1
+        if any(job.finish_time is not None for job in jobs):
+            break
+    return done
 
 
 def _round_at(time: float, T: float) -> int:
@@ -435,42 +460,33 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     rounds with an empty cluster and waiting jobs.
     Every decide gets the queued JobSpecs (not to be changed) and the
     episode's EpisodeCS; the RL policy prices its verdicts with the
-    latter, and baselines ignore it.
+    latter, and baselines ignore it. The values derived from the
+    placements (the CS profile, throughput, utilization, mean CS and the
+    round reward) are EpisodeCS's, computed once per cluster.version;
+    each new CS profile recomputes only the jobs on nodes that a
+    placement, preemption or finish touched, so over a cached map the
+    threshold check is one max over the running jobs. Preempted jobs
+    wait in one list in ready-time order (_preempt); a pass's
+    preemptions are that list's growth.
 
-    A policy that declares idle_between_events is not asked to decide
-    again after an idle decision until an event: an arrival, a
-    checkpoint-ready re-queue, or an allocate or free on the cluster.
-    A decision is idle when it places and preempts nothing and no RL
-    head had a choice; the rounds up to the event reuse it, so a
-    recorded trajectory still gets its skip-only row every round. The
-    values derived from the placements (the CS profile, throughput,
-    utilization, mean CS and the round reward) belong to EpisodeCS,
-    computed once per cluster.version (EpisodeCS.round_values); the
-    no-op reward is the round reward of the placements the round starts
-    from. Each new CS profile, the CS-threshold loop's included,
-    recomputes only the jobs on nodes that a placement, preemption or
-    finish touched (EpisodeCS.profile), so over a cached map the
-    threshold check is one max over the running jobs.
-    Preempted jobs wait in one list in ready-time order (_preempt); a
-    round's preemptions are that list's growth.
+    Each pass asks the policy once and applies the decision to every
+    round it holds for: one round, unless the policy declares
+    idle_between_events and the decision is idle (it places and
+    preempts nothing, and no RL head had a choice) with jobs running or
+    the queue empty. The policy then promises the same decision until an
+    event (an arrival, a checkpoint-ready re-queue, or an allocate or
+    free on the cluster), so it holds up to the round that admits the
+    next arrival or checkpoint-ready re-queue, or MAX_ROUNDS, and
+    advance_stretch stops after the first round in which a job
+    finishes. Those rounds repeat one round but the time. The
+    CS-threshold loop cannot fire inside them: the map changes only at
+    events, it was at or below the threshold when they began (the
+    previous pass ended with the threshold loop), and a finish only
+    lowers CS in table, synthetic and off mode.
 
-    So the rounds from a reused idle decision to the next event repeat
-    one round: the same records but the time, and the same per-job
-    additions, a job burning a whole interval of restore penalty gaining
-    no samples. They go in one step (advance_stretch) that ends before
-    the earliest of the round that admits the next arrival, the round
-    that admits the next checkpoint-ready re-queue, the first round in
-    which a job finishes or burns a partial penalty, and MAX_ROUNDS.
-    When a stretch ends before such a job round it says so, and the next
-    pass steps that round without asking for another stretch. An empty
-    cluster with jobs queued (the livelock guard counts those rounds)
-    makes no stretch. Any other round is an event round and goes
-    through advance.
-
-    Each pass of the loop ends in one RoundLog.append: a run of n rounds
-    for a stretch, or of one for an event round. With record_trajectory
+    Each pass appends one run to the RoundLog. With record_trajectory
     the run also keeps the RLDecision its rounds applied and their no-op
-    reward (the round reward if nothing were placed or preempted), so
+    reward (the round reward of the placements the pass starts from), so
     the report's rounds are the RL trajectory too; without it a run
     holds no decision, and keeps no RL state alive.
     """
@@ -491,13 +507,10 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     rounds = RoundLog(T)
     stall_rounds = 0
     idle_between_events = getattr(policy, "idle_between_events", False)
-    idle_at, idle_action = None, None  # the last idle decision and its version, until an event
-    event_next = False  # the last stretch stopped before a round that advance must step
 
     while True:
         while pending and pending[0].arrival_time <= t:
             queue.append(pending.pop(0))
-            idle_at = None
         # preempted jobs re-enter at the queue head once their checkpoint
         # is written (they cannot resume from a checkpoint that does not
         # exist yet), in the order they were preempted
@@ -505,7 +518,6 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         if ready:
             queue[:0] = [states[jid].spec for _, jid in checkpointing[:ready]]
             del checkpointing[:ready]
-            idle_at = None
         if not queue and not cluster.placements and not pending and not checkpointing:
             break
         if len(rounds) >= MAX_ROUNDS:
@@ -514,87 +526,66 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
         # counterfactual baseline: the reward this round would yield if
         # nothing were placed or preempted (a state-only quantity)
         noop_reward = cs.round_values()[4] if record_trajectory else 0.0
-        reused = idle_at == cluster.version
-        if reused:
-            action = idle_action
-        else:
-            action = policy.decide(cluster, queue, states, rng, cs)
-            idle = action.is_noop and not (action.rl and action.rl.has_choice)
-            idle_at, idle_action = ((cluster.version, action)
-                                    if idle_between_events and idle else (None, None))
+        action = policy.decide(cluster, queue, states, rng, cs)
 
-        # livelock guard: empty cluster, waiting jobs, policy keeps skipping
+        # livelock guard: empty cluster, waiting jobs, policy keeps skipping;
+        # check_trace made sure the queue head fits the empty cluster
         if not action.placements and not cluster.placements and queue:
             stall_rounds += 1
             if stall_rounds >= LIVELOCK_ROUNDS:
-                fallback = decide_fifo_greedy(cluster, queue)
-                if fallback.placements:
-                    log.warning("livelock guard forcing greedy placement at t=%s", t)
-                    rl = action.rl
-                    if rl is not None:
-                        rl.forced = True
-                    action = Action(placements=fallback.placements,
-                                    preemptions=action.preemptions, rl=rl)
-                    stall_rounds = 0
+                log.warning("livelock guard forcing greedy placement at t=%s", t)
+                rl = action.rl
+                if rl is not None:
+                    rl.forced = True
+                action = Action(placements=decide_fifo_greedy(cluster, queue).placements,
+                                preemptions=action.preemptions, rl=rl)
+                stall_rounds = 0
         else:
             stall_rounds = 0
 
-        # a reused idle decision repeats this round up to the next event:
-        # the stretch of such rounds goes in one step
         before = len(checkpointing)  # this round's preemptions append to it
-        n = 0
-        if reused and not event_next and (cluster.placements or not queue):
-            cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
-            start = len(rounds)
+        for jid in action.preemptions:
+            if jid not in cluster.placements:
+                raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
+            _preempt(cluster, states[jid], episode_config, checkpointing, t)
+        for jid, placement in action.placements:
+            state = states[jid]
+            if placement.total_gpus != state.spec.gpu_demand:
+                raise InvalidPlacementError(
+                    f"placement covers {placement.total_gpus} GPUs, "
+                    f"job {jid} demands {state.spec.gpu_demand}")
+            pos = _queued_at(queue, state.spec)
+            if pos is None:
+                raise InvalidPlacementError(f"cannot place job {jid}: it is not queued")
+            cluster.allocate(jid, placement)
+            if state.start_time is None:
+                state.start_time = t
+            del queue[pos]
+        for jid in action.deferred:
+            _defer(queue, states[jid].spec)
+
+        cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
+        start = len(rounds)
+        limit = 1  # an idle decision holds for every round up to the next event
+        if (idle_between_events and action.is_noop and not (action.rl and action.rl.has_choice)
+                and (cluster.placements or not queue)):
             limit = MAX_ROUNDS - start
             if pending:
                 limit = min(limit, _round_at(pending[0].arrival_time, T) - start)
             if checkpointing:
                 limit = min(limit, _round_at(checkpointing[0][0], T) - start)
-            n, event_next = advance_stretch([states[jid] for jid in cs_map],
-                                            list(throughput.values()),
-                                            list(cs_map.values()), T, limit)
-        if not n:
-            n, event_next = 1, False
-            for jid in action.preemptions:
-                if jid not in cluster.placements:
-                    raise InvalidPlacementError(f"cannot preempt non-running job {jid}")
-                _preempt(cluster, states[jid], episode_config, checkpointing, t)
-
-            for jid, placement in action.placements:
-                state = states[jid]
-                if placement.total_gpus != state.spec.gpu_demand:
-                    raise InvalidPlacementError(
-                        f"placement covers {placement.total_gpus} GPUs, "
-                        f"job {jid} demands {state.spec.gpu_demand}")
-                pos = _queued_at(queue, state.spec)
-                if pos is None:
-                    raise InvalidPlacementError(f"cannot place job {jid}: it is not queued")
-                cluster.allocate(jid, placement)
-                if state.start_time is None:
-                    state.start_time = t
-                del queue[pos]
-            for jid in action.deferred:
-                _defer(queue, states[jid].spec)
-
-            cs_map, throughput, utilization, mean_cs, reward = cs.round_values()
-            finished: list[int] = []
-            for jid in cs_map:  # the placed jobs, in job-id order
-                state = states[jid]
-                active = advance(state, T, throughput[jid], now=t)
-                state.cs_integral += cs_map[jid] * active
-                state.placed_time += active
-                if state.finish_time is not None:
-                    finished.append(jid)
-            for jid in finished:
+        n = advance_stretch([states[jid] for jid in cs_map], list(throughput.values()),
+                            list(cs_map.values()), T, limit, start)
+        for jid in cs_map:  # the placed jobs, in job-id order
+            if states[jid].finish_time is not None:
                 cluster.free(jid)
 
-            if threshold is not None:
+        if threshold is not None:
+            cs_now = cs.profile()
+            while cs_now and max(cs_now.values()) > threshold:
+                worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
+                _preempt(cluster, states[worst], episode_config, checkpointing, t)
                 cs_now = cs.profile()
-                while cs_now and max(cs_now.values()) > threshold:
-                    worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
-                    _preempt(cluster, states[worst], episode_config, checkpointing, t)
-                    cs_now = cs.profile()
 
         rounds.append(RoundRecord(
             time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,

@@ -9,8 +9,8 @@ A policy whose class sets idle_between_events = True promises that
 after an idle decision (no placements, no preemptions, and no RL head
 that had a choice) the same decision holds until an event: an arrival,
 a checkpoint-ready re-queue, or any allocate or free on the cluster.
-The engine then reuses that decision until the next event. Every policy
-here keeps the promise:
+The engine then applies it to every round up to the next event in one
+pass. Every policy here keeps the promise:
 
 - when nothing fits, a greedy scan places nothing in any order;
 - queued jobs keep their LAS and SRTF keys while they wait;

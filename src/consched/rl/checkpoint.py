@@ -55,7 +55,7 @@ def save_checkpoint(net: PolicyNet, path, metadata: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[PolicyNet, dict]:
     """Read a checkpoint; returns (net, metadata). Round-trips exactly.
 
-    Every parameter of the architecture's net must be in the manifest.
+    k must be an integer >= 1 and every parameter of the net in the manifest.
     The net's reward_weights come from the metadata's w1 when it has one.
     """
     try:
@@ -86,6 +86,8 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
                                for key, v in header["architecture"].items()})
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad architecture descriptor: {exc}") from exc
+    if not isinstance(arch.k, int) or arch.k < 1:
+        raise CheckpointError(f"{path}: architecture k={arch.k!r}; k must be an integer >= 1")
     net = PolicyNet(arch, np.random.default_rng(0))
     for item in header["params"]:
         name, shape = item["name"], tuple(item["shape"])

@@ -195,8 +195,9 @@ class TraceSpec:
     def __post_init__(self):
         if self.num_jobs < 1:
             raise ConfigError("num_jobs must be >= 1")
-        if len(self.mix) != len(MODEL_ORDER) or any(r <= 0 for r in self.mix):
-            raise ConfigError("mix needs 6 positive ratios")
+        if (len(self.mix) != len(MODEL_ORDER) or not all(0 < r < math.inf for r in self.mix)
+                or not sum(self.mix) < math.inf):
+            raise ConfigError("mix needs 6 positive finite ratios with a finite sum")
         if self.arrival not in ("all-at-zero", "poisson"):
             raise ConfigError(f"unknown arrival process {self.arrival!r}")
         if not (0 < self.isolated_hours < math.inf and 0 < self.time_scale < math.inf):

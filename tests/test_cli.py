@@ -296,6 +296,14 @@ class TestGenTrace:
                     "--out", str(tmp_path / "x")]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mix", ["nan:1:1:1:1:1", "inf:1:1:1:1:1", "1e308:1e308:1:1:1:1"])
+    def test_non_finite_mix_usage_error(self, mix, tmp_path, capsys):
+        """A ratio that is not finite, or ratios whose sum is not, write no file."""
+        out = tmp_path / "t.txt"
+        assert run(["gen-trace", "--mix", mix, "--jobs", "4", "--out", str(out)]) == 2
+        assert "positive finite ratios with a finite sum" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ratio_mix(self, tmp_path):
         path = tmp_path / "t.txt"
         assert run(["gen-trace", "--mix", "1:1:1:1:4:4", "--jobs", "8",

@@ -12,10 +12,11 @@ from consched.actions import Action
 from consched.cluster import ClusterConfig, ClusterState, Placement
 from consched.contention import CS_CAP, ContentionParams, ModelClass
 from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, RoundRecord,
-                             _defer, advance_stretch, compare_policies, percentile_90,
-                             run_episode)
+                             _accumulate, _defer, advance_stretch, compare_policies,
+                             percentile_90, run_episode)
 from consched.errors import ConfigError, InvalidPlacementError
-from consched.policies import GreedyPolicy, RLBasePolicy, SRTFPolicy, make_policy
+from consched.policies import (POLICY_KINDS, GreedyPolicy, RLBasePolicy, SRTFPolicy,
+                               make_policy)
 from consched.reports import ROUND_COLUMNS, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
@@ -44,8 +45,8 @@ class AuditedCluster(ClusterState):
 def audited():
     """Audit the run_episode call inside: rounds one at a time, per-round rows.
 
-    advance_stretch makes no stretch, so every round is stepped on its
-    own; the episode's cluster audits itself after every allocate and
+    advance_stretch makes no chunk, so every round goes through advance
+    on its own; the episode's cluster audits itself after every allocate and
     free. Yields a list that holds, for round k, one row per job the
     round advanced: (job, CS, throughput, samples before, samples
     after, active time, restore time burned). The CS is the job's entry
@@ -70,7 +71,7 @@ def audited():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine.EpisodeCS, "profile", last_profile)
-        patch.setattr(engine, "advance_stretch", lambda *args: (0, False))
+        patch.setattr(engine, "_accumulate", lambda *args: (0, True))
         patch.setattr(engine, "advance", advance)
         patch.setattr(engine, "ClusterState", AuditedCluster)
         yield rows
@@ -495,39 +496,16 @@ class TestIdleBetweenEvents:
     @pytest.mark.parametrize("kind", BASELINES)
     @pytest.mark.parametrize("restore_penalty", [5.0, 1.1, 0.3, 0.0])
     def test_restore_penalties_match_deciding_every_round(self, kind, restore_penalty):
-        """Whole-penalty rounds go in stretches, partial ones through advance;
+        """Whole-penalty rounds go in chunks, partial ones through advance;
         the episode is the every-round one either way. At 0.25 s rounds a
-        1.1 s penalty makes stretches that stop before its partial round,
-        and 0.3 s ends in the event rounds after a placement."""
+        1.1 s penalty makes chunks that stop before its partial round,
+        and 0.3 s ends in the one-round decisions after a placement."""
         episode = EpisodeConfig(cs_preemption_threshold=2.0, restore_penalty=restore_penalty)
         (ref, fast), _ = self.run_both(kind, HEAVY_POISSON, episode)
         assert ref.aggregates["total_preemptions"] > 0
         assert fast.jobs == ref.jobs
         assert list(fast.rounds) == list(ref.rounds)
         assert fast.aggregates == ref.aggregates
-
-
-def test_no_zero_round_stretch_right_after_a_stretch(monkeypatch):
-    """A stretch that stops before a finish says so, so the engine steps that
-    round through advance instead of asking for a stretch that gets none."""
-    calls = []  # (rounds, flag) per advance_stretch call, None per advance call
-    stretch = engine.advance_stretch
-
-    def recorded_stretch(*args):
-        calls.append(stretch(*args))
-        return calls[-1]
-
-    def recorded_advance(*args, **kwargs):
-        calls.append(None)
-        return workload.advance(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "advance_stretch", recorded_stretch)
-    monkeypatch.setattr(engine, "advance", recorded_advance)
-    run_episode(make_policy("las"), NORMAL_64, EpisodeConfig())
-    pairs = list(zip(calls, calls[1:]))
-    assert sum(1 for first, _ in pairs if first and first[0] and first[1]) > 10
-    assert [(first, then) for first, then in pairs
-            if first is not None and then is not None and then[0] == 0] == []
 
 
 def fresh_rl_policy(kind, deterministic):
@@ -729,7 +707,7 @@ class TestRunLog:
             rows, ref_rows = trajectory_rows(report.rounds), trajectory_rows(ref.rounds)
             assert len(rows) == len(ref_rows) == len(expanded)
             assert_same_trajectory(rows, ref_rows)
-            # a decision with a choice is never reused: it is one run of one round
+            # a decision with a choice holds for one round: it is one run of one round
             chosen = [run for run in runs if run[3].has_choice]
             assert all(run[2] == 1 for run in chosen)
             assert len({id(run[3]) for run in chosen}) == len(chosen)
@@ -767,6 +745,25 @@ class TestRunLog:
             k = ROUND_COLUMNS.index(column)
             assert (sum(int(row[k]) for row in rows)
                     == sum(getattr(r, column) for r in report.rounds) > 0)
+
+
+def any_policy(kind):
+    """make_policy(kind), with a fresh net for the RL kinds."""
+    if kind.startswith("rl-"):
+        return fresh_rl_policy(kind, deterministic=kind == "rl-hybrid")
+    return make_policy(kind)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("trace", [NORMAL_64, HEAVY_POISSON], ids=["normal64", "heavy-poisson"])
+@pytest.mark.parametrize("restore_penalty", [5.0, 1.1])
+def test_one_run_per_decision(kind, trace, restore_penalty):
+    """Each pass asks the policy once and applies the decision to every
+    round it holds for, partial-penalty and finishing rounds included."""
+    counter = DecideCounter(any_policy(kind), every_round=False)
+    report = run_episode(counter, trace, EpisodeConfig(restore_penalty=restore_penalty),
+                         rng=np.random.default_rng(5), record_trajectory=kind.startswith("rl-"))
+    assert len(report.rounds.runs) == counter.calls < len(report.rounds) / 2
 
 
 class TestRecordedRounds:
@@ -812,7 +809,7 @@ def job_fields(job):
 
 
 def step_rounds(jobs, throughputs, cs, dt, limit):
-    """The reference for advance_stretch: one advance call per round.
+    """The reference for _accumulate: one advance call per round.
 
     Steps copies of jobs round by round, with the engine's CS
     bookkeeping, up to limit rounds or the first round that finishes a
@@ -834,6 +831,20 @@ def step_rounds(jobs, throughputs, cs, dt, limit):
         done += 1
 
 
+def step_to_finish(jobs, throughputs, cs, dt, limit, start):
+    """The reference for advance_stretch: one advance call per round, from
+    round start, up to limit rounds or the first round that finishes a job;
+    returns the rounds stepped."""
+    for k in range(limit):
+        for job, throughput, c in zip(jobs, throughputs, cs):
+            active = advance(job, dt, throughput, now=(start + k) * dt)
+            job.cs_integral += c * active
+            job.placed_time += active
+        if any(job.finish_time is not None for job in jobs):
+            return k + 1
+    return limit
+
+
 @st.composite
 def restore_penalties(draw, dt):
     """0, a whole number of rounds dt, or a whole number and a part of one."""
@@ -842,13 +853,29 @@ def restore_penalties(draw, dt):
     return float(sum([dt] * whole)) + part * dt
 
 
-class TestAdvanceStretch:
-    """advance_stretch against one advance call per round, bit for bit."""
+def record_chunks(monkeypatch):
+    """Record what each _accumulate call that advance_stretch makes returns."""
+    chunks = []
 
-    @given(total=st.floats(1.0, 1e6), start=st.floats(0.0, 0.999),
-           rounds=st.lists(st.floats(0.3, 400.0), min_size=1, max_size=3),
-           cs=st.floats(1.0, 4.0), limit=st.integers(1, 500), data=st.data(),
-           dt=st.sampled_from([0.25, 0.1, 1.0]) | st.floats(0.01, 2.0))
+    def recorded(*args):
+        chunks.append(_accumulate(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(engine, "_accumulate", recorded)
+    return chunks
+
+
+STRETCH_CASES = dict(
+    total=st.floats(1.0, 1e6), start=st.floats(0.0, 0.999),
+    rounds=st.lists(st.floats(0.3, 400.0), min_size=1, max_size=3),
+    cs=st.floats(1.0, 4.0), limit=st.integers(1, 500), data=st.data(),
+    dt=st.sampled_from([0.25, 0.1, 1.0]) | st.floats(0.01, 2.0))
+
+
+class TestAdvanceStretch:
+    """advance_stretch and its chunks against one advance call per round, bit for bit."""
+
+    @given(**STRETCH_CASES)
     @settings(max_examples=400, deadline=None)
     def test_sums_and_finish_round_match_advance(self, total, start, rounds, cs, dt, limit, data):
         # job k finishes about rounds[k] rounds of dt after its restore penalty
@@ -856,7 +883,20 @@ class TestAdvanceStretch:
         jobs, ref = ([running_job(total, total * start, restore) for restore in restores]
                      for _ in range(2))
         throughputs = [(total - total * start) / (r * dt) for r in rounds]
-        got = advance_stretch(jobs, throughputs, [cs] * len(rounds), dt, limit)
+        first = data.draw(st.integers(0, 10_000))
+        got = advance_stretch(jobs, throughputs, [cs] * len(rounds), dt, limit, first)
+        assert got == step_to_finish(ref, throughputs, [cs] * len(rounds), dt, limit, first)
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+
+    @given(**STRETCH_CASES)
+    @settings(max_examples=400, deadline=None)
+    def test_chunk_sums_and_finish_round_match_advance(self, total, start, rounds, cs, dt,
+                                                       limit, data):
+        restores = [data.draw(restore_penalties(dt)) for _ in rounds]
+        jobs, ref = ([running_job(total, total * start, restore) for restore in restores]
+                     for _ in range(2))
+        throughputs = [(total - total * start) / (r * dt) for r in rounds]
+        got = _accumulate(jobs, throughputs, [cs] * len(rounds), dt, limit)
         ref, done, event = step_rounds(ref, throughputs, [cs] * len(rounds), dt, limit)
         assert got == (done, event)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
@@ -866,7 +906,7 @@ class TestAdvanceStretch:
         jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=5.0)]
         ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
                                        [1.5, 2.5], 0.25, 100)
-        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (100, False)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (100, False)
         assert (done, event) == (100, False)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
         assert jobs[1].restore_remaining == 0.0 and jobs[1].samples_done == 10.0 + 80 * 0.25
@@ -874,37 +914,73 @@ class TestAdvanceStretch:
         jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.1)]
         ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
                                        [1.5, 2.5], 0.25, 100)
-        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (4, True)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (4, True)
         assert (done, event) == (4, True)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
         assert 0 < jobs[1].restore_remaining < 0.25 and jobs[1].samples_done == 10.0
-        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (0, True)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (0, True)
         # a job one round from its finish burns penalty past the limit: no event
         jobs = [running_job(100.0, 99.9, restore=5.0)]
         ref, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
-        assert advance_stretch(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (10, False)
+        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (10, False)
         assert job_fields(jobs[0]) == job_fields(ref[0])
         # one with no samples left finishes in its first round, penalty or not
         jobs = [running_job(100.0, 100.0, restore=5.0)]
         _, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
-        assert advance_stretch(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (0, True)
+        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (0, True)
+
+    def test_a_stretch_goes_on_after_a_partial_penalty_round(self, monkeypatch):
+        """The 1.1 s penalty's fifth round goes through advance between two chunks."""
+        chunks, stepped = record_chunks(monkeypatch), []
+
+        def recorded_advance(job, *args, **kwargs):
+            stepped.append(job)
+            return advance(job, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "advance", recorded_advance)
+        jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.1)]
+        ref = [replace(job) for job in jobs]
+        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100, 7) == 100
+        assert step_to_finish(ref, [1.0, 1.0], [1.5, 2.5], 0.25, 100, 7) == 100
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+        assert chunks == [(4, True), (95, False)] and stepped == jobs
+
+    def test_one_round_goes_straight_to_advance(self, monkeypatch):
+        def no_chunk(*args):
+            raise AssertionError("a one-round call makes no chunk")
+
+        monkeypatch.setattr(engine, "_accumulate", no_chunk)
+        jobs = [running_job(100.0, 99.9), running_job(100.0, 10.0, restore=5.0)]
+        ref = [replace(job) for job in jobs]
+        assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 1, 3) == 1
+        assert step_to_finish(ref, [1.0, 1.0], [1.5, 2.5], 0.25, 1, 3) == 1
+        assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
+        assert jobs[0].finish_time is not None
 
     def test_no_running_jobs_take_the_whole_limit(self):
-        assert advance_stretch([], [], [], 0.25, 17) == (17, False)
+        assert _accumulate([], [], [], 0.25, 17) == (17, False)
+        assert advance_stretch([], [], [], 0.25, 17, 0) == 17
 
-    def test_long_stretch_goes_in_chunks(self):
+    def test_long_stretch_goes_in_chunks(self, monkeypatch):
         # the job finishes in round 10,000; the limit would allow all of them
         total, dt, throughput, cs = 1e6, 0.1, 1000.0, 1.5
         job = running_job(total, 0.0)
         steps, event = [], False
         while not event:
-            n, event = advance_stretch([job], [throughput], [cs], dt, 20_000 - sum(steps))
+            n, event = _accumulate([job], [throughput], [cs], dt, 20_000 - sum(steps))
             steps.append(n)
         assert steps[0] == STRETCH_CHUNK and len(steps) >= 10_000 // STRETCH_CHUNK
-        assert all(steps)  # the last stretch ends before the finish and says so
+        assert all(steps)  # the last chunk ends before the finish and says so
         ref, done, event = step_rounds([running_job(total, 0.0)], [throughput], [cs], dt, 20_000)
         assert (sum(steps), True) == (done, event) == (9_999, True)
         assert job_fields(job) == job_fields(ref[0])
+        # one advance_stretch call takes the same chunks and then steps the finish
+        chunks = record_chunks(monkeypatch)
+        job, ref = running_job(total, 0.0), running_job(total, 0.0)
+        assert advance_stretch([job], [throughput], [cs], dt, 20_000, 0) == 10_000
+        assert step_to_finish([ref], [throughput], [cs], dt, 20_000, 0) == 10_000
+        assert [n for n, _ in chunks] == steps
+        assert job_fields(job) == job_fields(ref) and job.finish_time is not None
 
 
 class StateCapture(DecideCounter):
@@ -916,7 +992,7 @@ class StateCapture(DecideCounter):
 
 
 def test_stretches_longer_than_a_chunk_match_every_round():
-    """An idle stretch of 10,000 rounds takes several advance_stretch calls, bit-identically."""
+    """An idle stretch of 10,000 rounds goes in several chunks, bit-identically."""
     trace = jobs_with([4], runtimes=[1000.0])
     config = EpisodeConfig(round_interval=0.1)
     ref, fast = (run_episode(DecideCounter(GreedyPolicy(), every_round), trace, config)

@@ -36,7 +36,8 @@ def as_rounds(rows, counts=None):
     """A recorded round log of the (decision, reward, no-op reward) rows, one run each.
 
     counts[i] repeats row i over that many rounds, as the engine records
-    a decision reused through a stretch. Only the records' rewards matter.
+    an idle decision over the rounds it holds for. Only the records'
+    rewards matter.
     """
     log = RoundLog(1.0)
     for (step, reward, noop), n in zip(rows, counts or [1] * len(rows)):
@@ -582,6 +583,18 @@ def drop_parameter(path, name):
         fh.write(b"".join(tensors[item["name"]] for item in header["params"]))
 
 
+def set_architecture(path, **fields):
+    """Rewrite a checkpoint's architecture descriptor, its tensors unchanged."""
+    raw = path.read_bytes()
+    offset = len(MAGIC) + 8
+    blob_len = int.from_bytes(raw[len(MAGIC):offset], "little")
+    header = json.loads(raw[offset:offset + blob_len])
+    header["architecture"].update(fields)
+    write_header(path, header)
+    with open(path, "ab") as fh:
+        fh.write(raw[offset + blob_len:])
+
+
 class TestCheckpointFormat:
     def test_missing_parameter_rejected_by_name(self, tmp_path):
         net = tiny_net(seed=23)
@@ -590,6 +603,14 @@ class TestCheckpointFormat:
         save_checkpoint(net, path)
         drop_parameter(path, "contention_scale")
         with pytest.raises(CheckpointError, match="missing parameters contention_scale"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected_naming_it(self, k, tmp_path):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(tiny_net(seed=23), path)
+        set_architecture(path, k=k)
+        with pytest.raises(CheckpointError, match=f"architecture k={k}; k must be an integer >= 1"):
             load_checkpoint(path)
 
     def test_format_2_rejected_naming_both_versions(self, tmp_path):
