@@ -9,7 +9,7 @@ re-evaluation. Throughput is piecewise-constant per round: a finishing
 neighbor only changes co-residents' CS at the next round boundary.
 advance_stretch applies alike rounds in chunks, bit-identically to
 stepping them one at a time. The episode keeps one log of its rounds
-(RoundLog), one run per decision; a run also carries the RL decision
+(RoundLog), a run per decision; a run also carries the RL decision
 its rounds applied when the trajectory is recorded, so training reads
 the same log.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -479,16 +479,18 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     next arrival or checkpoint-ready re-queue, or MAX_ROUNDS, and
     advance_stretch stops after the first round in which a job
     finishes. Those rounds repeat one round but the time. The
-    CS-threshold loop cannot fire inside them: the map changes only at
-    events, it was at or below the threshold when they began (the
-    previous pass ended with the threshold loop), and a finish only
-    lowers CS in table, synthetic and off mode.
+    CS-threshold loop cannot fire before their last round: the map
+    changes only at events, and it was at or below the threshold when
+    they began (the previous pass ended with the threshold loop). When
+    the finish that ends them raises a CS over it (synthetic mode with
+    an intra-node bus slower than the network), their last round
+    preempts at its own time, as a run of its own.
 
-    Each pass appends one run to the RoundLog. With record_trajectory
-    the run also keeps the RLDecision its rounds applied and their no-op
-    reward (the round reward of the placements the pass starts from), so
-    the report's rounds are the RL trajectory too; without it a run
-    holds no decision, and keeps no RL state alive.
+    Each pass appends one run to the RoundLog, but for such a round.
+    With record_trajectory the run also keeps the RLDecision its rounds
+    applied and their no-op reward (the round reward of the placements
+    the pass starts from), so the report's rounds are the RL trajectory
+    too; without it a run holds no decision, and keeps no RL state alive.
     """
     cluster_config = cluster_config or ClusterConfig()
     check_trace(trace, cluster_config)
@@ -580,18 +582,21 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
             if states[jid].finish_time is not None:
                 cluster.free(jid)
 
+        record = RoundRecord(t, utilization, mean_cs, reward, len(cs_map), len(queue),
+                             len(action.placements), num_preempted=0)
+        decision = action.rl if record_trajectory else None
         if threshold is not None:
             cs_now = cs.profile()
             while cs_now and max(cs_now.values()) > threshold:
+                if n > 1:  # the last round's finish raised a CS: it preempts on its own
+                    rounds.append(record, n - 1, decision, noop_reward)
+                    t, n = len(rounds) * T, 1
+                    record = replace(record, time=t)
                 worst = max(cs_now, key=lambda j: (cs_now[j], states[j].spec.arrival_time, j))
                 _preempt(cluster, states[worst], episode_config, checkpointing, t)
                 cs_now = cs.profile()
-
-        rounds.append(RoundRecord(
-            time=t, utilization=utilization, mean_cs=mean_cs, reward=reward,
-            num_running=len(cs_map), num_waiting=len(queue),
-            num_placed=len(action.placements), num_preempted=len(checkpointing) - before),
-            n, action.rl if record_trajectory else None, noop_reward)
+        record.num_preempted = len(checkpointing) - before
+        rounds.append(record, n, decision, noop_reward)
         t = len(rounds) * T  # a running sum of T would drift by rounding
 
     job_records = []

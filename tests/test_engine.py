@@ -507,6 +507,48 @@ class TestIdleBetweenEvents:
         assert list(fast.rounds) == list(ref.rounds)
         assert fast.aggregates == ref.aggregates
 
+    @pytest.mark.parametrize("kind", BASELINES)
+    def test_synthetic_mode_with_a_slow_bus_matches_deciding_every_round(self, kind):
+        """An intra-node bus slower than the network: a finish can raise a CS."""
+        config = ClusterConfig(intra_node_bandwidth=400.0)
+        episode = EpisodeConfig(cs_preemption_threshold=1.5,
+                                contention=ContentionParams(mode="synthetic"))
+        ref, fast = (run_episode(DecideCounter(make_policy(kind), every_round), HEAVY_POISSON,
+                                 episode, config) for every_round in (True, False))
+        assert ref.aggregates["total_preemptions"] > 0
+        assert fast.jobs == ref.jobs
+        assert list(fast.rounds) == list(ref.rounds)
+        assert fast.aggregates == ref.aggregates
+
+    def test_a_finish_that_raises_a_cs_preempts_in_its_own_round(self):
+        """With the intra-node bus slower than the network, a node that loses
+        its multi-node job is judged against the bus, so the finish that ends
+        an idle stretch raises its co-residents' CS (1.0 -> 1.75 here). The
+        threshold preempts in the finishing round, at its time, as deciding
+        every round does, and that round is a run of its own."""
+
+        class IdleScripted(ScriptedPolicy):
+            idle_between_events = True
+
+        config = ClusterConfig(num_nodes=2, gpus_per_node=4, intra_node_bandwidth=400.0)
+        trace = [replace(job, profile=replace(job.profile, avg_bandwidth=500.0,
+                                              comm_comp_ratio=1.0))
+                 for job in jobs_with([2, 1, 1], runtimes=[10.0, 60.0, 60.0])]
+        place = Action(placements=[(0, Placement((0, 1), 1)), (1, Placement((0,), 1)),
+                                   (2, Placement((0,), 1))])
+        episode = EpisodeConfig(cs_preemption_threshold=1.5,
+                                contention=ContentionParams(mode="synthetic"))
+        ref, fast = (run_episode(DecideCounter(IdleScripted([place]), every_round), trace,
+                                 episode, config) for every_round in (True, False))
+        assert fast.jobs == ref.jobs
+        assert list(fast.rounds) == list(ref.rounds)
+        assert fast.aggregates == ref.aggregates
+        preempting = [(record.time, n) for record, _, n, _, _ in fast.rounds.runs
+                      if record.num_preempted]
+        assert preempting[0] == (9.75, 1)  # job 0 finishes at 10.0 s, the end of round 39
+        assert fast.jobs[0].finish == 10.0
+        assert all(n == 1 for _, n in preempting)
+
 
 def fresh_rl_policy(kind, deterministic):
     net, space = make_net(CFG, TrainConfig(seed=0))
