@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .cluster import ClusterConfig, ClusterState, Placement, capable_nodes
 
 M = 16  # placements a head lists per width; 4x8 has at most 6, so it lists them all
 SKIP_PRIOR = -1.0
+CHOICE_MEMO = 2048  # lists an ActionSpace keeps; one is at most about 2 KB on 32 nodes
 
 
 def subset_rank(nodes: tuple[int, ...], num_nodes: int) -> int:
@@ -38,12 +40,19 @@ def subset_rank(nodes: tuple[int, ...], num_nodes: int) -> int:
 
 
 class ActionSpace:
-    """Builds a head's choice list on one cluster shape."""
+    """Builds a head's choice list on one cluster shape.
+
+    A list depends only on the free GPUs per node and the demand, so
+    choices keeps it per such pair (up to CHOICE_MEMO pairs) and hands
+    every later head the same objects: the prior is read-only, and no
+    caller may change a list.
+    """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         # (nodes, GPUs per node) -> (Placement, prior), built once (a Placement is immutable)
         self._listed: dict[tuple[tuple[int, ...], int], tuple[Placement, float]] = {}
+        self._memo: dict[tuple[bytes, int], tuple[list, np.ndarray, list]] = {}
 
     def mask_for(self, shapes: list[tuple[int, int, list[int]]]) -> np.ndarray:
         """How many choices a head lists per demand shape, then 1 for skip.
@@ -54,11 +63,22 @@ class ActionSpace:
         return np.array([*(min(M, math.comb(len(capable), 2 ** i)) for i, _, capable in shapes),
                          1])
 
-    def choices(self, cluster: ClusterState, demand: int) -> tuple[list[Placement], np.ndarray]:
-        """The head's listed placements and the prior of each choice, skip's last.
+    def choices(self, cluster: ClusterState, demand: int) -> tuple[list, np.ndarray, list]:
+        """The head's listed placements, the prior of each choice (skip's last),
+        and per listed placement whether a job holds one of its nodes and its
+        scorer row's d_util, width and free_left (encoding.SCORER_FEATURES).
 
         InvalidDemandError when the demand could never fit an empty cluster.
         """
+        key = (cluster.free_per_node.tobytes(), demand)
+        listed = self._memo.get(key)
+        if listed is None:
+            if len(self._memo) >= CHOICE_MEMO:
+                self._memo.clear()
+            listed = self._memo[key] = self._list(cluster, demand)
+        return listed
+
+    def _list(self, cluster: ClusterState, demand: int) -> tuple[list, np.ndarray, list]:
         placements, prior = [], []
         shapes = list(capable_nodes(cluster, demand))
         for (i, j, capable), count in zip(shapes, self.mask_for(shapes).tolist()):
@@ -71,7 +91,36 @@ class ActionSpace:
                 placements.append(listed[0])
                 prior.append(listed[1])
         prior.append(SKIP_PRIOR)
-        return placements, np.array(prior)
+        prior = np.array(prior)
+        prior.flags.writeable = False
+        config, free = self.config, cluster.free_per_node.tolist()
+        gpus = config.gpus_per_node
+        return placements, prior, [
+            (any(free[node] < gpus for node in p.nodes),
+             (demand / config.total_gpus, len(p.nodes) / config.num_nodes,
+              (sum(free[node] for node in p.nodes) - demand) / (len(p.nodes) * gpus)))
+            for p in placements]
+
+
+class _Built:
+    """An RLDecision field that, while None, comes from the decision's build on first read."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, decision, owner=None):
+        if decision is None:
+            return None  # the field's default
+        fields = decision.__dict__
+        if fields[self.slot] is None and decision.build is not None:
+            built, decision.build = decision.build(), None
+            for name, value in zip(("_prior", "_verdicts", "_features", "_pooled"), built):
+                if fields[name] is None:
+                    fields[name] = value
+        return fields[self.slot]
+
+    def __set__(self, decision, value):
+        decision.__dict__[self.slot] = value
 
 
 @dataclass
@@ -81,19 +130,22 @@ class RLDecision:
     One head per window candidate, in the window's order. A head's
     choices are its listed placements, then skip; prior, verdicts and
     features hold one row per choice, in (head, choice) order. A round
-    with an empty window has no heads and no rows.
+    with an empty window has no heads and no rows. A field left None is
+    built on its first read by build, which returns (prior, verdicts,
+    features, pooled), so a decision nobody reads builds none.
     """
 
     choices: list[list[Placement]] = field(default_factory=list)  # per head, skip not listed
     chosen: list[int] = field(default_factory=list)  # per head; len(choices[head]) is skip
     forced: bool = False  # True when the livelock guard overrode the policy
-    prior: np.ndarray | None = None  # pack-first prior per choice (see ActionSpace)
+    prior: np.ndarray | None = _Built()  # pack-first prior per choice (see ActionSpace)
     # contention-model verdict per choice: +1 if the placement is
     # predicted to raise the round reward, -1 to lower it, else 0 (skip)
-    verdicts: np.ndarray | None = None
+    verdicts: np.ndarray | None = _Built()
     temperature: float = 1.0  # the logits were divided by it before sampling
-    pooled: np.ndarray | None = None  # the value input; None when the window was empty
-    features: np.ndarray | None = None  # (choices, F) scorer rows
+    pooled: np.ndarray | None = _Built()  # the value input; None when the window was empty
+    features: np.ndarray | None = _Built()  # (choices, F) scorer rows
+    build: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def has_choice(self) -> bool:

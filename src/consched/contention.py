@@ -179,18 +179,23 @@ def contention_sensitivity(job: tuple[ModelProfile, Placement],
         return 1.0
     if params.mode == "synthetic":
         return _synthetic_cs(job, sharing, cluster_config)
-    # table mode: pairwise max over sharing neighbors, each pair the loaded
-    # table's value or else the calibration's (a key hashes once without a table)
-    table = params.table
+    # table mode: pairwise max over sharing neighbors
     target_key = (profile.model_class, shape_of(placement))
     cs = 1.0
     for other_profile, other_placement in sharing:
-        coloc_key = (other_profile.model_class, shape_of(other_placement))
-        value = table.get((target_key, coloc_key)) if table else None
-        if value is None:
-            value = calibrated_cs(target_key, coloc_key)
-        cs = max(cs, value)
+        cs = max(cs, pair_cs(params.table, target_key,
+                             (other_profile.model_class, shape_of(other_placement))))
     return cs
+
+
+def pair_cs(table: CSTable | None, target: tuple[ModelClass, Shape],
+            coloc: tuple[ModelClass, Shape]) -> float:
+    """Table mode's CS of target next to coloc: the loaded table's value, else the calibration's.
+
+    A key hashes once when no table is loaded.
+    """
+    value = table.get((target, coloc)) if table else None
+    return calibrated_cs(target, coloc) if value is None else value
 
 
 def feasible_shapes(config: ClusterConfig) -> list[Shape]:

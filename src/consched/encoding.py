@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cluster import ClusterConfig, ClusterState, demand_shapes
+from .cluster import ClusterConfig, demand_shapes
 from .contention import CS_CAP
 from .errors import ConfigError
 from .workload import JobSpec, JobState
@@ -49,7 +49,7 @@ def window_candidates(queue: list[JobSpec], k: int, config: ClusterConfig,
         raise ConfigError("k must be >= 1")
     picked: list[JobSpec] = []
     seen: set[int] = set()
-    ranked = np.sort(free_per_node)[::-1].tolist()
+    ranked = sorted(free_per_node.tolist(), reverse=True)
     for job in queue:
         if job.gpu_demand in seen:
             continue
@@ -73,16 +73,14 @@ def job_features(state: JobState) -> tuple[float, float, float]:
             min(profile.avg_bandwidth / BANDWIDTH_SCALE, 1.0), state.fraction_done)
 
 
-def encode_state(cluster: ClusterState, candidates: list[JobSpec],
-                 job_states: dict[int, JobState], profile: dict[int, float],
-                 queued: int) -> np.ndarray:
-    """A round's pooled value input; profile is the placed jobs' CS map, queued the queue size."""
-    total = cluster.config.total_gpus
+def encode_state(utilization: float, total: int, profile: dict[int, float], queued: int,
+                 demand: int, own: list[tuple[float, float, float]]) -> np.ndarray:
+    """A round's pooled value input, from what its decision saw: the cluster's
+    utilization and total GPUs, the placed jobs' CS map (profile), the queue
+    size, the window's summed demand and its candidates' job_features."""
     cs = [clipped_cs(v) for v in profile.values()] or [0.0]
-    own = [job_features(job_states[c.id]) for c in candidates]
-    return np.array([cluster.utilization(), len(profile) / total, queued / total,
-                     sum(cs) / len(cs), max(cs),
-                     sum(c.gpu_demand for c in candidates) / total,
+    return np.array([utilization, len(profile) / total, queued / total,
+                     sum(cs) / len(cs), max(cs), demand / total,
                      *(sum(column) / len(own) for column in zip(*own))])
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .actions import Action, RLDecision
 from .cluster import ClusterConfig, ClusterState
-from .contention import CS_CAP, ContentionParams, contention_sensitivity
+from .contention import CS_CAP, ContentionParams, contention_sensitivity, pair_cs, shape_of
 from .errors import ConfigError, InvalidPlacementError
 from .policies import decide_fifo_greedy
 from .rl.reward import RewardWeights, compute_reward
@@ -185,23 +185,6 @@ def _aggregate(jobs: list[JobRecord], rounds: RoundLog) -> dict:
     }
 
 
-def _job_cs(jid: int, cluster: ClusterState, states: dict[int, JobState],
-            params: ContentionParams) -> float:
-    """CS of placed job jid against the jobs that share a node with it.
-
-    The neighbours go in job-id order, the order in which a full profile
-    passes every other job, so the result is the same.
-    """
-    placements = cluster.placements
-    placement = placements[jid]
-    neighbours = set().union(*(cluster.residents[node] for node in placement.nodes))
-    neighbours.discard(jid)
-    return contention_sensitivity(
-        (states[jid].spec.profile, placement),
-        [(states[o].spec.profile, placements[o]) for o in sorted(neighbours)],
-        params, cluster.config)
-
-
 class EpisodeCS:
     """One episode's contention model, its CS map and round values, one per cluster.version.
 
@@ -209,7 +192,11 @@ class EpisodeCS:
     episode; run_episode builds one EpisodeCS and hands it to every
     decide. A new map recomputes only the jobs on nodes that a job
     placed, moved or freed since the last map touches, so it equals a
-    full profile.
+    full profile. A job's CS reads only the jobs it shares a node with:
+    in table mode (and with contention off) it is the max of 1 and its
+    pair CS (pair_cs, kept per pair of keys, a job's key being its model
+    class and shape) against each; synthetic mode sums per-node demand,
+    so there they go in job-id order, as a full profile passes them.
     """
 
     def __init__(self, cluster: ClusterState, states: dict[int, JobState],
@@ -220,6 +207,43 @@ class EpisodeCS:
         self.weights = weights
         # the map, the version and placements it was computed for, its round values
         self._map, self._version, self._placed, self._values = {}, -1, {}, None
+        self._keys: dict[tuple[int, int, int], int] = {}  # (job id, nodes, GPUs a node) -> key
+        self._codes: dict[tuple, int] = {}  # (model class, shape) -> key
+        self._pairs: dict[tuple[int, int], float] = {}  # (key, key) -> pair CS
+
+    def _key(self, jid: int, placement) -> int:
+        """jid's key at placement: its (model class, shape) as a small int."""
+        sized = (jid, len(placement.nodes), placement.gpus_per_node_used)
+        key = self._keys.get(sized)
+        if key is None:
+            named = (self.states[jid].spec.model_class, shape_of(placement))
+            key = self._keys[sized] = self._codes.setdefault(named, len(self._codes))
+        return key
+
+    def _pair(self, key: int, other: int) -> float:
+        """key's pair CS against other, once per pair (every CS is 1 with contention off)."""
+        named = list(self._codes)
+        value = self._pairs[key, other] = (pair_cs(self.params.table, named[key], named[other])
+                                           if self.params.mode == "table" else 1.0)
+        return value
+
+    def _cs(self, jid: int, cluster: ClusterState) -> float:
+        """CS of placed job jid on cluster."""
+        placements = cluster.placements
+        placement = placements[jid]
+        neighbours = set().union(*(cluster.residents[node] for node in placement.nodes))
+        neighbours.discard(jid)
+        if self.params.mode != "synthetic":
+            key, pairs, cs = self._key(jid, placement), self._pairs, 1.0
+            for o in neighbours:
+                other = self._key(o, placements[o])
+                cs = max(cs, pairs.get((key, other)) or self._pair(key, other))
+            return cs
+        states = self.states
+        return contention_sensitivity(
+            (states[jid].spec.profile, placement),
+            [(states[o].spec.profile, placements[o]) for o in sorted(neighbours)],
+            self.params, cluster.config)
 
     def profile(self) -> dict[int, float]:
         """CS of every placed job under the current co-location, in job-id order."""
@@ -231,10 +255,12 @@ class EpisodeCS:
                    for node in p.nodes}
         touched.update(node for jid, p in placements.items() if old.get(jid) is not p
                        for node in p.nodes)
-        dirty = set().union(*(cluster.residents[node] for node in touched))
-        self._map = {jid: _job_cs(jid, cluster, self.states, self.params)
-                     if jid in dirty else profile[jid] for jid in sorted(placements)}
-        self._placed, self._version, self._values = dict(placements), cluster.version, None
+        if touched:  # else the placements are the map's (an adopted map, applied as is)
+            dirty = set().union(*(cluster.residents[node] for node in touched))
+            self._map = {jid: self._cs(jid, cluster) if jid in dirty else profile[jid]
+                         for jid in sorted(placements)}
+            self._placed = dict(placements)
+        self._version, self._values = cluster.version, None
         return self._map
 
     def round_values(self) -> tuple[dict[int, float], dict[int, float], float, float, float]:
@@ -251,33 +277,27 @@ class EpisodeCS:
 
     def trial(self, jid: int, placement, cluster: ClusterState,
               profile: dict[int, float]) -> tuple[dict[int, float], list[int]]:
-        """The CS map, in job-id order, after placing jid at placement on cluster,
-        and the jobs sharing placement's nodes, sorted.
+        """The CS entries that placing jid at placement on cluster changes, and
+        the jobs sharing placement's nodes (its neighbours), sorted.
 
-        profile is cluster's CS map (without jid); cluster is left as it
-        is. Only jid and the jobs sharing its nodes change. In table mode
-        a neighbour's CS is a max over pairwise lookups, so it becomes
-        max(old, its CS against jid alone); with contention off every CS
-        is 1, so the same holds. Synthetic mode sums per-node demand in
-        order, so there a neighbour is recomputed on a copy of cluster
-        with jid allocated.
+        The entries are jid's and its neighbours'; every other CS stays as
+        in profile, cluster's CS map (without jid). cluster is left as it
+        is. A neighbour's CS is a max over its pairs, so it becomes
+        max(old, its CS against jid alone); in synthetic mode it is
+        recomputed on a copy of cluster with jid allocated.
         """
-        states, params, placements = self.states, self.params, cluster.placements
-        trial = (states[jid].spec.profile, placement)
+        placements = cluster.placements
         neighbours = sorted(set().union(*(cluster.residents[node] for node in placement.nodes)))
-        changed = {jid: contention_sensitivity(
-            trial, [(states[o].spec.profile, placements[o]) for o in neighbours],
-            params, cluster.config)}
-        if params.mode == "synthetic":
+        if self.params.mode == "synthetic":
             after = cluster.copy().allocate(jid, placement)
-            for nb in neighbours:
-                changed[nb] = _job_cs(nb, after, states, params)
-        else:
-            for nb in neighbours:
-                changed[nb] = max(profile[nb], contention_sensitivity(
-                    (states[nb].spec.profile, placements[nb]), [trial], params, cluster.config))
-        return ({o: changed[o] if o in changed else profile[o] for o in sorted([*profile, jid])},
-                neighbours)
+            return {o: self._cs(o, after) for o in [jid, *neighbours]}, neighbours
+        key, pairs, cs, changed = self._key(jid, placement), self._pairs, 1.0, {}
+        for nb in neighbours:
+            other = self._key(nb, placements[nb])
+            cs = max(cs, pairs.get((key, other)) or self._pair(key, other))
+            changed[nb] = max(profile[nb], pairs.get((other, key)) or self._pair(other, key))
+        changed[jid] = cs
+        return changed, neighbours
 
     def reward(self, utilization: float, profile: dict[int, float],
                weights: RewardWeights) -> float:
@@ -297,27 +317,26 @@ STRETCH_CHUNK = 4096  # most rounds one _accumulate call applies
 
 
 def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
-                dt: float, limit: int) -> tuple[int, bool]:
+                dt: float, limit: int) -> int:
     """Advance running jobs through the rounds that advance would step alike.
 
-    Returns (rounds applied, whether the next round must go through
-    advance). Applies at most limit rounds of length dt (STRETCH_CHUNK
-    if fewer, unless no job runs), each at the job's fixed throughput
-    and CS. In a round where a job burns a whole interval of restore
-    penalty (restore_remaining >= dt) it gains no samples, but its
-    attained service, CS integral and placed time grow as in any other
-    round. The chunk stops before the first round in which some job
-    would finish, round k finishing a job when gain >= total - s_k (s_k
-    being its samples done before round k), and before the first round
-    in which a job burns a partial penalty (0 < restore_remaining < dt);
-    the flag says the next round is such a round. np.add.accumulate adds
-    in sequence, so samples_done, attained_service, cs_integral,
-    placed_time and restore_remaining end bit-identical to as many
-    advance calls with the engine's CS bookkeeping; a closed form such
-    as s + g * n would not be.
+    Returns the rounds applied: at most limit rounds of length dt
+    (STRETCH_CHUNK if fewer, unless no job runs), each at the job's
+    fixed throughput and CS. In a round where a job burns a whole
+    interval of restore penalty (restore_remaining >= dt) it gains no
+    samples, but its attained service, CS integral and placed time grow
+    as in any other round. The chunk stops before the first round in
+    which some job would finish, round k finishing a job when gain >=
+    total - s_k (s_k being its samples done before round k), and before
+    the first round in which a job burns a partial penalty (0 <
+    restore_remaining < dt). np.add.accumulate adds in sequence, so
+    samples_done, attained_service, cs_integral, placed_time and
+    restore_remaining end bit-identical to as many advance calls with
+    the engine's CS bookkeeping; a closed form such as s + g * n would
+    not be.
     """
     if not jobs:
-        return limit, False
+        return limit
     n = min(limit, STRETCH_CHUNK)
     partial = n + 1  # the first round with a partial penalty, when it is round n or before
     soon = math.inf  # about the rounds before the first finish
@@ -330,7 +349,7 @@ def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
             r -= dt
             whole += 1
         if thr > 0 and (0.0 if whole else gained) >= left:
-            return 0, True  # round 0 finishes the job
+            return 0  # round 0 finishes the job
         if 0 < r < dt:
             partial = min(partial, whole)
         if gained > 0:
@@ -344,7 +363,7 @@ def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
     # every job runs about (total - s) / gain rounds past its penalty before
     # it finishes; +2 covers the rounding of the sum, and a short guess or the
     # chunk cap (which bounds the array at 40 * STRETCH_CHUNK bytes per job)
-    # only ends the chunk early: the caller takes the next chunk
+    # only ends the chunk early: the caller steps the next round and goes on
     n = min(n, partial, int(min(soon, n)) + 2)
     steps = np.empty((n + 1, len(start)))
     steps[0] = start
@@ -367,7 +386,7 @@ def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
     for k, job in enumerate(jobs):
         (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
          job.restore_remaining) = row[5 * k:5 * k + 5]
-    return n, bool(finishing) or n == partial
+    return n
 
 
 def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[float],
@@ -377,18 +396,19 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
     Returns the rounds applied. Every round runs each job for dt at its
     fixed throughput and CS, and the call stops after the first round
     in which a job finishes (its finish_time set, its samples complete).
-    The rounds that advance would step alike go in chunks (_accumulate);
-    a round in which a job finishes or burns part of a round of restore
-    penalty goes through advance at now = round * dt, with the CS
-    bookkeeping, and so does a call of one round.
+    The rounds that advance would step alike go in chunks (_accumulate).
+    The round after a chunk that stops short of limit goes through
+    advance, the reference, at now = round * dt with the CS bookkeeping:
+    it may finish a job or burn part of a round of restore penalty, or
+    the chunk may have stopped at STRETCH_CHUNK. So does a call of one
+    round.
     """
     done = 0
     while done < limit:
         if limit - done > 1:
-            n, stepped = _accumulate(jobs, throughputs, cs, dt, limit - done)
-            done += n
-            if not stepped or done == limit:
-                continue
+            done += _accumulate(jobs, throughputs, cs, dt, limit - done)
+            if done == limit:
+                break
         for job, throughput, c in zip(jobs, throughputs, cs):
             active = advance(job, dt, throughput, now=(start + done) * dt)
             job.cs_integral += c * active

@@ -26,10 +26,13 @@ pass. Every policy here keeps the promise:
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .actions import Action, ActionSpace, RLDecision
 from .cluster import ClusterState, first_fit
+from .contention import CS_CAP
 from .encoding import clipped_cs, encode_state, job_features, window_candidates
 from .errors import ConfigError
 from .rl.net import PolicyNet, masked_log_softmax
@@ -159,9 +162,10 @@ class RLBasePolicy:
     it; the same trial gives the scorer row (see _trials). The contention
     model, its switch and the CS cap are the episode's: decide starts
     from the CS map of the engine's EpisodeCS (cs), prices with it and
-    hands it the last trial map. Training learns contention_scale and the
-    scorer, from 0 and a zero score. Sampled logits are divided by
-    temperature.
+    hands it the map of the last placed head. The decision's record is
+    built from what decide keeps when it is first read (RLDecision).
+    Training learns contention_scale and the scorer, from 0 and a zero
+    score. Sampled logits are divided by temperature.
     """
 
     name = "rl-base"
@@ -175,72 +179,73 @@ class RLBasePolicy:
         self.temperature = 1.0  # sampling only; training anneals it
         self.k = net.arch.k
 
-    def _reward(self, cs, profile: dict[int, float], utilization: float) -> float:
-        """Predicted round reward of a CS map; an empty cluster counts as uncontended (CS 1)."""
-        weights = self.net.reward_weights
-        if not profile:
-            return reward_from_terms(1.0, 0.0, weights)
-        return cs.reward(utilization, profile, weights)
-
-    def _trials(self, cs, cand, choices, base, sim, own):
+    def _trials(self, cs, cand, choices, listed, base, sim, own):
         """The verdict and scorer row of each choice (skip last), and each listed
-        placement's trial (CS map, reward, ...), in list order.
+        placement's trial (changed CS entries, reward, ...), in list order.
 
         The head sees sim, the cluster with the earlier heads' placements
-        allocated; base is sim's (CS map, reward). A trial re-profiles only
+        allocated; base is sim's (CS map, reward); listed is the
+        per-placement part of ActionSpace.choices. A trial re-profiles only
         the candidate and the jobs sharing its nodes (cs.trial), and copies
         and changes no cluster; placements on nodes no job holds get CS 1,
-        change no other CS and share a trial.
+        change no other CS and share a trial. A trial's reward is
+        compute_reward's of base's map with the changed entries put in:
+        their capped values replace or join base's, summed in job-id order.
         """
-        config, residents = sim.config, sim.residents
         profile, reward = base
-        d_util = cand.gpu_demand / config.total_gpus
-        utilization = (sim.used + cand.gpu_demand) / config.total_gpus
-        trials, rows = [], []
+        ids, capped = list(profile), [min(v, CS_CAP) for v in profile.values()]
+        at = bisect.bisect(ids, cand.id)  # the candidate's place in job-id order
+        weights = self.net.reward_weights
+        utilization = (sim.used + cand.gpu_demand) / sim.config.total_gpus
+        trials, rows, verdicts = [], [], []
         alone = None
-        free = sim.free_per_node.tolist()
-        for placement in choices:
-            nodes = placement.nodes
-            shares = any(residents[node] for node in nodes)
+        for placement, (shares, columns) in zip(choices, listed):
             if shares or alone is None:
-                trial, sharing = cs.trial(cand.id, placement, sim, profile)
-                rises = [clipped_cs(trial[o]) - clipped_cs(profile[o]) for o in sharing]
-                trials.append((trial, self._reward(cs, trial, utilization),
-                               clipped_cs(trial[cand.id]), max(rises, default=0.0), sum(rises)))
+                changed, sharing = cs.trial(cand.id, placement, sim, profile)
+                values = capped.copy()  # the trial map's capped values, in job-id order
+                for o in sharing:
+                    values[bisect.bisect_left(ids, o)] = min(changed[o], CS_CAP)
+                values.insert(at, min(changed[cand.id], CS_CAP))
+                priced = reward_from_terms(sum(values) / len(values), utilization, weights)
+                rises = [clipped_cs(changed[o]) - clipped_cs(profile[o]) for o in sharing]
+                trials.append((changed, priced, clipped_cs(changed[cand.id]),
+                               max(rises, default=0.0), sum(rises)))
                 if not shares:
                     alone = trials[-1]
             else:
                 trials.append(alone)
-            left = sum(free[node] for node in nodes) - cand.gpu_demand
-            rows.append((*trials[-1][2:], d_util, len(nodes) / config.num_nodes,
-                         left / (len(nodes) * config.gpus_per_node), *own))
-        rows.append((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *own))
-        verdicts = np.append(np.sign(np.array([trial[1] for trial in trials]) - reward), 0.0)
-        return verdicts, np.array(rows), trials
+            priced = trials[-1][1]
+            verdicts.append(1.0 if priced > reward else -1.0 if priced < reward else 0.0)
+            rows.append(trials[-1][2:] + columns + own)
+        rows.append((0.0,) * 6 + own)
+        verdicts.append(0.0)
+        return np.array(verdicts), np.array(rows), trials
 
     def decide(self, cluster, queue, states, rng, cs) -> Action:
         candidates = window_candidates(queue, self.k, cluster.config, cluster.free_per_node)
         if not candidates:
             # no head has a choice: nothing to score or sample
             return Action(rl=RLDecision())
-        profile = cs.profile()
-        decision = RLDecision(temperature=self.temperature,
-                              pooled=encode_state(cluster, candidates, states, profile,
-                                                  len(queue)))
-        priors, verdicts, features = [], [], []
+        profile, utilization = cs.profile(), cluster.utilization()
+        decision = RLDecision(temperature=self.temperature)
+        priors, verdicts, features, owns = [], [], [], []
         # each head sees the cluster plus the earlier heads' placements
         sim = cluster.copy()
-        base = (profile, self._reward(cs, profile, cluster.utilization()))
+        # the predicted round reward; an empty cluster counts as uncontended (CS 1)
+        weights = self.net.reward_weights
+        base = (profile, cs.reward(utilization, profile, weights) if profile
+                else reward_from_terms(1.0, 0.0, weights))
         placed, deferred = [], []
         for cand in candidates:
-            choices, prior = self.space.choices(sim, cand.gpu_demand)
-            head_verdicts, rows, trials = self._trials(
-                cs, cand, choices, base, sim, job_features(states[cand.id]))
+            choices, prior, listed = self.space.choices(sim, cand.gpu_demand)
+            owns.append(job_features(states[cand.id]))
+            head_verdicts, rows, trials = self._trials(cs, cand, choices, listed, base, sim,
+                                                       owns[-1])
             logits = self.net.head_logits(rows, prior, head_verdicts)
             # every listed choice is feasible, so none is masked
             probs, _ = masked_log_softmax(logits / self.temperature, True)
             if self.deterministic:
-                pick = int(np.argmax(probs))
+                pick = int(probs.argmax())
             else:
                 pick = int(rng.choice(len(probs), p=probs))
             decision.choices.append(choices)
@@ -251,14 +256,16 @@ class RLBasePolicy:
             if pick < len(choices):
                 placed.append((cand.id, choices[pick]))
                 sim.allocate(cand.id, choices[pick])
-                base = trials[pick][:2]
+                changed, reward = trials[pick][:2]
+                base = (dict(sorted({**base[0], **changed}.items())), reward)
             elif choices:
                 deferred.append(cand.id)
         if placed:
             cs.adopt(sim.placements, base[0])
-        decision.prior = np.concatenate(priors)
-        decision.verdicts = np.concatenate(verdicts)
-        decision.features = np.concatenate(features)
+        pooled = (utilization, cluster.config.total_gpus, profile, len(queue),
+                  sum(cand.gpu_demand for cand in candidates), owns)
+        decision.build = lambda: (np.concatenate(priors), np.concatenate(verdicts),
+                                  np.concatenate(features), encode_state(*pooled))
         return Action(placements=placed, deferred=deferred, rl=decision)
 
 

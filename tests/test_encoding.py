@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.actions import M, Action, ActionSpace
+from consched import actions
+from consched.actions import CHOICE_MEMO, M, Action, ActionSpace
 from consched.cluster import ClusterConfig, ClusterState, Placement, capable_nodes, first_fit
 from consched.contention import CS_CAP
 from consched.encoding import (BANDWIDTH_SCALE, POOLED_FEATURES, RATIO_SCALE, SCORER_FEATURES,
                                encode_state, job_features, window_candidates, write_scorer_rows)
-from consched.engine import EpisodeConfig, EpisodeCS
+from consched.engine import EpisodeConfig, EpisodeCS, run_episode
 from consched.errors import ConfigError
 from consched.policies import RLBasePolicy
 from consched.rl.reward import RewardWeights
-from consched.rl.train import TrainConfig, make_net
+from consched.rl.train import TrainConfig, build_batch, make_net, optimizers
 from consched.workload import JobState, TraceSpec, generate_trace
 
 CFG = ClusterConfig()
@@ -84,11 +85,18 @@ def decision_on(cluster, specs, states, scale=2.0):
     return RLBasePolicy(net, space).decide(cluster, specs, states, None, cs).rl, cs
 
 
+def pooled_of(cluster, candidates, states, profile, queued):
+    """encode_state over what a decision on cluster with these candidates sees."""
+    return encode_state(cluster.utilization(), cluster.config.total_gpus, profile, queued,
+                        sum(c.gpu_demand for c in candidates),
+                        [job_features(states[c.id]) for c in candidates])
+
+
 class TestPooledInput:
     def test_empty_cluster(self):
         specs = jobs_with_demands([4, 8])
         states = states_for(specs)
-        pooled = encode_state(ClusterState(CFG), specs, states, {}, queued=5)
+        pooled = pooled_of(ClusterState(CFG), specs, states, {}, queued=5)
         assert pooled.shape == (len(POOLED_FEATURES),)
         own = np.mean([job_features(states[s.id]) for s in specs], axis=0)
         np.testing.assert_allclose(pooled, [0.0, 0.0, 5 / 32, 0.0, 0.0, 12 / 32, *own],
@@ -102,7 +110,7 @@ class TestPooledInput:
         cluster.allocate(specs[1].id, Placement(nodes=(1, 2), gpus_per_node_used=3))
         profile = {specs[0].id: 1.5, specs[1].id: 9.0}  # the second beyond the cap
         pooled = dict(zip(POOLED_FEATURES,
-                          encode_state(cluster, [specs[2]], states, profile, queued=1)))
+                          pooled_of(cluster, [specs[2]], states, profile, queued=1)))
         assert pooled["util"] == cluster.used / 32
         assert pooled["running"] == 2 / 32
         assert pooled["mean_cs"] == pytest.approx((0.5 + CS_CAP - 1) / 2)
@@ -113,8 +121,8 @@ class TestPooledInput:
         states = states_for(specs)
         cluster = ClusterState(CFG)
         cluster.allocate(specs[0].id, Placement(nodes=(0,), gpus_per_node_used=4))
-        a = encode_state(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
-        b = encode_state(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
+        a = pooled_of(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
+        b = pooled_of(cluster, [specs[1]], states, {specs[0].id: 1.0}, 1)
         assert np.array_equal(a, b)
 
     def test_job_features_layout(self):
@@ -217,7 +225,7 @@ def cluster_with_free(config, free):
 class TestActionSpace:
     def test_default_cluster_lists_every_placement(self):
         space = ActionSpace(CFG)
-        placements, prior = space.choices(ClusterState(CFG), 4)
+        placements, prior, _ = space.choices(ClusterState(CFG), 4)
         # C(4,1) + C(4,2) + C(4,4) placements plus skip
         assert listed_per_shape(space, ClusterState(CFG), 4) == [4, 6, 1, 1]
         assert len(placements) == 4 + 6 + 1 and len(prior) == 12
@@ -229,7 +237,7 @@ class TestActionSpace:
         space = ActionSpace(config)
         # C(8,1) + min(M, C(8,2)) + min(M, C(8,4)) + C(8,8) placements plus skip
         assert listed_per_shape(space, ClusterState(config), 8) == [8, 16, 16, 1, 1]
-        placements, _ = space.choices(ClusterState(config), 8)
+        placements, *_ = space.choices(ClusterState(config), 8)
         assert len(placements) == 41
         assert placements[8 + 15].nodes == (2, 5)  # the 16th of C(8,2), in combinations order
 
@@ -239,7 +247,7 @@ class TestActionSpace:
         space = ActionSpace(config)
         cluster = ClusterState(config)
         start = time.perf_counter()
-        placements, prior = space.choices(cluster, 32)
+        placements, prior, _ = space.choices(cluster, 32)
         assert time.perf_counter() - start < 1.0
         # widths 4, 8 and 16 are capped at M; one 32-node placement
         assert listed_per_shape(space, cluster, 32) == [M, M, M, 1, 1]
@@ -253,7 +261,7 @@ class TestActionSpace:
         free = [2, 0, 0, 0]
         # 1x4 needs 4 free GPUs on one node, 2x2 two nodes with 2, 4x1 all four
         assert listed_per_shape(space, cluster_with_free(CFG, free), 4) == [0, 0, 0, 1]
-        placements, prior = space.choices(cluster_with_free(CFG, free), 4)
+        placements, prior, _ = space.choices(cluster_with_free(CFG, free), 4)
         assert placements == [] and prior.tolist() == [-1.0]
 
     @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.integers(1, 8))
@@ -265,7 +273,7 @@ class TestActionSpace:
         free = data.draw(st.lists(st.integers(0, gpus), min_size=nodes, max_size=nodes))
         demand = data.draw(st.integers(1, config.total_gpus))
         cluster = cluster_with_free(config, free)
-        placements, prior = space.choices(cluster, demand)
+        placements, prior, _ = space.choices(cluster, demand)
         assert placements == listed_by_brute_force(config, free, demand)
         assert sum(listed_per_shape(space, cluster, demand)) == len(placements) + 1 == len(prior)
 
@@ -276,7 +284,7 @@ class TestActionSpace:
         free = data.draw(st.lists(st.integers(0, gpus), min_size=nodes, max_size=nodes))
         demand = data.draw(st.integers(1, config.total_gpus))
         cluster = cluster_with_free(config, free)
-        placements, prior = ActionSpace(config).choices(cluster, demand)
+        placements, prior, _ = ActionSpace(config).choices(cluster, demand)
         assert first_fit(cluster, demand) == (placements or [None])[0]
         for placement, value in zip(placements, prior.tolist()):
             i = len(placement.nodes).bit_length() - 1
@@ -294,6 +302,75 @@ class TestActionSpace:
         for placement in ActionSpace(CFG).choices(cluster, demand)[0]:
             trial = cluster.copy()
             trial.allocate(0, placement)
+
+
+class TestChoiceMemo:
+    """choices keeps each (free GPUs, demand) pair's list: the same list a fresh
+    ActionSpace builds, within CHOICE_MEMO pairs, and never changed by a reader."""
+
+    @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_returns_a_fresh_spaces_lists(self, data, nodes, gpus):
+        config = ClusterConfig(num_nodes=nodes, gpus_per_node=gpus)
+        space = ActionSpace(config)
+        frees = st.lists(st.integers(0, gpus), min_size=nodes, max_size=nodes)
+        for _ in range(data.draw(st.integers(1, 12))):
+            cluster = cluster_with_free(config, data.draw(frees))
+            demand = data.draw(st.integers(1, config.total_gpus))
+            placements, prior, listed = space.choices(cluster, demand)
+            fresh = ActionSpace(config).choices(cluster, demand)
+            assert placements == fresh[0] and prior.tolist() == fresh[1].tolist()
+            assert listed == fresh[2]
+            again = space.choices(cluster.copy(), demand)
+            assert all(a is b for a, b in zip(again, (placements, prior, listed)))
+            assert not prior.flags.writeable
+            # per placement: whether a job holds one of its nodes, and its scorer-row columns
+            free = cluster.free_per_node.tolist()
+            assert listed == [
+                (any(cluster.residents[node] for node in p.nodes),
+                 (demand / config.total_gpus, len(p.nodes) / nodes,
+                  (sum(free[node] for node in p.nodes) - demand) / (len(p.nodes) * gpus)))
+                for p in placements]
+
+    @staticmethod
+    def episode(monkeypatch, bound):
+        """A recorded, sampled 32-node RL-base episode and its batch, with the memo
+        size before each choices call and a copy of every list as it was built."""
+        monkeypatch.setattr(actions, "CHOICE_MEMO", bound)
+        config = ClusterConfig(num_nodes=32)
+        net, space = make_net(config, TrainConfig(seed=0))
+        sizes, built = [], {}
+        choices, listed = ActionSpace.choices, ActionSpace._list
+
+        def sized(self, cluster, demand):
+            sizes.append(len(self._memo))
+            return choices(self, cluster, demand)
+
+        def copied(self, cluster, demand):
+            result = listed(self, cluster, demand)
+            built[cluster.free_per_node.tobytes(), demand] = (list(result[0]), result[1].copy(),
+                                                              list(result[2]))
+            return result
+
+        monkeypatch.setattr(ActionSpace, "choices", sized)
+        monkeypatch.setattr(ActionSpace, "_list", copied)
+        trace = generate_trace(TraceSpec(num_jobs=40, seed=3))
+        policy = RLBasePolicy(net, space, deterministic=False)
+        report = run_episode(policy, trace, EpisodeConfig(), config, record_trajectory=True)
+        build_batch(net, report.rounds, 0.5, optimizers(net, 1e-3)[1])
+        monkeypatch.undo()
+        return report, space, sizes, built
+
+    def test_stays_within_its_bound_and_no_reader_changes_a_list(self, monkeypatch):
+        report, space, sizes, built = self.episode(monkeypatch, CHOICE_MEMO)
+        assert len(sizes) > 100 and max(sizes) <= CHOICE_MEMO
+        assert space._memo and all(
+            placements == built[key][0] and prior.tolist() == built[key][1].tolist()
+            and listed == built[key][2] for key, (placements, prior, listed) in space._memo.items())
+        # a small bound starts over several times and leaves the episode as it is
+        small, _, sizes, _ = self.episode(monkeypatch, 16)
+        assert max(sizes) == 16 and sum(b < a for a, b in zip(sizes, sizes[1:])) > 2
+        assert small.aggregates == report.aggregates
 
 
 def test_action_noop():

@@ -71,7 +71,7 @@ def audited():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine.EpisodeCS, "profile", last_profile)
-        patch.setattr(engine, "_accumulate", lambda *args: (0, True))
+        patch.setattr(engine, "_accumulate", lambda *args: 0)
         patch.setattr(engine, "advance", advance)
         patch.setattr(engine, "ClusterState", AuditedCluster)
         yield rows
@@ -939,8 +939,8 @@ class TestAdvanceStretch:
                      for _ in range(2))
         throughputs = [(total - total * start) / (r * dt) for r in rounds]
         got = _accumulate(jobs, throughputs, [cs] * len(rounds), dt, limit)
-        ref, done, event = step_rounds(ref, throughputs, [cs] * len(rounds), dt, limit)
-        assert got == (done, event)
+        ref, done, _ = step_rounds(ref, throughputs, [cs] * len(rounds), dt, limit)
+        assert got == done
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
 
     def test_whole_penalty_goes_in_the_stretch_and_a_partial_one_stops_it(self):
@@ -948,7 +948,7 @@ class TestAdvanceStretch:
         jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=5.0)]
         ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
                                        [1.5, 2.5], 0.25, 100)
-        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (100, False)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == 100
         assert (done, event) == (100, False)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
         assert jobs[1].restore_remaining == 0.0 and jobs[1].samples_done == 10.0 + 80 * 0.25
@@ -956,20 +956,20 @@ class TestAdvanceStretch:
         jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=1.1)]
         ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
                                        [1.5, 2.5], 0.25, 100)
-        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (4, True)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == 4
         assert (done, event) == (4, True)
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
         assert 0 < jobs[1].restore_remaining < 0.25 and jobs[1].samples_done == 10.0
-        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == (0, True)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == 0
         # a job one round from its finish burns penalty past the limit: no event
         jobs = [running_job(100.0, 99.9, restore=5.0)]
         ref, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
-        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (10, False)
+        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == done == 10 and not event
         assert job_fields(jobs[0]) == job_fields(ref[0])
         # one with no samples left finishes in its first round, penalty or not
         jobs = [running_job(100.0, 100.0, restore=5.0)]
         _, done, event = step_rounds([replace(jobs[0])], [1.0], [1.5], 0.25, 10)
-        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == (done, event) == (0, True)
+        assert _accumulate(jobs, [1.0], [1.5], 0.25, 10) == done == 0 and event
 
     def test_a_stretch_goes_on_after_a_partial_penalty_round(self, monkeypatch):
         """The 1.1 s penalty's fifth round goes through advance between two chunks."""
@@ -985,7 +985,7 @@ class TestAdvanceStretch:
         assert advance_stretch(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100, 7) == 100
         assert step_to_finish(ref, [1.0, 1.0], [1.5, 2.5], 0.25, 100, 7) == 100
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
-        assert chunks == [(4, True), (95, False)] and stepped == jobs
+        assert chunks == [4, 95] and stepped == jobs
 
     def test_one_round_goes_straight_to_advance(self, monkeypatch):
         def no_chunk(*args):
@@ -1000,28 +1000,35 @@ class TestAdvanceStretch:
         assert jobs[0].finish_time is not None
 
     def test_no_running_jobs_take_the_whole_limit(self):
-        assert _accumulate([], [], [], 0.25, 17) == (17, False)
+        assert _accumulate([], [], [], 0.25, 17) == 17
         assert advance_stretch([], [], [], 0.25, 17, 0) == 17
 
     def test_long_stretch_goes_in_chunks(self, monkeypatch):
         # the job finishes in round 10,000; the limit would allow all of them
         total, dt, throughput, cs = 1e6, 0.1, 1000.0, 1.5
         job = running_job(total, 0.0)
-        steps, event = [], False
-        while not event:
-            n, event = _accumulate([job], [throughput], [cs], dt, 20_000 - sum(steps))
-            steps.append(n)
-        assert steps[0] == STRETCH_CHUNK and len(steps) >= 10_000 // STRETCH_CHUNK
-        assert all(steps)  # the last chunk ends before the finish and says so
+        steps = []
+        while not steps or steps[-1] == STRETCH_CHUNK:
+            steps.append(_accumulate([job], [throughput], [cs], dt, 20_000 - sum(steps)))
+        # full chunks, then one that ends before the finish
+        assert steps == [STRETCH_CHUNK, STRETCH_CHUNK, 9_999 - 2 * STRETCH_CHUNK]
         ref, done, event = step_rounds([running_job(total, 0.0)], [throughput], [cs], dt, 20_000)
         assert (sum(steps), True) == (done, event) == (9_999, True)
         assert job_fields(job) == job_fields(ref[0])
-        # one advance_stretch call takes the same chunks and then steps the finish
-        chunks = record_chunks(monkeypatch)
+        # one advance_stretch call steps the round after each chunk through
+        # advance: after a full chunk, and the finish
+        chunks, stepped = record_chunks(monkeypatch), []
+
+        def recorded_advance(job, *args, **kwargs):
+            stepped.append(kwargs["now"])
+            return advance(job, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "advance", recorded_advance)
         job, ref = running_job(total, 0.0), running_job(total, 0.0)
         assert advance_stretch([job], [throughput], [cs], dt, 20_000, 0) == 10_000
         assert step_to_finish([ref], [throughput], [cs], dt, 20_000, 0) == 10_000
-        assert [n for n, _ in chunks] == steps
+        assert chunks == [STRETCH_CHUNK, STRETCH_CHUNK, 9_999 - 2 * STRETCH_CHUNK - 2]
+        assert stepped == [k * dt for k in (STRETCH_CHUNK, 2 * STRETCH_CHUNK + 1, 9_999)]
         assert job_fields(job) == job_fields(ref) and job.finish_time is not None
 
 

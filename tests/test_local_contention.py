@@ -19,8 +19,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consched.cluster import ClusterConfig, ClusterState
-from consched.contention import (DEFAULT_PROFILES, ContentionParams, ModelClass,
+from consched import policies
+from consched.cluster import ClusterConfig, ClusterState, Placement
+from consched.contention import (CS_CAP, DEFAULT_PROFILES, ContentionParams, ModelClass,
                                  contention_sensitivity, default_cs_table)
 from consched.encoding import clipped_cs, encode_state, job_features, window_candidates
 from consched.engine import EpisodeConfig, EpisodeCS, default_contention_params, run_episode
@@ -97,14 +98,16 @@ def oracle_decide(policy, episode, cluster, queue, states):
     if not candidates:
         return [], [], {"choices": [], "chosen": [], "pooled": None, "prior": None,
                         "verdicts": None, "features": None}
-    pooled = encode_state(cluster, candidates, states,
-                          full_profile(cluster, states, episode.contention), len(queue))
+    pooled = encode_state(cluster.utilization(), cluster.config.total_gpus,
+                          full_profile(cluster, states, episode.contention), len(queue),
+                          sum(cand.gpu_demand for cand in candidates),
+                          [job_features(states[cand.id]) for cand in candidates])
     fields = {"choices": [], "chosen": [], "pooled": pooled}
     priors, verdicts, features = [], [], []
     sim = cluster.copy()
     placements, deferred = [], []
     for cand in candidates:
-        choices, prior = policy.space.choices(sim, cand.gpu_demand)
+        choices, prior, _ = policy.space.choices(sim, cand.gpu_demand)
         head_verdicts, rows = oracle_trials(policy, episode, sim, states, cand, choices)
         logits = policy.net.head_logits(rows, prior, head_verdicts)
         pick = int(np.argmax(masked_log_softmax(logits, np.ones(len(logits), dtype=bool))[0]))
@@ -198,10 +201,17 @@ class TestIncrementalProfile:
         assert episode_cs(cluster, states, OFF).profile() == {0: 1.0, 1: 1.0}
 
 
+def merged(profile, changed):
+    """A trial's CS map: profile with the trial's changed entries put in, in job-id order."""
+    return dict(sorted({**profile, **changed}.items()))
+
+
 class TestTrialProfile:
     @given(scenario=scenarios(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_equals_profile_of_allocated_copy(self, scenario, data):
+        """Changed entries merged into the base equal the profile of an
+        allocated copy, and they are the candidate's and its neighbours'."""
         config, params, cluster, states, _ = scenario
         job = queue_for(data.draw, config, states)[0]
         profile = full_profile(cluster, states, params)
@@ -210,9 +220,11 @@ class TestTrialProfile:
         for placement in all_placements(cluster, job.gpu_demand):
             trial = cluster.copy().allocate(job.id, placement)
             got, sharing = cs.trial(job.id, placement, cluster, profile)
-            assert list(got.items()) == list(full_profile(trial, states, params).items())
+            assert list(merged(profile, got).items()) == list(
+                full_profile(trial, states, params).items())
             assert sharing == sorted(set().union(*(cluster.residents[node]
                                                    for node in placement.nodes)))
+            assert sorted(got) == sorted([job.id, *sharing])
         assert cluster.version == version  # the trials leave the cluster alone
 
 
@@ -230,8 +242,9 @@ class TestTrialProfile:
         for jid in (0, 1, 3):
             cluster.allocate(jid, pair)
         cs = episode_cs(cluster, states, params)
-        got, sharing = cs.trial(2, pair, cluster, cs.profile())
+        changed, sharing = cs.trial(2, pair, cluster, cs.profile())
         assert sharing == [0, 1, 3]
+        got = merged(cs.profile(), changed)
         cs.adopt({**cluster.placements, 2: pair}, got)
         cluster.allocate(2, pair)
         assert list(got.items()) == list(full_profile(cluster, states, params).items())
@@ -298,6 +311,97 @@ class TestVerdicts:
                 cluster.allocate(*action.placements[0])
                 assert cs.profile()[0] > alone[0]  # the neighbour's CS rose
             assert cs.profile() == full_profile(cluster, states, params)
+
+
+class TestPricedReward:
+    """A head's trial reward is compute_reward of the trial's map, bit for bit,
+    though it is priced from base's capped values and the changed entries."""
+
+    @staticmethod
+    def check(policy, cs, cluster, states, job):
+        profile = cs.profile()
+        weights = policy.net.reward_weights
+        base = (profile, compute_reward(cluster.utilization(), profile, weights) if profile
+                else reward_from_terms(1.0, 0.0, weights))
+        choices, _, listed = policy.space.choices(cluster, job.gpu_demand)
+        verdicts, _, trials = policy._trials(cs, job, choices, listed, base, cluster,
+                                             job_features(states[job.id]))
+        utilization = (cluster.used + job.gpu_demand) / cluster.config.total_gpus
+        for (changed, reward, *_), verdict in zip(trials, verdicts.tolist()):
+            assert reward == compute_reward(utilization, merged(profile, changed), weights)
+            assert verdict == np.sign(reward - base[1])
+        return [changed for changed, *_ in trials]
+
+    @given(scenario=scenarios(), data=st.data(), w1=st.sampled_from([0.0, 0.4, 0.7, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_compute_reward_of_the_merged_map(self, scenario, data, w1):
+        config, params, cluster, states, _ = scenario
+        net, space = net_for(config.num_nodes, config.gpus_per_node)
+        net.reward_weights = RewardWeights(w1)
+        # an id below every placed one, above them, or among them
+        jid = data.draw(st.sampled_from([-1, 40, *(j for j in range(40) if j not in states)]))
+        job = spec(jid, data.draw(st.sampled_from(list(ModelClass))),
+                   data.draw(st.integers(1, config.total_gpus)))
+        states[jid] = JobState(spec=job)
+        self.check(RLBasePolicy(net, space), episode_cs(cluster, states, params), cluster,
+                   states, job)
+
+    def test_empty_base_and_cs_above_the_cap(self):
+        """A file table puts MoE next to FSDP at 6 > CS_CAP; the candidate's id is
+        below every placed one; and an empty cluster is priced too."""
+        net, space = net_for(2, 8)
+        net.reward_weights = RewardWeights(0.4)
+        table = {((ModelClass.MoE, (0, 4)), (ModelClass.FSDP, (0, 4))): 6.0,
+                 ((ModelClass.FSDP, (0, 4)), (ModelClass.MoE, (0, 4))): 5.0}
+        params = ContentionParams("table", table)
+        cluster = ClusterState(ClusterConfig(num_nodes=2, gpus_per_node=8))
+        states = {jid: JobState(spec=spec(jid, model, 4))
+                  for jid, model in ((0, ModelClass.MoE), (5, ModelClass.FSDP),
+                                     (7, ModelClass.GNN))}
+        policy = RLBasePolicy(net, space)
+        cs = episode_cs(cluster, states, params)
+        assert self.check(policy, cs, cluster, states, states[5].spec)  # empty base
+        cluster.allocate(5, Placement(nodes=(0,), gpus_per_node_used=4))
+        cluster.allocate(7, Placement(nodes=(1,), gpus_per_node_used=4))
+        changed = self.check(policy, cs, cluster, states, states[0].spec)
+        assert max(v for entries in changed for v in entries.values()) > CS_CAP
+
+
+def test_an_unread_decision_builds_no_record(monkeypatch):
+    """decide keeps what its record is made of; reading a field builds it, equal
+    to the arrays of the copy-and-profile oracle. An empty window reads None."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return encode_state(*args)
+
+    monkeypatch.setattr(policies, "encode_state", counted)
+    config = ClusterConfig(num_nodes=2, gpus_per_node=8)
+    net, space = net_for(2, 8)
+    states = {jid: JobState(spec=spec(jid, model, demand))
+              for jid, model, demand in ((0, ModelClass.FSDP, 4), (1, ModelClass.MoE, 2),
+                                         (2, ModelClass.IMG, 8), (3, ModelClass.LM, 16))}
+    cluster = ClusterState(config)
+    cluster.allocate(0, all_placements(cluster, 4)[0])
+    queue = [states[jid].spec for jid in (1, 2)]
+    episode = EpisodeConfig()
+    policy = RLBasePolicy(net, space)
+    rl = policy.decide(cluster, queue, states, None, episode_cs(cluster, states,
+                                                                episode.contention)).rl
+    assert rl.has_choice and not built
+    assert all(vars(rl)[f"_{name}"] is None for name in ("prior", "verdicts", "features",
+                                                          "pooled"))
+    *_, fields = oracle_decide(policy, episode, cluster, queue, states)
+    for name in ("prior", "verdicts", "features", "pooled"):
+        np.testing.assert_array_equal(getattr(rl, name), fields[name])
+    assert len(built) == 1 and rl.build is None
+    full = ClusterState(config)
+    full.allocate(0, all_placements(full, 16)[0])
+    empty = policy.decide(full, [states[3].spec], states, None,
+                          episode_cs(full, states, episode.contention)).rl
+    assert not empty.choices and empty.pooled is None and empty.prior is None
+    assert empty.verdicts is None and empty.features is None and len(built) == 1
 
 
 def skips(step):

@@ -653,7 +653,7 @@ class TestPrior:
     def test_pack_first_prior_orders_widths(self):
         from consched.actions import ActionSpace
         from consched.cluster import ClusterState
-        placements, prior = ActionSpace(ClusterConfig()).choices(
+        placements, prior, _ = ActionSpace(ClusterConfig()).choices(
             ClusterState(ClusterConfig()), 4)
         widths = [len(p.nodes) for p in placements]
         one_node = [v for w, v in zip(widths, prior) if w == 1]

@@ -4,6 +4,8 @@ run_branch_sweep.py builds RLBasePolicy and RLHybridPolicy directly, so a
 constructor change breaks it without failing any other test.
 bench_snapshot.py's reading of bench/run.py's result files is checked on
 fabricated files: the script itself runs the whole benchmark.
+scale_probe.py and ab.py run at toy size; ab.py as an A/A run, this
+checkout against itself.
 """
 
 import csv
@@ -23,6 +25,7 @@ def run_script(name, *args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout
 
 
 def data_rows(path):
@@ -64,3 +67,28 @@ def test_bench_snapshot_reads_the_import_phase(tmp_path):
         paths.append(path)
     assert module.median_imports(paths) == 0.05
     assert module.median_imports(paths[1:2]) == 0.031
+
+
+def test_scale_probe(tmp_path):
+    out = tmp_path / "scale.csv"
+    run_script("scale_probe.py", "--nodes", 2, 4, "--jobs", 6, "--repeats", 1, "--out", out)
+    header, *rows = data_rows(out)
+    assert header == ["nodes", "run", "seconds", "heads", "trials", "avg_jct", "peak_rss_mb"]
+    assert [row[:2] for row in rows] == [["2", "episode"], ["2", "train"],
+                                         ["4", "episode"], ["4", "train"]]
+    for row in rows:
+        assert float(row[2]) > 0 and int(row[3]) > 0 and int(row[4]) >= 0
+        assert float(row[5]) > 0 and float(row[6]) > 0
+
+
+def test_ab_against_itself(tmp_path):
+    out = tmp_path / "ab.json"
+    stdout = run_script("ab.py", "--base", ROOT, "--smoke", "--passes", 2, "--imports", 2,
+                        "--json", out)
+    summaries = json.loads(out.read_text())
+    assert sorted(summaries) == ["compare-backlog", "eval-heavy-poisson", "imports",
+                                 "train-desk"]
+    for name, summary in summaries.items():
+        assert summary["pairs"] == 2 and 0 <= summary["lower"] <= 2
+        assert summary["q1"] <= summary["median"] <= summary["q3"]
+        assert summary["min_ratio"] > 0 and f"{name}: this/base per pass" in stdout
