@@ -229,8 +229,9 @@ class RLBasePolicy:
         profile, utilization = cs.profile(), cluster.utilization()
         decision = RLDecision(temperature=self.temperature)
         priors, verdicts, features, owns = [], [], [], []
-        # each head sees the cluster plus the earlier heads' placements
-        sim = cluster.copy()
+        # each head sees the cluster plus the earlier heads' placements, on a
+        # copy made once a head places and another follows
+        sim = cluster
         # the predicted round reward; an empty cluster counts as uncontended (CS 1)
         weights = self.net.reward_weights
         base = (profile, cs.reward(utilization, profile, weights) if profile
@@ -255,13 +256,15 @@ class RLBasePolicy:
             features.append(rows)
             if pick < len(choices):
                 placed.append((cand.id, choices[pick]))
-                sim.allocate(cand.id, choices[pick])
+                if cand is not candidates[-1]:
+                    sim = cluster.copy() if sim is cluster else sim
+                    sim.allocate(cand.id, choices[pick])
                 changed, reward = trials[pick][:2]
                 base = (dict(sorted({**base[0], **changed}.items())), reward)
             elif choices:
                 deferred.append(cand.id)
         if placed:
-            cs.adopt(sim.placements, base[0])
+            cs.adopt({**cluster.placements, **dict(placed)}, base[0])
         pooled = (utilization, cluster.config.total_gpus, profile, len(queue),
                   sum(cand.gpu_demand for cand in candidates), owns)
         decision.build = lambda: (np.concatenate(priors), np.concatenate(verdicts),
