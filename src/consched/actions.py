@@ -45,13 +45,12 @@ class ActionSpace:
     A list depends only on the free GPUs per node and the demand, so
     choices keeps it per such pair (up to CHOICE_MEMO pairs) and hands
     every later head the same objects: the prior is read-only, and no
-    caller may change a list.
+    caller may change a list. That is the one cache: a list made anew
+    builds each Placement and its prior.
     """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
-        # (nodes, GPUs per node) -> (Placement, prior), built once (a Placement is immutable)
-        self._listed: dict[tuple[tuple[int, ...], int], tuple[Placement, float]] = {}
         self._memo: dict[tuple[bytes, int], tuple[list, np.ndarray, list]] = {}
 
     def mask_for(self, shapes: list[tuple[int, int, list[int]]]) -> np.ndarray:
@@ -83,13 +82,8 @@ class ActionSpace:
         shapes = list(capable_nodes(cluster, demand))
         for (i, j, capable), count in zip(shapes, self.mask_for(shapes).tolist()):
             for nodes in itertools.islice(itertools.combinations(capable, 2 ** i), count):
-                listed = self._listed.get((nodes, j))
-                if listed is None:
-                    rank = subset_rank(nodes, self.config.num_nodes)
-                    listed = (Placement(nodes=nodes, gpus_per_node_used=j), -0.5 * i - 0.02 * rank)
-                    self._listed[nodes, j] = listed
-                placements.append(listed[0])
-                prior.append(listed[1])
+                placements.append(Placement(nodes=nodes, gpus_per_node_used=j))
+                prior.append(-0.5 * i - 0.02 * subset_rank(nodes, self.config.num_nodes))
         prior.append(SKIP_PRIOR)
         prior = np.array(prior)
         prior.flags.writeable = False
@@ -102,55 +96,37 @@ class ActionSpace:
             for p in placements]
 
 
-class _Built:
-    """An RLDecision field that, while None, comes from the decision's build on first read."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, decision, owner=None):
-        if decision is None:
-            return None  # the field's default
-        fields = decision.__dict__
-        if fields[self.slot] is None and decision.build is not None:
-            built, decision.build = decision.build(), None
-            for name, value in zip(("_prior", "_verdicts", "_features", "_pooled"), built):
-                if fields[name] is None:
-                    fields[name] = value
-        return fields[self.slot]
-
-    def __set__(self, decision, value):
-        decision.__dict__[self.slot] = value
-
-
 @dataclass
 class RLDecision:
     """What the policy produced for one round, kept for training.
 
     One head per window candidate, in the window's order. A head's
-    choices are its listed placements, then skip; prior, verdicts and
-    features hold one row per choice, in (head, choice) order. A round
-    with an empty window has no heads and no rows. A field left None is
-    built on its first read by build, which returns (prior, verdicts,
-    features, pooled), so a decision nobody reads builds none.
+    choices are its listed placements, then skip; its entry in heads
+    holds its arrays as decide made them, one row per choice. A round
+    with an empty window has no heads. pooled, the value input, is encode's
+    call, made on each read, so a decision nobody reads encodes none.
     """
 
     choices: list[list[Placement]] = field(default_factory=list)  # per head, skip not listed
     chosen: list[int] = field(default_factory=list)  # per head; len(choices[head]) is skip
+    # per head (prior, verdicts, features): the pack-first prior (see
+    # ActionSpace); the contention-model verdict, +1 if the placement is
+    # predicted to raise the round reward, -1 to lower it, else 0 (skip);
+    # the (choices, F) scorer rows
+    heads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
     forced: bool = False  # True when the livelock guard overrode the policy
-    prior: np.ndarray | None = _Built()  # pack-first prior per choice (see ActionSpace)
-    # contention-model verdict per choice: +1 if the placement is
-    # predicted to raise the round reward, -1 to lower it, else 0 (skip)
-    verdicts: np.ndarray | None = _Built()
     temperature: float = 1.0  # the logits were divided by it before sampling
-    pooled: np.ndarray | None = _Built()  # the value input; None when the window was empty
-    features: np.ndarray | None = _Built()  # (choices, F) scorer rows
-    build: Callable | None = field(default=None, repr=False, compare=False)
+    encode: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def has_choice(self) -> bool:
         """Whether some head could do more than skip."""
         return any(self.choices)
+
+    @property
+    def pooled(self) -> np.ndarray | None:
+        """The value input; None when the window was empty."""
+        return None if self.encode is None else self.encode()
 
 
 @dataclass

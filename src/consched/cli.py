@@ -175,7 +175,7 @@ def _load_traces(paths, cluster_config) -> list:
         try:
             jobs = read_trace(path)
             check_trace(jobs, cluster_config)
-        except (TraceParseError, ConfigError) as exc:
+        except (TraceParseError, ConfigError, UnicodeDecodeError) as exc:
             raise TraceParseError(f"trace file {path}: {exc}") from exc
         traces.append(jobs)
     return traces
@@ -306,6 +306,9 @@ def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(names) < 2:
         raise UsageError("--policies needs at least two comma-separated policy names")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"--policies names {', '.join(repeated)} more than once")
     policies, traces, episode, cluster, weights, out_dir, provenance = _set_up(
         args, "compare", names)
     cmp = compare_policies(policies, traces, episode, cluster, weights)
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TraceParseError, FileNotFoundError, CheckpointError) as exc:
+    except (TraceParseError, OSError, UnicodeDecodeError, CheckpointError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (ConschedError, RuntimeError) as exc:

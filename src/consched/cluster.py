@@ -36,8 +36,8 @@ class ClusterConfig:
     def __post_init__(self):
         if self.num_nodes < 1 or self.gpus_per_node < 1:
             raise ConfigError("cluster needs at least 1 node and 1 GPU per node")
-        if self.inter_node_bandwidth <= 0 or self.intra_node_bandwidth <= 0:
-            raise ConfigError("bandwidths must be positive")
+        if not (0 < self.inter_node_bandwidth < np.inf and 0 < self.intra_node_bandwidth < np.inf):
+            raise ConfigError("bandwidths must be positive and finite")
 
     @property
     def total_gpus(self) -> int:

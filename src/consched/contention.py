@@ -65,10 +65,10 @@ class ModelProfile:
     comm_pattern: CommPattern
 
     def __post_init__(self):
-        if self.avg_bandwidth <= 0:
-            raise ConfigError("avg_bandwidth must be positive")
-        if self.comm_comp_ratio <= 0:
-            raise ConfigError("comm_comp_ratio must be positive")
+        if not 0 < self.avg_bandwidth < math.inf:
+            raise ConfigError("avg_bandwidth must be positive and finite")
+        if not 0 < self.comm_comp_ratio < math.inf:
+            raise ConfigError("comm_comp_ratio must be positive and finite")
 
     @property
     def comm_fraction(self) -> float:

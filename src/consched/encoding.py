@@ -89,14 +89,14 @@ def write_scorer_rows(decision, round_index: int, path) -> None:
     placement (nodes joined by '-', blank for skip), its verdict and whether the
     head chose it; a comment line holds the pooled input."""
     pooled = ",".join(f"{n}={v!r}" for n, v in zip(POOLED_FEATURES, decision.pooled.tolist()))
-    rows = iter(zip(decision.verdicts.tolist(), decision.features.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# round {round_index}; pooled value input: {pooled}\n")
         fh.write(",".join(("head", "choice", "nodes", "gpus_per_node", "verdict", "chosen",
                            *SCORER_FEATURES)) + "\n")
-        for head, (choices, pick) in enumerate(zip(decision.choices, decision.chosen)):
-            for choice, placement in enumerate([*choices, None]):
-                verdict, row = next(rows)
+        for head, (choices, pick, (_, verdicts, rows)) in enumerate(
+                zip(decision.choices, decision.chosen, decision.heads)):
+            for choice, (placement, verdict, row) in enumerate(
+                    zip([*choices, None], verdicts.tolist(), rows.tolist())):
                 nodes = "-".join(map(str, placement.nodes)) if placement else ""
                 gpus = placement.gpus_per_node_used if placement else ""
                 fh.write(f"{head},{choice},{nodes},{gpus},{verdict!r},{int(choice == pick)},"

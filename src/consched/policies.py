@@ -27,6 +27,7 @@ pass. Every policy here keeps the promise:
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -162,8 +163,9 @@ class RLBasePolicy:
     it; the same trial gives the scorer row (see _trials). The contention
     model, its switch and the CS cap are the episode's: decide starts
     from the CS map of the engine's EpisodeCS (cs), prices with it and
-    hands it the map of the last placed head. The decision's record is
-    built from what decide keeps when it is first read (RLDecision).
+    hands it the map of the last placed head. The decision keeps each
+    head's prior, verdicts and scorer rows, and the pooled value input as
+    an encode_state call made when it is read (RLDecision).
     Training learns contention_scale and the scorer, from 0 and a zero
     score. Sampled logits are divided by temperature.
     """
@@ -228,7 +230,7 @@ class RLBasePolicy:
             return Action(rl=RLDecision())
         profile, utilization = cs.profile(), cluster.utilization()
         decision = RLDecision(temperature=self.temperature)
-        priors, verdicts, features, owns = [], [], [], []
+        owns = []
         # each head sees the cluster plus the earlier heads' placements, on a
         # copy made once a head places and another follows
         sim = cluster
@@ -251,9 +253,7 @@ class RLBasePolicy:
                 pick = int(rng.choice(len(probs), p=probs))
             decision.choices.append(choices)
             decision.chosen.append(pick)
-            priors.append(prior)
-            verdicts.append(head_verdicts)
-            features.append(rows)
+            decision.heads.append((prior, head_verdicts, rows))
             if pick < len(choices):
                 placed.append((cand.id, choices[pick]))
                 if cand is not candidates[-1]:
@@ -265,10 +265,9 @@ class RLBasePolicy:
                 deferred.append(cand.id)
         if placed:
             cs.adopt({**cluster.placements, **dict(placed)}, base[0])
-        pooled = (utilization, cluster.config.total_gpus, profile, len(queue),
-                  sum(cand.gpu_demand for cand in candidates), owns)
-        decision.build = lambda: (np.concatenate(priors), np.concatenate(verdicts),
-                                  np.concatenate(features), encode_state(*pooled))
+        decision.encode = functools.partial(encode_state, utilization, cluster.config.total_gpus,
+                                            profile, len(queue),
+                                            sum(cand.gpu_demand for cand in candidates), owns)
         return Action(placements=placed, deferred=deferred, rl=decision)
 
 

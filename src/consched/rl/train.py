@@ -146,10 +146,11 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
     Returns run over every round, but rounds that offer only skip carry
     no policy gradient, so they enter neither the batch, the value fit
     nor the advantage normalization, and only their heads with a choice
-    enter the batch. The value baseline first takes VALUE_EPOCHS steps
-    (value_opt) from these rounds' pooled inputs toward their returns;
-    the advantages are then normalized over the rounds that carry a
-    policy gradient.
+    enter the batch, each from its entry in the decision's heads (its
+    prior, verdicts and scorer rows). The value baseline first takes
+    VALUE_EPOCHS steps (value_opt) from these rounds' pooled inputs
+    toward their returns; the advantages are then normalized over the
+    rounds that carry a policy gradient.
     """
     if not rounds:
         raise NonFiniteLossError("empty trajectory", {"steps": 0})
@@ -169,23 +170,16 @@ def build_batch(net: PolicyNet, rounds: RoundLog, gamma: float, value_opt: Adam)
     if used.size > 1:
         std = used.std()
         advantages = (advantages - used.mean()) / (std if std > 1e-8 else 1.0)
-    # a head with a choice becomes a row of its choices, padded to the longest list
-    sizes = np.array([len(choices) + 1 for step in steps for choices in step.choices])
-    choice = sizes > 1
-    keep = np.repeat(choice, sizes)
-
-    def kept(name):
-        """The per-choice field's rows for the heads with a choice."""
-        return np.concatenate([getattr(step, name) for step in steps])[keep]
-
-    masks = np.arange(sizes[choice].max()) < sizes[choice][:, None]
-    prior, verdicts = np.zeros(masks.shape), np.zeros(masks.shape)
-    prior[masks], verdicts[masks] = kept("prior"), kept("verdicts")
-    heads = [len(step.choices) for step in steps]
-    return Batch(features=kept("features"), masks=masks,
-                 actions=np.concatenate([step.chosen for step in steps])[choice],
-                 prior=prior, verdicts=verdicts,
-                 decisions=np.repeat(np.arange(len(steps)), heads)[choice],
+    # each head with a choice becomes a row of its choices, padded to the longest list
+    heads = [(d, pick, *head) for d, step in enumerate(steps)
+             for choices, pick, head in zip(step.choices, step.chosen, step.heads) if choices]
+    decisions, actions, priors, verdicts, rows = zip(*heads)
+    sizes = np.array([len(p) for p in priors])
+    masks = np.arange(sizes.max()) < sizes[:, None]
+    prior, verdict = np.zeros(masks.shape), np.zeros(masks.shape)
+    prior[masks], verdict[masks] = np.concatenate(priors), np.concatenate(verdicts)
+    return Batch(features=np.concatenate(rows), masks=masks, actions=np.array(actions),
+                 prior=prior, verdicts=verdict, decisions=np.array(decisions),
                  advantages=advantages, policy_weight=weight,
                  temperature=np.array([step.temperature for step in steps]))
 

@@ -19,7 +19,7 @@ from consched.policies import make_policy
 from consched.rl.checkpoint import load_checkpoint, save_checkpoint
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import read_trace
-from test_golden import trajectory_rows
+from test_golden import flat, trajectory_rows
 from test_rl import write_format_2_checkpoint
 
 
@@ -75,6 +75,8 @@ NON_FINITE = {
     "isolated-hours": ["gen-trace", "--isolated-hours"],
     "time-scale": ["gen-trace", "--time-scale"],
     "arrival-rate": ["gen-trace", "--arrival", "poisson", "--arrival-rate"],
+    "inter-bw": ["eval", "--policy", "las", "--contention-mode", "synthetic", "--inter-bw"],
+    "intra-bw": ["eval", "--policy", "las", "--contention-mode", "synthetic", "--intra-bw"],
 }
 BAD_INPUTS.update({f"{name}-{value}": [*argv, value]
                    for name, argv in NON_FINITE.items() for value in ("nan", "inf")})
@@ -159,7 +161,9 @@ def set_field(name, value):
 # job values read_trace rejects, or that the job's own checks reject, each
 # named with its line: the trace's first job is on line 2
 for name, value in (("total_samples", "-5"), ("total_samples", "0"), ("arrival", "nan"),
-                    ("arrival", "inf"), ("isolated_runtime", "0"), ("avg_bandwidth", "-3")):
+                    ("arrival", "inf"), ("isolated_runtime", "0"), ("avg_bandwidth", "-3"),
+                    ("avg_bandwidth", "nan"), ("avg_bandwidth", "inf"),
+                    ("comm_comp_ratio", "nan"), ("comm_comp_ratio", "inf")):
     UNRUNNABLE[f"{name}={value}"] = (set_field(name, value), ["line 2", name])
 COMMANDS = {
     "eval": ["eval", "--policy", "las"],
@@ -193,6 +197,31 @@ def test_trace_with_no_job_record_is_a_file_error(command, trace_file, tmp_path,
     assert run([*COMMANDS[command], "--trace", str(trace_file), "--out-dir", str(out)]) == 3
     assert_one_line_error(capsys, "file error: ", str(trace_file), "no job record")
     assert not out.exists()
+
+
+# inputs that exist but cannot be read as text; {dir} is a folder, {bad} a
+# trace file with a byte that is not UTF-8, {trace} a good one
+EVAL_LAS = ["eval", "--policy", "las", "--out-dir", "{out}", "--trace"]
+UNREADABLE = {
+    "trace-dir": [*EVAL_LAS, "{dir}"],
+    "cs-table-dir": [*EVAL_LAS, "{trace}", "--cs-table", "{dir}"],
+    "config-dir": [*EVAL_LAS, "{trace}", "--config", "{dir}"],
+    "gen-trace-out-dir": ["gen-trace", "--jobs", "4", "--out", "{dir}"],
+    "trace-not-utf-8": [*EVAL_LAS, "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_is_a_file_error(case, trace_file, tmp_path, capsys):
+    paths = {"dir": tmp_path / "folder", "bad": tmp_path / "bad.txt", "trace": trace_file,
+             "out": tmp_path / "out"}
+    paths["dir"].mkdir()
+    paths["bad"].write_bytes(trace_file.read_bytes().replace(b"model=", b"model=\xff", 1))
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in UNREADABLE[case]]) == 3
+    named = paths["bad" if "{bad}" in UNREADABLE[case] else "dir"]
+    assert_one_line_error(capsys, "file error: ", str(named))
+    assert not paths["out"].exists()
 
 
 # columns of written CSV files that hold words, not numbers
@@ -492,7 +521,8 @@ class TestEval:
                 out / "reports" / "d" / f"scorer_set00_round{r}.csv")
             assert header == ["head", "choice", "nodes", "gpus_per_node", "verdict", "chosen",
                               *SCORER_FEATURES]
-            assert np.array_equal(pooled, step.pooled)
+            fields = flat(step)
+            assert np.array_equal(pooled, fields["pooled"])
             # one row per (head, choice), in that order, skip last in each head
             listed = [(head, choice, placement)
                       for head, choices in enumerate(step.choices)
@@ -502,8 +532,8 @@ class TestEval:
                 ["-".join(map(str, p.nodes)), str(p.gpus_per_node_used)] if p else ["", ""]
                 for *_, p in listed]
             values = np.array([[float(v) for v in (row[4], *row[6:])] for row in rows])
-            assert np.array_equal(values[:, 0], step.verdicts)
-            assert np.array_equal(values[:, 1:], step.features)
+            assert np.array_equal(values[:, 0], fields["verdicts"])
+            assert np.array_equal(values[:, 1:], fields["features"])
             assert [int(row[5]) for row in rows] == [int(step.chosen[h] == c) for h, c, _ in listed]
         # recording the states leaves the episode as it is
         assert run(["eval", "--policy", "rl-base", "--checkpoint", str(ckpt),
@@ -598,13 +628,13 @@ class TestCompare:
         assert run(["compare", "--policies", "greedy",
                     "--trace", str(trace_file), "--out-dir", str(tmp_path)]) == 2
 
-    def test_self_comparison_zero_deltas(self, trace_file, tmp_path, capsys):
+    def test_repeated_policy_is_a_usage_error(self, tmp_path, capsys):
+        """Refused before any trace loads: the trace file does not exist."""
         out = tmp_path / "out"
-        assert run(["compare", "--policies", "greedy,greedy",
-                    "--trace", str(trace_file), "--name", "s",
-                    "--out-dir", str(out)]) == 0
-        # duplicate names collapse in dict; the deltas file exists regardless
-        assert (out / "reports" / "s" / "deltas_pct.csv").exists()
+        assert run(["compare", "--policies", "las,srtf,las", "--trace",
+                    str(tmp_path / "missing.txt"), "--out-dir", str(out)]) == 2
+        assert_one_line_error(capsys, "usage error: ", "--policies", "las more than once")
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -624,6 +654,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert repr(line.split()[0]) in err
         assert "nodes, gpus_per_node, inter_bw, intra_bw" in err
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("line", ["inter_bw = nan", "intra_bw = inf"])
+    def test_non_finite_bandwidth_is_a_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{line}\n")
+        assert run(["gen-trace", "--jobs", "6", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.txt")]) == 2
+        assert_one_line_error(capsys, "usage error: ", "bandwidths")
         assert not (tmp_path / "t.txt").exists()
 
     def test_bad_value_is_a_file_error(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from consched.policies import RLBasePolicy
 from consched.rl.reward import RewardWeights
 from consched.rl.train import TrainConfig, build_batch, make_net, optimizers
 from consched.workload import JobState, TraceSpec, generate_trace
+from test_golden import flat
 
 CFG = ClusterConfig()
 EMPTY_FREE = np.full(CFG.num_nodes, CFG.gpus_per_node)
@@ -154,20 +155,22 @@ class TestScorerRows:
         rl, _ = decision_on(cluster, specs, states)
         if rl.pooled is None:
             return
+        fields = flat(rl)
+        features = fields["features"]
         rows = sum(len(choices) + 1 for choices in rl.choices)
-        assert rl.features.shape == (rows, len(SCORER_FEATURES))
-        assert rl.prior.shape == rl.verdicts.shape == (rows,)
-        assert np.isfinite(rl.features).all() and np.isfinite(rl.pooled).all()
+        assert features.shape == (rows, len(SCORER_FEATURES))
+        assert fields["prior"].shape == fields["verdicts"].shape == (rows,)
+        assert np.isfinite(features).all() and np.isfinite(fields["pooled"]).all()
         cs = [SCORER_FEATURES.index(name) for name in ("cs", "max_rise", "sum_rise")]
-        assert rl.features.min() >= 0.0
-        assert rl.features[:, cs[:2]].max() <= CS_CAP - 1
-        assert np.delete(rl.features, cs, axis=1).max() <= 1.0
+        assert features.min() >= 0.0
+        assert features[:, cs[:2]].max() <= CS_CAP - 1
+        assert np.delete(features, cs, axis=1).max() <= 1.0
 
     def test_skip_row_holds_only_the_candidates_own_features(self):
         specs = jobs_with_demands([4])
         states = states_for(specs)
         rl, _ = decision_on(ClusterState(CFG), specs, states)
-        skip_row = rl.features[len(rl.choices[0])]
+        skip_row = flat(rl)["features"][len(rl.choices[0])]
         assert np.array_equal(skip_row, [0.0] * 6 + list(job_features(states[specs[0].id])))
 
     def test_write_scorer_rows(self, tmp_path):

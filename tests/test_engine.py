@@ -21,7 +21,7 @@ from consched.reports import ROUND_COLUMNS, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
 from consched.workload import MIX_PRESETS, JobState, TraceSpec, advance, generate_trace
-from test_golden import trajectory_rows
+from test_golden import flat, trajectory_rows
 
 CFG = ClusterConfig()
 OFF = ContentionParams(mode="off")
@@ -559,11 +559,12 @@ def assert_same_trajectory(fast, ref):
     assert len(fast) == len(ref)
     for (step, reward, noop), (ref_step, ref_reward, ref_noop) in zip(fast, ref):
         assert (reward, noop) == (ref_reward, ref_noop)
+        fields, ref_fields = flat(step), flat(ref_step)
         for name in ("pooled", "features", "prior", "verdicts"):
-            if getattr(ref_step, name) is None:
-                assert getattr(step, name) is None
+            if ref_fields[name] is None:
+                assert fields[name] is None
             else:
-                np.testing.assert_array_equal(getattr(step, name), getattr(ref_step, name))
+                np.testing.assert_array_equal(fields[name], ref_fields[name])
         assert (step.choices, step.chosen) == (ref_step.choices, ref_step.chosen)
         assert (step.temperature, step.forced) == (ref_step.temperature, ref_step.forced)
 

@@ -104,10 +104,25 @@ def trajectory_rows(rounds) -> list[tuple]:
             for record, _, n, step, noop in rounds.runs for _ in range(n)]
 
 
+def flat(step) -> dict:
+    """A recorded decision's pooled input, and its prior, verdicts and features
+    over every (head, choice) in that order; each None when no head was listed."""
+    arrays = [np.concatenate(a) for a in zip(*step.heads)] if step.heads else [None] * 3
+    return {"pooled": step.pooled, **dict(zip(("prior", "verdicts", "features"), arrays))}
+
+
+def split_heads(choices, prior, verdicts, features) -> list[tuple]:
+    """Per-(head, choice) arrays as RLDecision.heads: one (prior, verdicts,
+    features) entry per head of choices, skip's row last in each."""
+    cuts = np.cumsum([len(listed) + 1 for listed in choices])[:-1]
+    return list(zip(*(np.split(a, cuts) for a in (prior, verdicts, features))))
+
+
 def trajectory_digest(rows) -> str:
     h = hashlib.sha256()
     for step, reward, noop in rows:
-        for a in (step.pooled, step.features, step.prior, step.verdicts):
+        fields = flat(step)
+        for a in (fields[name] for name in ("pooled", "features", "prior", "verdicts")):
             h.update(b"-" if a is None else _array_digest(a).encode())
         for choices, pick in zip(step.choices, step.chosen):
             listed = ",".join(f"{p.nodes}x{p.gpus_per_node_used}" for p in choices)

@@ -92,18 +92,16 @@ def oracle_trials(policy, episode, cluster, states, cand, choices):
 
 def oracle_decide(policy, episode, cluster, queue, states):
     """Argmax RL-base decide on a copy of the cluster, with oracle verdicts and
-    scorer rows: (placements, deferred, the RLDecision's per-head and per-choice
-    fields). The pooled input is that of the full profile."""
+    scorer rows: (placements, deferred, the RLDecision's choices, chosen, heads
+    and pooled input). The pooled input is that of the full profile."""
     candidates = window_candidates(queue, policy.k, cluster.config, cluster.free_per_node)
     if not candidates:
-        return [], [], {"choices": [], "chosen": [], "pooled": None, "prior": None,
-                        "verdicts": None, "features": None}
+        return [], [], {"choices": [], "chosen": [], "heads": [], "pooled": None}
     pooled = encode_state(cluster.utilization(), cluster.config.total_gpus,
                           full_profile(cluster, states, episode.contention), len(queue),
                           sum(cand.gpu_demand for cand in candidates),
                           [job_features(states[cand.id]) for cand in candidates])
-    fields = {"choices": [], "chosen": [], "pooled": pooled}
-    priors, verdicts, features = [], [], []
+    fields = {"choices": [], "chosen": [], "heads": [], "pooled": pooled}
     sim = cluster.copy()
     placements, deferred = [], []
     for cand in candidates:
@@ -113,17 +111,26 @@ def oracle_decide(policy, episode, cluster, queue, states):
         pick = int(np.argmax(masked_log_softmax(logits, np.ones(len(logits), dtype=bool))[0]))
         fields["choices"].append(choices)
         fields["chosen"].append(pick)
-        priors.append(prior)
-        verdicts.append(head_verdicts)
-        features.append(rows)
+        fields["heads"].append((prior, head_verdicts, rows))
         if pick < len(choices):
             placements.append((cand.id, choices[pick]))
             sim.allocate(cand.id, choices[pick])
         elif choices:
             deferred.append(cand.id)
-    fields.update(prior=np.concatenate(priors), verdicts=np.concatenate(verdicts),
-                  features=np.concatenate(features))
     return placements, deferred, fields
+
+
+def assert_decision_equals(rl, fields):
+    """A decision's choice lists, per-head arrays and pooled input equal oracle_decide's."""
+    assert (rl.choices, rl.chosen) == (fields["choices"], fields["chosen"])
+    assert len(rl.heads) == len(fields["heads"])
+    for head, expected in zip(rl.heads, fields["heads"]):
+        for got, want in zip(head, expected):
+            np.testing.assert_array_equal(got, want)
+    if fields["pooled"] is None:
+        assert rl.pooled is None
+    else:
+        np.testing.assert_array_equal(rl.pooled, fields["pooled"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,11 +281,7 @@ class TestVerdicts:
             assert cluster.version == version  # trial placements leave the cluster alone
             assert action.placements == placements
             assert action.deferred == deferred
-            for name, expected in fields.items():
-                if isinstance(expected, np.ndarray):
-                    np.testing.assert_array_equal(getattr(action.rl, name), expected)
-                else:
-                    assert getattr(action.rl, name) == expected, name
+            assert_decision_equals(action.rl, fields)
             if data.draw(st.booleans()):
                 for jid, placement in action.placements:
                     cluster.allocate(jid, placement)
@@ -368,12 +371,13 @@ class TestPricedReward:
 
 
 def test_an_unread_decision_builds_no_record(monkeypatch):
-    """decide keeps what its record is made of; reading a field builds it, equal
-    to the arrays of the copy-and-profile oracle. An empty window reads None."""
-    built = []
+    """decide keeps each head's prior, verdicts and scorer rows as it made them,
+    equal to the copy-and-profile oracle's, and makes no encode_state call:
+    reading pooled makes it. An empty window keeps no head and reads None."""
+    encoded = []
 
     def counted(*args):
-        built.append(args)
+        encoded.append(args)
         return encode_state(*args)
 
     monkeypatch.setattr(policies, "encode_state", counted)
@@ -389,24 +393,17 @@ def test_an_unread_decision_builds_no_record(monkeypatch):
     policy = RLBasePolicy(net, space)
     rl = policy.decide(cluster, queue, states, None, episode_cs(cluster, states,
                                                                 episode.contention)).rl
-    assert rl.has_choice and not built
-    assert all(vars(rl)[f"_{name}"] is None for name in ("prior", "verdicts", "features",
-                                                          "pooled"))
+    assert rl.has_choice and len(rl.heads) == 2 and not encoded
+    assert rl.heads[0][0] is space.choices(cluster, 2)[1]  # the list's own prior
     *_, fields = oracle_decide(policy, episode, cluster, queue, states)
-    for name in ("prior", "verdicts", "features", "pooled"):
-        np.testing.assert_array_equal(getattr(rl, name), fields[name])
-    assert len(built) == 1 and rl.build is None
+    assert_decision_equals(rl, fields)
+    assert len(encoded) == 1
     full = ClusterState(config)
     full.allocate(0, all_placements(full, 16)[0])
     empty = policy.decide(full, [states[3].spec], states, None,
                           episode_cs(full, states, episode.contention)).rl
-    assert not empty.choices and empty.pooled is None and empty.prior is None
-    assert empty.verdicts is None and empty.features is None and len(built) == 1
-
-
-def skips(step):
-    """The rows of a recorded decision that belong to skip, one per head."""
-    return np.cumsum([len(choices) + 1 for choices in step.choices]) - 1
+    assert not empty.choices and not empty.heads and empty.pooled is None
+    assert len(encoded) == 1
 
 
 def test_verdicts_use_the_episode_contention_switch():
@@ -418,8 +415,8 @@ def test_verdicts_use_the_episode_contention_switch():
     trace = generate_trace(TraceSpec(num_jobs=32, seed=3, mix=MIX_PRESETS["heavy"]))
     report = run_episode(RLBasePolicy(net, space), trace, EpisodeConfig(contention=OFF),
                          record_trajectory=True)
-    feasible = np.concatenate([np.delete(step.verdicts, skips(step))
+    feasible = np.concatenate([verdicts[:-1]  # skip's is last
                                for step, _, _ in trajectory_rows(report.rounds)
-                               if step.verdicts is not None])
+                               for _, verdicts, _ in step.heads])
     assert net.reward_weights.w1 < 1 and feasible.size
     assert (feasible == 1).all(), f"{(feasible != 1).sum()} of {feasible.size} verdicts not +1"

@@ -20,6 +20,7 @@ from consched.policies import (GreedyPolicy, LASPolicy, RLBasePolicy,
 from consched.rl.reward import RewardWeights
 from consched.rl.train import TrainConfig, make_net
 from consched.workload import JobState, TraceSpec, feasible_demands, generate_trace
+from test_golden import flat
 
 CFG = ClusterConfig()
 
@@ -446,7 +447,7 @@ class TestRLPolicies:
             cluster.allocate(100 + node, Placement(nodes=(node,), gpus_per_node_used=8))
         action = RLBasePolicy(net, space).decide(cluster, jobs_with([4]), {}, None,
                                                  episode_cs(cluster, {}))
-        assert action.rl.pooled is None and action.rl.features is None
+        assert action.rl.pooled is None and flat(action.rl)["features"] is None
         assert not action.rl.has_choice
 
     def test_verdicts_follow_net_reward_weights(self, net_space):
@@ -457,11 +458,11 @@ class TestRLPolicies:
         net.reward_weights = RewardWeights(0.0)  # utilization only: every placement raises it
         cluster = ClusterState(CFG)
         rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
-        listed = len(rl.choices[0])
-        assert listed and (rl.verdicts[:listed] == 1).all() and rl.verdicts[listed] == 0
+        listed, verdicts = len(rl.choices[0]), flat(rl)["verdicts"]
+        assert listed and (verdicts[:listed] == 1).all() and verdicts[listed] == 0
         net.reward_weights = RewardWeights(1.0)  # CS only: a lone job keeps CS 1
         rl = policy.decide(cluster, specs, states, None, episode_cs(cluster, states)).rl
-        assert (rl.verdicts == 0).all()
+        assert (flat(rl)["verdicts"] == 0).all()
 
     def test_decision_records_sampling_temperature(self, net_space):
         net, space = net_space

@@ -23,6 +23,7 @@ from consched.rl.train import (CONTENTION_LR, HIDDEN, POLICY_KEYS, VALUE_EPOCHS,
                                discounted_returns, excess_returns, loss_and_grads, make_net,
                                optimizers, update, value_step)
 from consched.workload import MIX_PRESETS, TraceSpec, generate_trace
+from test_golden import flat, split_heads
 
 TINY = Architecture(input_dim=5, hidden=(4, 4), k=2, value_input_dim=6, value_hidden=(3, 3))
 LONGEST = 4  # the longest choice list (skip included) of the random batches
@@ -91,11 +92,13 @@ def scorer_decision(arch, rng, sizes, verdicts=None, **fields):
     if verdicts == "random":
         verdicts = rng.choice([-1.0, 1.0], rows)
         verdicts[np.cumsum(sizes) - 1] = 0.0
-    return RLDecision(choices=choices, chosen=[int(rng.integers(size)) for size in sizes],
-                      prior=rng.standard_normal(rows),
-                      verdicts=np.zeros(rows) if verdicts is None else verdicts,
-                      features=rng.standard_normal((rows, arch.input_dim)),
-                      pooled=rng.standard_normal(arch.value_input_dim), **fields)
+    chosen = [int(rng.integers(size)) for size in sizes]
+    heads = split_heads(choices, rng.standard_normal(rows),
+                        np.zeros(rows) if verdicts is None else verdicts,
+                        rng.standard_normal((rows, arch.input_dim)))
+    pooled = rng.standard_normal(arch.value_input_dim)
+    return RLDecision(choices=choices, chosen=chosen, heads=heads, encode=lambda: pooled,
+                      **fields)
 
 
 def numeric_gradients(net, batch, entropy_coef, h=1e-6):
@@ -362,7 +365,10 @@ class TestUpdate:
         net = tiny_net(seed=16)
         traj = self._trajectory(net, rng)
         for step in decisions_of(traj):
-            step.verdicts = rng.choice([-1.0, 1.0], len(step.verdicts))
+            arrays = flat(step)
+            step.heads = split_heads(step.choices, arrays["prior"],
+                                     rng.choice([-1.0, 1.0], len(arrays["verdicts"])),
+                                     arrays["features"])
         cfg = TrainConfig(lr=1e-3, seed=0)
         opt = Adam(net.params, lr=cfg.lr)
         batch = fitted_batch(net, traj, cfg.gamma)
@@ -452,11 +458,12 @@ class TestBuildBatch:
         batch = fitted_batch(tiny_net(), as_rounds([(first, 0.5, 0.0), (second, 0.2, 0.0)]))
         assert batch.decisions.tolist() == [0, 1]
         assert batch.masks.tolist() == [[True] * 3, [True, True, False]]
-        assert np.array_equal(batch.features,
-                              np.concatenate([first.features[:3], second.features[1:]]))
+        first_rows, second_rows = flat(first), flat(second)
+        assert np.array_equal(batch.features, np.concatenate([first_rows["features"][:3],
+                                                              second_rows["features"][1:]]))
         for name in ("prior", "verdicts"):
-            assert getattr(batch, name).tolist() == [getattr(first, name)[:3].tolist(),
-                                                     getattr(second, name)[1:].tolist() + [0.0]]
+            assert getattr(batch, name).tolist() == [first_rows[name][:3].tolist(),
+                                                     second_rows[name][1:].tolist() + [0.0]]
         assert batch.actions.tolist() == [first.chosen[0], second.chosen[1]]
 
     def test_value_fit_before_advantages(self):
@@ -642,11 +649,12 @@ def test_fresh_net_decides_as_the_fixed_rule(spec, scale):
     decisions = [step for *_, step, _ in report.rounds.runs if step.pooled is not None]
     assert decisions
     for step in decisions:
-        rule = np.split(step.prior + scale * step.verdicts,
+        fields = flat(step)
+        rule = np.split(fields["prior"] + scale * fields["verdicts"],
                         np.cumsum([len(choices) + 1 for choices in step.choices])[:-1])
         assert step.chosen == [int(np.argmax(logits)) for logits in rule]
     if scale:
-        assert any((step.verdicts < 0).any() for step in decisions)
+        assert any((flat(step)["verdicts"] < 0).any() for step in decisions)
 
 
 class TestPrior:
