@@ -16,13 +16,16 @@ exits 1 when they do not.
 
 Per workload it prints the median per-pass time ratio (this checkout
 over base) with its quartiles, the pairs in which this checkout was
-faster, and the ratio of the fastest passes. --imports N also alternates
+faster, and the ratio of the fastest passes; then one more pass per
+side under cProfile gives each side's function calls per pass, a count
+that host load does not move. --imports N also alternates
 N fresh imports of each tree and prints the same for their times.
 bench/run.py, one process per commit, stays the benchmark's gate.
 BLAS runs at one thread, as in bench/run.py.
 """
 
 import argparse
+import cProfile
 import importlib
 import json
 import os
@@ -64,6 +67,18 @@ def one_pass(wl) -> tuple[float, list]:
         results.append(wl.run(k))
     seconds = perf_counter() - t0
     return seconds, [wl.fingerprint(result) for result in results]
+
+
+def calls(wl) -> int:
+    """Function calls in one pass (its fingerprints too), counted under cProfile.
+
+    The raw entries are summed: pstats keys functions by (file, line,
+    name), so two functions with one key (dataclass __init__s) would
+    count once.
+    """
+    profile = cProfile.Profile()
+    profile.runcall(one_pass, wl)
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def summary(this: list[float], base: list[float]) -> dict:
@@ -120,7 +135,10 @@ def main(argv=None) -> int:
                     ok = False
                     print(f"{name}: pass {p}: the outputs differ between the sides")
             results[name] = summary(times["this"], times["base"])
+            results[name]["calls"] = {side: calls(wl) for side, wl in wls.items()}
             print(line(name, results[name]), flush=True)
+            base, this = results[name]["calls"]["base"], results[name]["calls"]["this"]
+            print(f"{name}: function calls per pass {base:,} -> {this:,} ({this - base:+,})")
     if args.imports:
         times = {"base": [], "this": []}
         for p in range(args.imports):

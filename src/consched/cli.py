@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -83,19 +84,29 @@ def _add_run_flags(parser):
     _add_episode_flags(parser)
 
 
+@contextmanager
+def _naming(kind: str, path):
+    """A parse error, bad value or non-UTF-8 text in the block is a file error naming path."""
+    try:
+        yield
+    except (TraceParseError, ConfigError, UnicodeDecodeError) as exc:
+        raise TraceParseError(f"{kind} {path}: {exc}") from exc
+
+
 def _cluster_config(args) -> ClusterConfig:
     """Each cluster flag over the --config file's value over the default; the
     file may hold no other key."""
     fields = {}
-    for key, text in (parse_config_file(args.config) if args.config else {}).items():
-        if key not in CLUSTER_FLAGS:
-            raise TraceParseError(f"config file {args.config}: unknown config key {key!r}; "
-                                  f"the keys read are {', '.join(CLUSTER_FLAGS)}")
-        name = CLUSTER_FLAGS[key]
-        try:  # as the type of the default: every key read is an int or a float
-            fields[name] = type(getattr(ClusterConfig, name))(text)
-        except ValueError as exc:
-            raise TraceParseError(f"config file {args.config}: config key {key!r}: {exc}") from exc
+    with _naming("config file", args.config):
+        for key, text in (parse_config_file(args.config) if args.config else {}).items():
+            if key not in CLUSTER_FLAGS:
+                raise TraceParseError(f"unknown config key {key!r}; "
+                                      f"the keys read are {', '.join(CLUSTER_FLAGS)}")
+            name = CLUSTER_FLAGS[key]
+            try:  # as the type of the default: every key read is an int or a float
+                fields[name] = type(getattr(ClusterConfig, name))(text)
+            except ValueError as exc:
+                raise TraceParseError(f"config key {key!r}: {exc}") from exc
     fields.update((name, getattr(args, key)) for key, name in CLUSTER_FLAGS.items()
                   if getattr(args, key) is not None)
     try:
@@ -114,7 +125,9 @@ def _episode_config(args) -> EpisodeConfig:
     if args.cs_threshold is not None and args.cs_threshold <= 1.0:
         fields["cs_preemption_threshold"] = None
     if args.cs_table:
-        fields["contention"] = ContentionParams(mode="table", table=load_cs_table(args.cs_table))
+        with _naming("CS table", args.cs_table):
+            table = load_cs_table(args.cs_table)
+        fields["contention"] = ContentionParams(mode="table", table=table)
     elif args.contention_mode in ("synthetic", "off"):
         fields["contention"] = ContentionParams(mode=args.contention_mode)
     try:
@@ -172,11 +185,9 @@ def _load_traces(paths, cluster_config) -> list:
     for path in paths:
         if not os.path.exists(path):
             raise TraceParseError(f"trace file {path} does not exist")
-        try:
+        with _naming("trace file", path):
             jobs = read_trace(path)
             check_trace(jobs, cluster_config)
-        except (TraceParseError, ConfigError, UnicodeDecodeError) as exc:
-            raise TraceParseError(f"trace file {path}: {exc}") from exc
         traces.append(jobs)
     return traces
 

@@ -13,8 +13,6 @@ from .errors import TraceParseError
 
 
 def parse_config_file(path) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise TraceParseError(f"config file {path} does not exist")
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -318,71 +318,54 @@ STRETCH_CHUNK = 4096  # most rounds one _accumulate call applies
 
 def _accumulate(jobs: list[JobState], throughputs: list[float], cs: list[float],
                 dt: float, limit: int) -> int:
-    """Advance running jobs through the rounds that advance would step alike.
+    """Advance running jobs through copies of one round, as advance steps it.
 
     Returns the rounds applied: at most limit rounds of length dt
     (STRETCH_CHUNK if fewer, unless no job runs), each at the job's
-    fixed throughput and CS. In a round where a job burns a whole
-    interval of restore penalty (restore_remaining >= dt) it gains no
-    samples, but its attained service, CS integral and placed time grow
-    as in any other round. The chunk stops before the first round in
-    which some job would finish, round k finishing a job when gain >=
-    total - s_k (s_k being its samples done before round k), and before
-    the first round in which a job burns a partial penalty (0 <
-    restore_remaining < dt). np.add.accumulate adds in sequence, so
-    samples_done, attained_service, cs_integral, placed_time and
-    restore_remaining end bit-identical to as many advance calls with
-    the engine's CS bookkeeping; a closed form such as s + g * n would
-    not be.
+    fixed throughput and CS. A chunk repeats its first round: a job
+    that starts it with restore_remaining >= dt burns a whole interval
+    of penalty every round (no samples; attained service, CS integral
+    and placed time grow as in any round), any other job gains
+    throughput * dt samples. So a finish, a partial penalty or a
+    penalty's end stops the chunk: it ends before the first round that
+    would finish a job (round k does when gain >= total - s_k, s_k its
+    samples before round k) or that a job would start with 0 <
+    restore_remaining < dt or with its penalty burnt. np.add.accumulate
+    adds in sequence, so samples_done, attained_service, cs_integral,
+    placed_time and restore_remaining end bit-identical to as many
+    advance calls with the engine's CS bookkeeping; a closed form such
+    as s + g * n would not be.
     """
     if not jobs:
         return limit
     n = min(limit, STRETCH_CHUNK)
-    partial = n + 1  # the first round with a partial penalty, when it is round n or before
-    soon = math.inf  # about the rounds before the first finish
-    start, step, reach, total, begins = [], [], [], [], []  # five fields a job: samples first
+    start, step, reach, total = [], [], [], []  # five fields a job: samples first
     for job, thr, c in zip(jobs, throughputs, cs):
-        s, r, gained = job.samples_done, job.restore_remaining, thr * dt
-        left = job.spec.total_samples - s
-        whole = 0
-        while r >= dt and whole <= n:  # as advance burns it, dt a round
-            r -= dt
-            whole += 1
-        if thr > 0 and (0.0 if whole else gained) >= left:
-            return 0  # round 0 finishes the job
-        if 0 < r < dt:
-            partial = min(partial, whole)
-        if gained > 0:
-            soon = min(soon, whole + left / gained)
-        start += (s, job.attained_service, job.cs_integral, job.placed_time,
-                  job.restore_remaining)
-        step += (gained, job.spec.gpu_demand * dt, c * dt, dt, -dt if whole else 0.0)
+        s, r = job.samples_done, job.restore_remaining
+        gained, left = (0.0 if r else thr * dt), job.spec.total_samples - s
+        if 0 < r < dt or (thr > 0 and gained >= left):
+            return 0  # round 0 burns a partial penalty or finishes the job
+        # about the rounds before its penalty ends or it finishes; +2 covers
+        # the rounding of the sums, and a short guess or the chunk cap (which
+        # bounds the array at 40 * STRETCH_CHUNK bytes per job) only ends the
+        # chunk early: the caller steps the next round and goes on
+        ends = r / dt if r else left / gained if gained > 0 else math.inf
+        n = min(n, int(min(ends, n)) + 2)
+        start += (s, job.attained_service, job.cs_integral, job.placed_time, r)
+        step += (gained, job.spec.gpu_demand * dt, c * dt, dt, -dt if r else 0.0)
         reach.append(gained if thr > 0 else -math.inf)
         total.append(job.spec.total_samples)
-        begins.append(whole)  # its first round that can finish it
-    # every job runs about (total - s) / gain rounds past its penalty before
-    # it finishes; +2 covers the rounding of the sum, and a short guess or the
-    # chunk cap (which bounds the array at 40 * STRETCH_CHUNK bytes per job)
-    # only ends the chunk early: the caller steps the next round and goes on
-    n = min(n, partial, int(min(soon, n)) + 2)
     steps = np.empty((n + 1, len(start)))
     steps[0] = start
     steps[1:] = step
-    for k, whole in enumerate(begins):
-        if whole:
-            steps[1:whole + 1, 5 * k] = 0.0  # no samples while the penalty burns
-            steps[whole + 1:, 5 * k + 4] = 0.0  # and no more penalty once it is burnt
     np.add.accumulate(steps, axis=0, out=steps)
-    # samples never fall, so a job that finishes in some round up to round n
-    # finishes in round n too: test that row, then walk back to the first
+    # samples never fall and penalties never rise, so a round that finishes
+    # job k or takes its penalty below 0 is followed only by such rounds:
+    # test round n, and walk back to the last round that passes for every job
+    for k in range(len(reach)):
+        while n and (steps[n, 5 * k + 4] < 0 or reach[k] >= total[k] - steps[n - 1, 5 * k]):
+            n -= 1
     row = steps[n].tolist()
-    finishing = [k for k, whole in enumerate(begins)
-                 if whole <= n and reach[k] >= total[k] - row[5 * k]]
-    if finishing:
-        for k in finishing:
-            while n > begins[k] and reach[k] >= total[k] - steps[n - 1, 5 * k]:
-                n -= 1
-        row = steps[n].tolist()
     for k, job in enumerate(jobs):
         (job.samples_done, job.attained_service, job.cs_integral, job.placed_time,
          job.restore_remaining) = row[5 * k:5 * k + 5]
@@ -396,12 +379,13 @@ def advance_stretch(jobs: list[JobState], throughputs: list[float], cs: list[flo
     Returns the rounds applied. Every round runs each job for dt at its
     fixed throughput and CS, and the call stops after the first round
     in which a job finishes (its finish_time set, its samples complete).
-    The rounds that advance would step alike go in chunks (_accumulate).
+    The rounds go in chunks (_accumulate): a chunk repeats its first
+    round, and a finish, a partial penalty or a penalty's end stops it.
     The round after a chunk that stops short of limit goes through
     advance, the reference, at now = round * dt with the CS bookkeeping:
-    it may finish a job or burn part of a round of restore penalty, or
-    the chunk may have stopped at STRETCH_CHUNK. So does a call of one
-    round.
+    it may finish a job, burn part of a round of restore penalty or
+    follow a penalty's end, or the chunk may have stopped at
+    STRETCH_CHUNK. So does a call of one round.
     """
     done = 0
     while done < limit:
@@ -475,9 +459,9 @@ def run_episode(policy, trace: list[JobSpec], episode_config: EpisodeConfig,
     Deterministic for a fixed (policy, trace, configs, rng seed); rng
     None means default_rng(0). A trace with a repeated job id, or with a
     job that no placement shape of the cluster fits, raises ConfigError
-    before round 0 (check_trace). The livelock guard forces a single
-    greedy placement after LIVELOCK_ROUNDS consecutive no-progress
-    rounds with an empty cluster and waiting jobs.
+    before round 0 (check_trace). After LIVELOCK_ROUNDS no-progress rounds
+    with an empty cluster and waiting jobs, the livelock guard places
+    what the whole decide_fifo_greedy scan places: every queued job it fits.
     Every decide gets the queued JobSpecs (not to be changed) and the
     episode's EpisodeCS; the RL policy prices its verdicts with the
     latter, and baselines ignore it. The values derived from the

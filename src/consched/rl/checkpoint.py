@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 from .net import Architecture, PolicyNet
 from .reward import RewardWeights
 
@@ -57,6 +57,7 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
 
     k must be an integer >= 1 and every parameter of the net in the manifest.
     The net's reward_weights come from the metadata's w1 when it has one.
+    Any file that does not hold such a net raises CheckpointError naming path.
     """
     try:
         with open(path, "rb") as fh:
@@ -77,37 +78,40 @@ def load_checkpoint(path) -> tuple[PolicyNet, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unparseable header: {exc}") from exc
     offset += blob_len
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')}; this build reads "
-            f"format version {FORMAT_VERSION}")
-    try:
-        arch = Architecture(**{key: tuple(v) if isinstance(v, list) else v
-                               for key, v in header["architecture"].items()})
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: bad architecture descriptor: {exc}") from exc
-    if not isinstance(arch.k, int) or arch.k < 1:
-        raise CheckpointError(f"{path}: architecture k={arch.k!r}; k must be an integer >= 1")
-    net = PolicyNet(arch, np.random.default_rng(0))
-    for item in header["params"]:
-        name, shape = item["name"], tuple(item["shape"])
-        if name not in net.params or net.params[name].shape != shape:
-            raise CheckpointError(f"{path}: unexpected parameter {name} {shape}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if len(raw) < offset + nbytes:
-            raise CheckpointError(f"{path}: truncated tensor data for {name}")
-        net.params[name] = np.frombuffer(
-            raw[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    missing = sorted(set(net.params) - {item["name"] for item in header["params"]})
-    if missing:
-        raise CheckpointError(f"{path}: missing parameters {', '.join(missing)}")
-    metadata = header.get("metadata", {})
-    if "w1" in metadata:
-        net.reward_weights = RewardWeights(metadata["w1"])
+    try:  # a header of the wrong shape fails in a lookup or a constructor
+        if header.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: format version {header.get('format_version')}; this build reads "
+                f"format version {FORMAT_VERSION}")
+        try:
+            arch = Architecture(**{key: tuple(v) if isinstance(v, list) else v
+                                   for key, v in header["architecture"].items()})
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: bad architecture descriptor: {exc}") from exc
+        if not isinstance(arch.k, int) or arch.k < 1:
+            raise CheckpointError(f"{path}: architecture k={arch.k!r}; k must be an integer >= 1")
+        net = PolicyNet(arch, np.random.default_rng(0))
+        for item in header["params"]:
+            name, shape = item["name"], tuple(item["shape"])
+            if name not in net.params or net.params[name].shape != shape:
+                raise CheckpointError(f"{path}: unexpected parameter {name} {shape}")
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 8
+            if len(raw) < offset + nbytes:
+                raise CheckpointError(f"{path}: truncated tensor data for {name}")
+            net.params[name] = np.frombuffer(
+                raw[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+            offset += nbytes
+        if offset != len(raw):
+            raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+        missing = sorted(set(net.params) - {item["name"] for item in header["params"]})
+        if missing:
+            raise CheckpointError(f"{path}: missing parameters {', '.join(missing)}")
+        metadata = header.get("metadata", {})
+        if "w1" in metadata:
+            net.reward_weights = RewardWeights(metadata["w1"])
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
     return net, metadata
 
 

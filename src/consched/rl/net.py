@@ -11,7 +11,8 @@ untrained net is exactly the fixed rule prior + contention_scale *
 verdict. Training pads the lists to a common length; masking zeroes the
 padding exactly and renormalizes over the rest.
 The scorer and the value baseline (a tanh MLP over the pooled round
-input) share one parameter dict, one forward and one backward pass.
+input) share one parameter dict and the mlp_forward and mlp_backward
+functions, which training calls for each MLP on its own.
 """
 
 from __future__ import annotations

@@ -224,6 +224,30 @@ def test_unreadable_input_is_a_file_error(case, trace_file, tmp_path, capsys):
     assert not paths["out"].exists()
 
 
+# a config file and a CS table that do not parse: (flag, bytes, part of the message)
+BAD_FILES = {
+    "config-line": ("--config", b"nodes 4\n", "line 1: expected key = value, got 'nodes 4'"),
+    "config-not-utf-8": ("--config", b"nodes = 4\xff\n", "can't decode byte 0xff"),
+    "cs-table-row": ("--cs-table", b"FSDP,3,4,MoE,1,4,1.5\n",
+                     "line 1: node count 3 is not a power of two"),
+    "cs-table-not-utf-8": ("--cs-table", b"FSDP,1,4,MoE,1,4,1.5\xff\n",
+                           "can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_a_config_or_cs_table_error_names_the_file(case, trace_file, tmp_path, capsys):
+    flag, text, message = BAD_FILES[case]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["eval", "--policy", "las", "--trace", str(trace_file), flag, str(path),
+                "--out-dir", str(out)]) == 3
+    assert_one_line_error(capsys, "file error: ", str(path), message)
+    assert not out.exists()
+
+
 # columns of written CSV files that hold words, not numbers
 WORD_COLUMNS = {"policy", "baseline", "model", "nodes"}
 POINT_FILES = {"jct_cdf.csv", "util_hist.csv", "cs_hist.csv", "jct_util_scatter.csv"}

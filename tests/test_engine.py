@@ -16,7 +16,7 @@ from consched.engine import (STRETCH_CHUNK, ComparisonReport, EpisodeConfig, Rou
                              percentile_90, run_episode)
 from consched.errors import ConfigError, InvalidPlacementError
 from consched.policies import (POLICY_KINDS, GreedyPolicy, RLBasePolicy, SRTFPolicy,
-                               make_policy)
+                               decide_fifo_greedy, make_policy)
 from consched.reports import ROUND_COLUMNS, write_episode_report
 from consched.rl.reward import RewardWeights, reward_from_terms
 from consched.rl.train import TrainConfig, make_net, train
@@ -377,6 +377,15 @@ class TestLivelockGuard:
             report = run_episode(self.AllSkip(), trace, EpisodeConfig())
         assert report.jobs[0].finish is not None
         assert any("livelock" in rec.message for rec in caplog.records)
+
+    def test_forced_round_places_every_job_greedy_places(self):
+        """The guard applies the whole greedy scan, not one placement."""
+        trace = generate_trace(TraceSpec(num_jobs=3, seed=1))  # demands 12, 5 and 3, at 0
+        report = run_episode(self.AllSkip(), trace, EpisodeConfig())
+        forced = next(record for record, *_ in report.rounds.runs if record.num_placed)
+        greedy = decide_fifo_greedy(ClusterState(ClusterConfig()), trace).placements
+        assert forced.time == (engine.LIVELOCK_ROUNDS - 1) * 0.25 == 2.25
+        assert forced.num_placed == len(greedy) == 3
 
 
 class TestConfigValidation:
@@ -856,17 +865,20 @@ def step_rounds(jobs, throughputs, cs, dt, limit):
 
     Steps copies of jobs round by round, with the engine's CS
     bookkeeping, up to limit rounds or the first round that finishes a
-    job or burns a partial restore penalty; returns (the copies, the
-    rounds stepped, whether such a round stopped it).
+    job, burns a partial restore penalty, or starts with less than a
+    round of penalty left for a job that was burning it at the start;
+    returns (the copies, the rounds stepped, whether such a round
+    stopped it).
     """
-    done = 0
+    done, burning = 0, [job.restore_remaining >= dt for job in jobs]
     while True:
         after = [replace(job) for job in jobs]
         for copy, throughput, c in zip(after, throughputs, cs):
             active = advance(copy, dt, throughput, now=0.0)
             copy.cs_integral += c * active
             copy.placed_time += active
-        event = (any(0 < job.restore_remaining < dt for job in jobs)
+        event = (any(job.restore_remaining < dt and (job.restore_remaining > 0 or was)
+                     for job, was in zip(jobs, burning))
                  or any(copy.finish_time is not None for copy in after))
         if event or done == limit:
             return jobs, done, event
@@ -945,12 +957,17 @@ class TestAdvanceStretch:
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
 
     def test_whole_penalty_goes_in_the_stretch_and_a_partial_one_stops_it(self):
-        # 5.0 s is 20 whole rounds of 0.25 s: the job gains samples from round 20 on
+        # 5.0 s is 20 whole rounds of 0.25 s: one chunk, and the job gains
+        # samples from round 20 on, in the next
         jobs = [running_job(100.0, 10.0), running_job(100.0, 10.0, restore=5.0)]
-        ref, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
-                                       [1.5, 2.5], 0.25, 100)
-        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == 100
-        assert (done, event) == (100, False)
+        ref = [replace(job) for job in jobs]
+        _, done, event = step_rounds([replace(job) for job in jobs], [1.0, 1.0],
+                                     [1.5, 2.5], 0.25, 100)
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 100) == 20
+        assert (done, event) == (20, True)
+        assert jobs[1].restore_remaining == 0.0 and jobs[1].samples_done == 10.0
+        assert _accumulate(jobs, [1.0, 1.0], [1.5, 2.5], 0.25, 80) == 80
+        assert step_to_finish(ref, [1.0, 1.0], [1.5, 2.5], 0.25, 100, 0) == 100
         assert [job_fields(job) for job in jobs] == [job_fields(job) for job in ref]
         assert jobs[1].restore_remaining == 0.0 and jobs[1].samples_done == 10.0 + 80 * 0.25
         # 1.1 s is 4 whole rounds and 0.1 s of a fifth, which advance must step

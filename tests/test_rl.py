@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -590,16 +591,35 @@ def drop_parameter(path, name):
         fh.write(b"".join(tensors[item["name"]] for item in header["params"]))
 
 
-def set_architecture(path, **fields):
-    """Rewrite a checkpoint's architecture descriptor, its tensors unchanged."""
+def edit_header(path, edit):
+    """Rewrite a checkpoint's header as edit(header) returns it, its tensors unchanged."""
     raw = path.read_bytes()
     offset = len(MAGIC) + 8
     blob_len = int.from_bytes(raw[len(MAGIC):offset], "little")
-    header = json.loads(raw[offset:offset + blob_len])
-    header["architecture"].update(fields)
-    write_header(path, header)
+    write_header(path, edit(json.loads(raw[offset:offset + blob_len])))
     with open(path, "ab") as fh:
         fh.write(raw[offset + blob_len:])
+
+
+def set_architecture(path, **fields):
+    """Rewrite a checkpoint's architecture descriptor, its tensors unchanged."""
+    edit_header(path, lambda header: {**header,
+                                      "architecture": {**header["architecture"], **fields}})
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "no-params": lambda h: without(h, "params"),
+    "param-without-shape": lambda h: {**h, "params": [without(h["params"][0], "shape"),
+                                                      *h["params"][1:]]},
+    "one-hidden-layer": lambda h: {**h, "architecture": {**h["architecture"], "hidden": [32]}},
+    "input-dim-string": lambda h: {**h, "architecture": {**h["architecture"], "input_dim": "9"}},
+    "list": lambda h: [h],
+    "w1-out-of-range": lambda h: {**h, "metadata": {**h["metadata"], "w1": 2.0}},
+}
 
 
 class TestCheckpointFormat:
@@ -624,6 +644,14 @@ class TestCheckpointFormat:
         path = tmp_path / "old.ckpt"
         write_format_2_checkpoint(path)
         with pytest.raises(CheckpointError, match="format version 2; .* format version 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_header_is_a_checkpoint_error_naming_the_file(self, edit, tmp_path):
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(tiny_net(seed=23), path, {"w1": 0.4})
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_bad_architecture_descriptor_rejected(self, tmp_path):

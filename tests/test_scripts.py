@@ -92,3 +92,6 @@ def test_ab_against_itself(tmp_path):
         assert summary["pairs"] == 2 and 0 <= summary["lower"] <= 2
         assert summary["q1"] <= summary["median"] <= summary["q3"]
         assert summary["min_ratio"] > 0 and f"{name}: this/base per pass" in stdout
+        if name != "imports":  # the same code makes the same calls
+            assert summary["calls"]["this"] == summary["calls"]["base"] > 0
+            assert f"{name}: function calls per pass" in stdout
